@@ -5,17 +5,18 @@
 /// gather+sort+publish, while the MVCC variant gathers under shared access
 /// and takes the write latch only for a short revalidated publication.
 ///
-/// Part 2 (version publication): copy-chain vs delta-chain publication of
-/// the differential side store, swept over pending-differential size ×
-/// snapshot hold × publication mode. Copy-chain materializes a full flat
-/// version per commit (O(pending)); delta-chain links one O(1) delta node
-/// and consolidates periodically. The sweep measures per-commit publication
-/// latency percentiles and writes BENCH_mvcc.json (override the path with
-/// AI_BENCH_MVCC_JSON).
+/// Part 2 (version publication): delta-chain publication of the
+/// differential side store, swept over pending-differential size ×
+/// snapshot hold. Each commit links one O(1) delta node and the chain
+/// consolidates periodically. The sweep measures per-commit publication
+/// latency percentiles (median of three runs per cell) and writes
+/// BENCH_mvcc.json (override the path with AI_BENCH_MVCC_JSON). The
+/// O(pending) copy-per-commit baseline this replaced is recorded in
+/// bench/baselines/mvcc_copy_vs_delta.json.
 ///
-/// Gate (non-zero exit on failure): with a snapshot held open, delta-chain
-/// commit p99 must be <= 0.5x copy-chain commit p99 at the LARGEST swept
-/// pending size — the O(1)-publication claim the delta chain exists for.
+/// Gate (non-zero exit on failure): with a snapshot held open, commit p99
+/// at the LARGEST swept pending size must be <= 2x commit p99 at the
+/// SMALLEST — publication cost flat in the pending side-store size.
 
 #include <algorithm>
 #include <chrono>
@@ -86,7 +87,6 @@ void RunMergeAblation() {
 // ------------------------------------------ version-publication sweep
 
 struct PublicationCell {
-  const char* publication;  // "copy" | "delta"
   size_t pending = 0;
   bool held_snapshot = false;
   double commit_p50_ns = 0;
@@ -105,21 +105,17 @@ double Percentile(std::vector<int64_t>* lat, double p) {
   return static_cast<double>((*lat)[i]);
 }
 
-PublicationCell RunPublicationCell(const Column& column,
-                                   SnapshotPublication publication,
-                                   size_t pending, bool held,
-                                   size_t commits) {
+PublicationCell RunPublicationCell(const Column& column, size_t pending,
+                                   bool held, size_t commits) {
   IndexConfig config;
   config.method = IndexMethod::kCrack;
-  config.snapshot_reads = true;
-  config.snapshot_publication = publication;
   UpdatableIndex index(column, config);
   Rng rng(2012);
   QueryContext ctx;
   uint64_t txn = 0;
   const Value domain = static_cast<Value>(column.size());
-  // Pre-load the pending differential: copy-chain publication cost is
-  // O(pending) per commit, so this is the swept axis.
+  // Pre-load the pending differential: O(1) publication must not grow
+  // with it, so this is the swept axis.
   for (size_t i = 0; i < pending; ++i) {
     ctx.txn_id = ++txn;
     index.Insert(domain + static_cast<Value>(rng.Uniform(1u << 20)), &ctx);
@@ -142,8 +138,6 @@ PublicationCell RunPublicationCell(const Column& column,
   if (held) pin.Release();
 
   PublicationCell cell;
-  cell.publication =
-      publication == SnapshotPublication::kCopyChain ? "copy" : "delta";
   cell.pending = pending;
   cell.held_snapshot = held;
   cell.commit_max_ns = *std::max_element(lat.begin(), lat.end());
@@ -155,56 +149,63 @@ PublicationCell RunPublicationCell(const Column& column,
   return cell;
 }
 
+/// Runs a cell three times and keeps the run with the median commit p99:
+/// one preemption or page-fault burst in a sub-microsecond loop must not
+/// decide the gate.
+PublicationCell RunMedianCell(const Column& column, size_t pending,
+                              bool held, size_t commits) {
+  std::vector<PublicationCell> runs;
+  for (int i = 0; i < 3; ++i) {
+    runs.push_back(RunPublicationCell(column, pending, held, commits));
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const PublicationCell& a, const PublicationCell& b) {
+              return a.commit_p99_ns < b.commit_p99_ns;
+            });
+  return runs[1];
+}
+
 bool RunPublicationSweep() {
   const size_t base_rows = EnvSize("AI_BENCH_MVCC_BASE", 200000);
   const size_t commits = EnvSize("AI_BENCH_MVCC_COMMITS", 512);
   PrintHeader(
-      "Ablation: version publication (copy-chain vs delta-chain)",
+      "Ablation: version publication (delta chain)",
       "base_rows=" + std::to_string(base_rows) + " measured_commits=" +
-          std::to_string(commits) +
-          " sweep: pending x held-snapshot x publication");
+          std::to_string(commits) + " sweep: pending x held-snapshot");
 
   Column column = MakeUniqueRandomColumn(base_rows);
   const size_t pendings[] = {1024, 8192, 32768};
+  const size_t gate_small = pendings[0];
+  const size_t gate_large = pendings[2];
   std::vector<PublicationCell> cells;
-  double gate_copy_p99 = 0;
-  double gate_delta_p99 = 0;
-  const size_t gate_pending = pendings[2];
+  double gate_small_p99 = 0;
+  double gate_large_p99 = 0;
 
-  std::printf("\n%-8s %10s %6s %14s %14s %14s %8s %8s\n", "mode", "pending",
-              "held", "p50(us)", "p99(us)", "max(us)", "consol", "chainmax");
+  std::printf("\n%10s %6s %14s %14s %14s %8s %8s\n", "pending", "held",
+              "p50(us)", "p99(us)", "max(us)", "consol", "chainmax");
   for (size_t pending : pendings) {
     for (bool held : {false, true}) {
-      for (SnapshotPublication mode : {SnapshotPublication::kCopyChain,
-                                       SnapshotPublication::kDeltaChain}) {
-        PublicationCell cell =
-            RunPublicationCell(column, mode, pending, held, commits);
-        std::printf("%-8s %10zu %6s %14.2f %14.2f %14.2f %8llu %8llu\n",
-                    cell.publication, cell.pending, held ? "yes" : "no",
-                    cell.commit_p50_ns / 1e3, cell.commit_p99_ns / 1e3,
-                    static_cast<double>(cell.commit_max_ns) / 1e3,
-                    static_cast<unsigned long long>(cell.consolidations),
-                    static_cast<unsigned long long>(cell.chain_max));
-        if (held && pending == gate_pending) {
-          if (mode == SnapshotPublication::kCopyChain) {
-            gate_copy_p99 = cell.commit_p99_ns;
-          } else {
-            gate_delta_p99 = cell.commit_p99_ns;
-          }
-        }
-        cells.push_back(cell);
-      }
+      PublicationCell cell = RunMedianCell(column, pending, held, commits);
+      std::printf("%10zu %6s %14.2f %14.2f %14.2f %8llu %8llu\n",
+                  cell.pending, held ? "yes" : "no",
+                  cell.commit_p50_ns / 1e3, cell.commit_p99_ns / 1e3,
+                  static_cast<double>(cell.commit_max_ns) / 1e3,
+                  static_cast<unsigned long long>(cell.consolidations),
+                  static_cast<unsigned long long>(cell.chain_max));
+      if (held && pending == gate_small) gate_small_p99 = cell.commit_p99_ns;
+      if (held && pending == gate_large) gate_large_p99 = cell.commit_p99_ns;
+      cells.push_back(cell);
     }
   }
 
-  // Gate: O(1) publication must show up as a large commit-latency gap
-  // under a held snapshot at the largest pending size.
+  // Gate: O(1) publication means commit p99 under a held snapshot stays
+  // flat from the smallest to the largest pending size.
   const bool gate_ok =
-      gate_copy_p99 > 0 && gate_delta_p99 <= 0.5 * gate_copy_p99;
+      gate_small_p99 > 0 && gate_large_p99 <= 2.0 * gate_small_p99;
   std::printf(
-      "\ngate (held snapshot, pending=%zu): delta p99 %.2f us vs copy p99 "
-      "%.2f us -> delta <= 0.5x copy: %s\n",
-      gate_pending, gate_delta_p99 / 1e3, gate_copy_p99 / 1e3,
+      "\ngate (held snapshot): p99 %.2f us at pending=%zu vs %.2f us at "
+      "pending=%zu -> flat within 2x: %s\n",
+      gate_large_p99 / 1e3, gate_large, gate_small_p99 / 1e3, gate_small,
       gate_ok ? "yes" : "NO");
 
   const char* json_env = std::getenv("AI_BENCH_MVCC_JSON");
@@ -224,12 +225,12 @@ bool RunPublicationSweep() {
     const PublicationCell& c = cells[i];
     std::fprintf(
         f,
-        "    {\"publication\": \"%s\", \"pending\": %zu, "
+        "    {\"pending\": %zu, "
         "\"held_snapshot\": %s, \"commit_p50_ns\": %.0f, "
         "\"commit_p99_ns\": %.0f, \"commit_max_ns\": %lld, "
         "\"deltas_published\": %llu, \"consolidations\": %llu, "
         "\"chain_max\": %llu}%s\n",
-        c.publication, c.pending, c.held_snapshot ? "true" : "false",
+        c.pending, c.held_snapshot ? "true" : "false",
         c.commit_p50_ns, c.commit_p99_ns,
         static_cast<long long>(c.commit_max_ns),
         static_cast<unsigned long long>(c.deltas_published),
@@ -238,12 +239,13 @@ bool RunPublicationSweep() {
         i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f,
-               "  ],\n  \"gate_pending\": %zu,\n"
-               "  \"gate_held_snapshot\": true,\n"
-               "  \"gate_copy_p99_ns\": %.0f,\n"
-               "  \"gate_delta_p99_ns\": %.0f,\n"
-               "  \"delta_p99_leq_half_copy\": %s\n}\n",
-               gate_pending, gate_copy_p99, gate_delta_p99,
+               "  ],\n  \"gate_held_snapshot\": true,\n"
+               "  \"gate_small_pending\": %zu,\n"
+               "  \"gate_large_pending\": %zu,\n"
+               "  \"gate_small_p99_ns\": %.0f,\n"
+               "  \"gate_large_p99_ns\": %.0f,\n"
+               "  \"p99_flat_within_2x\": %s\n}\n",
+               gate_small, gate_large, gate_small_p99, gate_large_p99,
                gate_ok ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());

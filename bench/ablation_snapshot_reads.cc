@@ -59,9 +59,6 @@ ModeResult RunMode(const Column& column, bool snapshot_reads,
   IndexConfig config;
   // Full scan per analytical read: the longest read the layer can produce.
   config.method = IndexMethod::kScan;
-  config.snapshot_reads = true;  // chain maintained in both modes; only the
-                                 // read path differs, so the write-side COW
-                                 // cost is identical and cancels out.
   UpdatableIndex index(column, config);
   const Value domain = static_cast<Value>(column.size());
 

@@ -28,8 +28,7 @@ double MeasureInterferenceMs(bool snapshot_reads) {
   constexpr size_t kRows = 500'000;
   constexpr int kUpdates = 1'500;
   IndexConfig config;
-  config.method = IndexMethod::kScan;   // every read = full O(n) scan
-  config.snapshot_reads = true;         // maintain the version chain
+  config.method = IndexMethod::kScan;  // every read = full O(n) scan
   UpdatableIndex orders(Column::UniqueRandom("amount", kRows, 7), config);
 
   std::atomic<bool> stop{false};

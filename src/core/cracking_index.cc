@@ -544,13 +544,12 @@ CrackingIndex::BoundResult CrackingIndex::ResolveBound(Value v,
             return r;
           }
           // Conflict avoidance (Section 3.3): forgo the refinement and
-          // answer by scanning the piece extent as of now.
-          ctx->stats.refinement_skipped = true;
-          MaybeSharedLock sl(&structure_mu_, latched_mode);
-          BoundResult r;
-          r.scan_begin = piece->begin;
-          r.scan_end = piece->end;
-          return r;
+          // answer by scanning. Re-resolve first instead of scanning
+          // `piece`: the latch holder may have split it since the lookup,
+          // leaving v's bound in a successor outside `piece`'s extent —
+          // the caller would then read the gap positionally, unfiltered.
+          refine_allowed = false;
+          continue;
         }
       } else {
         piece->latch.WriteLock(v, lat);

@@ -41,20 +41,10 @@ std::string IndexConfigKey(const IndexConfig& config) {
     key += "m" + std::to_string(config.min_rows_per_shard);
     key += "h" + std::to_string(config.partition_needs_cores);
   }
-  // The maintained version chain of the differential layer is physical
-  // state: a snapshot-enabled and a plain updatable wrapper over the same
-  // method must denote distinct entries.
-  if (config.snapshot_reads) {
-    key += "+snap";
-    // Publication mode (and, for delta chains, the consolidation bounds)
-    // shape what physical version state the writer maintains.
-    if (config.snapshot_publication == SnapshotPublication::kCopyChain) {
-      key += ":copy";
-    } else {
-      key += ":delta(" + std::to_string(config.snapshot_consolidate_min) +
-             "," + std::to_string(config.snapshot_consolidate_max) + ")";
-    }
-  }
+  // The consolidation bounds shape the version-chain state the
+  // differential layer's writer maintains.
+  key += "+snap(" + std::to_string(config.snapshot_consolidate_min) + "," +
+         std::to_string(config.snapshot_consolidate_max) + ")";
   // Only the option block the method consults participates — two configs
   // that differ in an unconsulted block denote the same physical index.
   switch (config.method) {

@@ -30,18 +30,6 @@ enum class IndexMethod {
 /// \brief Display name of an access method ("scan", "crack", ...).
 std::string ToString(IndexMethod method);
 
-/// \brief How `UpdatableIndex` publishes each committed update to the MVCC
-/// version chain when `IndexConfig::snapshot_reads` is on.
-enum class SnapshotPublication {
-  /// One O(1) delta node per commit, folded by readers over the last
-  /// consolidated base; a consolidation step bounds the chain (default —
-  /// publication cost independent of the pending side-store size).
-  kDeltaChain,
-  /// A full flat copy of both side stores per commit — O(pending) inside
-  /// the writer latch. Kept as the ablation baseline.
-  kCopyChain,
-};
-
 /// \brief Aggregate configuration; only the block matching `method` is
 /// consulted.
 ///
@@ -80,30 +68,22 @@ struct IndexConfig {
   /// config denotes.
   ThreadPool* pool = nullptr;
 
-  /// Differential-layer option, consulted by `UpdatableIndex` only: when
-  /// true the write path maintains an epoch-stamped version chain of the
-  /// side stores (`core/snapshot.h`), making snapshot capture O(1) so
-  /// reads requesting `QueryContext::snapshot_reads` never hold the
-  /// side-table latch for the duration of the read. Publication cost per
-  /// commit is set by `snapshot_publication`. Participates in
-  /// `IndexConfigKey` (the maintained chain is physical state).
-  bool snapshot_reads = false;
-
-  /// Commit-publication mode of the maintained chain (with
-  /// `snapshot_reads`): O(1) delta nodes with periodic consolidation
-  /// (default) or the O(pending) flat copy per commit kept as the ablation
-  /// baseline. Participates in `IndexConfigKey`.
-  SnapshotPublication snapshot_publication = SnapshotPublication::kDeltaChain;
-
-  /// Delta-chain consolidation floor: a flat base is materialized no
+  /// Differential-layer option, consulted by `UpdatableIndex` only. Its
+  /// write path always publishes each commit as one O(1) delta node of an
+  /// epoch-stamped version chain (`core/snapshot.h`), so a snapshot
+  /// capture is one short pin and reads requesting
+  /// `QueryContext::snapshot_reads` never hold the side-table latch.
+  /// This floor bounds consolidation: a flat base is materialized no
   /// earlier than this many chained deltas, so tiny side stores don't
   /// consolidate on every other commit. The effective threshold is
   /// max(floor, pending/8) capped by `snapshot_consolidate_max` — O(1)
   /// amortized publication while bounding the suffix readers fold.
+  /// Participates in `IndexConfigKey`.
   size_t snapshot_consolidate_min = 64;
 
   /// Delta-chain consolidation ceiling: the chain never grows past this
   /// many deltas regardless of pending size, bounding per-read fold work.
+  /// Participates in `IndexConfigKey`.
   size_t snapshot_consolidate_max = 4096;
 
   CrackingOptions cracking;

@@ -140,20 +140,11 @@ SideStoreVersion Snapshot::Materialize() const {
 
 // ------------------------------------------------------- SnapshotManager
 
-SnapshotManager::SnapshotManager()
-    : current_(std::make_shared<SideStoreVersion>()) {}
-
-void SnapshotManager::Publish(std::shared_ptr<const SideStoreVersion> version) {
-  std::lock_guard<std::mutex> lk(mu_);
-  assert(version->epoch >= current_epoch_);
-  assert(head_ == nullptr);  // copy-chain mode never grows a delta chain
-  retired_.push_back(std::move(current_));
-  ++retired_total_;
-  current_epoch_ = version->epoch;
-  current_next_row_id_ = version->next_row_id;
-  current_ = std::move(version);
-  ++published_;
-  ReclaimLocked();
+SnapshotManager::SnapshotManager(RowId next_row_id)
+    : current_next_row_id_(next_row_id) {
+  auto pristine = std::make_shared<SideStoreVersion>();
+  pristine->next_row_id = next_row_id;
+  current_ = std::move(pristine);
 }
 
 size_t SnapshotManager::PublishDelta(SideStoreDelta::Op op, Value v,
@@ -186,7 +177,6 @@ void SnapshotManager::Consolidate(
   head_ = nullptr;
   chain_length_ = 0;
   ++consolidations_;
-  ++published_;
 }
 
 Snapshot SnapshotManager::Acquire() {
@@ -195,24 +185,6 @@ Snapshot SnapshotManager::Acquire() {
   ++active_[current_epoch_];
   return Snapshot(this, current_, head_, chain_length_, current_epoch_,
                   current_next_row_id_, base_generation_);
-}
-
-Snapshot SnapshotManager::TryAcquireMaterialized(
-    std::shared_ptr<const SideStoreVersion> version) {
-  std::lock_guard<std::mutex> lk(mu_);
-  // Refuse rather than wait: the caller materialized under the index latch
-  // and the rebasing thread is about to need it exclusively.
-  if (rebasing_) return Snapshot();
-  const uint64_t epoch = version->epoch;
-  const RowId next_row_id = version->next_row_id;
-  ++active_[epoch];
-  return Snapshot(this, std::move(version), nullptr, 0, epoch, next_row_id,
-                  base_generation_);
-}
-
-void SnapshotManager::AwaitRebaseComplete() {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [this] { return !rebasing_; });
 }
 
 void SnapshotManager::BeginRebase() {
@@ -228,18 +200,14 @@ void SnapshotManager::CompleteRebase(
     std::shared_ptr<const SideStoreVersion> version) {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    // The retired chain and delta chain belong to the pre-checkpoint base
-    // generation; no snapshot can reference them anymore (the drain
-    // guaranteed that), so they are reclaimed wholesale rather than epoch
-    // by epoch.
-    reclaimed_ += retired_.size();
-    retired_.clear();
+    // The delta chain belongs to the pre-checkpoint base generation; no
+    // snapshot can reference it anymore (the drain guaranteed that), so it
+    // is dropped wholesale.
     head_ = nullptr;
     chain_length_ = 0;
     current_epoch_ = version->epoch;
     current_next_row_id_ = version->next_row_id;
     current_ = std::move(version);
-    ++published_;
     ++base_generation_;
     rebasing_ = false;
   }
@@ -253,27 +221,10 @@ void SnapshotManager::Release(uint64_t epoch) {
     auto it = active_.find(epoch);
     assert(it != active_.end());
     if (--it->second == 0) active_.erase(it);
-    ReclaimLocked();
     drained = active_.empty();
   }
   // A draining BeginRebase only cares about the registry emptying.
   if (drained) cv_.notify_all();
-}
-
-void SnapshotManager::ReclaimLocked() {
-  // Keep only retired versions whose epoch an active snapshot still pins.
-  // The pin's own shared_ptr keeps its version alive regardless, so
-  // holding unpinned intermediates would be pure retention: a long-held
-  // snapshot beside a fast update stream must not accumulate one full
-  // side-store copy per commit.
-  for (auto it = retired_.begin(); it != retired_.end();) {
-    if (active_.count((*it)->epoch) > 0) {
-      ++it;
-    } else {
-      it = retired_.erase(it);
-      ++reclaimed_;
-    }
-  }
 }
 
 uint64_t SnapshotManager::base_generation() const {
@@ -296,26 +247,6 @@ size_t SnapshotManager::active_snapshots() const {
 uint64_t SnapshotManager::oldest_active_epoch() const {
   std::lock_guard<std::mutex> lk(mu_);
   return active_.empty() ? current_epoch_ : active_.begin()->first;
-}
-
-uint64_t SnapshotManager::versions_published() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return published_;
-}
-
-uint64_t SnapshotManager::versions_retired() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return retired_total_;
-}
-
-uint64_t SnapshotManager::versions_reclaimed() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return reclaimed_;
-}
-
-size_t SnapshotManager::retired_chain_length() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return retired_.size();
 }
 
 uint64_t SnapshotManager::deltas_published() const {

@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,8 +21,7 @@ namespace adaptidx {
 /// differential files as the natural place for multi-version concurrency:
 /// the base column is immutable between checkpoints, so versioning the
 /// *differentials* versions the whole logical column. A flat version is
-/// materialized by consolidation (delta-chain mode), per commit
-/// (copy-chain mode), by checkpoints, and by on-demand captures; it is
+/// materialized by consolidation, by checkpoints and by recovery; it is
 /// never mutated after publication.
 ///
 /// Thread-safety: immutable after construction; any number of threads may
@@ -123,10 +121,10 @@ class SnapshotManager;
 /// A snapshot is captured in O(1) (a short pin on the manager, no
 /// side-table latch) and holds exactly the differential state of its
 /// `epoch()`: a consolidated base `version()` plus the era-local
-/// `delta_head()` chain suffix committed after that base (empty in
-/// copy-chain mode and right after consolidation). Updates committed after
-/// capture are invisible, so re-running a query against the same snapshot
-/// always returns the identical answer (repeatable read). The base
+/// `delta_head()` chain suffix committed after that base (empty right
+/// after consolidation). Updates committed after capture are invisible, so
+/// re-running a query against the same snapshot always returns the
+/// identical answer (repeatable read). The base
 /// column/index referenced by `base_generation()` is guaranteed stable
 /// while the snapshot is held: `UpdatableIndex::Checkpoint()` drains
 /// (waits for) every outstanding snapshot before swapping the base.
@@ -148,8 +146,8 @@ class Snapshot {
   /// \brief An empty (invalid) snapshot; pins nothing.
   Snapshot() = default;
 
-  /// \brief Releases the pin (unblocking a draining checkpoint and making
-  /// retired versions reclaimable).
+  /// \brief Releases the pin (unblocking a draining checkpoint and freeing
+  /// the chain suffix no other pin observes).
   ~Snapshot() { Release(); }
 
   Snapshot(Snapshot&& other) noexcept { *this = std::move(other); }
@@ -169,9 +167,9 @@ class Snapshot {
   /// snapshot's rowIDs and base answers are expressed against.
   uint64_t base_generation() const { return base_generation_; }
 
-  /// \brief The pinned consolidated base state. Requires `valid()`. In
-  /// delta-chain mode this covers epochs up to `version().epoch` only; the
-  /// deltas of (`version().epoch`, `epoch()`] hang off `delta_head()`.
+  /// \brief The pinned consolidated base state. Requires `valid()`. It
+  /// covers epochs up to `version().epoch` only; the deltas of
+  /// (`version().epoch`, `epoch()`] hang off `delta_head()`.
   const SideStoreVersion& version() const { return *version_; }
 
   /// \brief Newest delta this snapshot observes; null when the snapshot is
@@ -220,31 +218,28 @@ class Snapshot {
   uint64_t base_generation_ = 0;
 };
 
-/// \brief Publishes, pins, drains, and reclaims versions — the
-/// version-chain bookkeeping of the MVCC layer.
+/// \brief Publishes, pins, and drains versions — the version-chain
+/// bookkeeping of the MVCC layer.
 ///
 /// Writer protocol: after mutating the side stores under the index's
-/// exclusive latch, the writer publishes the commit either as one O(1)
-/// delta node (`PublishDelta`, delta-chain mode) or as a full flat copy
-/// (`Publish`, copy-chain mode). In delta mode a periodic `Consolidate`
-/// installs a flat base and resets the chain so readers never fold an
-/// unbounded suffix. Reader protocol: `Acquire` pins the current (base,
-/// chain head) pair under a short internal mutex — the "short pin" — and
-/// the returned `Snapshot` releases it on destruction. Checkpoint
-/// protocol: `BeginRebase` blocks new acquisitions and waits until every
-/// outstanding snapshot is released, the caller swaps the base, then
-/// `CompleteRebase` installs the post-checkpoint version under the next
-/// base generation and re-admits readers.
+/// exclusive latch, the writer publishes the commit as one O(1) delta node
+/// (`PublishDelta`). A periodic `Consolidate` installs a flat base and
+/// resets the chain so readers never fold an unbounded suffix. Reader
+/// protocol: `Acquire` pins the current (base, chain head) pair under a
+/// short internal mutex — the "short pin" — and the returned `Snapshot`
+/// releases it on destruction. Checkpoint protocol: `BeginRebase` blocks
+/// new acquisitions and waits until every outstanding snapshot is
+/// released, the caller swaps the base, then `CompleteRebase` installs the
+/// post-checkpoint version under the next base generation and re-admits
+/// readers.
 ///
 /// Reclamation is epoch-based through the pins themselves: every snapshot
 /// holds shared ownership of its base and chain head, so superseding a
 /// base (consolidation) or dropping the chain frees exactly the suffix no
 /// pin can observe anymore — a delta node dies the moment the last
-/// snapshot that could see it releases. Copy-chain mode additionally
-/// tracks superseded flat versions in a retired list pruned as pins drain
-/// (`versions_retired`/`versions_reclaimed`). Chain destruction is
-/// iterative (see `SideStoreDelta::~SideStoreDelta`), never one stack
-/// frame per node.
+/// snapshot that could see it releases. Chain destruction is iterative
+/// (see `SideStoreDelta::~SideStoreDelta`), never one stack frame per
+/// node.
 ///
 /// Thread-safety: fully synchronized internally; all methods may be called
 /// from any thread. `BeginRebase`/`CompleteRebase` must be paired and are
@@ -252,15 +247,11 @@ class Snapshot {
 /// provides that).
 class SnapshotManager {
  public:
-  SnapshotManager();
+  /// \brief Starts at epoch 0 with empty side stores; `next_row_id` is the
+  /// row id the index assigns first (the base column's size).
+  explicit SnapshotManager(RowId next_row_id);
 
-  /// \brief Copy-chain commit publication: installs `version` as current
-  /// (its epoch must be monotonically increasing); the previous current
-  /// version is retired and reclamation runs. Must not be mixed with a
-  /// live delta chain.
-  void Publish(std::shared_ptr<const SideStoreVersion> version);
-
-  /// \brief Delta-chain commit publication, O(1): links one delta node for
+  /// \brief Commit publication, O(1): links one delta node for
   /// (`op`, `v`, `row_id`) committed at `epoch` onto the current chain.
   /// Returns the resulting chain length so the caller can trigger
   /// consolidation.
@@ -274,23 +265,9 @@ class SnapshotManager {
   void Consolidate(std::shared_ptr<const SideStoreVersion> version);
 
   /// \brief Pins the current version (base + chain head). Blocks while a
-  /// rebase (checkpoint drain) is in progress.
+  /// rebase (checkpoint drain) is in progress, so it must be called
+  /// WITHOUT holding any latch the rebasing thread needs.
   Snapshot Acquire();
-
-  /// \brief Pins an externally materialized version (the capture path of an
-  /// index that does not maintain the chain, see
-  /// `IndexConfig::snapshot_reads`) — the version joins the active registry
-  /// so checkpoint drains account for it. Returns an *invalid* snapshot
-  /// instead of blocking when a rebase is in progress: the caller typically
-  /// holds the index latch while materializing, and waiting under it would
-  /// deadlock against the rebase. Drop the latch, `AwaitRebaseComplete`,
-  /// re-materialize, retry.
-  Snapshot TryAcquireMaterialized(
-      std::shared_ptr<const SideStoreVersion> version);
-
-  /// \brief Blocks while a rebase is in progress. Must be called WITHOUT
-  /// holding any latch the rebasing thread needs.
-  void AwaitRebaseComplete();
 
   /// \brief Checkpoint entry: serializes against other rebases, blocks new
   /// acquisitions, then waits until no snapshot is active. Must be called
@@ -300,8 +277,8 @@ class SnapshotManager {
   void BeginRebase();
 
   /// \brief Checkpoint exit: installs the post-checkpoint `version`, bumps
-  /// the base generation, drops the (now meaningless) retired chain and
-  /// delta chain, and re-admits readers.
+  /// the base generation, drops the (now meaningless) delta chain, and
+  /// re-admits readers.
   void CompleteRebase(std::shared_ptr<const SideStoreVersion> version);
 
   /// \brief Generation of the base column current snapshots read against;
@@ -319,12 +296,8 @@ class SnapshotManager {
   /// when none is active.
   uint64_t oldest_active_epoch() const;
 
-  // ---- reclamation observability (tests/benchmarks) --------------------
+  // ---- chain observability (tests/benchmarks) --------------------------
 
-  uint64_t versions_published() const;  ///< flat installs (`Publish`/`Consolidate`/`CompleteRebase`)
-  uint64_t versions_retired() const;    ///< copy-chain versions superseded while current
-  uint64_t versions_reclaimed() const;  ///< retired versions dropped again
-  size_t retired_chain_length() const;  ///< retired versions still held
   uint64_t deltas_published() const;    ///< O(1) delta-node publications
   uint64_t consolidations() const;      ///< chain → flat-base materializations
   size_t chain_length() const;          ///< deltas currently chained on the base
@@ -332,13 +305,9 @@ class SnapshotManager {
  private:
   friend class Snapshot;
 
-  /// Unpins one snapshot at `epoch`; runs reclamation and wakes a draining
-  /// rebase when the registry empties.
+  /// Unpins one snapshot at `epoch`; wakes a draining rebase when the
+  /// registry empties.
   void Release(uint64_t epoch);
-
-  /// Drops every retired version whose epoch no active snapshot pins.
-  /// Requires mu_ held.
-  void ReclaimLocked();
 
   mutable std::mutex mu_;
   std::condition_variable cv_;  ///< drain progress + rebase completion
@@ -351,12 +320,6 @@ class SnapshotManager {
   uint64_t base_generation_ = 0;
   /// Pin counts per epoch of every active snapshot.
   std::map<uint64_t, size_t> active_;
-  /// Superseded copy-chain versions whose epoch is still pinned, oldest
-  /// first.
-  std::deque<std::shared_ptr<const SideStoreVersion>> retired_;
-  uint64_t published_ = 0;
-  uint64_t retired_total_ = 0;
-  uint64_t reclaimed_ = 0;
   uint64_t deltas_published_ = 0;
   uint64_t consolidations_ = 0;
 };

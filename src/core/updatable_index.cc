@@ -286,7 +286,8 @@ UpdatableIndex::UpdatableIndex(Column base, IndexConfig config,
       lock_manager_(lock_manager),
       lock_resource_(std::move(lock_resource)),
       base_(std::make_unique<Column>(std::move(base))),
-      next_row_id_(static_cast<RowId>(base_->size())) {
+      next_row_id_(static_cast<RowId>(base_->size())),
+      snapshots_(next_row_id_) {
   RebuildIndexLocked();
 }
 
@@ -337,13 +338,6 @@ void UpdatableIndex::CommitEpochLocked(SideStoreDelta::Op op, Value v,
                                        RowId row_id) {
   const uint64_t epoch =
       commit_epoch_.fetch_add(1, std::memory_order_release) + 1;
-  if (!config_.snapshot_reads) return;
-  if (config_.snapshot_publication == SnapshotPublication::kCopyChain) {
-    // Ablation baseline: O(pending) flat copy per commit under the writer
-    // latch — the cost delta chains remove.
-    snapshots_.Publish(MaterializeVersionLocked());
-    return;
-  }
   // O(1) publication; the chain is consolidated into a flat base before
   // readers would fold a suffix longer than the adaptive threshold
   // (>= floor so tiny stores don't thrash, pending/8 so the occasional
@@ -359,23 +353,7 @@ void UpdatableIndex::CommitEpochLocked(SideStoreDelta::Op op, Value v,
 }
 
 Snapshot UpdatableIndex::CaptureSnapshot() const {
-  if (config_.snapshot_reads) {
-    // The chain is maintained by the write path: the capture is one short
-    // pin on the manager, no side-table latch at all.
-    return snapshots_.Acquire();
-  }
-  // Chain not maintained: materialize a consistent one-off version under
-  // the shared latch (O(pending)); it still registers with the manager so
-  // checkpoint drains account for it. The pin must never be awaited while
-  // mu_ is held — a draining checkpoint is about to take mu_ exclusively —
-  // so a rebase collision drops the latch and retries after the rebase.
-  for (;;) {
-    snapshots_.AwaitRebaseComplete();
-    std::shared_lock<std::shared_mutex> lk(mu_);
-    Snapshot snapshot =
-        snapshots_.TryAcquireMaterialized(MaterializeVersionLocked());
-    if (snapshot.valid()) return snapshot;
-  }
+  return snapshots_.Acquire();
 }
 
 Status UpdatableIndex::ExecuteSnapshot(const Query& query,
@@ -535,8 +513,8 @@ Status UpdatableIndex::Checkpoint() {
   // pin across an Insert), so waiting for pins while holding mu_
   // exclusively would deadlock the whole index. With the drain complete
   // and rebasing latched in the manager, no new pin can appear before the
-  // exclusive acquisition below (both capture paths check the rebase
-  // flag without holding mu_).
+  // exclusive acquisition below (capture checks the rebase flag without
+  // holding mu_).
   snapshots_.BeginRebase();
   std::unique_lock<std::shared_mutex> lk(mu_);
   std::vector<Value> values;
@@ -586,18 +564,11 @@ void UpdatableIndex::RestoreState(
   anti_matter_.insert(anti_matter.begin(), anti_matter.end());
   next_row_id_ = next_row_id;
   commit_epoch_.store(epoch, std::memory_order_release);
-  if (config_.snapshot_reads) {
-    // Re-seed the version chain at the restored epoch so the first
-    // snapshot capture after recovery sees the restored differentials
-    // (monotonic epochs hold: the constructor-time state sits at epoch 0,
-    // below any restored epoch). Delta mode installs the restored state as
-    // a consolidated base; copy mode publishes it as the next flat copy.
-    if (config_.snapshot_publication == SnapshotPublication::kCopyChain) {
-      snapshots_.Publish(MaterializeVersionLocked());
-    } else {
-      snapshots_.Consolidate(MaterializeVersionLocked());
-    }
-  }
+  // Re-seed the version chain at the restored epoch so the first snapshot
+  // capture after recovery sees the restored differentials (monotonic
+  // epochs hold: the constructor-time state sits at epoch 0, below any
+  // restored epoch).
+  snapshots_.Consolidate(MaterializeVersionLocked());
 }
 
 size_t UpdatableIndex::num_rows() const {

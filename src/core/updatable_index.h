@@ -45,13 +45,11 @@ namespace adaptidx {
 ///
 /// MVCC snapshot reads (Section 4.3: "merge steps can run as multi-version
 /// system transactions"): every committed update advances a monotonically
-/// increasing `commit_epoch()`. With `IndexConfig::snapshot_reads` enabled
-/// the writer additionally publishes each commit to the version chain —
-/// by default one O(1) `SideStoreDelta` node (op, value, rowID, epoch)
-/// linked onto the current version, periodically consolidated into a flat
-/// `SideStoreVersion` so readers never fold an unbounded suffix
-/// (`IndexConfig::snapshot_publication` selects the O(pending) copy-chain
-/// baseline instead). A query whose context sets
+/// increasing `commit_epoch()` and publishes the commit to the version
+/// chain as one O(1) `SideStoreDelta` node (op, value, rowID, epoch)
+/// linked onto the current version. The chain is periodically consolidated
+/// into a flat `SideStoreVersion` (bounds in `IndexConfig`) so readers
+/// never fold an unbounded suffix. A query whose context sets
 /// `QueryContext::snapshot_reads` captures a `Snapshot` (one short pin,
 /// O(1)) and answers count/sum/rowIDs/minmax against exactly that epoch
 /// *without holding the side-table latch during the read* — a long
@@ -117,10 +115,9 @@ class UpdatableIndex : public AdaptiveIndex {
 
   // ---- snapshot reads ---------------------------------------------------
 
-  /// \brief Pins a consistent view at the current commit epoch. O(1) when
-  /// `IndexConfig::snapshot_reads` maintains the version chain; otherwise
-  /// the differentials are materialized on demand under a short shared
-  /// latch (O(pending)). Thread-safe; release the snapshot promptly.
+  /// \brief Pins a consistent view at the current commit epoch: O(1), one
+  /// short pin on the version chain and no side-table latch. Blocks while
+  /// a checkpoint drains. Thread-safe; release the snapshot promptly.
   Snapshot CaptureSnapshot() const;
 
   /// \brief Answers `query` against `snapshot` — repeatable: the same
@@ -137,8 +134,8 @@ class UpdatableIndex : public AdaptiveIndex {
     return commit_epoch_.load(std::memory_order_acquire);
   }
 
-  /// \brief Version-chain bookkeeping (active pins, retired/reclaimed
-  /// version counters) for tests and benchmarks. Thread-safe.
+  /// \brief Version-chain bookkeeping (active pins, chain length,
+  /// publication counters) for tests and benchmarks. Thread-safe.
   const SnapshotManager& snapshots() const { return snapshots_; }
 
   // ---- durability hooks -------------------------------------------------
@@ -202,11 +199,9 @@ class UpdatableIndex : public AdaptiveIndex {
   /// stamped with the current commit epoch. mu_ held (shared suffices).
   std::shared_ptr<SideStoreVersion> MaterializeVersionLocked() const;
 
-  /// Commits one epoch and, when the version chain is maintained,
-  /// publishes the commit — one O(1) delta node describing (`op`, `v`,
-  /// `row_id`) in delta-chain mode (consolidating when the chain reaches
-  /// the adaptive threshold), a full flat copy in copy-chain mode.
-  /// Requires mu_ held exclusively.
+  /// Commits one epoch and publishes it as one O(1) delta node describing
+  /// (`op`, `v`, `row_id`), consolidating when the chain reaches the
+  /// adaptive threshold. Requires mu_ held exclusively.
   void CommitEpochLocked(SideStoreDelta::Op op, Value v, RowId row_id);
 
   /// Chain length at which the next commit consolidates:

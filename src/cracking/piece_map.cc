@@ -5,19 +5,47 @@ namespace adaptidx {
 PieceMap::PieceMap(size_t array_size, Value domain_lo, Value domain_hi,
                    SchedulingPolicy policy)
     : array_size_(array_size), policy_(policy) {
-  by_begin_.emplace(0, std::make_shared<Piece>(0, array_size, domain_lo,
-                                               domain_hi, policy));
-  PublishSnapshot();
+  auto first = std::make_shared<Piece>(0, array_size, domain_lo, domain_hi,
+                                      policy);
+  by_begin_.emplace(0, first);
+  auto chunk = std::make_shared<PieceMapSnapshot::Chunk>();
+  chunk->begins.push_back(0);
+  chunk->pieces.push_back(std::move(first));
+  auto snap = std::make_shared<PieceMapSnapshot>();
+  snap->firsts.push_back(0);
+  snap->chunks.push_back(std::move(chunk));
+  snapshot_ = std::move(snap);
 }
 
-void PieceMap::PublishSnapshot() {
-  auto snap = std::make_shared<PieceMapSnapshot>();
-  snap->begins.reserve(by_begin_.size());
-  snap->pieces.reserve(by_begin_.size());
-  for (const auto& [begin, piece] : by_begin_) {
-    snap->begins.push_back(begin);
-    snap->pieces.push_back(piece);
+void PieceMap::PublishSplit(const std::shared_ptr<Piece>& right) {
+  using Chunk = PieceMapSnapshot::Chunk;
+  const std::shared_ptr<const PieceMapSnapshot> old = AcquireSnapshot();
+  auto snap = std::make_shared<PieceMapSnapshot>(*old);
+  // `right` was cut off the tail of a piece, so it lands in the chunk
+  // holding that piece and never becomes a chunk's first entry.
+  const size_t ci = static_cast<size_t>(
+      std::upper_bound(snap->firsts.begin(), snap->firsts.end(),
+                       right->begin) -
+      snap->firsts.begin() - 1);
+  auto chunk = std::make_shared<Chunk>(*snap->chunks[ci]);
+  const auto at = static_cast<std::ptrdiff_t>(
+      std::upper_bound(chunk->begins.begin(), chunk->begins.end(),
+                       right->begin) -
+      chunk->begins.begin());
+  chunk->begins.insert(chunk->begins.begin() + at, right->begin);
+  chunk->pieces.insert(chunk->pieces.begin() + at, right);
+  if (chunk->begins.size() > PieceMapSnapshot::kChunkMax) {
+    const auto half = static_cast<std::ptrdiff_t>(chunk->begins.size() / 2);
+    auto upper = std::make_shared<Chunk>();
+    upper->begins.assign(chunk->begins.begin() + half, chunk->begins.end());
+    upper->pieces.assign(chunk->pieces.begin() + half, chunk->pieces.end());
+    chunk->begins.resize(static_cast<size_t>(half));
+    chunk->pieces.resize(static_cast<size_t>(half));
+    const auto next = static_cast<std::ptrdiff_t>(ci) + 1;
+    snap->firsts.insert(snap->firsts.begin() + next, upper->begins.front());
+    snap->chunks.insert(snap->chunks.begin() + next, std::move(upper));
   }
+  snap->chunks[ci] = std::move(chunk);
   std::atomic_store(&snapshot_,
                     std::shared_ptr<const PieceMapSnapshot>(std::move(snap)));
 }
@@ -72,7 +100,7 @@ std::shared_ptr<Piece> PieceMap::Split(const std::shared_ptr<Piece>& p,
   // Only the interior split changes the set of piece begins; the two
   // boundary cases above merely tighten value bounds, which optimistic
   // readers never take from the snapshot.
-  PublishSnapshot();
+  PublishSplit(right);
   return right;
 }
 

@@ -78,9 +78,15 @@ struct Piece {
 };
 
 /// \brief An immutable, latch-free published view of the piece tiling: the
-/// sorted piece begins plus the matching Piece pointers. Optimistic readers
-/// binary-search it to locate the piece for a position with zero structure
-/// latch acquisitions.
+/// sorted piece begins plus the matching Piece pointers, in chunks of
+/// consecutive pieces. Optimistic readers binary-search it to locate the
+/// piece for a position with zero structure latch acquisitions.
+///
+/// Chunks are immutable and shared between successive snapshots: a split
+/// republishes by copying the chunk list and the one chunk that gains the
+/// new piece — O(pieces / kChunkMax + kChunkMax) instead of a copy of the
+/// whole tiling, which at thousands of pieces dominated every crack (it
+/// runs under the exclusive structure latch every lookup waits on).
 ///
 /// A snapshot may be stale — pieces split after publication still appear as
 /// their pre-split extent — but never unsafe:
@@ -92,15 +98,27 @@ struct Piece {
 ///    the snapshot piece's current `end` means the snapshot is stale for
 ///    this region; the reader re-resolves through the locked path.
 struct PieceMapSnapshot {
-  std::vector<Position> begins;
-  std::vector<std::shared_ptr<Piece>> pieces;
+  /// A chunk splits in two once it would exceed this many pieces.
+  static constexpr size_t kChunkMax = 128;
+
+  /// Consecutive pieces in position order; never empty.
+  struct Chunk {
+    std::vector<Position> begins;
+    std::vector<std::shared_ptr<Piece>> pieces;
+  };
+
+  /// `firsts[i]` is `chunks[i]->begins.front()`.
+  std::vector<Position> firsts;
+  std::vector<std::shared_ptr<const Chunk>> chunks;
 
   /// \brief The snapshot piece containing `pos`; never null for
   /// pos < array_size.
   std::shared_ptr<Piece> FindByPosition(Position pos) const {
-    auto it = std::upper_bound(begins.begin(), begins.end(), pos);
-    if (it == begins.begin()) return nullptr;
-    return pieces[static_cast<size_t>(it - begins.begin()) - 1];
+    auto c = std::upper_bound(firsts.begin(), firsts.end(), pos);
+    if (c == firsts.begin()) return nullptr;
+    const Chunk& chunk = *chunks[static_cast<size_t>(c - firsts.begin()) - 1];
+    auto it = std::upper_bound(chunk.begins.begin(), chunk.begins.end(), pos);
+    return chunk.pieces[static_cast<size_t>(it - chunk.begins.begin()) - 1];
   }
 };
 
@@ -168,9 +186,10 @@ class PieceMap {
   bool Validate() const;
 
  private:
-  /// Rebuilds and atomically publishes the snapshot from by_begin_. Caller
-  /// holds the structure latch exclusively (same rule as every map change).
-  void PublishSnapshot();
+  /// Publishes a snapshot that adds the freshly split-off `right` to the
+  /// current one. Caller holds the structure latch exclusively (same rule
+  /// as every map change).
+  void PublishSplit(const std::shared_ptr<Piece>& right);
 
   const size_t array_size_;
   const SchedulingPolicy policy_;

@@ -70,13 +70,9 @@ Status DurableIndex::Checkpoint(uint64_t* epoch_out) {
     // 2. One consistent epoch of the logical state. The pin also holds the
     // base column and wrapped index stable (a fold would drain us first).
     Snapshot snap = index_->CaptureSnapshot();
-    if (!snap.valid()) {
-      return Status::Aborted("could not pin a checkpoint snapshot");
-    }
-    // The image needs the FULL state at the pinned epoch — under
-    // delta-chain publication `snap.version()` is only the consolidated
-    // base, so fold the chain suffix into one flat view (a no-op copy when
-    // the chain is empty).
+    // The image needs the FULL state at the pinned epoch — `snap.version()`
+    // is only the consolidated base, so fold the chain suffix into one flat
+    // view (a plain copy when the chain is empty).
     SideStoreVersion v = snap.Materialize();
     image.epoch = v.epoch;
     image.next_row_id = v.next_row_id;

@@ -265,10 +265,11 @@ Status WriteAheadLog::Sync() {
 }
 
 Status WriteAheadLog::Rotate() {
-  // Seal under both locks in the fixed order (mu_ then io_mu_): the drain
-  // must observe a pending buffer that can no longer grow into the sealed
-  // segment, and the flusher never sleeps holding io_mu_, so the nested
-  // acquisition cannot deadlock.
+  // Seal with io_mu_ taken while mu_ is still held (the one nested
+  // acquisition, always mu_ then io_mu_): no batch claimed after our drain
+  // can reach the file before the old segment is sealed. io_mu_ is released
+  // again before mu_ is retaken, so no thread ever waits for mu_ while
+  // holding io_mu_ and concurrent Rotate callers cannot deadlock.
   std::string batch;
   uint64_t next;
   std::unique_lock<std::mutex> lk(mu_);
@@ -280,17 +281,22 @@ Status WriteAheadLog::Rotate() {
   pending_records_ = 0;
   next = next_lsn_;
   claimed_lsn_ = next - 1;
-  std::lock_guard<std::mutex> io(io_mu_);
-  lk.unlock();
   uint64_t bytes = 0;
   uint64_t syncs = 0;
-  Status s = WriteAndSyncLocked(batch, /*force_sync=*/true, &bytes, &syncs);
-  if (s.ok()) {
-    if (::close(fd_) != 0) s = Status::Corruption("wal close failed");
-    fd_ = -1;
+  Status s;
+  {
+    std::lock_guard<std::mutex> io(io_mu_);
+    lk.unlock();
+    s = WriteAndSyncLocked(batch, /*force_sync=*/true, &bytes, &syncs);
+    if (s.ok()) {
+      if (::close(fd_) != 0) s = Status::Corruption("wal close failed");
+      fd_ = -1;
+    }
+    if (s.ok()) s = OpenSegmentLocked(next);
+    if (s.ok()) s = SyncPath(dir_);
   }
-  if (s.ok()) s = OpenSegmentLocked(next);
-  if (s.ok()) s = SyncPath(dir_);
+  // A flusher batch written between the two critical sections is harmless:
+  // it lands in the fresh segment and durable_lsn_ only ever rises.
   lk.lock();
   if (!s.ok()) {
     if (io_error_.ok()) io_error_ = s;

@@ -91,12 +91,15 @@ struct WalRecord {
 /// pending buffer out under `mu_`, drops it, performs I/O under `io_mu_`
 /// only, then retakes `mu_` to publish durability — so committers are
 /// never blocked behind disk writes, which is the entire point of group
-/// commit. `Rotate` takes `mu_` (draining the pending buffer) and then
-/// `io_mu_` in that order; the flusher never acquires `mu_` while holding
-/// `io_mu_`, keeping the lock graph acyclic.
+/// commit. `Rotate` takes `io_mu_` while holding `mu_` (so no batch
+/// claimed after its drain can overtake the seal), then releases `io_mu_`
+/// before it retakes `mu_`. No thread ever acquires `mu_` while holding
+/// `io_mu_`, so the only lock-order edge is `mu_` → `io_mu_` and the
+/// graph stays acyclic.
 ///
 /// Thread-safety: fully synchronized; any number of committers may call
-/// `LogCommit`/`WaitDurable` concurrently with one `Rotate` caller.
+/// `LogCommit`/`WaitDurable` concurrently with any number of `Rotate` and
+/// `Sync` callers.
 class WriteAheadLog : public CommitSink {
  public:
   /// \brief Opens (creating if absent) the log in `dir`, starting a new

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "core/index_factory.h"
+#include "core/query.h"
 #include "engine/operators.h"
-#include "engine/query.h"
 #include "util/thread_pool.h"
 
 namespace adaptidx {
@@ -39,9 +39,9 @@ struct SessionOptions {
   /// side-table latch across the read. Capture is per query execution —
   /// each ticket of an async batch pins its own epoch, so every answer is
   /// individually consistent (repeatable against its snapshot) while the
-  /// batch as a whole observes the update stream progressing. Pair with
-  /// `IndexConfig::snapshot_reads` on the index for O(1) captures; indexes
-  /// without a differential layer ignore the flag.
+  /// batch as a whole observes the update stream progressing. Capture is
+  /// always O(1) (one pin on the index's delta chain); indexes without a
+  /// differential layer ignore the flag.
   bool snapshot_reads = false;
 };
 

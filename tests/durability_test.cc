@@ -223,25 +223,14 @@ TEST_F(DurabilityTest, WalConcurrentCommittersContiguousAndDurable) {
   }
 }
 
-TEST_F(DurabilityTest, WalConcurrentWithRotationStaysOrdered) {
-  // Rotations racing the flusher must never reorder records across the
-  // segment boundary (the in-flight-batch barrier inside Rotate).
-  std::unique_ptr<WriteAheadLog> wal;
-  ASSERT_TRUE(OpenWal(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 150;
+/// Runs `threads` committers of `per_thread` records each and joins them.
+/// LogCommit calls are serialized, as the index writer latch does.
+void RunCommitters(WriteAheadLog* wal, int threads, int per_thread) {
   std::mutex commit_mu;
-  std::atomic<bool> stop{false};
-  std::thread rotator([&] {
-    while (!stop.load()) {
-      ASSERT_TRUE(wal->Rotate().ok());
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerThread; ++i) {
+  std::vector<std::thread> committers;
+  for (int t = 0; t < threads; ++t) {
+    committers.emplace_back([&] {
+      for (int i = 0; i < per_thread; ++i) {
         uint64_t lsn = 0;
         {
           std::lock_guard<std::mutex> lk(commit_mu);
@@ -251,14 +240,13 @@ TEST_F(DurabilityTest, WalConcurrentWithRotationStaysOrdered) {
       }
     });
   }
-  for (auto& th : threads) th.join();
-  stop.store(true);
-  rotator.join();
-  ASSERT_TRUE(wal->Sync().ok());
-  wal.reset();
+  for (auto& th : committers) th.join();
+}
 
+/// The segments in `dir` hold exactly LSNs 1..`records`, in order, untorn.
+void ExpectGapFreeLog(const std::string& dir, uint64_t records) {
   uint64_t expect = 1;
-  for (const auto& [first_lsn, path] : ListWalSegments(dir_)) {
+  for (const auto& [first_lsn, path] : ListWalSegments(dir)) {
     WalSegmentScan scan;
     ASSERT_TRUE(ScanWalSegment(path, &scan).ok());
     EXPECT_FALSE(scan.torn) << path;
@@ -267,7 +255,55 @@ TEST_F(DurabilityTest, WalConcurrentWithRotationStaysOrdered) {
       ++expect;
     }
   }
-  EXPECT_EQ(expect, static_cast<uint64_t>(kThreads * kPerThread) + 1);
+  EXPECT_EQ(expect, records + 1);
+}
+
+TEST_F(DurabilityTest, WalConcurrentWithRotationStaysOrdered) {
+  // Rotations racing the flusher must never reorder records across the
+  // segment boundary (the in-flight-batch barrier inside Rotate).
+  std::unique_ptr<WriteAheadLog> wal;
+  ASSERT_TRUE(OpenWal(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 150;
+  std::atomic<bool> stop{false};
+  std::thread rotator([&] {
+    while (!stop.load()) {
+      ASSERT_TRUE(wal->Rotate().ok());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  RunCommitters(wal.get(), kThreads, kPerThread);
+  stop.store(true);
+  rotator.join();
+  ASSERT_TRUE(wal->Sync().ok());
+  wal.reset();
+  ExpectGapFreeLog(dir_, kThreads * kPerThread);
+}
+
+TEST_F(DurabilityTest, WalConcurrentRotatorsDoNotDeadlock) {
+  // Two rotators racing each other beside committers: Rotate must never
+  // wait for mu_ while holding io_mu_ (the ABBA shape two callers would
+  // deadlock on), and the log must stay gap-free and LSN-ordered across
+  // every segment boundary either rotator cut.
+  std::unique_ptr<WriteAheadLog> wal;
+  ASSERT_TRUE(OpenWal(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
+  constexpr int kCommitters = 2;
+  constexpr int kPerThread = 150;
+  constexpr int kRotationsPerRotator = 40;
+  std::vector<std::thread> rotators;
+  for (int r = 0; r < 2; ++r) {
+    rotators.emplace_back([&] {
+      for (int i = 0; i < kRotationsPerRotator; ++i) {
+        ASSERT_TRUE(wal->Rotate().ok());
+      }
+    });
+  }
+  RunCommitters(wal.get(), kCommitters, kPerThread);
+  for (auto& th : rotators) th.join();
+  EXPECT_EQ(wal->stats().rotations, 2u * kRotationsPerRotator);
+  ASSERT_TRUE(wal->Sync().ok());
+  wal.reset();
+  ExpectGapFreeLog(dir_, kCommitters * kPerThread);
 }
 
 // ------------------------------------------------------- WAL corruption edge

@@ -160,6 +160,17 @@ TEST(PieceMapTest, ManyRandomSplitsKeepTiling) {
   size_t total = 0;
   m.ForEach([&total](const Piece& p) { total += p.size(); });
   EXPECT_EQ(total, n);
+  // The latch-free snapshot, republished chunk by chunk on every split
+  // (hundreds of pieces: its chunks split too), names the same piece as
+  // the map for every position.
+  auto snap = m.AcquireSnapshot();
+  size_t published = 0;
+  for (const auto& chunk : snap->chunks) published += chunk->begins.size();
+  EXPECT_EQ(published, m.num_pieces());
+  EXPECT_GT(snap->chunks.size(), 1u);
+  for (Position pos = 0; pos < n; ++pos) {
+    ASSERT_EQ(snap->FindByPosition(pos), m.FindByPosition(pos)) << pos;
+  }
 }
 
 TEST(PieceMapTest, SizeAccessor) {

@@ -9,10 +9,10 @@
 
 #include "core/cracking_index.h"
 #include "core/index_factory.h"
+#include "core/query.h"
 #include "core/updatable_index.h"
 #include "engine/database.h"
 #include "engine/plan.h"
-#include "engine/query.h"
 #include "engine/session.h"
 #include "test_util.h"
 #include "util/thread_pool.h"

@@ -114,7 +114,6 @@ struct Harness {
   static IndexConfig Config() {
     IndexConfig config;
     config.method = IndexMethod::kCrack;
-    config.snapshot_reads = true;
     // Low thresholds: chains consolidate every handful of commits, so pins
     // routinely survive multiple consolidations behind them.
     config.snapshot_consolidate_min = 4;

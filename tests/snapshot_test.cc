@@ -18,7 +18,6 @@ namespace {
 IndexConfig SnapConfig(IndexMethod method = IndexMethod::kCrack) {
   IndexConfig config;
   config.method = method;
-  config.snapshot_reads = true;
   return config;
 }
 
@@ -285,34 +284,6 @@ TEST(SnapshotTest, SnapshotMatchesLatchedOracleAcrossKinds) {
   EXPECT_GT(index.latch_stats().snapshot_reads(), 0u);
 }
 
-TEST(SnapshotTest, OnDemandCaptureWorksWithoutMaintainedChain) {
-  // config.snapshot_reads = false: captures materialize under a short
-  // latch instead of pinning the chain, with identical semantics.
-  IndexConfig config;
-  config.method = IndexMethod::kCrack;
-  ASSERT_FALSE(config.snapshot_reads);
-  Column col = Column::UniqueRandom("A", 1000, 6);
-  UpdatableIndex index(col, config);
-  QueryContext uctx;
-  uctx.txn_id = 1;
-  ASSERT_TRUE(index.Insert(500, &uctx).ok());
-
-  Snapshot snap = index.CaptureSnapshot();
-  QueryContext ctx;
-  QueryResult r;
-  ASSERT_TRUE(
-      index.ExecuteSnapshot(Query::Count("", "", 500, 501), snap, &ctx, &r)
-          .ok());
-  EXPECT_EQ(r.count, 2u);  // base 500 + pending insert
-  ASSERT_TRUE(index.Insert(500, &uctx).ok());  // invisible to the snapshot
-  ASSERT_TRUE(
-      index.ExecuteSnapshot(Query::Count("", "", 500, 501), snap, &ctx, &r)
-          .ok());
-  EXPECT_EQ(r.count, 2u);
-  // The chain is not maintained: nothing was published by the writes.
-  EXPECT_EQ(index.snapshots().versions_published(), 0u);
-}
-
 // ------------------------------------------------ checkpoint drain + reclaim
 
 TEST(SnapshotTest, CheckpointDrainsOutstandingSnapshots) {
@@ -438,44 +409,74 @@ TEST(SnapshotTest, ConcurrentCheckpointsSerialize) {
 }
 
 TEST(SnapshotTest, EpochReclamationRetiresUnpinnedVersions) {
-  // Copy-chain publication: one full version per commit, retired and
-  // reclaimed individually. (Delta-chain publication retires nothing per
-  // commit — see DeltaChainConsolidationBoundsReaderFold below.)
+  // Reclamation is owned by the pins: a held snapshot keeps the
+  // reclamation floor at its epoch while commits and consolidations run
+  // behind it, and releasing it leaves nothing pinned.
   Column col = Column::UniqueRandom("A", 500, 8);
   IndexConfig config = SnapConfig();
-  config.snapshot_publication = SnapshotPublication::kCopyChain;
+  config.snapshot_consolidate_min = 4;
+  config.snapshot_consolidate_max = 4;
   UpdatableIndex index(col, config);
   QueryContext uctx;
   uctx.txn_id = 1;
 
-  // With no snapshot active, every superseded version is reclaimed as soon
-  // as it retires.
   for (int i = 0; i < 20; ++i) ASSERT_TRUE(index.Insert(i, &uctx).ok());
-  EXPECT_EQ(index.snapshots().versions_retired(), 20u);
-  EXPECT_EQ(index.snapshots().versions_reclaimed(), 20u);
-  EXPECT_EQ(index.snapshots().retired_chain_length(), 0u);
+  EXPECT_EQ(index.snapshots().active_snapshots(), 0u);
+  EXPECT_EQ(index.snapshots().oldest_active_epoch(), index.commit_epoch());
 
   // A pinned snapshot holds the reclamation floor at its epoch...
   Snapshot pin = index.CaptureSnapshot();
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(index.Insert(100 + i, &uctx).ok());
+  EXPECT_GT(index.snapshots().consolidations(), 0u);
+  EXPECT_EQ(index.snapshots().active_snapshots(), 1u);
   EXPECT_EQ(index.snapshots().oldest_active_epoch(), pin.epoch());
-  EXPECT_GT(index.snapshots().retired_chain_length(), 0u);
+  EXPECT_LT(pin.epoch(), index.commit_epoch());
 
-  // ...and releasing it reclaims the whole tail.
+  // ...and releasing it drops the last pin.
   pin.Release();
-  // Reclamation runs on release and on the next publish; one more commit
-  // flushes deterministically.
-  ASSERT_TRUE(index.Insert(999, &uctx).ok());
-  EXPECT_EQ(index.snapshots().retired_chain_length(), 0u);
-  EXPECT_EQ(index.snapshots().versions_reclaimed(),
-            index.snapshots().versions_retired());
   EXPECT_EQ(index.snapshots().active_snapshots(), 0u);
+  EXPECT_EQ(index.snapshots().oldest_active_epoch(), index.commit_epoch());
 }
 
 // ------------------------------------------------- delta-chain publication
 
+TEST(SnapshotTest, DefaultConfigPublishesOneDeltaPerCommit) {
+  // No option enables the chain: a default-config index publishes every
+  // commit as one delta, and a pin answers repeatably across later commits.
+  Column col = Column::UniqueRandom("A", 1000, 26);
+  UpdatableIndex index(col, IndexConfig{});
+  QueryContext uctx;
+  uctx.txn_id = 1;
+  RowId first = 0;
+  ASSERT_TRUE(index.Insert(5000, &uctx, &first).ok());
+  EXPECT_EQ(first, 1000u);  // row ids continue after the base
+  ASSERT_TRUE(index.Insert(5001, &uctx).ok());
+  EXPECT_EQ(index.snapshots().deltas_published(), 2u);
+
+  Snapshot pin = index.CaptureSnapshot();
+  EXPECT_EQ(pin.chain_length(), 2u);
+  EXPECT_EQ(pin.next_row_id(), 1002u);
+  QueryContext ctx;
+  QueryResult before;
+  ASSERT_TRUE(index
+                  .ExecuteSnapshot(Query::Count("", "", 0, 10000), pin, &ctx,
+                                   &before)
+                  .ok());
+  EXPECT_EQ(before.count, 1002u);
+
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(index.Insert(6000 + i, &uctx).ok());
+  ASSERT_TRUE(index.Delete(5000, first, &uctx).ok());
+  EXPECT_EQ(index.snapshots().deltas_published(), 8u);
+  QueryResult after;
+  ASSERT_TRUE(index
+                  .ExecuteSnapshot(Query::Count("", "", 0, 10000), pin, &ctx,
+                                   &after)
+                  .ok());
+  EXPECT_EQ(after.count, before.count);
+}
+
 TEST(SnapshotTest, DeltaChainPublishesO1NodesAndConsolidates) {
-  // Delta-chain publication (the default): each commit links one O(1)
+  // Delta-chain publication: each commit links one O(1)
   // delta node; a full flat version is materialized only when the chain
   // crosses the consolidation threshold. A pin taken before the stream
   // keeps answering at its epoch across every consolidation behind it.
@@ -874,18 +875,9 @@ TEST(SnapshotTest, SessionStampsSnapshotReads) {
 }
 
 TEST(SnapshotTest, ConfigKeySeparatesSnapshotReads) {
-  IndexConfig plain;
-  plain.method = IndexMethod::kCrack;
-  IndexConfig snap = plain;
-  snap.snapshot_reads = true;
-  EXPECT_NE(IndexConfigKey(plain), IndexConfigKey(snap));
-  EXPECT_EQ(IndexConfigKey(snap), IndexConfigKey(snap));
-
-  // Publication mode and consolidation tuning are part of the key: a
-  // copy-chain index and a delta-chain index must not alias in a catalog.
-  IndexConfig copy = snap;
-  copy.snapshot_publication = SnapshotPublication::kCopyChain;
-  EXPECT_NE(IndexConfigKey(snap), IndexConfigKey(copy));
+  // Consolidation tuning shapes the version-chain state the writer keeps.
+  IndexConfig snap;
+  snap.method = IndexMethod::kCrack;
   IndexConfig tuned = snap;
   tuned.snapshot_consolidate_min = 16;
   EXPECT_NE(IndexConfigKey(snap), IndexConfigKey(tuned));
