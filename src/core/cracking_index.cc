@@ -284,8 +284,7 @@ void CrackingIndex::EnsureInitialized(QueryContext* ctx) {
     return;
   }
   ScopedTimer init_timer(&ctx->stats.init_ns);
-  array_ = std::make_unique<CrackerArray>(*column_, opts_.layout,
-                                          opts_.kernel_tier);
+  array_ = std::make_unique<CrackerArray>(*column_, opts_.kernel_tier);
   Value lo = 0;
   Value hi = 0;
   if (array_->size() > 0) {
@@ -1171,10 +1170,11 @@ Status CrackingIndex::ExportAdaptedState(AdaptedState* out) const {
     ap.lo_value = piece->lo_value;
     ap.hi_value = piece->hi_value;
     ap.sorted = piece->sorted;
-    for (Position i = pos; i < piece_end; ++i) {
-      out->values.push_back(array_->ValueAt(i));
-      out->row_ids.push_back(array_->RowIdAt(i));
-    }
+    const Value* values = array_->ValuesSpan();
+    const RowId* row_ids = array_->RowIdsSpan();
+    out->values.insert(out->values.end(), values + pos, values + piece_end);
+    out->row_ids.insert(out->row_ids.end(), row_ids + pos,
+                        row_ids + piece_end);
     if (piece_latched) piece->latch.ReadUnlock();
     out->pieces.push_back(ap);
     pos = piece_end;
@@ -1183,11 +1183,16 @@ Status CrackingIndex::ExportAdaptedState(AdaptedState* out) const {
   return Status::OK();
 }
 
-Status CrackingIndex::RestoreAdaptedState(const AdaptedState& state) {
-  if (state.pieces.empty()) return Status::OK();  // nothing was adapted
-  const size_t n = column_->size();
+Status CrackingIndex::ValidateAdaptedState(const AdaptedState& state,
+                                           size_t base_count) {
+  const size_t n = base_count;
   if (state.values.size() != n || state.row_ids.size() != n) {
     return Status::InvalidArgument("adapted image size mismatch");
+  }
+  for (RowId id : state.row_ids) {
+    if (id >= n) {
+      return Status::InvalidArgument("adapted image rowID out of range");
+    }
   }
   Position expect = 0;
   for (const auto& p : state.pieces) {
@@ -1199,15 +1204,20 @@ Status CrackingIndex::RestoreAdaptedState(const AdaptedState& state) {
   if (expect != n) {
     return Status::InvalidArgument("adapted image tiling is incomplete");
   }
+  return Status::OK();
+}
+
+Status CrackingIndex::RestoreAdaptedState(AdaptedState state) {
+  if (state.pieces.empty()) return Status::OK();  // nothing was adapted
+  const size_t n = column_->size();
+  Status valid = ValidateAdaptedState(state, n);
+  if (!valid.ok()) return valid;
   std::unique_lock<std::shared_mutex> lk(structure_mu_);
   if (initialized_.load(std::memory_order_relaxed)) {
     return Status::InvalidArgument("index already initialized");
   }
-  std::vector<CrackerEntry> entries(n);
-  for (size_t i = 0; i < n; ++i) {
-    entries[i] = CrackerEntry{state.row_ids[i], state.values[i]};
-  }
-  array_ = std::make_unique<CrackerArray>(std::move(entries), opts_.layout,
+  array_ = std::make_unique<CrackerArray>(std::move(state.values),
+                                          std::move(state.row_ids),
                                           opts_.kernel_tier);
   // Same column, same values: MinMax reproduces the original domain.
   Value lo = 0;

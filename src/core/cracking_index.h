@@ -53,12 +53,11 @@ enum class ConcurrencyMode {
 std::string ToString(ConcurrencyMode mode);
 
 /// \brief Tunables of the cracking index; defaults reproduce the paper's
-/// best configuration (piece latches, middle-out scheduling, pair-of-arrays
-/// layout, crack-in-three).
+/// best configuration (piece latches, middle-out scheduling, crack-in-three;
+/// the cracker array always uses the pair-of-arrays layout).
 struct CrackingOptions {
   ConcurrencyMode mode = ConcurrencyMode::kPieceLatch;
   SchedulingPolicy scheduling = SchedulingPolicy::kMiddleOut;
-  ArrayLayout layout = ArrayLayout::kPairOfArrays;
 
   /// Kernel implementation tier for cracks and scans (kernel_tiers.h);
   /// kAuto resolves to the best tier the CPU supports.
@@ -215,8 +214,20 @@ class CrackingIndex : public AdaptiveIndex {
   /// answers by binary search over the restored cracks instead of paying
   /// the cold full-column crack again. Call before any query traffic (the
   /// index must be pristine); the image must describe this index's column.
-  /// InvalidArgument on a size/tiling mismatch.
-  Status RestoreAdaptedState(const AdaptedState& state);
+  /// The image's value and rowID vectors move into the cracker array
+  /// without a copy (pass an rvalue to avoid one at the call site too).
+  /// InvalidArgument when ValidateAdaptedState rejects the image.
+  Status RestoreAdaptedState(AdaptedState state);
+
+  /// \brief Structural check of an image against a base column of
+  /// `base_count` rows: both vectors hold exactly `base_count` entries,
+  /// every rowID is below `base_count`, and the pieces tile
+  /// [0, base_count). The checkpoint decoder and RestoreAdaptedState share
+  /// it, so an image whose rowIDs would later index past the base columns
+  /// is refused before it is trusted. InvalidArgument on the first
+  /// violation.
+  static Status ValidateAdaptedState(const AdaptedState& state,
+                                     size_t base_count);
 
  protected:
   Status ExecuteImpl(const Query& query, QueryContext* ctx,

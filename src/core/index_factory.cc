@@ -55,7 +55,6 @@ std::string IndexConfigKey(const IndexConfig& config) {
       const CrackingOptions& c = config.cracking;
       key += ":mode=" + std::to_string(static_cast<int>(c.mode));
       key += ",sched=" + std::to_string(static_cast<int>(c.scheduling));
-      key += ",layout=" + std::to_string(static_cast<int>(c.layout));
       key += ",tier=" + std::to_string(static_cast<int>(c.kernel_tier));
       key += ",c3=" + std::to_string(c.use_crack_in_three);
       key += ",swap=" + std::to_string(c.swap_bound_on_conflict);

@@ -42,6 +42,8 @@ std::string MethodDisplayName(const IndexConfig& config) {
 /// fragment count.
 struct PartitionedIndex::FanState {
   Query query;
+  /// The index's shards; dereferenced only for a claimed fragment.
+  const std::vector<std::unique_ptr<Shard>>* shards = nullptr;
   struct Fragment {
     size_t shard = 0;
     QueryContext ctx;
@@ -214,13 +216,12 @@ void PartitionedIndex::RunFragments(const std::shared_ptr<FanState>& state) {
     const size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
     if (i >= total) return;
     FanState::Fragment& f = state->frags[i];
-    f.status = shards_[f.shard]->index->Execute(state->query, &f.ctx,
-                                                &f.result);
+    const Shard& shard = *(*state->shards)[f.shard];
+    f.status = shard.index->Execute(state->query, &f.ctx, &f.result);
     if (f.status.ok() && state->query.kind == QueryKind::kRowIds) {
       // Inner indexes answer in shard-local row ids; translate to base
       // row ids here, inside the parallel fragment, not on the merge path.
-      const std::vector<RowId>& map = shards_[f.shard]->to_global;
-      for (RowId& id : f.result.row_ids) id = map[id];
+      for (RowId& id : f.result.row_ids) id = shard.to_global[id];
     }
     std::lock_guard<std::mutex> lk(state->mu);
     if (++state->done == total) state->cv.notify_all();
@@ -254,6 +255,7 @@ Status PartitionedIndex::ExecuteImpl(const Query& query, QueryContext* ctx,
 
   auto state = std::make_shared<FanState>();
   state->query = query;
+  state->shards = &shards_;
   state->frags.resize(s_end - s_begin);
   for (size_t s = s_begin; s < s_end; ++s) {
     FanState::Fragment& f = state->frags[s - s_begin];
@@ -271,7 +273,7 @@ Status PartitionedIndex::ExecuteImpl(const Query& query, QueryContext* ctx,
   if (pool != nullptr) {
     const size_t helpers = state->frags.size() - 1;
     for (size_t h = 0; h < helpers; ++h) {
-      pool->Submit([this, state] { RunFragments(state); });
+      pool->Submit([state] { RunFragments(state); });
     }
   }
   RunFragments(state);

@@ -104,8 +104,11 @@ class PartitionedIndex : public AdaptiveIndex {
   /// first touch; charges init time (and blocked waiters' time) to `ctx`.
   void EnsureInitialized(QueryContext* ctx);
 
-  /// Executes claimed fragments until none remain.
-  void RunFragments(const std::shared_ptr<FanState>& state);
+  /// Executes claimed fragments until none remain. Static, so a helper
+  /// task that wakes after its query returned — when the index may be
+  /// destroyed already — never calls into the index: it reaches the shards
+  /// only through a claimed fragment, while the submitter still waits.
+  static void RunFragments(const std::shared_ptr<FanState>& state);
 
   /// Shards whose value interval intersects [range.lo, range.hi), as the
   /// index interval [*begin, *end).

@@ -20,27 +20,19 @@ namespace adaptidx {
 ///
 /// The kernels are templated over an accessor with
 ///   `Value ValueAt(Position) const` and `void Swap(Position, Position)`
-/// so that both cracker-array layouts of Figure 7 (rowID-value pairs and
-/// pair-of-arrays) share one implementation without virtual dispatch on the
-/// hot path.
+/// so that the cracker array's pair of value/rowID arrays (SplitAccessor),
+/// plain CrackerEntry arrays (PairAccessor: hybrid crack-sort's initial
+/// partitions) and sideways cracker maps share one implementation without
+/// virtual dispatch on the hot path.
 ///
-/// Two kernel families live here:
-///  - the original branchy kernels (CrackInTwo, CrackInThree, Scan*). They
-///    are the *reference tier*: ground truth for differential tests and the
-///    baseline the micro-benchmarks compare against (reference_kernels.cc
-///    pins their codegen to scalar).
-///  - predicated (cmov-style) variants (CrackInTwoPred, CrackInThreePred)
-///    that replace the data-dependent branches of the partition loop with
-///    conditional moves. On random pivots the branchy kernel mispredicts
-///    roughly every other element; the predicated kernel trades that for a
-///    fixed number of unconditional loads/stores per step. These need the
-///    accessor to additionally provide
-///      `CrackerEntry Load(Position) const` and
-///      `void Store(Position, const CrackerEntry&)`.
+/// These branchy kernels (CrackInTwo, CrackInThree, Scan*) are the
+/// *reference tier*: ground truth for differential tests, the baseline the
+/// micro-benchmarks compare against (reference_kernels.cc pins their
+/// codegen to scalar), and the crack kernel of every tier below AVX-512.
 ///
 /// Raw-span kernels with SIMD tiers (AVX2 scans, AVX-512 compress-based
 /// cracks) live in span_kernels.h; CrackerArray dispatches once per call to
-/// the right layout/tier instance.
+/// the right tier.
 
 /// \brief Two-way crack: partitions [begin, end) around `pivot`.
 /// \return the split position p: [begin, p) all < pivot, [p, end) all
@@ -94,54 +86,6 @@ std::pair<Position, Position> CrackInThree(Accessor& a, Position begin,
     }
   }
   return {static_cast<Position>(low), static_cast<Position>(mid)};
-}
-
-/// \brief Predicated two-way crack: same contract as CrackInTwo, but the
-/// partition loop is branch-free. Both cursor elements are loaded, a single
-/// predicate decides whether they must be exchanged, and the (possibly
-/// swapped) elements are stored back unconditionally; cursor advancement is
-/// arithmetic on the predicate results, so the only branch left is the loop
-/// bound. Selects are written member-wise so compilers lower them to cmov.
-template <typename Accessor>
-Position CrackInTwoPred(Accessor& a, Position begin, Position end,
-                        Value pivot) {
-  Position left = begin;
-  Position right = end;
-  while (left + 1 < right) {
-    // Invariant: [begin, left) < pivot and [right, end) >= pivot.
-    const auto el = a.Load(left);
-    const auto er = a.Load(right - 1);
-    const Value vl = el.value;
-    const Value vr = er.value;
-    const bool sw = (vl >= pivot) & (vr < pivot);
-    const Value nl_v = sw ? vr : vl;
-    const Value nr_v = sw ? vl : vr;
-    const RowId nl_r = sw ? er.row_id : el.row_id;
-    const RowId nr_r = sw ? el.row_id : er.row_id;
-    a.Store(left, {nl_r, nl_v});
-    a.Store(right - 1, {nr_r, nr_v});
-    // Each iteration classifies at least one element: if neither store
-    // placed a "< pivot" at `left` nor a ">= pivot" at `right - 1`, the
-    // swap predicate would have fired.
-    left += static_cast<Position>(nl_v < pivot);
-    right -= static_cast<Position>(nr_v >= pivot);
-  }
-  if (left < right && a.ValueAt(left) < pivot) ++left;
-  return left;
-}
-
-/// \brief Predicated three-way crack: two predicated two-way passes. The
-/// second pass only touches the upper remainder, so the result (and every
-/// intermediate position) is identical to CrackInTwo on `lo` followed by
-/// CrackInTwo on `hi` — which is also what the differential tests assert
-/// against the single-pass reference kernel. Requires lo <= hi.
-template <typename Accessor>
-std::pair<Position, Position> CrackInThreePred(Accessor& a, Position begin,
-                                               Position end, Value lo,
-                                               Value hi) {
-  const Position p1 = CrackInTwoPred(a, begin, end, lo);
-  const Position p2 = CrackInTwoPred(a, p1, end, hi);
-  return {p1, p2};
 }
 
 /// \brief Verifies the crack-in-two postcondition over [begin, end); used by

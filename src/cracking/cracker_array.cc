@@ -1,9 +1,8 @@
 #include "cracking/cracker_array.h"
 
 #include <algorithm>
+#include <numeric>
 
-#include "cracking/crack_kernels.h"
-#include "cracking/reference_kernels.h"
 #include "cracking/span_kernels.h"
 
 namespace adaptidx {
@@ -15,18 +14,6 @@ namespace {
 /// CrackingOptions::sort_piece_threshold (128), the piece size below which
 /// the active strategy sorts instead of cracking.
 constexpr size_t kInsertionSortCutoff = 128;
-
-void InsertionSortEntries(CrackerEntry* e, Position begin, Position end) {
-  for (Position i = begin + 1; i < end; ++i) {
-    const CrackerEntry key = e[i];
-    Position j = i;
-    while (j > begin && e[j - 1].value > key.value) {
-      e[j] = e[j - 1];
-      --j;
-    }
-    e[j] = key;
-  }
-}
 
 void InsertionSortSplit(Value* v, RowId* r, Position begin, Position end) {
   for (Position i = begin + 1; i < end; ++i) {
@@ -45,49 +32,24 @@ void InsertionSortSplit(Value* v, RowId* r, Position begin, Position end) {
 
 }  // namespace
 
-CrackerArray::CrackerArray(const Column& column, ArrayLayout layout,
-                           KernelTier tier)
-    : layout_(layout), tier_(ResolveKernelTier(tier)), size_(column.size()) {
-  if (layout_ == ArrayLayout::kRowIdValuePairs) {
-    pairs_.resize(size_);
-    for (Position i = 0; i < size_; ++i) {
-      pairs_[i] = CrackerEntry{static_cast<RowId>(i), column[i]};
-    }
-  } else {
-    values_.assign(column.values().begin(), column.values().end());
-    row_ids_.resize(size_);
-    for (Position i = 0; i < size_; ++i) {
-      row_ids_[i] = static_cast<RowId>(i);
-    }
-  }
+CrackerArray::CrackerArray(const Column& column, KernelTier tier)
+    : tier_(ResolveKernelTier(tier)),
+      values_(column.values()),
+      row_ids_(column.size()) {
+  std::iota(row_ids_.begin(), row_ids_.end(), RowId{0});
 }
 
-CrackerArray::CrackerArray(std::vector<CrackerEntry> entries,
-                           ArrayLayout layout, KernelTier tier)
-    : layout_(layout), tier_(ResolveKernelTier(tier)), size_(entries.size()) {
-  if (layout_ == ArrayLayout::kRowIdValuePairs) {
-    pairs_ = std::move(entries);
-  } else {
-    values_.reserve(size_);
-    row_ids_.reserve(size_);
-    for (const auto& e : entries) {
-      values_.push_back(e.value);
-      row_ids_.push_back(e.row_id);
-    }
-  }
-}
+CrackerArray::CrackerArray(std::vector<Value> values,
+                           std::vector<RowId> row_ids, KernelTier tier)
+    : tier_(ResolveKernelTier(tier)),
+      values_(std::move(values)),
+      row_ids_(std::move(row_ids)) {}
 
 void CrackerArray::set_kernel_tier(KernelTier tier) {
   tier_ = ResolveKernelTier(tier);
 }
 
 Position CrackerArray::CrackTwo(Position begin, Position end, Value pivot) {
-  if (layout_ == ArrayLayout::kRowIdValuePairs) {
-    if (tier_ == KernelTier::kReference) {
-      return reference::CrackInTwoPairs(pairs_.data(), begin, end, pivot);
-    }
-    return CrackInTwoEntries(pairs_.data(), begin, end, pivot);
-  }
   return CrackInTwoSpan(values_.data(), row_ids_.data(), begin, end, pivot,
                         tier_);
 }
@@ -95,12 +57,6 @@ Position CrackerArray::CrackTwo(Position begin, Position end, Value pivot) {
 std::pair<Position, Position> CrackerArray::CrackThree(Position begin,
                                                        Position end, Value lo,
                                                        Value hi) {
-  if (layout_ == ArrayLayout::kRowIdValuePairs) {
-    if (tier_ == KernelTier::kReference) {
-      return reference::CrackInThreePairs(pairs_.data(), begin, end, lo, hi);
-    }
-    return CrackInThreeEntries(pairs_.data(), begin, end, lo, hi);
-  }
   return CrackInThreeSpan(values_.data(), row_ids_.data(), begin, end, lo, hi,
                           tier_);
 }
@@ -108,25 +64,13 @@ std::pair<Position, Position> CrackerArray::CrackThree(Position begin,
 void CrackerArray::SortRange(Position begin, Position end) {
   if (end - begin <= 1) return;
   const size_t n = end - begin;
-  if (layout_ == ArrayLayout::kRowIdValuePairs) {
-    if (n <= kInsertionSortCutoff) {
-      InsertionSortEntries(pairs_.data(), begin, end);
-      return;
-    }
-    std::sort(pairs_.begin() + static_cast<long>(begin),
-              pairs_.begin() + static_cast<long>(end),
-              [](const CrackerEntry& a, const CrackerEntry& b) {
-                return a.value < b.value;
-              });
-    return;
-  }
   if (n <= kInsertionSortCutoff) {
     InsertionSortSplit(values_.data(), row_ids_.data(), begin, end);
     return;
   }
-  // Pair-of-arrays layout, large range: zip into contiguous entries, sort,
-  // unzip. Compared to sorting an index permutation this keeps the
-  // comparator free of indirection and touches each array linearly.
+  // Large range: zip into contiguous entries, sort, unzip. Compared to
+  // sorting an index permutation this keeps the comparator free of
+  // indirection and touches each array linearly.
   std::vector<CrackerEntry> tmp(n);
   for (size_t i = 0; i < n; ++i) {
     tmp[i] = CrackerEntry{row_ids_[begin + i], values_[begin + i]};
@@ -143,50 +87,20 @@ void CrackerArray::SortRange(Position begin, Position end) {
 
 uint64_t CrackerArray::ScanCountRange(Position begin, Position end, Value lo,
                                       Value hi) const {
-  if (layout_ == ArrayLayout::kRowIdValuePairs) {
-    if (tier_ == KernelTier::kReference) {
-      return reference::ScanCountPairs(pairs_.data(), begin, end, lo, hi);
-    }
-    return ScanCountEntries(pairs_.data(), begin, end, lo, hi);
-  }
   return ScanCountSpan(values_.data(), begin, end, lo, hi, tier_);
 }
 
 int64_t CrackerArray::ScanSumRange(Position begin, Position end, Value lo,
                                    Value hi) const {
-  if (layout_ == ArrayLayout::kRowIdValuePairs) {
-    if (tier_ == KernelTier::kReference) {
-      return reference::ScanSumPairs(pairs_.data(), begin, end, lo, hi);
-    }
-    return ScanSumEntries(pairs_.data(), begin, end, lo, hi);
-  }
   return ScanSumSpan(values_.data(), begin, end, lo, hi, tier_);
 }
 
 int64_t CrackerArray::PositionalSumRange(Position begin, Position end) const {
-  if (layout_ == ArrayLayout::kRowIdValuePairs) {
-    if (tier_ == KernelTier::kReference) {
-      return reference::PositionalSumPairs(pairs_.data(), begin, end);
-    }
-    return PositionalSumEntries(pairs_.data(), begin, end);
-  }
   return PositionalSumSpan(values_.data(), begin, end, tier_);
 }
 
 void CrackerArray::MinMax(Position begin, Position end, Value* lo,
                           Value* hi) const {
-  if (layout_ == ArrayLayout::kRowIdValuePairs) {
-    Value mn = pairs_[begin].value;
-    Value mx = mn;
-    for (Position i = begin + 1; i < end; ++i) {
-      const Value v = pairs_[i].value;
-      mn = v < mn ? v : mn;
-      mx = v > mx ? v : mx;
-    }
-    *lo = mn;
-    *hi = mx;
-    return;
-  }
   MinMaxSpan(values_.data(), begin, end, lo, hi);
 }
 
@@ -196,22 +110,12 @@ bool CrackerArray::MinMaxFiltered(Position begin, Position end,
   bool any = false;
   Value lo = 0;
   Value hi = 0;
-  auto feed = [&](Value v) {
-    if (v < range.lo || v >= range.hi) return;
-    if (!any) {
-      lo = v;
-      hi = v;
-      any = true;
-    } else {
-      lo = v < lo ? v : lo;
-      hi = v > hi ? v : hi;
-    }
-  };
-  if (layout_ == ArrayLayout::kRowIdValuePairs) {
-    for (Position i = begin; i < end; ++i) feed(pairs_[i].value);
-  } else {
-    const Value* values = values_.data();
-    for (Position i = begin; i < end; ++i) feed(values[i]);
+  for (Position i = begin; i < end; ++i) {
+    const Value v = values_[i];
+    if (v < range.lo || v >= range.hi) continue;
+    lo = any && lo < v ? lo : v;
+    hi = any && hi > v ? hi : v;
+    any = true;
   }
   if (any) {
     *mn = lo;
@@ -222,11 +126,6 @@ bool CrackerArray::MinMaxFiltered(Position begin, Position end,
 
 void CrackerArray::CollectRowIds(Position begin, Position end,
                                  std::vector<RowId>* out) const {
-  out->reserve(out->size() + (end - begin));
-  if (layout_ == ArrayLayout::kRowIdValuePairs) {
-    for (Position i = begin; i < end; ++i) out->push_back(pairs_[i].row_id);
-    return;
-  }
   out->insert(out->end(), row_ids_.begin() + static_cast<long>(begin),
               row_ids_.begin() + static_cast<long>(end));
 }
@@ -235,13 +134,6 @@ void CrackerArray::CollectRowIdsFiltered(Position begin, Position end,
                                          const ValueRange& range,
                                          std::vector<RowId>* out) const {
   if (range.Empty()) return;  // the unsigned width below would wrap
-  if (layout_ == ArrayLayout::kRowIdValuePairs) {
-    for (Position i = begin; i < end; ++i) {
-      const Value v = pairs_[i].value;
-      if (v >= range.lo && v < range.hi) out->push_back(pairs_[i].row_id);
-    }
-    return;
-  }
   const Value* v = values_.data();
   const RowId* r = row_ids_.data();
   const uint64_t width =
@@ -255,13 +147,6 @@ void CrackerArray::CollectRowIdsFiltered(Position begin, Position end,
 }
 
 void CrackerArray::SwapRanges(Position a, Position b, size_t n) {
-  if (n == 0) return;
-  if (layout_ == ArrayLayout::kRowIdValuePairs) {
-    std::swap_ranges(pairs_.begin() + static_cast<long>(a),
-                     pairs_.begin() + static_cast<long>(a + n),
-                     pairs_.begin() + static_cast<long>(b));
-    return;
-  }
   std::swap_ranges(values_.begin() + static_cast<long>(a),
                    values_.begin() + static_cast<long>(a + n),
                    values_.begin() + static_cast<long>(b));
@@ -276,7 +161,7 @@ Position CrackerArray::LowerBoundInSorted(Position begin, Position end,
   Position hi = end;
   while (lo < hi) {
     Position mid = lo + (hi - lo) / 2;
-    if (ValueAt(mid) < v) {
+    if (values_[mid] < v) {
       lo = mid + 1;
     } else {
       hi = mid;

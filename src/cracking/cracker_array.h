@@ -11,40 +11,27 @@
 
 namespace adaptidx {
 
-/// \brief Physical layout of the cracker array (Section 5.2, Figure 7).
-enum class ArrayLayout {
-  /// One densely populated array of (rowID, value) pairs — the original
-  /// database cracking design.
-  kRowIdValuePairs,
-  /// A pair of arrays: a values array and a rowIDs array — the layout used
-  /// by the latest cracking release; gives better cache locality for
-  /// operators that touch only one of the two.
-  kPairOfArrays,
-};
-
-/// \brief A (rowID, value) entry of the pair layout.
+/// \brief A (rowID, value) entry: the element type of sorted runs and
+/// hybrid initial partitions, and the zip buffer of CrackerArray::SortRange.
 struct CrackerEntry {
   RowId row_id;
   Value value;
 };
 
-/// \brief Accessor for the rowID-value-pairs layout; swaps move whole
-/// entries.
+/// \brief Accessor for an array of CrackerEntry; swaps move whole entries.
 class PairAccessor {
  public:
   explicit PairAccessor(CrackerEntry* data) : data_(data) {}
   Value ValueAt(Position i) const { return data_[i].value; }
   RowId RowIdAt(Position i) const { return data_[i].row_id; }
   void Swap(Position i, Position j) { std::swap(data_[i], data_[j]); }
-  CrackerEntry Load(Position i) const { return data_[i]; }
-  void Store(Position i, const CrackerEntry& e) { data_[i] = e; }
 
  private:
   CrackerEntry* data_;
 };
 
-/// \brief Accessor for the pair-of-arrays layout; swaps touch both arrays
-/// but value-only scans stream a dense Value array.
+/// \brief Accessor for the cracker array's value and rowID arrays; swaps
+/// touch both arrays but value-only scans stream a dense Value array.
 class SplitAccessor {
  public:
   SplitAccessor(Value* values, RowId* row_ids)
@@ -54,13 +41,6 @@ class SplitAccessor {
   void Swap(Position i, Position j) {
     std::swap(values_[i], values_[j]);
     std::swap(row_ids_[i], row_ids_[j]);
-  }
-  CrackerEntry Load(Position i) const {
-    return CrackerEntry{row_ids_[i], values_[i]};
-  }
-  void Store(Position i, const CrackerEntry& e) {
-    values_[i] = e.value;
-    row_ids_[i] = e.row_id;
   }
 
  private:
@@ -74,36 +54,37 @@ class SplitAccessor {
 ///
 /// The base column is never modified; the cracker array pairs each value
 /// with its original rowID so qualifying tuples can be reconstructed
-/// positionally from other columns of the table.
+/// positionally from other columns of the table. Of the two layouts of
+/// Figure 7 it uses the pair of arrays — a dense values array and a rowIDs
+/// array moved in tandem — so value-only cracks and scans stream one array.
 ///
-/// Every bulk operation (CrackTwo/CrackThree/Scan*/CollectRowIds*) inspects
-/// `layout_` and the kernel tier exactly once per call, then runs a tight
-/// layout-specialized kernel — the per-element layout test that ValueAt pays
-/// never appears on a hot path; the index's aggregators stream regions
-/// through these bulk calls under piece read-latches. For the pair-of-arrays
-/// layout the dense value/rowID spans are additionally exposed (ValuesSpan /
-/// RowIdsSpan) so code outside this class — custom operators, the kernel
-/// micro-benchmarks and differential tests — can feed the raw arrays
-/// straight into the span kernels of span_kernels.h.
+/// Every bulk operation (CrackTwo/CrackThree/Scan*/CollectRowIds*) resolves
+/// the kernel tier exactly once per call, then runs a tight span kernel;
+/// the index's aggregators stream regions through these bulk calls under
+/// piece read-latches. The dense value/rowID spans are also exposed
+/// (ValuesSpan / RowIdsSpan) so code outside this class — custom operators,
+/// the optimistic read kernels, the kernel micro-benchmarks and
+/// differential tests — can feed the raw arrays straight into the span
+/// kernels of span_kernels.h.
 ///
 /// Not internally synchronized — callers serialize access with the column or
 /// piece latches, which is the entire subject of the paper.
 class CrackerArray {
  public:
-  /// \brief Copies `column` into a fresh cracker array with rowIDs 0..n-1 in
-  /// the requested layout. This is the "first touch" cost of cracking.
-  /// `tier` selects the kernel implementation (kAuto picks the best the CPU
-  /// supports; see kernel_tiers.h).
-  CrackerArray(const Column& column, ArrayLayout layout,
+  /// \brief Copies `column` into a fresh cracker array with rowIDs 0..n-1.
+  /// This is the "first touch" cost of cracking. `tier` selects the kernel
+  /// implementation (kAuto picks the best the CPU supports; see
+  /// kernel_tiers.h).
+  explicit CrackerArray(const Column& column,
+                        KernelTier tier = KernelTier::kAuto);
+
+  /// \brief Adopts already-reorganized contents (a restored checkpoint
+  /// image): `values[i]` travels with `row_ids[i]`. The two vectors must
+  /// have the same size.
+  CrackerArray(std::vector<Value> values, std::vector<RowId> row_ids,
                KernelTier tier = KernelTier::kAuto);
 
-  /// \brief Builds from explicit entries (used by hybrid initial partitions
-  /// and tests).
-  CrackerArray(std::vector<CrackerEntry> entries, ArrayLayout layout,
-               KernelTier tier = KernelTier::kAuto);
-
-  size_t size() const { return size_; }
-  ArrayLayout layout() const { return layout_; }
+  size_t size() const { return values_.size(); }
 
   /// \brief Resolved kernel tier used by all bulk operations.
   KernelTier kernel_tier() const { return tier_; }
@@ -112,39 +93,19 @@ class CrackerArray {
   /// supported tier, and unsupported SIMD tiers are clamped down.
   void set_kernel_tier(KernelTier tier);
 
-  Value ValueAt(Position i) const {
-    return layout_ == ArrayLayout::kRowIdValuePairs ? pairs_[i].value
-                                                    : values_[i];
-  }
-  RowId RowIdAt(Position i) const {
-    return layout_ == ArrayLayout::kRowIdValuePairs ? pairs_[i].row_id
-                                                    : row_ids_[i];
-  }
+  Value ValueAt(Position i) const { return values_[i]; }
+  RowId RowIdAt(Position i) const { return row_ids_[i]; }
 
-  /// \brief Dense value span of the pair-of-arrays layout; nullptr for the
-  /// rowID-value-pairs layout. Valid until the array is destroyed; contents
+  /// \brief Dense value span. Valid until the array is destroyed; contents
   /// change under cracks, so read under the appropriate latch.
-  const Value* ValuesSpan() const {
-    return layout_ == ArrayLayout::kPairOfArrays ? values_.data() : nullptr;
-  }
+  const Value* ValuesSpan() const { return values_.data(); }
 
-  /// \brief Dense rowID span of the pair-of-arrays layout; nullptr for the
-  /// rowID-value-pairs layout.
-  const RowId* RowIdsSpan() const {
-    return layout_ == ArrayLayout::kPairOfArrays ? row_ids_.data() : nullptr;
-  }
-
-  /// \brief Dense entry span of the rowID-value-pairs layout; nullptr for
-  /// the pair-of-arrays layout. Companion of ValuesSpan/RowIdsSpan so
-  /// layout-dispatching code outside this class (the optimistic read
-  /// kernels) can reach the raw storage for either layout.
-  const CrackerEntry* PairsSpan() const {
-    return layout_ == ArrayLayout::kRowIdValuePairs ? pairs_.data() : nullptr;
-  }
+  /// \brief Dense rowID span, position-aligned with ValuesSpan().
+  const RowId* RowIdsSpan() const { return row_ids_.data(); }
 
   /// \brief Two-way crack over [begin, end); see CrackInTwo in
-  /// crack_kernels.h. Dispatches once on layout and tier, then runs the
-  /// tight kernel.
+  /// crack_kernels.h. Dispatches once on the tier, then runs the tight
+  /// kernel.
   Position CrackTwo(Position begin, Position end, Value pivot);
 
   /// \brief Three-way crack over [begin, end); see CrackInThree.
@@ -184,8 +145,7 @@ class CrackerArray {
                      std::vector<RowId>* out) const;
 
   /// \brief Appends rowIDs of elements in [begin, end) whose value lies in
-  /// [range.lo, range.hi). Dispatches once on layout, unlike a per-element
-  /// ValueAt/RowIdAt loop.
+  /// [range.lo, range.hi).
   void CollectRowIdsFiltered(Position begin, Position end,
                              const ValueRange& range,
                              std::vector<RowId>* out) const;
@@ -202,11 +162,7 @@ class CrackerArray {
   void SwapRanges(Position a, Position b, size_t n);
 
  private:
-  ArrayLayout layout_;
   KernelTier tier_;
-  size_t size_;
-  // Exactly one representation is populated, chosen by layout_.
-  std::vector<CrackerEntry> pairs_;
   std::vector<Value> values_;
   std::vector<RowId> row_ids_;
 };

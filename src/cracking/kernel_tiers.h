@@ -18,12 +18,11 @@ namespace adaptidx {
 ///  - kReference: the original branchy accessor-templated kernels, pinned to
 ///    scalar codegen (see reference_kernels.cc). Ground truth for the
 ///    differential tests and the baseline for the micro-benchmarks.
-///  - kBranchless: predicated (cmov-style) cracks and unrolled,
-///    unsigned-range-trick scans. Compiles everywhere; immune to branch
-///    misprediction on random pivots.
-///  - kAvx2: AVX2 scan kernels (compare + mask accumulate). Cracks fall back
-///    to the predicated kernels — AVX2 lacks the compress instructions that
-///    make vectorized in-place partitioning profitable.
+///  - kBranchless: unrolled, unsigned-range-trick scans. Compiles
+///    everywhere. Cracks use the reference kernel.
+///  - kAvx2: AVX2 scan kernels (compare + mask accumulate). Cracks use the
+///    reference kernel — AVX2 lacks the compress instructions that make
+///    vectorized in-place partitioning profitable.
 ///  - kAvx512: AVX-512 vpcompress-based in-place crack-in-two plus the AVX2
 ///    scan kernels.
 enum class KernelTier {

@@ -14,16 +14,17 @@ namespace optkern {
 #define ADAPTIDX_NO_SANITIZE_THREAD
 #endif
 
-namespace {
-
-// Layout-specialized scalar loops. Kept free of function calls in the loop
-// body (push_back aside, which only touches the thread-local output vector)
-// so that everything the kernel reads racily lives inside the
-// uninstrumented function.
+// Each kernel reads the spans into locals and keeps its loop body free of
+// function calls on racy data (push_back aside, which only touches the
+// thread-local output vector), so that everything it reads racily lives
+// inside the uninstrumented function.
 
 ADAPTIDX_NO_SANITIZE_THREAD
-uint64_t CountSplit(const Value* v, Position b, Position e, Value lo,
-                    Value hi) {
+uint64_t CountFiltered(const CrackerArray& a, Position b, Position e,
+                       const ValueRange& r) {
+  const Value* v = a.ValuesSpan();
+  const Value lo = r.lo;
+  const Value hi = r.hi;
   uint64_t n = 0;
   for (Position i = b; i < e; ++i) {
     n += static_cast<uint64_t>(v[i] >= lo && v[i] < hi);
@@ -32,45 +33,22 @@ uint64_t CountSplit(const Value* v, Position b, Position e, Value lo,
 }
 
 ADAPTIDX_NO_SANITIZE_THREAD
-uint64_t CountPairs(const CrackerEntry* p, Position b, Position e, Value lo,
-                    Value hi) {
-  uint64_t n = 0;
-  for (Position i = b; i < e; ++i) {
-    n += static_cast<uint64_t>(p[i].value >= lo && p[i].value < hi);
-  }
-  return n;
-}
-
-ADAPTIDX_NO_SANITIZE_THREAD
-int64_t SumSplit(const Value* v, Position b, Position e) {
+int64_t SumPositional(const CrackerArray& a, Position b, Position e) {
+  const Value* v = a.ValuesSpan();
   int64_t s = 0;
   for (Position i = b; i < e; ++i) s += v[i];
   return s;
 }
 
 ADAPTIDX_NO_SANITIZE_THREAD
-int64_t SumPairs(const CrackerEntry* p, Position b, Position e) {
-  int64_t s = 0;
-  for (Position i = b; i < e; ++i) s += p[i].value;
-  return s;
-}
-
-ADAPTIDX_NO_SANITIZE_THREAD
-int64_t SumFilteredSplit(const Value* v, Position b, Position e, Value lo,
-                         Value hi) {
+int64_t SumFiltered(const CrackerArray& a, Position b, Position e,
+                    const ValueRange& r) {
+  const Value* v = a.ValuesSpan();
+  const Value lo = r.lo;
+  const Value hi = r.hi;
   int64_t s = 0;
   for (Position i = b; i < e; ++i) {
     s += (v[i] >= lo && v[i] < hi) ? v[i] : 0;
-  }
-  return s;
-}
-
-ADAPTIDX_NO_SANITIZE_THREAD
-int64_t SumFilteredPairs(const CrackerEntry* p, Position b, Position e,
-                         Value lo, Value hi) {
-  int64_t s = 0;
-  for (Position i = b; i < e; ++i) {
-    s += (p[i].value >= lo && p[i].value < hi) ? p[i].value : 0;
   }
   return s;
 }
@@ -82,8 +60,9 @@ int64_t SumFilteredPairs(const CrackerEntry* p, Position b, Position e,
 // access it performs.
 
 ADAPTIDX_NO_SANITIZE_THREAD
-void MinMaxSplit(const Value* v, Position b, Position e, Value* mn,
-                 Value* mx) {
+void MinMaxPositional(const CrackerArray& a, Position b, Position e,
+                      Value* mn, Value* mx) {
+  const Value* v = a.ValuesSpan();
   Value lo = v[b];
   Value hi = v[b];
   for (Position i = b + 1; i < e; ++i) {
@@ -96,47 +75,16 @@ void MinMaxSplit(const Value* v, Position b, Position e, Value* mn,
 }
 
 ADAPTIDX_NO_SANITIZE_THREAD
-void MinMaxPairs(const CrackerEntry* p, Position b, Position e, Value* mn,
-                 Value* mx) {
-  Value lo = p[b].value;
-  Value hi = p[b].value;
-  for (Position i = b + 1; i < e; ++i) {
-    const Value x = p[i].value;
-    lo = x < lo ? x : lo;
-    hi = x > hi ? x : hi;
-  }
-  *mn = lo;
-  *mx = hi;
-}
-
-ADAPTIDX_NO_SANITIZE_THREAD
-bool MinMaxFilteredSplit(const Value* v, Position b, Position e, Value flo,
-                         Value fhi, Value* mn, Value* mx) {
+bool MinMaxFiltered(const CrackerArray& a, Position b, Position e,
+                    const ValueRange& r, Value* mn, Value* mx) {
+  const Value* v = a.ValuesSpan();
+  const Value flo = r.lo;
+  const Value fhi = r.hi;
   bool found = false;
   Value lo = 0;
   Value hi = 0;
   for (Position i = b; i < e; ++i) {
     const Value x = v[i];
-    if (x < flo || x >= fhi) continue;
-    lo = found && lo < x ? lo : x;
-    hi = found && hi > x ? hi : x;
-    found = true;
-  }
-  if (found) {
-    *mn = lo;
-    *mx = hi;
-  }
-  return found;
-}
-
-ADAPTIDX_NO_SANITIZE_THREAD
-bool MinMaxFilteredPairs(const CrackerEntry* p, Position b, Position e,
-                         Value flo, Value fhi, Value* mn, Value* mx) {
-  bool found = false;
-  Value lo = 0;
-  Value hi = 0;
-  for (Position i = b; i < e; ++i) {
-    const Value x = p[i].value;
     if (x < flo || x >= fhi) continue;
     lo = found && lo < x ? lo : x;
     hi = found && hi > x ? hi : x;
@@ -150,107 +98,31 @@ bool MinMaxFilteredPairs(const CrackerEntry* p, Position b, Position e,
 }
 
 // The rowID collectors copy the racy element into a local BEFORE calling
-// push_back: push_back takes its argument by reference, so passing r[i]
+// push_back: push_back takes its argument by reference, so passing ids[i]
 // directly would let an out-of-line (instrumented) push_back perform the
 // racy read itself.
 
 ADAPTIDX_NO_SANITIZE_THREAD
-void RowIdsSplit(const RowId* r, Position b, Position e,
-                 std::vector<RowId>* out) {
-  for (Position i = b; i < e; ++i) {
-    const RowId x = r[i];
-    out->push_back(x);
-  }
-}
-
-ADAPTIDX_NO_SANITIZE_THREAD
-void RowIdsPairs(const CrackerEntry* p, Position b, Position e,
-                 std::vector<RowId>* out) {
-  for (Position i = b; i < e; ++i) {
-    const RowId x = p[i].row_id;
-    out->push_back(x);
-  }
-}
-
-ADAPTIDX_NO_SANITIZE_THREAD
-void RowIdsFilteredSplit(const Value* v, const RowId* r, Position b,
-                         Position e, Value lo, Value hi,
-                         std::vector<RowId>* out) {
-  for (Position i = b; i < e; ++i) {
-    const Value val = v[i];
-    const RowId x = r[i];
-    if (val >= lo && val < hi) out->push_back(x);
-  }
-}
-
-ADAPTIDX_NO_SANITIZE_THREAD
-void RowIdsFilteredPairs(const CrackerEntry* p, Position b, Position e,
-                         Value lo, Value hi, std::vector<RowId>* out) {
-  for (Position i = b; i < e; ++i) {
-    const Value val = p[i].value;
-    const RowId x = p[i].row_id;
-    if (val >= lo && val < hi) out->push_back(x);
-  }
-}
-
-}  // namespace
-
-uint64_t CountFiltered(const CrackerArray& a, Position b, Position e,
-                       const ValueRange& r) {
-  if (a.layout() == ArrayLayout::kPairOfArrays) {
-    return CountSplit(a.ValuesSpan(), b, e, r.lo, r.hi);
-  }
-  return CountPairs(a.PairsSpan(), b, e, r.lo, r.hi);
-}
-
-int64_t SumPositional(const CrackerArray& a, Position b, Position e) {
-  if (a.layout() == ArrayLayout::kPairOfArrays) {
-    return SumSplit(a.ValuesSpan(), b, e);
-  }
-  return SumPairs(a.PairsSpan(), b, e);
-}
-
-int64_t SumFiltered(const CrackerArray& a, Position b, Position e,
-                    const ValueRange& r) {
-  if (a.layout() == ArrayLayout::kPairOfArrays) {
-    return SumFilteredSplit(a.ValuesSpan(), b, e, r.lo, r.hi);
-  }
-  return SumFilteredPairs(a.PairsSpan(), b, e, r.lo, r.hi);
-}
-
-void MinMaxPositional(const CrackerArray& a, Position b, Position e,
-                      Value* mn, Value* mx) {
-  if (a.layout() == ArrayLayout::kPairOfArrays) {
-    MinMaxSplit(a.ValuesSpan(), b, e, mn, mx);
-  } else {
-    MinMaxPairs(a.PairsSpan(), b, e, mn, mx);
-  }
-}
-
-bool MinMaxFiltered(const CrackerArray& a, Position b, Position e,
-                    const ValueRange& r, Value* mn, Value* mx) {
-  if (a.layout() == ArrayLayout::kPairOfArrays) {
-    return MinMaxFilteredSplit(a.ValuesSpan(), b, e, r.lo, r.hi, mn, mx);
-  }
-  return MinMaxFilteredPairs(a.PairsSpan(), b, e, r.lo, r.hi, mn, mx);
-}
-
 void CollectRowIds(const CrackerArray& a, Position b, Position e,
                    std::vector<RowId>* out) {
-  if (a.layout() == ArrayLayout::kPairOfArrays) {
-    RowIdsSplit(a.RowIdsSpan(), b, e, out);
-  } else {
-    RowIdsPairs(a.PairsSpan(), b, e, out);
+  const RowId* ids = a.RowIdsSpan();
+  for (Position i = b; i < e; ++i) {
+    const RowId x = ids[i];
+    out->push_back(x);
   }
 }
 
+ADAPTIDX_NO_SANITIZE_THREAD
 void CollectRowIdsFiltered(const CrackerArray& a, Position b, Position e,
                            const ValueRange& r, std::vector<RowId>* out) {
-  if (a.layout() == ArrayLayout::kPairOfArrays) {
-    RowIdsFilteredSplit(a.ValuesSpan(), a.RowIdsSpan(), b, e, r.lo, r.hi,
-                        out);
-  } else {
-    RowIdsFilteredPairs(a.PairsSpan(), b, e, r.lo, r.hi, out);
+  const Value* v = a.ValuesSpan();
+  const RowId* ids = a.RowIdsSpan();
+  const Value lo = r.lo;
+  const Value hi = r.hi;
+  for (Position i = b; i < e; ++i) {
+    const Value val = v[i];
+    const RowId x = ids[i];
+    if (val >= lo && val < hi) out->push_back(x);
   }
 }
 

@@ -20,12 +20,9 @@ namespace optkern {
 /// therefore compiled with thread-sanitizer instrumentation disabled
 /// (`ADAPTIDX_NO_SANITIZE_THREAD`) and defined out-of-line in
 /// optimistic_kernels.cc so it cannot inline into instrumented callers.
-/// The bodies are plain scalar loops — free of atomics so the
-/// auto-vectorizer can still turn them into SIMD under -O2/-O3.
-///
-/// All kernels dispatch once on the array layout and then run a tight
-/// layout-specialized loop, mirroring the latched bulk operations of
-/// CrackerArray.
+/// The bodies are plain scalar loops over the array's value/rowID spans —
+/// free of atomics so the auto-vectorizer can still turn them into SIMD
+/// under -O2/-O3 — mirroring the latched bulk operations of CrackerArray.
 
 /// \brief Count of values in [r.lo, r.hi) within positions [b, e).
 uint64_t CountFiltered(const CrackerArray& a, Position b, Position e,

@@ -21,7 +21,7 @@ class ThreadPool;
 /// partitions the whole (still monolithic) piece with a single thread while
 /// the rest of the machine idles. The parallel crack splits the piece into T
 /// contiguous chunks, cracks each chunk independently on the shared thread
-/// pool with the existing layout/tier kernels, and then repairs the
+/// pool with the existing tier kernels, and then repairs the
 /// chunk-local partitions into one global partition with a *swap-based
 /// refined merge*: the k-th ">= pivot" element stranded left of the global
 /// split position is exchanged with the k-th "< pivot" element stranded at

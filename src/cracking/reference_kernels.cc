@@ -2,7 +2,7 @@
 // without auto-vectorization (the pragma below, plus -fno-tree-vectorize
 // from CMake) so the reference tier stays a stable scalar baseline: the
 // differential tests exercise true one-element-at-a-time semantics, and the
-// micro-benchmark ratios measure the explicit predication/SIMD work in the
+// micro-benchmark ratios measure the explicit branchless/SIMD work in the
 // other tiers rather than whatever the optimizer happens to do to this one.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC optimize("no-tree-vectorize")
@@ -49,31 +49,6 @@ Position CrackInTwoPairs(CrackerEntry* entries, Position begin, Position end,
                          Value pivot) {
   PairAccessor a(entries);
   return CrackInTwo(a, begin, end, pivot);
-}
-
-std::pair<Position, Position> CrackInThreePairs(CrackerEntry* entries,
-                                                Position begin, Position end,
-                                                Value lo, Value hi) {
-  PairAccessor a(entries);
-  return CrackInThree(a, begin, end, lo, hi);
-}
-
-uint64_t ScanCountPairs(const CrackerEntry* entries, Position begin,
-                        Position end, Value lo, Value hi) {
-  PairAccessor a(const_cast<CrackerEntry*>(entries));
-  return ScanCount(a, begin, end, lo, hi);
-}
-
-int64_t ScanSumPairs(const CrackerEntry* entries, Position begin, Position end,
-                     Value lo, Value hi) {
-  PairAccessor a(const_cast<CrackerEntry*>(entries));
-  return ScanSum(a, begin, end, lo, hi);
-}
-
-int64_t PositionalSumPairs(const CrackerEntry* entries, Position begin,
-                           Position end) {
-  PairAccessor a(const_cast<CrackerEntry*>(entries));
-  return PositionalSum(a, begin, end);
 }
 
 }  // namespace reference

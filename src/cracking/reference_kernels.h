@@ -12,13 +12,17 @@ namespace reference {
 
 /// \file
 /// Concrete instantiations of the original accessor-templated kernels
-/// (crack_kernels.h) for both cracker-array layouts — the retained
-/// *reference tier*.
+/// (crack_kernels.h) over the cracker array's value and rowID spans — the
+/// retained *reference tier*.
 ///
-/// They serve two purposes:
-///  - ground truth for the randomized differential kernel tests, and
+/// They serve three purposes:
+///  - ground truth for the randomized differential kernel tests,
 ///  - the stable baseline that bench/micro_kernels.cc measures the
-///    branchless/SIMD tiers against.
+///    branchless/SIMD tiers against, and
+///  - the crack kernel of every tier below AVX-512 (span_kernels.h).
+///
+/// CrackInTwoPairs is the same two-way crack over an array of
+/// CrackerEntry; hybrid crack-sort partitions its initial runs with it.
 ///
 /// The defining TU (reference_kernels.cc) pins codegen to scalar
 /// (-fno-tree-vectorize / `#pragma GCC optimize`), so the baseline measures
@@ -38,15 +42,6 @@ int64_t PositionalSumSplit(const Value* values, Position begin, Position end);
 
 Position CrackInTwoPairs(CrackerEntry* entries, Position begin, Position end,
                          Value pivot);
-std::pair<Position, Position> CrackInThreePairs(CrackerEntry* entries,
-                                                Position begin, Position end,
-                                                Value lo, Value hi);
-uint64_t ScanCountPairs(const CrackerEntry* entries, Position begin,
-                        Position end, Value lo, Value hi);
-int64_t ScanSumPairs(const CrackerEntry* entries, Position begin, Position end,
-                     Value lo, Value hi);
-int64_t PositionalSumPairs(const CrackerEntry* entries, Position begin,
-                           Position end);
 
 }  // namespace reference
 }  // namespace adaptidx

@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "cracking/crack_kernels.h"
 #include "cracking/reference_kernels.h"
 
 #ifdef ADAPTIDX_X86_SIMD
@@ -90,14 +89,6 @@ int64_t PositionalSumUnrolled(const Value* values, Position begin,
   }
   for (; i < end; ++i) s0 += values[i];
   return s0 + s1 + s2 + s3;
-}
-
-// ----------------------------------------------------- predicated crack
-
-Position CrackInTwoPredSpan(Value* values, RowId* row_ids, Position begin,
-                            Position end, Value pivot) {
-  SplitAccessor a(values, row_ids);
-  return CrackInTwoPred(a, begin, end, pivot);
 }
 
 #ifdef ADAPTIDX_X86_SIMD
@@ -225,7 +216,7 @@ __attribute__((target("avx512f"))) Position CrackInTwoAvx512(
     Value* values, RowId* row_ids, Position begin, Position end, Value pivot) {
   constexpr Position kW = 8;  // 64-bit lanes per zmm
   if (end - begin < 4 * kW) {
-    return CrackInTwoPredSpan(values, row_ids, begin, end, pivot);
+    return reference::CrackInTwoSplit(values, row_ids, begin, end, pivot);
   }
   const __m512i piv = _mm512_set1_epi64(pivot);
 
@@ -344,10 +335,7 @@ Position CrackInTwoSpan(Value* values, RowId* row_ids, Position begin,
     return detail::CrackInTwoAvx512(values, row_ids, begin, end, pivot);
   }
 #endif
-  if (tier == KernelTier::kReference) {
-    return reference::CrackInTwoSplit(values, row_ids, begin, end, pivot);
-  }
-  return detail::CrackInTwoPredSpan(values, row_ids, begin, end, pivot);
+  return reference::CrackInTwoSplit(values, row_ids, begin, end, pivot);
 }
 
 std::pair<Position, Position> CrackInThreeSpan(Value* values, RowId* row_ids,
@@ -355,87 +343,17 @@ std::pair<Position, Position> CrackInThreeSpan(Value* values, RowId* row_ids,
                                                Value lo, Value hi,
                                                KernelTier tier) {
   tier = ResolveKernelTier(tier);
-  if (tier == KernelTier::kReference) {
-    return reference::CrackInThreeSplit(values, row_ids, begin, end, lo, hi);
+#ifdef ADAPTIDX_X86_SIMD
+  if (tier == KernelTier::kAvx512) {
+    // Two vectorized passes; the second only touches the upper remainder,
+    // so the result matches crack-on-lo followed by crack-on-hi.
+    const Position p1 =
+        detail::CrackInTwoAvx512(values, row_ids, begin, end, lo);
+    const Position p2 = detail::CrackInTwoAvx512(values, row_ids, p1, end, hi);
+    return {p1, p2};
   }
-  // Two vectorized/predicated passes; the second only touches the upper
-  // remainder, so the result matches crack-on-lo followed by crack-on-hi.
-  const Position p1 = CrackInTwoSpan(values, row_ids, begin, end, lo, tier);
-  const Position p2 = CrackInTwoSpan(values, row_ids, p1, end, hi, tier);
-  return {p1, p2};
-}
-
-// ----------------------------------------------------- entry (AoS) kernels
-
-uint64_t ScanCountEntries(const CrackerEntry* entries, Position begin,
-                          Position end, Value lo, Value hi) {
-  if (hi <= lo) return 0;
-  const uint64_t width =
-      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-  uint64_t c0 = 0;
-  uint64_t c1 = 0;
-  Position i = begin;
-  for (; i + 2 <= end; i += 2) {
-    c0 += (static_cast<uint64_t>(entries[i].value) -
-           static_cast<uint64_t>(lo)) < width;
-    c1 += (static_cast<uint64_t>(entries[i + 1].value) -
-           static_cast<uint64_t>(lo)) < width;
-  }
-  for (; i < end; ++i) {
-    c0 += (static_cast<uint64_t>(entries[i].value) -
-           static_cast<uint64_t>(lo)) < width;
-  }
-  return c0 + c1;
-}
-
-int64_t ScanSumEntries(const CrackerEntry* entries, Position begin,
-                       Position end, Value lo, Value hi) {
-  if (hi <= lo) return 0;
-  const uint64_t width =
-      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-  int64_t s0 = 0;
-  int64_t s1 = 0;
-  Position i = begin;
-  for (; i + 2 <= end; i += 2) {
-    s0 += entries[i].value &
-          -static_cast<int64_t>((static_cast<uint64_t>(entries[i].value) -
-                                 static_cast<uint64_t>(lo)) < width);
-    s1 += entries[i + 1].value &
-          -static_cast<int64_t>((static_cast<uint64_t>(entries[i + 1].value) -
-                                 static_cast<uint64_t>(lo)) < width);
-  }
-  for (; i < end; ++i) {
-    s0 += entries[i].value &
-          -static_cast<int64_t>((static_cast<uint64_t>(entries[i].value) -
-                                 static_cast<uint64_t>(lo)) < width);
-  }
-  return s0 + s1;
-}
-
-int64_t PositionalSumEntries(const CrackerEntry* entries, Position begin,
-                             Position end) {
-  int64_t s0 = 0;
-  int64_t s1 = 0;
-  Position i = begin;
-  for (; i + 2 <= end; i += 2) {
-    s0 += entries[i].value;
-    s1 += entries[i + 1].value;
-  }
-  for (; i < end; ++i) s0 += entries[i].value;
-  return s0 + s1;
-}
-
-Position CrackInTwoEntries(CrackerEntry* entries, Position begin, Position end,
-                           Value pivot) {
-  PairAccessor a(entries);
-  return CrackInTwoPred(a, begin, end, pivot);
-}
-
-std::pair<Position, Position> CrackInThreeEntries(CrackerEntry* entries,
-                                                  Position begin, Position end,
-                                                  Value lo, Value hi) {
-  PairAccessor a(entries);
-  return CrackInThreePred(a, begin, end, lo, hi);
+#endif
+  return reference::CrackInThreeSplit(values, row_ids, begin, end, lo, hi);
 }
 
 }  // namespace adaptidx

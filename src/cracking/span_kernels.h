@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "cracking/cracker_array.h"
 #include "cracking/kernel_tiers.h"
 #include "storage/types.h"
 
@@ -14,19 +13,24 @@ namespace adaptidx {
 /// Branchless / SIMD crack and scan kernels over raw spans.
 ///
 /// The accessor-templated kernels in crack_kernels.h pay for their
-/// generality: the pair-of-arrays layout streams a dense `Value*` span, and
-/// on that representation the partition/scan loops can be written
-/// branch-free and vectorized. These entry points take raw pointers (plus a
-/// KernelTier chosen once per call by CrackerArray) so the per-element work
-/// is a straight-line loop with no layout test and no accessor indirection.
+/// generality: the cracker array streams a dense `Value*` span, and on that
+/// representation the scan loops can be written branch-free and vectorized,
+/// and the partition loop vectorized with AVX-512 compress stores. These
+/// entry points take raw pointers (plus a KernelTier chosen once per call by
+/// CrackerArray) so the per-element work is a straight-line loop with no
+/// accessor indirection.
 ///
 /// Tier map (see kernel_tiers.h):
 ///                 scans (Count/Sum/PositionalSum)   cracks (two/three-way)
 ///   kReference    branchy scalar (reference TU)     branchy scalar
-///   kBranchless   unsigned-range trick, unrolled    predicated (cmov)
-///   kAvx2         AVX2 compare+mask accumulate      predicated (cmov)
+///   kBranchless   unsigned-range trick, unrolled    branchy scalar
+///   kAvx2         AVX2 compare+mask accumulate      branchy scalar
 ///   kAvx512       AVX2 scans (bandwidth-bound;      vpcompress two-sided
 ///                 wider vectors add nothing)        in-place partition
+///
+/// Below AVX-512 every tier cracks with the reference kernel: scalar
+/// predicated (cmov) partitioning measured no faster than it (see
+/// bench/baselines/kernels_layouts_predicated.json).
 ///
 /// SIMD implementations are compiled with GCC/Clang `target` attributes and
 /// guarded by the runtime cpuid check in kernel_tiers.cc, so the library
@@ -53,39 +57,17 @@ int64_t PositionalSumSpan(const Value* values, Position begin, Position end,
 void MinMaxSpan(const Value* values, Position begin, Position end, Value* lo,
                 Value* hi);
 
-/// \brief Two-way crack of the pair-of-arrays layout: partitions
+/// \brief Two-way crack of the cracker array's spans: partitions
 /// values[begin, end) around `pivot`, permuting row_ids in tandem.
 Position CrackInTwoSpan(Value* values, RowId* row_ids, Position begin,
                         Position end, Value pivot, KernelTier tier);
 
-/// \brief Three-way crack of the pair-of-arrays layout; result identical to
-/// CrackInTwoSpan on `lo` followed by CrackInTwoSpan on `hi`.
+/// \brief Three-way crack of the cracker array's spans; split positions
+/// identical to CrackInTwoSpan on `lo` followed by CrackInTwoSpan on `hi`.
 std::pair<Position, Position> CrackInThreeSpan(Value* values, RowId* row_ids,
                                                Position begin, Position end,
                                                Value lo, Value hi,
                                                KernelTier tier);
-
-// --------------------------------------------------------------------------
-// Entry (rowID-value struct) kernels for the kRowIdValuePairs layout. The
-// interleaved layout rules out useful vectorization, but the branchless
-// forms still beat the reference kernels wherever the predicate branch is
-// unpredictable.
-
-uint64_t ScanCountEntries(const CrackerEntry* entries, Position begin,
-                          Position end, Value lo, Value hi);
-
-int64_t ScanSumEntries(const CrackerEntry* entries, Position begin,
-                       Position end, Value lo, Value hi);
-
-int64_t PositionalSumEntries(const CrackerEntry* entries, Position begin,
-                             Position end);
-
-Position CrackInTwoEntries(CrackerEntry* entries, Position begin, Position end,
-                           Value pivot);
-
-std::pair<Position, Position> CrackInThreeEntries(CrackerEntry* entries,
-                                                  Position begin, Position end,
-                                                  Value lo, Value hi);
 
 namespace detail {
 
@@ -99,8 +81,6 @@ int64_t ScanSumBranchless(const Value* values, Position begin, Position end,
                           Value lo, Value hi);
 int64_t PositionalSumUnrolled(const Value* values, Position begin,
                               Position end);
-Position CrackInTwoPredSpan(Value* values, RowId* row_ids, Position begin,
-                            Position end, Value pivot);
 
 bool HaveAvx2();
 bool HaveAvx512();

@@ -181,6 +181,16 @@ Status LoadCheckpoint(const std::string& path, CheckpointImage* out) {
   if (!ok || !r.Exhausted()) {
     return Status::Corruption("malformed checkpoint payload: " + path);
   }
+  if (out->has_adapted) {
+    // The CRC only proves the bytes are the ones written. An adapted image
+    // must also fit this image's base column before anything trusts its
+    // rowIDs as positions into the base columns.
+    Status valid = CrackingIndex::ValidateAdaptedState(
+        out->adapted, out->base_values.size());
+    if (!valid.ok()) {
+      return Status::Corruption(valid.message() + ": " + path);
+    }
+  }
   return Status::OK();
 }
 

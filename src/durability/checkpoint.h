@@ -60,8 +60,9 @@ struct CheckpointImage {
 Status WriteCheckpoint(const std::string& dir, const CheckpointImage& image);
 
 /// \brief Strictly decodes one image file; Corruption on a bad magic,
-/// CRC mismatch, or malformed payload (recovery treats any of these as
-/// "try the next-older image").
+/// CRC mismatch, malformed payload, or an adapted image that
+/// CrackingIndex::ValidateAdaptedState rejects against the base column
+/// (recovery treats any of these as "try the next-older image").
 Status LoadCheckpoint(const std::string& path, CheckpointImage* out);
 
 /// \brief Checkpoint files in `dir` by ascending epoch.

@@ -95,7 +95,7 @@ Status RecoverIndex(const std::string& data_dir, const Column& seed,
       auto* cracking =
           dynamic_cast<CrackingIndex*>(index->base_index());
       if (cracking != nullptr) {
-        Status s = cracking->RestoreAdaptedState(image.adapted);
+        Status s = cracking->RestoreAdaptedState(std::move(image.adapted));
         if (!s.ok()) return s;
         stats->adapted_restored = true;
       }

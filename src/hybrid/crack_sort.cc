@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "cracking/span_kernels.h"
+#include "cracking/reference_kernels.h"
 #include "util/stopwatch.h"
 
 namespace adaptidx {
@@ -94,10 +94,7 @@ size_t HybridCrackSortIndex::ResolveInPartition(InitialPartition* part,
   Position pos;
   {
     ScopedTimer t(&ctx->stats.crack_ns);
-    // Predicated kernel: partition pivots are query bounds, i.e. effectively
-    // random within the sub-piece, which is the worst case for the branchy
-    // reference kernel.
-    pos = CrackInTwoEntries(part->entries.data(), begin, end, v);
+    pos = reference::CrackInTwoPairs(part->entries.data(), begin, end, v);
     ++ctx->stats.cracks;
   }
   part->cracks.emplace(v, static_cast<size_t>(pos));

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "cracking/span_kernels.h"
-
 namespace adaptidx {
 
 void SegmentStore::Insert(Value lo, Value hi, std::vector<CrackerEntry> entries) {
@@ -89,7 +87,9 @@ uint64_t SegmentStore::CountIn(const CoveredPart& part) {
 int64_t SegmentStore::SumIn(const CoveredPart& part) {
   const size_t b = LowerBound(*part.segment, part.lo);
   const size_t e = LowerBound(*part.segment, part.hi);
-  return PositionalSumEntries(part.segment->entries.data(), b, e);
+  int64_t sum = 0;
+  for (size_t i = b; i < e; ++i) sum += part.segment->entries[i].value;
+  return sum;
 }
 
 bool SegmentStore::MinMaxIn(const CoveredPart& part, Value* mn, Value* mx) {

@@ -94,7 +94,7 @@ TEST(CrackInTwoTest, SubrangeOnlyTouched) {
 
 TEST(CrackInTwoTest, PreservesRowIdPairing) {
   Column col = Column::UniqueRandom("a", 100, 5);
-  CrackerArray arr(col, ArrayLayout::kRowIdValuePairs);
+  CrackerArray arr(col);
   arr.CrackTwo(0, 100, 50);
   for (Position i = 0; i < 100; ++i) {
     // Each value must still travel with its original rowID.
@@ -159,13 +159,11 @@ TEST(ScanKernelsTest, PositionalSum) {
   EXPECT_EQ(PositionalSum(acc, 2, 2), 0);
 }
 
-// ------------------------------------------- CrackerArray layout parity
+// ------------------------------------------------- CrackerArray basics
 
-class CrackerArrayLayoutTest : public ::testing::TestWithParam<ArrayLayout> {};
-
-TEST_P(CrackerArrayLayoutTest, BuildFromColumn) {
+TEST(CrackerArrayTest, BuildFromColumn) {
   Column col("a", {30, 10, 20});
-  CrackerArray arr(col, GetParam());
+  CrackerArray arr(col);
   ASSERT_EQ(arr.size(), 3u);
   EXPECT_EQ(arr.ValueAt(0), 30);
   EXPECT_EQ(arr.RowIdAt(0), 0u);
@@ -173,35 +171,35 @@ TEST_P(CrackerArrayLayoutTest, BuildFromColumn) {
   EXPECT_EQ(arr.RowIdAt(2), 2u);
 }
 
-TEST_P(CrackerArrayLayoutTest, CrackTwoPartitions) {
+TEST(CrackerArrayTest, CrackTwoPartitions) {
   Column col = Column::UniqueRandom("a", 512, 11);
-  CrackerArray arr(col, GetParam());
+  CrackerArray arr(col);
   const Position split = arr.CrackTwo(0, 512, 256);
   EXPECT_EQ(split, 256u);  // unique 0..511: exactly 256 below the pivot
   for (Position i = 0; i < split; ++i) EXPECT_LT(arr.ValueAt(i), 256);
   for (Position i = split; i < 512; ++i) EXPECT_GE(arr.ValueAt(i), 256);
 }
 
-TEST_P(CrackerArrayLayoutTest, CrackThreePartitions) {
+TEST(CrackerArrayTest, CrackThreePartitions) {
   Column col = Column::UniqueRandom("a", 512, 13);
-  CrackerArray arr(col, GetParam());
+  CrackerArray arr(col);
   auto [p1, p2] = arr.CrackThree(0, 512, 100, 400);
   EXPECT_EQ(p1, 100u);
   EXPECT_EQ(p2, 400u);
 }
 
-TEST_P(CrackerArrayLayoutTest, CrackPreservesMultiset) {
+TEST(CrackerArrayTest, CrackPreservesMultiset) {
   Column col = Column::UniformRandom("a", 300, 0, 50, 17);
-  CrackerArray arr(col, GetParam());
+  CrackerArray arr(col);
   auto before = ValueSet(arr, 0, 300);
   arr.CrackTwo(0, 300, 25);
   arr.CrackThree(0, 300, 10, 40);
   EXPECT_EQ(ValueSet(arr, 0, 300), before);
 }
 
-TEST_P(CrackerArrayLayoutTest, SortRangeSortsAndKeepsPairs) {
+TEST(CrackerArrayTest, SortRangeSortsAndKeepsPairs) {
   Column col = Column::UniqueRandom("a", 200, 19);
-  CrackerArray arr(col, GetParam());
+  CrackerArray arr(col);
   arr.SortRange(50, 150);
   for (Position i = 51; i < 150; ++i) {
     EXPECT_LE(arr.ValueAt(i - 1), arr.ValueAt(i));
@@ -211,9 +209,9 @@ TEST_P(CrackerArrayLayoutTest, SortRangeSortsAndKeepsPairs) {
   }
 }
 
-TEST_P(CrackerArrayLayoutTest, ScanRangesMatchKernel) {
+TEST(CrackerArrayTest, ScanRangesMatchKernel) {
   Column col = Column::UniformRandom("a", 400, 0, 100, 23);
-  CrackerArray arr(col, GetParam());
+  CrackerArray arr(col);
   uint64_t count = 0;
   int64_t sum = 0;
   for (size_t i = 0; i < col.size(); ++i) {
@@ -226,37 +224,28 @@ TEST_P(CrackerArrayLayoutTest, ScanRangesMatchKernel) {
   EXPECT_EQ(arr.ScanSumRange(0, 400, 20, 60), sum);
 }
 
-TEST_P(CrackerArrayLayoutTest, PositionalSumWholeArray) {
+TEST(CrackerArrayTest, PositionalSumWholeArray) {
   Column col = Column::Sequential("a", 100);
-  CrackerArray arr(col, GetParam());
+  CrackerArray arr(col);
   EXPECT_EQ(arr.PositionalSumRange(0, 100), 99 * 100 / 2);
 }
 
-TEST_P(CrackerArrayLayoutTest, CollectRowIds) {
+TEST(CrackerArrayTest, CollectRowIds) {
   Column col("a", {30, 10, 20});
-  CrackerArray arr(col, GetParam());
+  CrackerArray arr(col);
   std::vector<RowId> ids;
   arr.CollectRowIds(0, 3, &ids);
   EXPECT_EQ(ids, (std::vector<RowId>{0, 1, 2}));
 }
 
-TEST_P(CrackerArrayLayoutTest, LowerBoundInSorted) {
+TEST(CrackerArrayTest, LowerBoundInSorted) {
   Column col = Column::Sequential("a", 100);
-  CrackerArray arr(col, GetParam());
+  CrackerArray arr(col);
   EXPECT_EQ(arr.LowerBoundInSorted(0, 100, 0), 0u);
   EXPECT_EQ(arr.LowerBoundInSorted(0, 100, 50), 50u);
   EXPECT_EQ(arr.LowerBoundInSorted(0, 100, 1000), 100u);
   EXPECT_EQ(arr.LowerBoundInSorted(20, 80, 10), 20u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Layouts, CrackerArrayLayoutTest,
-                         ::testing::Values(ArrayLayout::kRowIdValuePairs,
-                                           ArrayLayout::kPairOfArrays),
-                         [](const auto& info) {
-                           return info.param == ArrayLayout::kRowIdValuePairs
-                                      ? "Pairs"
-                                      : "SplitArrays";
-                         });
 
 // ------------------------------------- Property sweep: random pivots
 
@@ -276,7 +265,7 @@ TEST_P(KernelPropertyTest, CrackInTwoInvariantHolds) {
                                            static_cast<Value>(p.n / 4 + 1),
                                            p.seed)
                    : Column::UniqueRandom("a", p.n, p.seed);
-  CrackerArray arr(col, ArrayLayout::kPairOfArrays);
+  CrackerArray arr(col);
   auto before = ValueSet(arr, 0, p.n);
   Rng rng(p.seed ^ 0xabc);
   for (int i = 0; i < 16; ++i) {
@@ -300,10 +289,10 @@ TEST_P(KernelPropertyTest, CrackInThreeEquivalentToTwoTwos) {
   Value hi = rng.UniformRange(0, static_cast<Value>(p.n));
   if (lo > hi) std::swap(lo, hi);
 
-  CrackerArray three(col, ArrayLayout::kPairOfArrays);
+  CrackerArray three(col);
   auto [p1, p2] = three.CrackThree(0, p.n, lo, hi);
 
-  CrackerArray twos(col, ArrayLayout::kPairOfArrays);
+  CrackerArray twos(col);
   const Position q1 = twos.CrackTwo(0, p.n, lo);
   const Position q2 = twos.CrackTwo(q1, p.n, hi);
 
@@ -335,7 +324,7 @@ INSTANTIATE_TEST_SUITE_P(
 // retained scalar reference kernels — same split positions, same multiset
 // per region, VerifyCrackInTwo postcondition, rowID pairing intact — across
 // sizes (including the AVX-512 vector-width boundaries), duplicates-heavy
-// and all-equal inputs, and both layouts.
+// and all-equal inputs.
 
 /// Input shapes for the differential sweep.
 enum class DataShape { kUnique, kDupHeavy, kAllEqual, kSorted, kReversed };
@@ -518,97 +507,39 @@ TEST(DifferentialKernelTest, ScanKernelsAllTiers) {
   }
 }
 
-TEST(DifferentialKernelTest, EntryKernelsMatchReference) {
-  for (size_t n : kDiffSizes) {
-    for (DataShape shape : {DataShape::kUnique, DataShape::kDupHeavy,
-                            DataShape::kAllEqual}) {
-      const std::vector<Value> base = MakeValues(shape, n, 0x77 + n);
-      auto make_entries = [&] {
-        std::vector<CrackerEntry> e(n);
-        for (size_t i = 0; i < n; ++i) {
-          e[i] = CrackerEntry{static_cast<RowId>(i), base[i]};
-        }
-        return e;
-      };
-      Rng rng(n * 7 + static_cast<uint64_t>(shape));
-      for (int i = 0; i < 4; ++i) {
-        const Value pivot = rng.UniformRange(-2, static_cast<Value>(n) + 2);
-        Value lo = rng.UniformRange(-2, static_cast<Value>(n) + 2);
-        Value hi = rng.UniformRange(-2, static_cast<Value>(n) + 2);
-        if (lo > hi) std::swap(lo, hi);
-        SCOPED_TRACE(std::string("n=") + std::to_string(n) + " shape=" +
-                     ShapeName(shape) + " pivot=" + std::to_string(pivot));
-
-        auto re = make_entries();
-        const Position ref_split =
-            reference::CrackInTwoPairs(re.data(), 0, n, pivot);
-        auto te = make_entries();
-        const Position split = CrackInTwoEntries(te.data(), 0, n, pivot);
-        ASSERT_EQ(split, ref_split);
-        PairAccessor acc(te.data());
-        ASSERT_TRUE(VerifyCrackInTwo(acc, 0, split, n, pivot));
-        for (size_t j = 0; j < n; ++j) {
-          ASSERT_EQ(te[j].value, base[te[j].row_id]);
-        }
-
-        auto r3 = make_entries();
-        const auto [q1, q2] =
-            reference::CrackInThreePairs(r3.data(), 0, n, lo, hi);
-        auto t3 = make_entries();
-        const auto [p1, p2] = CrackInThreeEntries(t3.data(), 0, n, lo, hi);
-        ASSERT_EQ(p1, q1);
-        ASSERT_EQ(p2, q2);
-
-        const auto e = make_entries();
-        EXPECT_EQ(ScanCountEntries(e.data(), 0, n, lo, hi),
-                  reference::ScanCountPairs(e.data(), 0, n, lo, hi));
-        EXPECT_EQ(ScanSumEntries(e.data(), 0, n, lo, hi),
-                  reference::ScanSumPairs(e.data(), 0, n, lo, hi));
-        EXPECT_EQ(PositionalSumEntries(e.data(), 0, n),
-                  reference::PositionalSumPairs(e.data(), 0, n));
-      }
-    }
-  }
-}
-
 // CrackerArray-level dispatch: forcing each tier must not change any
-// observable result on either layout.
+// observable result.
 TEST(DifferentialKernelTest, CrackerArrayTiersAgree) {
-  for (ArrayLayout layout :
-       {ArrayLayout::kRowIdValuePairs, ArrayLayout::kPairOfArrays}) {
-    Column col = Column::UniformRandom("a", 2000, 0, 500, 99);
-    for (const KernelTier tier : TestableTiers()) {
-      CrackerArray ref_arr(col, layout, KernelTier::kReference);
-      CrackerArray arr(col, layout, tier);
-      SCOPED_TRACE(std::string("layout=") +
-                   (layout == ArrayLayout::kPairOfArrays ? "split" : "pairs") +
-                   " tier=" + KernelTierName(tier));
-      const Position rs = ref_arr.CrackTwo(0, 2000, 250);
-      const Position ts = arr.CrackTwo(0, 2000, 250);
-      ASSERT_EQ(ts, rs);
-      const auto [r1, r2] = ref_arr.CrackThree(0, rs, 50, 200);
-      const auto [t1, t2] = arr.CrackThree(0, ts, 50, 200);
-      ASSERT_EQ(t1, r1);
-      ASSERT_EQ(t2, r2);
-      EXPECT_EQ(arr.ScanCountRange(0, 2000, 100, 400),
-                ref_arr.ScanCountRange(0, 2000, 100, 400));
-      EXPECT_EQ(arr.ScanSumRange(0, 2000, 100, 400),
-                ref_arr.ScanSumRange(0, 2000, 100, 400));
-      EXPECT_EQ(arr.PositionalSumRange(0, 2000),
-                ref_arr.PositionalSumRange(0, 2000));
-      std::vector<RowId> ids_ref;
-      std::vector<RowId> ids;
-      ref_arr.CollectRowIdsFiltered(0, 2000, ValueRange{100, 400}, &ids_ref);
-      arr.CollectRowIdsFiltered(0, 2000, ValueRange{100, 400}, &ids);
-      std::sort(ids_ref.begin(), ids_ref.end());
-      std::sort(ids.begin(), ids.end());
-      EXPECT_EQ(ids, ids_ref);
-      Value mn_ref, mx_ref, mn, mx;
-      ref_arr.MinMax(0, 2000, &mn_ref, &mx_ref);
-      arr.MinMax(0, 2000, &mn, &mx);
-      EXPECT_EQ(mn, mn_ref);
-      EXPECT_EQ(mx, mx_ref);
-    }
+  Column col = Column::UniformRandom("a", 2000, 0, 500, 99);
+  for (const KernelTier tier : TestableTiers()) {
+    CrackerArray ref_arr(col, KernelTier::kReference);
+    CrackerArray arr(col, tier);
+    SCOPED_TRACE(std::string("tier=") + KernelTierName(tier));
+    const Position rs = ref_arr.CrackTwo(0, 2000, 250);
+    const Position ts = arr.CrackTwo(0, 2000, 250);
+    ASSERT_EQ(ts, rs);
+    const auto [r1, r2] = ref_arr.CrackThree(0, rs, 50, 200);
+    const auto [t1, t2] = arr.CrackThree(0, ts, 50, 200);
+    ASSERT_EQ(t1, r1);
+    ASSERT_EQ(t2, r2);
+    EXPECT_EQ(arr.ScanCountRange(0, 2000, 100, 400),
+              ref_arr.ScanCountRange(0, 2000, 100, 400));
+    EXPECT_EQ(arr.ScanSumRange(0, 2000, 100, 400),
+              ref_arr.ScanSumRange(0, 2000, 100, 400));
+    EXPECT_EQ(arr.PositionalSumRange(0, 2000),
+              ref_arr.PositionalSumRange(0, 2000));
+    std::vector<RowId> ids_ref;
+    std::vector<RowId> ids;
+    ref_arr.CollectRowIdsFiltered(0, 2000, ValueRange{100, 400}, &ids_ref);
+    arr.CollectRowIdsFiltered(0, 2000, ValueRange{100, 400}, &ids);
+    std::sort(ids_ref.begin(), ids_ref.end());
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(ids, ids_ref);
+    Value mn_ref, mx_ref, mn, mx;
+    ref_arr.MinMax(0, 2000, &mn_ref, &mx_ref);
+    arr.MinMax(0, 2000, &mn, &mx);
+    EXPECT_EQ(mn, mn_ref);
+    EXPECT_EQ(mx, mx_ref);
   }
 }
 
@@ -618,46 +549,41 @@ TEST(DifferentialKernelTest, CrackerArrayTiersAgree) {
 // wired in.
 TEST(DifferentialKernelTest, CrackingIndexTiersAgreeEndToEnd) {
   Column col = Column::UniqueRandom("a", 20000, 123);
-  for (ArrayLayout layout :
-       {ArrayLayout::kRowIdValuePairs, ArrayLayout::kPairOfArrays}) {
-    CrackingOptions ref_opts;
-    ref_opts.mode = ConcurrencyMode::kNone;
-    ref_opts.layout = layout;
-    ref_opts.kernel_tier = KernelTier::kReference;
-    CrackingOptions new_opts = ref_opts;
-    new_opts.kernel_tier = KernelTier::kAuto;
-    CrackingIndex ref_idx(&col, ref_opts);
-    CrackingIndex new_idx(&col, new_opts);
-    QueryContext ctx;
-    Rng rng(7);
-    for (int i = 0; i < 200; ++i) {
-      Value lo = rng.UniformRange(0, 20000);
-      Value hi = rng.UniformRange(0, 20000);
-      if (lo > hi) std::swap(lo, hi);
-      const ValueRange range{lo, hi};
-      uint64_t ref_cnt = 0;
-      uint64_t new_cnt = 0;
-      ASSERT_TRUE(ref_idx.RangeCount(range, &ctx, &ref_cnt).ok());
-      ASSERT_TRUE(new_idx.RangeCount(range, &ctx, &new_cnt).ok());
-      ASSERT_EQ(new_cnt, ref_cnt);
-      int64_t ref_sum = 0;
-      int64_t new_sum = 0;
-      ASSERT_TRUE(ref_idx.RangeSum(range, &ctx, &ref_sum).ok());
-      ASSERT_TRUE(new_idx.RangeSum(range, &ctx, &new_sum).ok());
-      ASSERT_EQ(new_sum, ref_sum);
-    }
-    EXPECT_TRUE(ref_idx.ValidateStructure());
-    EXPECT_TRUE(new_idx.ValidateStructure());
-    EXPECT_EQ(new_idx.NumCracks(), ref_idx.NumCracks());
+  CrackingOptions ref_opts;
+  ref_opts.mode = ConcurrencyMode::kNone;
+  ref_opts.kernel_tier = KernelTier::kReference;
+  CrackingOptions new_opts = ref_opts;
+  new_opts.kernel_tier = KernelTier::kAuto;
+  CrackingIndex ref_idx(&col, ref_opts);
+  CrackingIndex new_idx(&col, new_opts);
+  QueryContext ctx;
+  Rng rng(7);
+  for (int i = 0; i < 200; ++i) {
+    Value lo = rng.UniformRange(0, 20000);
+    Value hi = rng.UniformRange(0, 20000);
+    if (lo > hi) std::swap(lo, hi);
+    const ValueRange range{lo, hi};
+    uint64_t ref_cnt = 0;
+    uint64_t new_cnt = 0;
+    ASSERT_TRUE(ref_idx.RangeCount(range, &ctx, &ref_cnt).ok());
+    ASSERT_TRUE(new_idx.RangeCount(range, &ctx, &new_cnt).ok());
+    ASSERT_EQ(new_cnt, ref_cnt);
+    int64_t ref_sum = 0;
+    int64_t new_sum = 0;
+    ASSERT_TRUE(ref_idx.RangeSum(range, &ctx, &ref_sum).ok());
+    ASSERT_TRUE(new_idx.RangeSum(range, &ctx, &new_sum).ok());
+    ASSERT_EQ(new_sum, ref_sum);
   }
+  EXPECT_TRUE(ref_idx.ValidateStructure());
+  EXPECT_TRUE(new_idx.ValidateStructure());
+  EXPECT_EQ(new_idx.NumCracks(), ref_idx.NumCracks());
 }
 
-// The span fast path: for the pair-of-arrays layout the raw arrays are
-// exposed and can be fed straight into the span kernels, matching the
-// CrackerArray bulk calls; the pairs layout exposes no spans.
+// The span fast path: the raw arrays are exposed and can be fed straight
+// into the span kernels, matching the CrackerArray bulk calls.
 TEST(DifferentialKernelTest, SpanFastPathsExposeUnderlyingArrays) {
   Column col = Column::UniformRandom("a", 3000, 0, 700, 31);
-  CrackerArray arr(col, ArrayLayout::kPairOfArrays);
+  CrackerArray arr(col);
   arr.CrackTwo(0, 3000, 350);
   const Value* values = arr.ValuesSpan();
   const RowId* row_ids = arr.RowIdsSpan();
@@ -674,25 +600,17 @@ TEST(DifferentialKernelTest, SpanFastPathsExposeUnderlyingArrays) {
             arr.ScanSumRange(0, 3000, 100, 500));
   EXPECT_EQ(PositionalSumSpan(values, 0, 3000, arr.kernel_tier()),
             arr.PositionalSumRange(0, 3000));
-
-  CrackerArray pairs_arr(col, ArrayLayout::kRowIdValuePairs);
-  EXPECT_EQ(pairs_arr.ValuesSpan(), nullptr);
-  EXPECT_EQ(pairs_arr.RowIdsSpan(), nullptr);
 }
 
-// CollectRowIdsFiltered with an empty/inverted range must return nothing on
-// both layouts (regression: the split path's unsigned width would wrap).
+// CollectRowIdsFiltered with an empty/inverted range must return nothing
+// (regression: the unsigned width would wrap).
 TEST(DifferentialKernelTest, CollectRowIdsFilteredDegenerateRanges) {
   Column col = Column::UniqueRandom("a", 300, 9);
-  for (ArrayLayout layout :
-       {ArrayLayout::kRowIdValuePairs, ArrayLayout::kPairOfArrays}) {
-    CrackerArray arr(col, layout);
-    for (const ValueRange range :
-         {ValueRange{50, 50}, ValueRange{200, 100}}) {
-      std::vector<RowId> ids;
-      arr.CollectRowIdsFiltered(0, 300, range, &ids);
-      EXPECT_TRUE(ids.empty());
-    }
+  CrackerArray arr(col);
+  for (const ValueRange range : {ValueRange{50, 50}, ValueRange{200, 100}}) {
+    std::vector<RowId> ids;
+    arr.CollectRowIdsFiltered(0, 300, range, &ids);
+    EXPECT_TRUE(ids.empty());
   }
 }
 
@@ -744,20 +662,17 @@ TEST(DifferentialKernelTest, ScanIndexDegenerateRanges) {
 }
 
 // SortRange exercises both the tandem insertion sort (small ranges) and the
-// zip-sort-unzip path (large ranges) on both layouts.
+// zip-sort-unzip path (large ranges).
 TEST(DifferentialKernelTest, SortRangeCutoffBothPaths) {
-  for (ArrayLayout layout :
-       {ArrayLayout::kRowIdValuePairs, ArrayLayout::kPairOfArrays}) {
-    for (size_t n : {2u, 17u, 128u, 129u, 1000u}) {
-      Column col = Column::UniformRandom("a", n, 0, 200, n);
-      CrackerArray arr(col, layout);
-      arr.SortRange(0, n);
-      for (Position i = 1; i < n; ++i) {
-        ASSERT_LE(arr.ValueAt(i - 1), arr.ValueAt(i));
-      }
-      for (Position i = 0; i < n; ++i) {
-        ASSERT_EQ(col[arr.RowIdAt(i)], arr.ValueAt(i));
-      }
+  for (size_t n : {2u, 17u, 128u, 129u, 1000u}) {
+    Column col = Column::UniformRandom("a", n, 0, 200, n);
+    CrackerArray arr(col);
+    arr.SortRange(0, n);
+    for (Position i = 1; i < n; ++i) {
+      ASSERT_LE(arr.ValueAt(i - 1), arr.ValueAt(i));
+    }
+    for (Position i = 0; i < n; ++i) {
+      ASSERT_EQ(col[arr.RowIdAt(i)], arr.ValueAt(i));
     }
   }
 }

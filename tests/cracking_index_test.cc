@@ -18,7 +18,6 @@ constexpr size_t kRows = 4000;
 
 struct CorrectnessParam {
   ConcurrencyMode mode;
-  ArrayLayout layout;
   bool crack_in_three;
   const char* name;
 };
@@ -34,7 +33,6 @@ class CrackingCorrectnessTest
   CrackingOptions Options() const {
     CrackingOptions opts;
     opts.mode = GetParam().mode;
-    opts.layout = GetParam().layout;
     opts.use_crack_in_three = GetParam().crack_in_three;
     return opts;
   }
@@ -105,25 +103,17 @@ TEST_P(CrackingCorrectnessTest, RowIdsMatchSemantics) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ModesAndLayouts, CrackingCorrectnessTest,
+    Modes, CrackingCorrectnessTest,
     ::testing::Values(
-        CorrectnessParam{ConcurrencyMode::kNone, ArrayLayout::kPairOfArrays,
-                         true, "none_split_c3"},
-        CorrectnessParam{ConcurrencyMode::kNone,
-                         ArrayLayout::kRowIdValuePairs, false,
-                         "none_pairs_c2"},
-        CorrectnessParam{ConcurrencyMode::kColumnLatch,
-                         ArrayLayout::kPairOfArrays, true, "column_split_c3"},
-        CorrectnessParam{ConcurrencyMode::kColumnLatch,
-                         ArrayLayout::kRowIdValuePairs, false,
-                         "column_pairs_c2"},
-        CorrectnessParam{ConcurrencyMode::kPieceLatch,
-                         ArrayLayout::kPairOfArrays, true, "piece_split_c3"},
-        CorrectnessParam{ConcurrencyMode::kPieceLatch,
-                         ArrayLayout::kPairOfArrays, false, "piece_split_c2"},
-        CorrectnessParam{ConcurrencyMode::kPieceLatch,
-                         ArrayLayout::kRowIdValuePairs, true,
-                         "piece_pairs_c3"}),
+        CorrectnessParam{ConcurrencyMode::kNone, true, "none_split_c3"},
+        CorrectnessParam{ConcurrencyMode::kNone, false, "none_split_c2"},
+        CorrectnessParam{ConcurrencyMode::kColumnLatch, true,
+                         "column_split_c3"},
+        CorrectnessParam{ConcurrencyMode::kColumnLatch, false,
+                         "column_split_c2"},
+        CorrectnessParam{ConcurrencyMode::kPieceLatch, true, "piece_split_c3"},
+        CorrectnessParam{ConcurrencyMode::kPieceLatch, false,
+                         "piece_split_c2"}),
     [](const auto& info) { return info.param.name; });
 
 // ------------------------------------------------- Lifecycle and stats

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -430,6 +431,42 @@ TEST_F(DurabilityTest, CheckpointImageRoundTrip) {
   EXPECT_TRUE(loaded.adapted.pieces[1].sorted);
 }
 
+// The CRC proves only that the bytes are the ones written. An adapted image
+// that does not fit the image's own base column is refused by the decoder
+// as Corruption, so recovery falls back to an older image instead of
+// trusting rowIDs as positions into the base columns.
+TEST_F(DurabilityTest, CheckpointDecoderRejectsAdaptedImageNotFittingBase) {
+  CheckpointImage good;
+  good.epoch = 1;
+  good.column_name = "A";
+  good.base_values = {5, 3, 9, 1, 7};
+  good.has_adapted = true;
+  good.adapted.values = {1, 3, 5, 7, 9};
+  good.adapted.row_ids = {3, 1, 0, 4, 2};
+  good.adapted.pieces = {{0, 2, -100, 4, false}, {2, 5, 5, 100, true}};
+
+  std::vector<CheckpointImage> bad(3, good);
+  bad[0].adapted.row_ids[2] = 5;  // == base count
+  bad[1].adapted.values.pop_back();  // adapted size != base count
+  bad[1].adapted.row_ids.pop_back();
+  bad[1].adapted.pieces.back().end = 4;
+  bad[2].adapted.pieces[1].begin = 3;  // gap at position 2
+
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    bad[i].epoch = 10 + i;
+    ASSERT_TRUE(WriteCheckpoint(dir_, bad[i]).ok());
+    CheckpointImage loaded;
+    const Status s = LoadCheckpoint(
+        dir_ + "/checkpoint-" + std::to_string(bad[i].epoch) + ".ckpt",
+        &loaded);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  }
+  ASSERT_TRUE(WriteCheckpoint(dir_, good).ok());
+  CheckpointImage loaded;
+  EXPECT_TRUE(LoadCheckpoint(dir_ + "/checkpoint-1.ckpt", &loaded).ok());
+}
+
 TEST_F(DurabilityTest, CheckpointCorruptionDetectedByteByByte) {
   CheckpointImage image;
   image.epoch = 7;
@@ -498,7 +535,7 @@ TEST_F(DurabilityTest, ExportRestoreAdaptedStateRoundTrip) {
   ASSERT_EQ(state.pieces.size(), source.NumPieces());
 
   CrackingIndex restored(&col);
-  ASSERT_TRUE(restored.RestoreAdaptedState(state).ok());
+  ASSERT_TRUE(restored.RestoreAdaptedState(std::move(state)).ok());
   EXPECT_EQ(restored.NumPieces(), source.NumPieces());
   // The restored index answers correctly and from the inherited pieces: a
   // point probe cracks at most its two bounds, never re-partitions from
@@ -509,6 +546,21 @@ TEST_F(DurabilityTest, ExportRestoreAdaptedStateRoundTrip) {
     ASSERT_TRUE(
         restored.RangeCount(ValueRange{lo, lo + 99}, &ctx, &count).ok());
     EXPECT_EQ(count, oracle.Count(lo, lo + 99));
+  }
+  // Counts cannot see a value travelling with the wrong rowID; rowID
+  // answers can. The restore moves the image's two vectors into the
+  // array, so every qualifying rowID must match the source's.
+  for (int i = 0; i < 40; ++i) {
+    const Value lo = static_cast<Value>(rng.Next() % 3800);
+    const ValueRange range{lo, lo + 150};
+    std::vector<RowId> want;
+    std::vector<RowId> got;
+    ASSERT_TRUE(source.RangeRowIds(range, &ctx, &want).ok());
+    ASSERT_TRUE(restored.RangeRowIds(range, &ctx, &got).ok());
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, want);
+    ASSERT_TRUE(oracle.CheckRowIds(range.lo, range.hi, got));
   }
   ASSERT_TRUE(restored.ValidateStructure());
 }
@@ -535,6 +587,36 @@ TEST_F(DurabilityTest, RestoreAdaptedStateRejectsBadTiling) {
   ASSERT_GT(bad.pieces.size(), 1u);
   bad.pieces[0].end -= 1;  // gap between piece 0 and 1
   EXPECT_FALSE(target.RestoreAdaptedState(bad).ok());
+}
+
+TEST_F(DurabilityTest, RestoreAdaptedStateRejectsOutOfRangeRowId) {
+  Column col = Column::UniqueRandom("A", 8000, 5);
+  CrackingIndex source(&col);
+  QueryContext ctx;
+  for (Value lo : {1000, 3000, 5000, 7000}) {
+    uint64_t count = 0;
+    ASSERT_TRUE(source.RangeCount(ValueRange{lo, lo + 500}, &ctx, &count).ok());
+  }
+  CrackingIndex::AdaptedState state;
+  ASSERT_TRUE(source.ExportAdaptedState(&state).ok());
+
+  // A rowID equal to the base count would later index the base columns
+  // one past their end.
+  CrackingIndex::AdaptedState bad = state;
+  bad.row_ids[bad.row_ids.size() / 2] = static_cast<RowId>(col.size());
+  EXPECT_TRUE(
+      CrackingIndex::ValidateAdaptedState(bad, col.size()).IsInvalidArgument());
+  CrackingIndex target(&col);
+  const Status s = target.RestoreAdaptedState(bad);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_FALSE(target.initialized());
+
+  // The refused image left the index pristine: the intact one restores.
+  ASSERT_TRUE(target.RestoreAdaptedState(std::move(state)).ok());
+  RangeOracle oracle(col);
+  std::vector<RowId> ids;
+  ASSERT_TRUE(target.RangeRowIds(ValueRange{2000, 2600}, &ctx, &ids).ok());
+  EXPECT_TRUE(oracle.CheckRowIds(2000, 2600, ids));
 }
 
 TEST_F(DurabilityTest, ExportUnderConcurrentQueriesStaysConsistent) {

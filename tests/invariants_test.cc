@@ -58,34 +58,6 @@ TEST(InvariantsTest, PiecesEqualCracksPlusOne) {
   }
 }
 
-// Both physical layouts of the cracker array (Figure 7) must produce
-// identical crack positions for the same query sequence — the layout is
-// representation, not semantics.
-TEST(InvariantsTest, LayoutsProduceIdenticalCracks) {
-  Column col = Column::UniqueRandom("A", 5000, 94);
-  CrackingOptions pairs;
-  pairs.layout = ArrayLayout::kRowIdValuePairs;
-  CrackingOptions split;
-  split.layout = ArrayLayout::kPairOfArrays;
-  CrackingIndex a(&col, pairs);
-  CrackingIndex b(&col, split);
-  Rng rng(95);
-  for (int i = 0; i < 50; ++i) {
-    Value lo = rng.UniformRange(0, 5000);
-    Value hi = rng.UniformRange(0, 5000);
-    if (lo > hi) std::swap(lo, hi);
-    QueryContext ca;
-    QueryContext cb;
-    uint64_t na;
-    uint64_t nb;
-    ASSERT_TRUE(a.RangeCount(ValueRange{lo, hi}, &ca, &na).ok());
-    ASSERT_TRUE(b.RangeCount(ValueRange{lo, hi}, &cb, &nb).ok());
-    ASSERT_EQ(na, nb);
-  }
-  EXPECT_EQ(a.NumCracks(), b.NumCracks());
-  EXPECT_EQ(a.PieceSizes(), b.PieceSizes());
-}
-
 // Plain cracking performs at most two crack actions per query (one per
 // bound); with crack-in-three the two bounds of a fresh piece cost one pass
 // but still count as two bound refinements.

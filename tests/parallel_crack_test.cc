@@ -29,15 +29,6 @@ namespace {
 
 // ------------------------------------------------- kernel differentials
 
-std::vector<CrackerEntry> MakeEntries(const std::vector<Value>& values) {
-  std::vector<CrackerEntry> entries;
-  entries.reserve(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    entries.push_back(CrackerEntry{static_cast<RowId>(i), values[i]});
-  }
-  return entries;
-}
-
 std::vector<Value> RandomValues(size_t n, uint64_t seed, Value domain) {
   Rng rng(seed);
   std::vector<Value> v(n);
@@ -63,10 +54,10 @@ std::vector<std::pair<Value, RowId>> RegionPairs(const CrackerArray& a,
 /// ParallelCrackTwo must return the sequential kernel's split position,
 /// satisfy the normalized crack contract, and preserve the per-partition
 /// (value, rowID) multisets of the sequential crack.
-void CheckCrackTwo(const std::vector<Value>& values, ArrayLayout layout,
-                   Value pivot, ThreadPool* pool, size_t chunks) {
-  CrackerArray seq(MakeEntries(values), layout);
-  CrackerArray par(MakeEntries(values), layout);
+void CheckCrackTwo(const std::vector<Value>& values, Value pivot,
+                   ThreadPool* pool, size_t chunks) {
+  CrackerArray seq(Column("v", values));
+  CrackerArray par(Column("v", values));
   const Position n = static_cast<Position>(values.size());
 
   const Position want = seq.CrackTwo(0, n, pivot);
@@ -88,17 +79,11 @@ TEST(ParallelCrackTwoTest, MatchesSequentialKernelAcrossShapes) {
   // land on every alignment the merge has to repair.
   const size_t sizes[] = {0,    1,    2,     100,   4095,
                           4096, 4097, 16384, 16385, 50000};
-  const ArrayLayout layouts[] = {ArrayLayout::kPairOfArrays,
-                                 ArrayLayout::kRowIdValuePairs};
-  for (ArrayLayout layout : layouts) {
-    for (size_t n : sizes) {
-      SCOPED_TRACE("n=" + std::to_string(n));
-      const auto values =
-          RandomValues(n, 11 * n + 7, static_cast<Value>(n + 1));
-      for (size_t chunks : {size_t{2}, size_t{4}, size_t{7}}) {
-        CheckCrackTwo(values, layout, static_cast<Value>(n / 2), &pool,
-                      chunks);
-      }
+  for (size_t n : sizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto values = RandomValues(n, 11 * n + 7, static_cast<Value>(n + 1));
+    for (size_t chunks : {size_t{2}, size_t{4}, size_t{7}}) {
+      CheckCrackTwo(values, static_cast<Value>(n / 2), &pool, chunks);
     }
   }
 }
@@ -111,27 +96,25 @@ TEST(ParallelCrackTwoTest, HostileDistributions) {
   std::vector<Value> dups(n);
   Rng rng(5);
   for (size_t i = 0; i < n; ++i) dups[i] = rng.UniformRange(0, 8);
-  CheckCrackTwo(dups, ArrayLayout::kPairOfArrays, 4, &pool, 4);
+  CheckCrackTwo(dups, 4, &pool, 4);
 
   // All-equal: the split is 0 or n depending on the pivot side.
   std::vector<Value> equal(n, 42);
-  CheckCrackTwo(equal, ArrayLayout::kPairOfArrays, 42, &pool, 4);
-  CheckCrackTwo(equal, ArrayLayout::kPairOfArrays, 43, &pool, 4);
+  CheckCrackTwo(equal, 42, &pool, 4);
+  CheckCrackTwo(equal, 43, &pool, 4);
 
   // Sorted and reverse-sorted: every misplaced element is concentrated in
   // one run per chunk — the merge's worst and best cases.
   std::vector<Value> sorted(n);
   for (size_t i = 0; i < n; ++i) sorted[i] = static_cast<Value>(i);
-  CheckCrackTwo(sorted, ArrayLayout::kRowIdValuePairs,
-                static_cast<Value>(n / 3), &pool, 4);
+  CheckCrackTwo(sorted, static_cast<Value>(n / 3), &pool, 4);
   std::vector<Value> reversed(sorted.rbegin(), sorted.rend());
-  CheckCrackTwo(reversed, ArrayLayout::kRowIdValuePairs,
-                static_cast<Value>(n / 3), &pool, 4);
+  CheckCrackTwo(reversed, static_cast<Value>(n / 3), &pool, 4);
 }
 
 TEST(ParallelCrackTwoTest, NullPoolFallsBackToSequential) {
   const auto values = RandomValues(10000, 3, 10000);
-  CheckCrackTwo(values, ArrayLayout::kPairOfArrays, 5000, nullptr, 8);
+  CheckCrackTwo(values, 5000, nullptr, 8);
 }
 
 TEST(ParallelCrackThreeTest, MatchesSequentialKernel) {
@@ -143,8 +126,8 @@ TEST(ParallelCrackThreeTest, MatchesSequentialKernel) {
     const Value lo = static_cast<Value>(n / 4);
     const Value hi = static_cast<Value>(3 * n / 4);
 
-    CrackerArray seq(MakeEntries(values), ArrayLayout::kPairOfArrays);
-    CrackerArray par(MakeEntries(values), ArrayLayout::kPairOfArrays);
+    CrackerArray seq(Column("v", values));
+    CrackerArray par(Column("v", values));
     const auto want = seq.CrackThree(0, static_cast<Position>(n), lo, hi);
     ParallelCrackStats stats;
     const auto got = ParallelCrackThree(&par, 0, static_cast<Position>(n),

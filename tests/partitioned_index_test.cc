@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <memory>
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -270,6 +272,40 @@ TEST(PartitionedIndexTest, SharedPoolFanOutDoesNotDeadlock) {
               oracle.Sum(batch[i].range.lo, batch[i].range.hi))
         << i;
   }
+}
+
+TEST(PartitionedIndexTest, LateFanOutHelpersOutliveTheIndex) {
+  // A multi-shard query enqueues helper tasks on the shared pool. With the
+  // only worker busy, the submitter runs every fragment itself and
+  // returns; the queued helpers run after the index below is destroyed and
+  // must not touch it (ASAN+UBSAN builds report the call into a destroyed
+  // index that this once was).
+  ThreadPool pool(1);
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool open = false;
+  pool.Submit([&] {
+    std::unique_lock<std::mutex> lk(gate_mu);
+    gate_cv.wait(lk, [&] { return open; });
+  });
+  Column column = Column::UniqueRandom("A", 4000, 21);
+  {
+    IndexConfig config = MethodConfig(IndexMethod::kCrack);
+    config.partitions = 4;
+    config.pool = &pool;
+    auto index = MakeIndex(&column, config);
+    ASSERT_NE(dynamic_cast<PartitionedIndex*>(index.get()), nullptr);
+    QueryContext ctx;
+    uint64_t count = 0;
+    ASSERT_TRUE(index->RangeCount(ValueRange{0, 4000}, &ctx, &count).ok());
+    EXPECT_EQ(count, 4000u);
+  }
+  {
+    std::lock_guard<std::mutex> lk(gate_mu);
+    open = true;
+  }
+  gate_cv.notify_all();
+  pool.WaitIdle();
 }
 
 /// Concurrent sessions, each confined to its own shard's value range: the

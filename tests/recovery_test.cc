@@ -332,6 +332,60 @@ TEST_F(RecoveryTest, CorruptNewestCheckpointFallsBackToPrevious) {
   EXPECT_EQ(count, 12u);
 }
 
+TEST_F(RecoveryTest, OutOfRangeAdaptedRowIdFallsBackToPrevious) {
+  Column seed = Column::UniqueRandom("A", 500, 23);
+  LockManager lm;
+  {
+    std::unique_ptr<DurableIndex> di;
+    ASSERT_TRUE(OpenDurable(dir_, seed, &lm, &di).ok());
+    QueryContext ctx;
+    ctx.txn_id = 1;
+    // Touch the cracker first so both images carry an adapted state.
+    uint64_t count = 0;
+    ASSERT_TRUE(
+        di->index()->RangeCount(ValueRange{100, 300}, &ctx, &count).ok());
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(di->index()->Insert(40000 + i, &ctx).ok());
+    }
+    ASSERT_TRUE(di->Checkpoint().ok());  // epoch 5
+    for (int i = 5; i < 12; ++i) {
+      ASSERT_TRUE(di->index()->Insert(40000 + i, &ctx).ok());
+    }
+    ASSERT_TRUE(di->Checkpoint().ok());  // epoch 12
+  }
+  auto checkpoints = ListCheckpoints(dir_);
+  ASSERT_EQ(checkpoints.size(), 2u);
+  // Re-encode the newest image with one rowID equal to the base count.
+  // WriteCheckpoint computes a fresh CRC, so only the structural check of
+  // the adapted image can refuse it.
+  {
+    CheckpointImage image;
+    ASSERT_TRUE(LoadCheckpoint(checkpoints[1].second, &image).ok());
+    ASSERT_EQ(image.epoch, 12u);
+    ASSERT_TRUE(image.has_adapted);
+    image.adapted.row_ids[image.adapted.row_ids.size() / 2] =
+        static_cast<RowId>(image.base_values.size());
+    ASSERT_TRUE(WriteCheckpoint(dir_, image).ok());
+  }
+  std::unique_ptr<DurableIndex> di;
+  ASSERT_TRUE(OpenDurable(dir_, seed, &lm, &di).ok());
+  const RecoveryStats& rs = di->recovery_stats();
+  EXPECT_TRUE(rs.checkpoint_loaded);
+  ASSERT_EQ(rs.invalid_checkpoints, 1u);
+  EXPECT_EQ(rs.checkpoint_epoch, 5u);  // the fallback image
+  EXPECT_TRUE(rs.adapted_restored);
+  EXPECT_EQ(di->index()->commit_epoch(), 12u);
+  QueryContext ctx;
+  uint64_t count = 0;
+  ASSERT_TRUE(
+      di->index()->RangeCount(ValueRange{40000, 40012}, &ctx, &count).ok());
+  EXPECT_EQ(count, 12u);
+  RangeOracle oracle(seed);
+  std::vector<RowId> ids;
+  ASSERT_TRUE(di->index()->RangeRowIds(ValueRange{0, 500}, &ctx, &ids).ok());
+  EXPECT_TRUE(oracle.CheckRowIds(0, 500, ids));
+}
+
 #if !defined(ADAPTIDX_TSAN)
 
 /// Child body of the kill suite: open the durable index, stream inserts,

@@ -20,13 +20,12 @@ namespace {
 /// The stochastic crack policies (DDC/DDR/MDD1R) against the exact oracle:
 /// whatever pivots a policy injects — and however MDD1R's materialized
 /// scans answer instead of exact cracks — query answers must be
-/// indistinguishable from plain cracking, on every layout and on degenerate
-/// data shapes, while the structural invariants keep holding.
+/// indistinguishable from plain cracking, on degenerate data shapes too,
+/// while the structural invariants keep holding.
 
 struct StochasticParam {
   const char* name;
   CrackPolicy policy;
-  ArrayLayout layout;
 };
 
 class StochasticDifferentialTest
@@ -35,7 +34,6 @@ class StochasticDifferentialTest
   CrackingOptions Options() const {
     CrackingOptions opts;
     opts.crack_policy = GetParam().policy;
-    opts.layout = GetParam().layout;
     opts.policy_min_piece = 512;  // fire at test scale
     opts.policy_seed = 99;
     return opts;
@@ -119,19 +117,9 @@ TEST_P(StochasticDifferentialTest, MatchesOracleOnAllEqualValues) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, StochasticDifferentialTest,
-    ::testing::Values(
-        StochasticParam{"ddc_pairs", CrackPolicy::kDDC,
-                        ArrayLayout::kRowIdValuePairs},
-        StochasticParam{"ddc_split", CrackPolicy::kDDC,
-                        ArrayLayout::kPairOfArrays},
-        StochasticParam{"ddr_pairs", CrackPolicy::kDDR,
-                        ArrayLayout::kRowIdValuePairs},
-        StochasticParam{"ddr_split", CrackPolicy::kDDR,
-                        ArrayLayout::kPairOfArrays},
-        StochasticParam{"mdd1r_pairs", CrackPolicy::kMDD1R,
-                        ArrayLayout::kRowIdValuePairs},
-        StochasticParam{"mdd1r_split", CrackPolicy::kMDD1R,
-                        ArrayLayout::kPairOfArrays}),
+    ::testing::Values(StochasticParam{"ddc_split", CrackPolicy::kDDC},
+                      StochasticParam{"ddr_split", CrackPolicy::kDDR},
+                      StochasticParam{"mdd1r_split", CrackPolicy::kMDD1R}),
     [](const ::testing::TestParamInfo<StochasticParam>& info) {
       return info.param.name;
     });
