@@ -41,12 +41,6 @@ void QueryTicket::Wait() const {
   state_->cv.wait(lk, [this] { return state_->done; });
 }
 
-bool QueryTicket::WaitFor(std::chrono::milliseconds timeout) const {
-  if (state_ == nullptr) return true;  // terminally failed == complete
-  std::unique_lock<std::mutex> lk(state_->mu);
-  return state_->cv.wait_for(lk, timeout, [this] { return state_->done; });
-}
-
 bool QueryTicket::done() const {
   if (state_ == nullptr) return true;
   std::lock_guard<std::mutex> lk(state_->mu);
@@ -162,10 +156,6 @@ bool Session::InSnapshotScope() const {
 
 size_t Session::queries_submitted() const {
   return submitted_.load(std::memory_order_relaxed);
-}
-
-size_t Session::in_flight() const {
-  return in_flight_.load(std::memory_order_acquire);
 }
 
 Status Session::ExecuteWithContext(const Query& query, QueryContext* ctx,

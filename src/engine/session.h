@@ -2,7 +2,6 @@
 #define ADAPTIDX_ENGINE_SESSION_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -66,15 +65,6 @@ class QueryTicket {
 
   /// \brief Blocks until the query has executed.
   void Wait() const;
-
-  /// \brief Timed wait: blocks until the query has executed or `timeout`
-  /// elapses, whichever comes first, and reports whether it completed.
-  /// The deadline-enforcement primitive of the network server: a false
-  /// return lets the caller answer TimedOut *without detaching* — the
-  /// ticket stays valid, the query keeps executing, and a later
-  /// `Wait()`/accessor observes the eventual (late) completion. Never-
-  /// submitted tickets are terminally failed and return true immediately.
-  bool WaitFor(std::chrono::milliseconds timeout) const;
 
   /// \brief Non-blocking completion probe.
   bool done() const;
@@ -249,9 +239,6 @@ class Session {
 
   /// \brief Queries submitted over the session's lifetime (async + sync).
   size_t queries_submitted() const;
-
-  /// \brief Async queries currently executing or queued.
-  size_t in_flight() const;
 
  private:
   friend class Database;

@@ -53,10 +53,11 @@ struct AdmissionOptions {
 /// the admission edge, before any thread-pool queue or latch wait absorbs
 /// it, which is what keeps tail latency of *admitted* requests bounded
 /// when offered load exceeds capacity. `Release` returns the slots when
-/// the response is handed back.
+/// the request is answered, times out, or its connection is gone when
+/// its late answer arrives.
 ///
-/// Thread-safety: fully synchronized; `TryAdmit` runs on the I/O loop
-/// thread while `Release` arrives from engine completion threads.
+/// Thread-safety: fully synchronized. The server calls `TryAdmit` and
+/// `Release` on its I/O loop thread; the gauges are read from any thread.
 class AdmissionController {
  public:
   /// \brief Clamps the caps to at least 1 and starts in kNormal.

@@ -85,6 +85,11 @@ void EventLoop::Run() {
   while (!stop_.load(std::memory_order_acquire)) {
     RunPosted();
     if (stop_.load(std::memory_order_acquire)) break;
+    int timeout_ms = 1000;
+    if (timer_) {
+      const int cap = timer_();
+      if (cap >= 0 && cap < timeout_ms) timeout_ms = cap;
+    }
 
     pfds.clear();
     pfds.push_back({wake_fds_[0], POLLIN, 0});
@@ -94,7 +99,7 @@ void EventLoop::Run() {
       pfds.push_back({fd, events, 0});
     }
 
-    const int n = ::poll(pfds.data(), pfds.size(), /*timeout ms=*/1000);
+    const int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // unrecoverable poll failure: exit rather than spin

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -66,6 +67,11 @@ class EventLoop {
   /// thread only; safe to call from inside `fd`'s own callback.
   void Unregister(int fd);
 
+  /// \brief Installs a hook run on the loop thread once per iteration,
+  /// after the posted closures and before `poll`; a non-negative return
+  /// value caps that poll's timeout in ms. Call before `Run`.
+  void SetTimer(std::function<int()> hook) { timer_ = std::move(hook); }
+
   /// \brief True when called on the thread currently inside `Run`.
   bool InLoopThread() const {
     return std::this_thread::get_id() == loop_tid_.load();
@@ -88,6 +94,7 @@ class EventLoop {
   std::vector<std::function<void()>> posted_;
 
   std::unordered_map<int, FdEntry> fds_;  // loop thread only
+  std::function<int()> timer_;            // loop thread only
 };
 
 }  // namespace server

@@ -1,13 +1,14 @@
 #include "server/server.h"
 
 #include <errno.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 #include <utility>
-#include <vector>
 
 #include "engine/session.h"
 
@@ -24,7 +25,7 @@ constexpr size_t kMaxReadPerEvent = 256 * 1024;
 }  // namespace
 
 /// Per-connection state machine; every field is confined to the I/O loop
-/// thread (completion threads reach a connection only via PostResponse).
+/// thread (engine tasks reach a connection only by posting to the loop).
 struct Server::Connection {
   uint64_t id = 0;
   int fd = -1;
@@ -39,7 +40,6 @@ struct Server::Connection {
 Server::Server(Column base, ServerOptions opts)
     : opts_(std::move(opts)), admission_(opts_.admission) {
   opts_.fairness_quantum = std::max<size_t>(1, opts_.fairness_quantum);
-  opts_.completion_threads = std::max<size_t>(1, opts_.completion_threads);
   if (opts_.durability.data_dir.empty()) {
     owned_index_.reset(new UpdatableIndex(std::move(base), opts_.index_config,
                                           &lock_manager_, "served/A"));
@@ -75,7 +75,6 @@ Status Server::Start() {
                                     ? opts_.engine_threads
                                     : ThreadPool::DefaultConcurrency(1);
   engine_pool_.reset(new ThreadPool(engine_threads));
-  completion_pool_.reset(new ThreadPool(opts_.completion_threads));
 
   // Registration happens before the loop thread exists, so the
   // loop-thread-only contract holds trivially.
@@ -83,6 +82,7 @@ Status Server::Start() {
                  [this](bool readable, bool) {
                    if (readable) OnAcceptReady();
                  });
+  loop_.SetTimer([this] { return ExpireDeadlines(); });
   io_thread_ = std::thread([this] { loop_.Run(); });
   return Status::OK();
 }
@@ -103,10 +103,8 @@ void Server::Stop() {
   });
   loop_.Stop();
   if (io_thread_.joinable()) io_thread_.join();
-  // Completion tasks drain first (they hold Session references and post
-  // now-discarded responses), then the engine pool joins once every
-  // session's in-flight work has been waited out by its destructor.
-  completion_pool_.reset();
+  // Queued engine tasks still run (their answers are posted to a stopped
+  // loop and discarded); the last of them releases its session.
   engine_pool_.reset();
 }
 
@@ -273,30 +271,18 @@ void Server::HandleQuery(const std::shared_ptr<Connection>& conn,
     SendBusy(conn, frame.request_id);
     return;
   }
-  QueryTicket ticket = conn->session->Submit(req.ToQuery());
-  const uint64_t conn_id = conn->id;
-  const uint64_t request_id = frame.request_id;
-  const int64_t deadline_ms = DeadlineMs();
-  completion_pool_->Submit([this, conn_id, request_id, ticket, deadline_ms] {
-    bool completed = true;
-    if (deadline_ms > 0) {
-      completed = ticket.WaitFor(std::chrono::milliseconds(deadline_ms));
-    } else {
-      ticket.Wait();
-    }
-    ResultMsg m;
-    if (!completed) {
-      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      m = ResultMsg::FromStatus(
-          Status::TimedOut("request deadline exceeded"));
-    } else if (!ticket.status().ok()) {
-      m = ResultMsg::FromStatus(ticket.status());
-    } else {
-      m = ResultMsg::FromResult(ticket.result());
-    }
-    PostResponse(conn_id, FrameType::kResult, request_id, m.Encode());
-    admission_.Release(conn_id);
-  });
+  const uint64_t seq = Track(conn->id, frame.request_id, 1, /*expires=*/true);
+  engine_pool_->Submit(
+      [this, seq, session = conn->session, query = req.ToQuery()] {
+        QueryResult result;
+        const Status s = session->Execute(query, &result);
+        std::string payload = (s.ok() ? ResultMsg::FromResult(result)
+                                      : ResultMsg::FromStatus(s))
+                                  .Encode();
+        loop_.Post([this, seq, payload = std::move(payload)] {
+          Finish(seq, payload);
+        });
+      });
 }
 
 void Server::HandleBatch(const std::shared_ptr<Connection>& conn,
@@ -323,43 +309,28 @@ void Server::HandleBatch(const std::shared_ptr<Connection>& conn,
     SendBusy(conn, frame.request_id);
     return;
   }
-  std::vector<Query> queries;
-  queries.reserve(n);
-  for (const auto& q : req.queries) queries.push_back(q.ToQuery());
-  std::vector<QueryTicket> tickets =
-      conn->session->SubmitBatch(std::move(queries));
-  const uint64_t conn_id = conn->id;
-  const uint64_t request_id = frame.request_id;
-  const int64_t deadline_ms = DeadlineMs();
-  completion_pool_->Submit([this, conn_id, request_id, tickets, deadline_ms] {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(deadline_ms);
-    BatchResultMsg batch;
-    batch.results.reserve(tickets.size());
-    for (const auto& ticket : tickets) {
-      bool completed = true;
-      if (deadline_ms > 0) {
-        const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - std::chrono::steady_clock::now());
-        completed = ticket.WaitFor(
-            remaining.count() > 0 ? remaining : std::chrono::milliseconds(0));
-      } else {
-        ticket.Wait();
-      }
-      if (!completed) {
-        deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-        batch.results.push_back(ResultMsg::FromStatus(
-            Status::TimedOut("batch deadline exceeded")));
-      } else if (!ticket.status().ok()) {
-        batch.results.push_back(ResultMsg::FromStatus(ticket.status()));
-      } else {
-        batch.results.push_back(ResultMsg::FromResult(ticket.result()));
-      }
-    }
-    PostResponse(conn_id, FrameType::kBatchResult, request_id, batch.Encode());
-    admission_.Release(conn_id, tickets.size());
-  });
+  const uint64_t seq = Track(conn->id, frame.request_id, n, /*expires=*/true);
+  Pending& p = pending_[seq];
+  p.batch.assign(n, ResultMsg::FromStatus(
+                        Status::TimedOut("batch deadline exceeded")));
+  p.batch_left = n;
+  for (size_t i = 0; i < n; ++i) {
+    engine_pool_->Submit([this, seq, i, session = conn->session,
+                          query = req.queries[i].ToQuery()] {
+      QueryResult result;
+      const Status s = session->Execute(query, &result);
+      ResultMsg m =
+          s.ok() ? ResultMsg::FromResult(result) : ResultMsg::FromStatus(s);
+      loop_.Post([this, seq, i, m = std::move(m)]() mutable {
+        auto it = pending_.find(seq);
+        if (it == pending_.end()) return;  // timed out: drop the answer
+        it->second.batch[i] = std::move(m);
+        if (--it->second.batch_left > 0) return;
+        Answer(it, FrameType::kBatchResult,
+               BatchResultMsg{std::move(it->second.batch)}.Encode());
+      });
+    });
+  }
 }
 
 void Server::HandleUpdate(const std::shared_ptr<Connection>& conn,
@@ -382,27 +353,21 @@ void Server::HandleUpdate(const std::shared_ptr<Connection>& conn,
     SendBusy(conn, frame.request_id);
     return;
   }
-  const uint64_t conn_id = conn->id;
-  const uint64_t request_id = frame.request_id;
-  std::shared_ptr<Session> session = conn->session;
-  completion_pool_->Submit(
-      [this, conn_id, request_id, session, is_insert, insert, del] {
-        ResultMsg m;
-        if (is_insert) {
-          RowId row_id = 0;
-          Status us = session->Insert(index_, insert.value, &row_id);
-          m = us.ok() ? ResultMsg() : ResultMsg::FromStatus(us);
-          if (us.ok()) {
-            m.kind = ResultMsg::kUpdateAck;
-            m.row_id = row_id;
-          }
-        } else {
-          Status us = session->Delete(index_, del.value, del.row_id);
-          m = us.ok() ? ResultMsg() : ResultMsg::FromStatus(us);
-          if (us.ok()) m.kind = ResultMsg::kUpdateAck;
+  const uint64_t seq = Track(conn->id, frame.request_id, 1, /*expires=*/false);
+  engine_pool_->Submit(
+      [this, seq, session = conn->session, is_insert, insert, del] {
+        RowId row_id = 0;
+        const Status us =
+            is_insert ? session->Insert(index_, insert.value, &row_id)
+                      : session->Delete(index_, del.value, del.row_id);
+        ResultMsg m = ResultMsg::FromStatus(us);
+        if (us.ok()) {
+          m.kind = ResultMsg::kUpdateAck;
+          m.row_id = row_id;
         }
-        PostResponse(conn_id, FrameType::kResult, request_id, m.Encode());
-        admission_.Release(conn_id);
+        loop_.Post([this, seq, payload = m.Encode()] {
+          Finish(seq, payload);
+        });
       });
 }
 
@@ -432,11 +397,22 @@ void Server::HandleStats(const std::shared_ptr<Connection>& conn,
       protocol_errors_.load(std::memory_order_relaxed));
   put("server.deadline_expired",
       deadline_expired_.load(std::memory_order_relaxed));
+  // Is anything stuck? The registry of unanswered requests, oldest first.
+  put("server.pending", pending_.size());
+  put("server.oldest_pending_us",
+      pending_.empty()
+          ? 0
+          : std::chrono::duration_cast<std::chrono::microseconds>(
+                Clock::now() - pending_.begin()->second.admitted)
+                .count());
   // This connection's session.
   if (conn->session != nullptr) {
     put("session.session_id", conn->session->session_id());
     put("session.queries_submitted", conn->session->queries_submitted());
-    put("session.in_flight", conn->session->in_flight());
+    put("session.in_flight",
+        std::count_if(pending_.begin(), pending_.end(), [&](const auto& e) {
+          return e.second.conn_id == conn->id;
+        }));
   }
   // Served index: differential-layer shape plus both LatchStats tiers —
   // the side-table latch of the updatable wrapper and the piece/column
@@ -504,21 +480,27 @@ void Server::HandleCheckpoint(const std::shared_ptr<Connection>& conn,
     return;
   }
   // Checkpointing walks the whole cracked state — far too slow for the
-  // I/O thread. A completion thread runs it; concurrent requests simply
-  // serialize inside DurableIndex.
-  const uint64_t conn_id = conn->id;
-  const uint64_t request_id = frame.request_id;
-  completion_pool_->Submit([this, conn_id, request_id] {
+  // I/O thread. An engine task runs it; concurrent requests simply
+  // serialize inside DurableIndex. Not admitted, so it holds no slot.
+  const uint64_t seq = Track(conn->id, frame.request_id, 0, /*expires=*/false);
+  engine_pool_->Submit([this, seq] {
     uint64_t epoch = 0;
-    Status s = durable_->Checkpoint(&epoch);
-    ResultMsg m;
-    if (!s.ok()) {
-      m = ResultMsg::FromStatus(s);
-    } else {
+    const Status s = durable_->Checkpoint(&epoch);
+#if defined(__GLIBC__)
+    // The image and its encoding, a few times the column's size, were
+    // freed into this worker's malloc arena. Return their pages now: left
+    // resident, they stay charged to the process until whichever thread
+    // later inherits the arena happens to trim it.
+    ::malloc_trim(0);
+#endif
+    ResultMsg m = ResultMsg::FromStatus(s);
+    if (s.ok()) {
       m.kind = ResultMsg::kCheckpointAck;
       m.count = epoch;  // the captured epoch rides the count field
     }
-    PostResponse(conn_id, FrameType::kResult, request_id, m.Encode());
+    loop_.Post([this, seq, payload = m.Encode()] {
+      Finish(seq, payload);
+    });
   });
 }
 
@@ -584,23 +566,67 @@ void Server::CloseConnection(uint64_t conn_id) {
   conn->fd = -1;
   conns_.erase(it);
   connections_.fetch_sub(1, std::memory_order_relaxed);
-  if (conn->session != nullptr) {
-    // Session close drains in-flight queries — that wait belongs on a
-    // completion thread, never on the I/O loop.
-    std::shared_ptr<Session> session = std::move(conn->session);
-    completion_pool_->Submit([session]() mutable { session.reset(); });
-  }
+  // Dropping the session never waits: wire sessions never Submit, and each
+  // queued engine task holds its own reference. Unanswered requests stay
+  // registered until they complete or expire.
 }
 
-void Server::PostResponse(uint64_t conn_id, FrameType type,
-                          uint64_t request_id, std::string payload) {
-  loop_.Post([this, conn_id, type, request_id,
-              payload = std::move(payload)] {
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;  // connection gone: drop the response
-    if (it->second->closing) return;
-    SendFrame(it->second, type, request_id, payload);
-  });
+// ------------------------------------------------- unanswered-request registry
+
+uint64_t Server::Track(uint64_t conn_id, uint64_t request_id, size_t slots,
+                       bool expires) {
+  const uint64_t seq = next_seq_++;
+  pending_.emplace_hint(
+      pending_.end(), seq,
+      Pending{conn_id, request_id, slots, Clock::now(), expires, {}, 0});
+  return seq;
+}
+
+void Server::Finish(uint64_t seq, const std::string& payload) {
+  auto it = pending_.find(seq);
+  if (it != pending_.end()) Answer(it, FrameType::kResult, payload);
+}
+
+Server::PendingIt Server::Answer(PendingIt it, FrameType type,
+                                 const std::string& payload) {
+  const Pending& p = it->second;
+  auto conn = conns_.find(p.conn_id);
+  if (conn != conns_.end() && !conn->second->closing) {
+    SendFrame(conn->second, type, p.request_id, payload);
+  }
+  admission_.Release(p.conn_id, p.slots);
+  return pending_.erase(it);
+}
+
+int Server::ExpireDeadlines() {
+  if (opts_.request_deadline_ms <= 0) return -1;
+  const auto now = Clock::now();
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    Pending& p = it->second;
+    if (!p.expires) {  // writes and CHECKPOINT never time out
+      ++it;
+      continue;
+    }
+    // One offset for every read: the first unexpired one expires next.
+    const auto deadline =
+        p.admitted + std::chrono::milliseconds(opts_.request_deadline_ms);
+    if (deadline > now) {
+      return static_cast<int>(
+          std::chrono::ceil<std::chrono::milliseconds>(deadline - now)
+              .count());
+    }
+    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+    if (p.batch.empty()) {
+      it = Answer(it, FrameType::kResult,
+                  ResultMsg::FromStatus(
+                      Status::TimedOut("request deadline exceeded"))
+                      .Encode());
+    } else {  // the finished queries keep their answers
+      it = Answer(it, FrameType::kBatchResult,
+                  BatchResultMsg{std::move(p.batch)}.Encode());
+    }
+  }
+  return -1;
 }
 
 }  // namespace server

@@ -2,11 +2,14 @@
 #define ADAPTIDX_SERVER_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "core/index_factory.h"
 #include "core/updatable_index.h"
@@ -35,14 +38,12 @@ struct ServerOptions {
   /// context reserved for the I/O loop thread
   /// (`ThreadPool::DefaultConcurrency(1)`).
   size_t engine_threads = 0;
-  /// Completion threads that block in `QueryTicket::WaitFor` and hand
-  /// encoded responses back to the I/O loop — out-of-order completion by
-  /// request id comes from here. Minimum 1.
-  size_t completion_threads = 3;
-  /// Per-request deadline: a request not complete this many ms after
-  /// admission is answered TimedOut (the ticket is not detached; the
-  /// engine-side execution still finishes and is drained on session
-  /// close). 0 disables deadlines.
+  /// Deadline of QUERY and BATCH: a read not answered this many ms after
+  /// admission is answered TimedOut by the I/O loop (a BATCH keeps the
+  /// answers of its finished queries) and its admission released; the
+  /// engine still finishes it and the late answer is dropped. Writes and
+  /// CHECKPOINT never time out: a write may still commit. 0 disables
+  /// deadlines.
   int64_t request_deadline_ms = 30000;
   /// Round-robin fairness quantum: at most this many buffered frames are
   /// dispatched per connection per loop pass before the connection yields
@@ -68,20 +69,22 @@ struct ServerOptions {
 /// Architecture: a single poll-reactor I/O thread (`EventLoop`) owns every
 /// socket and all per-connection state. Frames map onto the engine's
 /// session API — OPEN_SESSION opens a `Session` (one per connection,
-/// carrying client identity and the snapshot-reads flag), QUERY/BATCH
-/// become `Session::Submit`/`SubmitBatch`, INSERT/DELETE become
-/// session-transactional updates against the served `UpdatableIndex`.
-/// Admitted tickets are awaited on a small completion pool
-/// (`QueryTicket::WaitFor` enforcing the per-request deadline), so
-/// responses complete *out of order* by request id — a long scan never
-/// head-of-line-blocks a point query pipelined behind it.
+/// carrying client identity and the snapshot-reads flag). Each QUERY,
+/// each query of a BATCH, INSERT/DELETE and CHECKPOINT is one engine-pool
+/// task that runs the session's synchronous path, encodes its answer on
+/// the worker and posts it to the loop, so responses complete *out of
+/// order* by request id — a long scan never head-of-line-blocks a point
+/// query pipelined behind it. The loop keeps a registry of unanswered
+/// requests, answers reads past `request_deadline_ms` TimedOut, and
+/// drops their late completions.
 ///
 /// Overload: every request passes `AdmissionController::TryAdmit` first;
 /// refusals are answered SERVER_BUSY immediately (load-shed at the edge,
 /// before engine queues or latch waits absorb the excess), and the STATS
 /// frame serializes the shed counters, the three-state overload gauge,
-/// per-session counters, and the served index's `LatchStats` — the whole
-/// concurrency stack observable over the wire.
+/// the registry's size and oldest age, per-session counters, and the
+/// served index's `LatchStats` — the whole concurrency stack observable
+/// over the wire.
 ///
 /// Thread-safety: `Start`/`Stop` and the observability accessors may be
 /// called from any thread; everything socket-facing is confined to the
@@ -134,6 +137,20 @@ class Server {
 
  private:
   struct Connection;
+  using Clock = std::chrono::steady_clock;
+
+  /// One admitted request (or CHECKPOINT) not answered yet. Keyed by
+  /// admission sequence, so the first expiring entry expires next.
+  struct Pending {
+    uint64_t conn_id = 0;
+    uint64_t request_id = 0;
+    size_t slots = 0;       ///< admission units; a BATCH holds one per query
+    Clock::time_point admitted;
+    bool expires = false;   ///< reads only
+    std::vector<ResultMsg> batch;  ///< BATCH answers, TimedOut until filled
+    size_t batch_left = 0;         ///< BATCH queries still running
+  };
+  using PendingIt = std::map<uint64_t, Pending>::iterator;
 
   // ---- loop-thread handlers --------------------------------------------
   void OnAcceptReady();
@@ -161,11 +178,15 @@ class Server {
                      const Status& error);
   void CloseConnection(uint64_t conn_id);
 
-  // Thread-safe: encode on any thread, then post bytes to the loop.
-  void PostResponse(uint64_t conn_id, FrameType type, uint64_t request_id,
-                    std::string payload);
-
-  int64_t DeadlineMs() const { return opts_.request_deadline_ms; }
+  // ---- the registry of unanswered requests (loop thread) ---------------
+  uint64_t Track(uint64_t conn_id, uint64_t request_id, size_t slots,
+                 bool expires);
+  // Answers `seq` with a RESULT unless the sweep already answered it.
+  void Finish(uint64_t seq, const std::string& payload);
+  PendingIt Answer(PendingIt it, FrameType type, const std::string& payload);
+  // The loop's timer hook: answers expired reads TimedOut and returns the
+  // ms until the next deadline (-1: none).
+  int ExpireDeadlines();
 
   ServerOptions opts_;
   LockManager lock_manager_;
@@ -178,7 +199,6 @@ class Server {
   std::unique_ptr<UpdatableIndex> owned_index_;
   UpdatableIndex* index_ = nullptr;
   std::unique_ptr<ThreadPool> engine_pool_;
-  std::unique_ptr<ThreadPool> completion_pool_;
   AdmissionController admission_;
 
   EventLoop loop_;
@@ -193,6 +213,8 @@ class Server {
   // never hit a recycled descriptor).
   std::unordered_map<uint64_t, std::shared_ptr<Connection>> conns_;
   uint64_t next_conn_id_ = 1;
+  std::map<uint64_t, Pending> pending_;  // loop thread only
+  uint64_t next_seq_ = 0;
 
   std::atomic<size_t> connections_{0};
   std::atomic<uint64_t> frames_received_{0};

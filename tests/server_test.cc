@@ -1,8 +1,11 @@
 #include "server/server.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -27,6 +30,20 @@ Client ConnectTo(const Server& server) {
   Client client;
   EXPECT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
   return client;
+}
+
+/// Writes one QUERY frame without waiting for its answer; returns its id.
+uint64_t SendQuery(Client* client, const QueryReq& q) {
+  const uint64_t id = client->NextRequestId();
+  const std::string frame = EncodeFrame(FrameType::kQuery, id, q.Encode());
+  EXPECT_TRUE(client->SendRaw(frame.data(), frame.size()).ok());
+  return id;
+}
+
+uint64_t StatOf(const StatsMsg& stats, const char* key) {
+  uint64_t v = 0;
+  EXPECT_TRUE(stats.Find(key, &v)) << key;
+  return v;
 }
 
 // ------------------------------------------------------------ basic traffic
@@ -192,7 +209,6 @@ TEST(ServerOverloadTest, ShedsWithServerBusyInsteadOfQueueGrowth) {
   // engine.
   ServerOptions opts;
   opts.engine_threads = 1;
-  opts.completion_threads = 2;
   opts.admission.global_inflight = 1;
   opts.admission.per_connection_inflight = 1;
   auto server = StartServer(Column::UniqueRandom("A", 1000000, 76), opts);
@@ -255,8 +271,11 @@ TEST(ServerOverloadTest, ShedsWithServerBusyInsteadOfQueueGrowth) {
 /// delete traffic. Base-range queries are checked against the immutable
 /// base oracle; every client's updates live in a private value range
 /// checked against its own local bookkeeping — so every single response is
-/// verified without cross-client coordination.
-TEST(ServerE2eTest, ConcurrentMixedTrafficMatchesOracle) {
+/// verified without cross-client coordination. The parameter is the
+/// engine pool size: one worker serializes every hand-off.
+class ServerE2eTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ServerE2eTest, ConcurrentMixedTrafficMatchesOracle) {
   const size_t kRows = 20000;
   const int kClients = 8;
   const int kOpsPerClient = 150;
@@ -266,7 +285,7 @@ TEST(ServerE2eTest, ConcurrentMixedTrafficMatchesOracle) {
   Column base = Column::UniqueRandom("A", kRows, 77);
   RangeOracle oracle(base);
   ServerOptions opts;
-  opts.engine_threads = 4;
+  opts.engine_threads = GetParam();
   auto server = StartServer(std::move(base), opts);
 
   std::atomic<int> failures{0};
@@ -403,6 +422,134 @@ TEST(ServerE2eTest, ConcurrentMixedTrafficMatchesOracle) {
   server->Stop();
 }
 
+INSTANTIATE_TEST_SUITE_P(EngineThreads, ServerE2eTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
+
+// ----------------------------------------------------------------- deadlines
+
+TEST(ServerDeadlineTest, ReadsTimeOutWritesDoNotAndLateAnswersAreDropped) {
+  // One engine worker, a 1 ms deadline and a cold 4M-row column: the first
+  // crack holds the worker far past the deadline, so the QUERY and the
+  // BATCH queued behind it expire on the loop.
+  ServerOptions opts;
+  opts.engine_threads = 1;
+  opts.request_deadline_ms = 1;
+  auto server = StartServer(Column::UniqueRandom("A", 4000000, 80), opts);
+  Client client = ConnectTo(*server);
+  ASSERT_TRUE(client.OpenSession().ok());
+
+  uint64_t count = 0;
+  Status s = client.Count(1000, 2000, &count);
+  EXPECT_TRUE(s.IsTimedOut()) << s.ToString();
+  std::vector<QueryReq> batch;
+  for (Value i = 1; i <= 8; ++i) {
+    batch.push_back({QueryKind::kCount, i * 400000, i * 400000 + 500});
+  }
+  std::vector<ResultMsg> results;
+  ASSERT_TRUE(client.Batch(batch, &results).ok());
+  ASSERT_EQ(results.size(), 8u);
+  for (const ResultMsg& r : results) EXPECT_TRUE(r.ToStatus().IsTimedOut());
+
+  // Queued behind all nine: a write has no deadline, so it is acked once
+  // the worker reaches it. The late answers were dropped on the loop: a
+  // stray frame would fail the client's request-id check here or below.
+  RowId row_id = 0;
+  ASSERT_TRUE(client.Insert(1500, &row_id).ok());
+  ASSERT_TRUE(client.Count(1000, 2000, &count).ok());
+  EXPECT_EQ(count, 1001u);
+
+  StatsMsg stats;
+  ASSERT_TRUE(client.Stats(&stats).ok());
+  EXPECT_EQ(StatOf(stats, "server.deadline_expired"), 2u);
+  EXPECT_EQ(StatOf(stats, "admission.global_in_flight"), 0u);
+  server->Stop();
+}
+
+// -------------------------------------------------------------------- stats
+
+TEST(ServerStatsTest, PendingGaugesShowACrackInProgress) {
+  // A cold 16M-row crack occupies the only engine worker, deadlines off:
+  // the loop still answers STATS, which sees the unanswered QUERY.
+  ServerOptions opts;
+  opts.engine_threads = 1;
+  opts.request_deadline_ms = 0;
+  auto server = StartServer(Column::UniqueRandom("A", 16000000, 81), opts);
+  Client client = ConnectTo(*server);
+  ASSERT_TRUE(client.OpenSession().ok());
+
+  const uint64_t query_id =
+      SendQuery(&client, {QueryKind::kCount, 1000, 2000});
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  StatsMsg stats;
+  ASSERT_TRUE(client.Stats(&stats).ok());
+  EXPECT_EQ(StatOf(stats, "server.pending"), 1u);
+  EXPECT_GE(StatOf(stats, "server.oldest_pending_us"), 5000u);
+  EXPECT_EQ(StatOf(stats, "session.in_flight"), 1u);
+
+  Frame f;
+  ASSERT_TRUE(client.ReadFrame(&f).ok());
+  EXPECT_EQ(f.request_id, query_id);
+  ResultMsg m;
+  ASSERT_TRUE(m.Decode(f.payload).ok());
+  EXPECT_EQ(m.count, 1000u);
+  ASSERT_TRUE(client.Stats(&stats).ok());
+  EXPECT_EQ(StatOf(stats, "server.pending"), 0u);
+  EXPECT_EQ(StatOf(stats, "server.oldest_pending_us"), 0u);
+  EXPECT_EQ(StatOf(stats, "session.in_flight"), 0u);
+  server->Stop();
+}
+
+// ---------------------------------------------------------------- checkpoint
+
+TEST(ServerCheckpointTest, CheckpointIsAnsweredAndRecoveryStartsFromIt) {
+  namespace fs = std::filesystem;
+  const std::string dir =
+      (fs::temp_directory_path() /
+       ("adaptidx_server_ckpt_" + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(dir);
+  ServerOptions opts;
+  opts.durability.data_dir = dir;
+  uint64_t epoch = 0;
+  {
+    auto server = StartServer(Column::UniqueRandom("A", 1000, 83), opts);
+    Client client = ConnectTo(*server);
+    ASSERT_TRUE(client.OpenSession().ok());
+    RowId row_id = 0;
+    ASSERT_TRUE(client.Insert(5000, &row_id).ok());
+    ASSERT_TRUE(client.Checkpoint(&epoch).ok());
+    EXPECT_GE(epoch, 1u);
+    EXPECT_EQ(server->durable()->last_checkpoint_epoch(), epoch);
+    StatsMsg stats;
+    ASSERT_TRUE(client.Stats(&stats).ok());
+    EXPECT_EQ(StatOf(stats, "server.pending"), 0u);
+    server->Stop();
+  }
+  {
+    // The image covers the insert, so recovery replays nothing.
+    auto server = StartServer(Column("A"), opts);
+    const RecoveryStats& rs = server->durable()->recovery_stats();
+    EXPECT_TRUE(rs.checkpoint_loaded);
+    EXPECT_EQ(rs.checkpoint_epoch, epoch);
+    EXPECT_EQ(rs.records_replayed, 0u);
+    Client client = ConnectTo(*server);
+    ASSERT_TRUE(client.OpenSession().ok());
+    uint64_t count = 0;
+    ASSERT_TRUE(client.Count(5000, 5001, &count).ok());
+    EXPECT_EQ(count, 1u);
+    server->Stop();
+  }
+  fs::remove_all(dir);
+}
+
+TEST(ServerCheckpointTest, CheckpointWithoutDurabilityIsNotSupported) {
+  auto server = StartServer(Column::UniqueRandom("A", 100, 84));
+  Client client = ConnectTo(*server);
+  ASSERT_TRUE(client.OpenSession().ok());
+  EXPECT_TRUE(client.Checkpoint().IsNotSupported());
+  server->Stop();
+}
+
 // ------------------------------------------------------------------ shutdown
 
 TEST(ServerShutdownTest, StopWithLiveConnectionsDrainsCleanly) {
@@ -419,6 +566,38 @@ TEST(ServerShutdownTest, StopWithLiveConnectionsDrainsCleanly) {
   Frame f;
   EXPECT_TRUE(client.ReadFrame(&f).IsNotFound());
   EXPECT_EQ(server->connections(), 0u);
+}
+
+TEST(ServerShutdownTest, DisconnectWithQueuedWorkLeavesNoResidue) {
+  ServerOptions opts;
+  opts.engine_threads = 1;
+  auto server = StartServer(Column::UniqueRandom("A", 4000000, 82), opts);
+  {
+    // A pipelined burst on a cold column, then a disconnect. The STATS
+    // answer proves every query of the burst was admitted first.
+    Client client = ConnectTo(*server);
+    ASSERT_TRUE(client.OpenSession().ok());
+    for (Value i = 0; i < 32; ++i) {
+      SendQuery(&client, {QueryKind::kCount, i * 100000, i * 100000 + 500});
+    }
+    StatsMsg stats;
+    ASSERT_TRUE(client.Stats(&stats).ok());
+    EXPECT_EQ(StatOf(stats, "admission.admitted_total"), 32u);
+  }
+  // The burst is still queued on the only worker; a second client is
+  // answered behind it.
+  Client second = ConnectTo(*server);
+  ASSERT_TRUE(second.OpenSession().ok());
+  uint64_t count = 0;
+  ASSERT_TRUE(second.Count(0, 500, &count).ok());
+  EXPECT_EQ(count, 500u);
+  // The dropped late answers released their admission slots.
+  for (int i = 0; i < 500 && server->admission().global_in_flight() != 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(server->admission().global_in_flight(), 0u);
+  server->Stop();
 }
 
 TEST(ServerShutdownTest, StopIsIdempotentAndDestructorSafe) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -405,18 +404,17 @@ TEST(SessionShimTest, SingleQuerySessionsReplaceOneShotCalls) {
   EXPECT_EQ(sum, (100 + 299) * 200 / 2);
 }
 
-// ------------------------------------------------------- timed ticket wait
+// ------------------------------------------------------- ticket completion
 //
-// QueryTicket::WaitFor is what lets the network server enforce per-request
-// deadlines without detaching the ticket: a timed-out waiter answers
-// TimedOut over the wire while the engine-side execution still completes
-// and remains readable from the very same ticket.
+// A ticket whose query cannot start yet is pending, and the very same
+// ticket — not a replacement — delivers the late result once a worker
+// runs it.
 
-TEST(SessionTicketTest, WaitForTimesOutWhileQueryIsStuck) {
+TEST(SessionTicketTest, TicketIsPendingWhileQueryIsStuck) {
   Column column = Column::UniqueRandom("A", 1000, 54);
   CrackingIndex index(&column);
   // One worker, deliberately wedged: the submitted query cannot start
-  // until the gate opens, so the timed wait must expire.
+  // until the gate opens.
   ThreadPool pool(1);
   std::mutex gate_mu;
   std::condition_variable gate_cv;
@@ -427,36 +425,31 @@ TEST(SessionTicketTest, WaitForTimesOutWhileQueryIsStuck) {
   });
   auto session = Session::OnIndex(&index, &pool);
   QueryTicket ticket = session->Submit(Query::Count("", "", 100, 300));
-  EXPECT_FALSE(ticket.WaitFor(std::chrono::milliseconds(20)));
   EXPECT_FALSE(ticket.done());
   {
     std::lock_guard<std::mutex> lk(gate_mu);
     gate_open = true;
   }
   gate_cv.notify_all();
-  // Late completion: the same ticket, not a replacement, delivers the
-  // result once the worker gets to run.
   ticket.Wait();
-  EXPECT_TRUE(ticket.WaitFor(std::chrono::milliseconds(0)));
+  EXPECT_TRUE(ticket.done());
   ASSERT_TRUE(ticket.status().ok());
   EXPECT_EQ(ticket.result().count, 200u);
   session.reset();
 }
 
-TEST(SessionTicketTest, WaitForOnTerminalTicketsIsImmediate) {
-  // A never-submitted ticket is terminally failed — "complete" for any
-  // timeout, including zero.
+TEST(SessionTicketTest, TerminalTicketsAreDone) {
+  // A never-submitted ticket is terminally failed, hence done.
   QueryTicket never;
-  EXPECT_TRUE(never.WaitFor(std::chrono::milliseconds(0)));
+  EXPECT_TRUE(never.done());
   EXPECT_TRUE(never.status().IsInvalidArgument());
-  // An already-completed ticket returns true without consuming the wait.
   Column column = Column::UniqueRandom("A", 100, 55);
   CrackingIndex index(&column);
   ThreadPool pool(1);
   auto session = Session::OnIndex(&index, &pool);
   QueryTicket done = session->Submit(Query::Count("", "", 0, 50));
   done.Wait();
-  EXPECT_TRUE(done.WaitFor(std::chrono::milliseconds(0)));
+  EXPECT_TRUE(done.done());
   session.reset();
 }
 
