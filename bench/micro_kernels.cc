@@ -6,7 +6,8 @@
 ///  - the scan fallback kernels (count / sum / positional sum),
 ///  - latch acquire/release cost (the per-operation ingredient of the
 ///    Figure 13 overhead),
-///  - AVL table-of-contents lookups.
+///  - piece-map value lookups (the table of contents a bound resolves
+///    through).
 ///
 /// Results are printed as a table and written to a machine-readable JSON
 /// file (default BENCH_kernels.json, override with AI_BENCH_JSON) so the
@@ -25,8 +26,8 @@
 #include <string>
 #include <vector>
 
-#include "cracking/avl_tree.h"
 #include "cracking/kernel_tiers.h"
+#include "cracking/piece_map.h"
 #include "cracking/reference_kernels.h"
 #include "cracking/span_kernels.h"
 #include "latch/wait_queue_latch.h"
@@ -220,10 +221,10 @@ void BenchCracksSplit(const SplitData& pristine, size_t n) {
 #endif
 }
 
-// ------------------------------------------------- latch / AVL micro
+// ------------------------------------------- latch / piece-map micro
 
-void BenchLatchAndAvl() {
-  std::printf("\n== latch / AVL micro ==\n");
+void BenchLatchAndPieceMap() {
+  std::printf("\n== latch / piece-map micro ==\n");
   constexpr int kIters = 2'000'000;
   {
     WaitQueueLatch latch;
@@ -246,26 +247,29 @@ void BenchLatchAndAvl() {
                 static_cast<double>(NowNanos() - t0) / kIters);
   }
   for (size_t cracks : {64u, 1024u, 16384u}) {
-    AvlTree tree;
+    // Random cracks in random order, as queries would place them; crack
+    // positions equal crack values (a permutation of [0, 2^26)).
+    constexpr Value kDomain = 1 << 26;
+    PieceMap map(kDomain, 0, kDomain, SchedulingPolicy::kFifo);
     Rng rng(21);
-    while (tree.size() < cracks) {
-      const Value v = rng.UniformRange(0, 1 << 26);
-      tree.Insert(v, static_cast<Position>(v));
+    while (map.num_pieces() <= cracks) {
+      const Value v = rng.UniformRange(1, kDomain);
+      const std::shared_ptr<Piece>& p = map.FindByValue(v);
+      if (v > p->lo_value) map.Split(p, static_cast<Position>(v), v);
     }
     Value probe = 1;
     volatile uint64_t sink = 0;
     constexpr int kLookups = 2'000'000;
     const int64_t t0 = NowNanos();
     for (int i = 0; i < kLookups; ++i) {
-      AvlTree::Entry e;
-      sink += tree.Floor(probe, &e) ? e.pos : 0;
+      sink += map.FindByValue(probe)->begin;
       probe = static_cast<Value>(
           (static_cast<uint64_t>(probe) * 2862933555777941757ULL +
            3037000493ULL) &
-          ((1 << 26) - 1));
+          (kDomain - 1));
     }
-    std::printf("  AVL floor lookup (%5zu cracks): %6.1f ns\n", cracks,
-                static_cast<double>(NowNanos() - t0) / kLookups);
+    std::printf("  piece-map value lookup (%5zu cracks): %6.1f ns\n",
+                cracks, static_cast<double>(NowNanos() - t0) / kLookups);
   }
 }
 
@@ -365,7 +369,7 @@ int main() {
     BenchCracksSplit(split, n);
   }
 
-  BenchLatchAndAvl();
+  BenchLatchAndPieceMap();
 
   const char* json_path = std::getenv("AI_BENCH_JSON");
   WriteJson(json_path != nullptr && *json_path != '\0' ? json_path

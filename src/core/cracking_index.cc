@@ -65,16 +65,6 @@ class MaybeUniqueLock {
   std::shared_mutex* mu_;
 };
 
-/// Value-bound snapshot of a piece captured at revalidation time; see the
-/// publication-safety argument in CrackPieceLocked.
-struct PieceSnapshot {
-  Position begin = 0;
-  Position end = 0;
-  Value lo_value = 0;
-  Value hi_value = 0;
-  bool sorted = false;
-};
-
 // Each aggregator offers the latched bulk entry points (Positional /
 // Filtered), their latch-free optimistic twins (*Opt, routed through the
 // uninstrumented kernels of optimistic_kernels.h), and a one-deep
@@ -290,32 +280,17 @@ void CrackingIndex::EnsureInitialized(QueryContext* ctx) {
   if (array_->size() > 0) {
     array_->MinMax(0, array_->size(), &lo, &hi);
   }
-  domain_lo_ = lo;
-  domain_hi_ = hi + 1;
-  pieces_ = std::make_unique<PieceMap>(array_->size(), domain_lo_, domain_hi_,
+  pieces_ = std::make_unique<PieceMap>(array_->size(), lo, hi + 1,
                                        opts_.scheduling);
   initialized_.store(true, std::memory_order_release);
 }
 
-std::shared_ptr<Piece> CrackingIndex::PieceForValueLocked(Value v) const {
-  AvlTree::Entry e;
-  const Position begin = avl_.Floor(v, &e) ? e.pos : 0;
-  auto piece = pieces_->FindByBegin(begin);
-  if (piece == nullptr) piece = pieces_->FindByPosition(begin);
-  return piece;
-}
-
 void CrackingIndex::PublishCrackLocked(Value v, Position pos) {
-  if (!avl_.Insert(v, pos)) return;  // crack already known; positions final
-  const size_t n = array_->size();
-  if (n == 0) return;
-  if (pos >= n) {
-    auto last = pieces_->FindByPosition(n - 1);
-    pieces_->Split(last, last->end, v);
-    return;
-  }
-  auto piece = pieces_->FindByPosition(pos);
-  pieces_->Split(piece, pos, v);
+  // A crack at the array end lowers the last piece's hi_value; anywhere
+  // else it splits, or tightens the bounds at, the piece holding `pos`.
+  // A crack the tiling already records changes nothing.
+  if (array_->size() == 0) return;
+  pieces_->Split(pieces_->FindByPosition(pos), pos, v);
 }
 
 bool CrackingIndex::UserLockConflict(QueryContext* ctx) const {
@@ -331,15 +306,11 @@ CrackingIndex::CrackOutcome CrackingIndex::CrackPieceLocked(
   // writer (column/none mode): begin/end are stable. Value bounds are read
   // under the structure latch; neighbor cracks can only tighten them toward
   // the actual content afterwards, so the snapshot below is conservative.
-  PieceSnapshot snap;
+  PieceBounds snap;
   {
     MaybeSharedLock sl(&structure_mu_,
                        opts_.mode != ConcurrencyMode::kNone);
-    snap.begin = piece->begin;
-    snap.end = piece->end;
-    snap.lo_value = piece->lo_value;
-    snap.hi_value = piece->hi_value;
-    snap.sorted = piece->sorted;
+    snap = piece->bounds();
   }
 
   // Open the seqlock odd window before the first data movement. The
@@ -477,56 +448,43 @@ CrackingIndex::BoundResult CrackingIndex::ResolveBound(Value v,
                                                        QueryContext* ctx,
                                                        Attempt attempt,
                                                        bool refine_allowed) {
-  const size_t n = array_->size();
   const bool latched_mode = opts_.mode != ConcurrencyMode::kNone;
   LatchAcquireContext lat = ctx->LatchCtx(&latch_stats_);
+  auto exact_at = [](Position pos) {
+    BoundResult r;
+    r.exact = true;
+    r.pos = pos;
+    return r;
+  };
 
   for (;;) {
     std::shared_ptr<Piece> piece;
     size_t piece_size = 0;
     {
       MaybeSharedLock sl(&structure_mu_, latched_mode);
-      if (v <= domain_lo_) {
-        BoundResult r;
-        r.exact = true;
-        r.pos = 0;
-        return r;
-      }
-      if (v >= domain_hi_) {
-        BoundResult r;
-        r.exact = true;
-        r.pos = n;
-        return r;
-      }
-      Position p;
-      if (avl_.Find(v, &p)) {
-        BoundResult r;
-        r.exact = true;
-        r.pos = p;
-        return r;
-      }
-      piece = PieceForValueLocked(v);
-      if (piece->sorted) {
+      // One value lookup answers every bound the tiling already knows:
+      // values before the piece are < lo_value, values after it are >= the
+      // next piece's lo_value > v (piece_map.h, FindByValue).
+      const std::shared_ptr<Piece>& p = pieces_->FindByValue(v);
+      if (v <= p->lo_value) return exact_at(p->begin);
+      if (v >= p->hi_value) return exact_at(p->end);
+      if (p->sorted) {
         // Sorted-piece fast path: binary search answers the bound exactly
         // with no write latch and no publication. Safe under the shared
         // structure latch alone: `sorted` is set exclusively, after the
         // final data movement, so an observed flag means the data is
-        // frozen. Globally correct: every position before piece->begin
-        // holds a value < lo_value <= v's floor crack, every position at or
-        // past end holds one >= hi_value > all piece values.
-        BoundResult r;
-        r.exact = true;
-        r.pos = array_->LowerBoundInSorted(piece->begin, piece->end, v);
-        return r;
+        // frozen.
+        return exact_at(array_->LowerBoundInSorted(p->begin, p->end, v));
       }
-      piece_size = piece->end - piece->begin;
       if (!refine_allowed) {
         ctx->stats.refinement_skipped = true;
         BoundResult r;
-        r.scan_begin = piece->begin;
-        r.scan_end = piece->end;
+        r.scan_begin = p->begin;
+        r.scan_end = p->end;
         return r;
       }
+      piece = p;  // a copy: the piece outlives the shared section
+      piece_size = piece->size();
     }
 
     const RefinementDirective directive = policy_.OnCrack(piece_size);
@@ -557,29 +515,15 @@ CrackingIndex::BoundResult CrackingIndex::ResolveBound(Value v,
       // Revalidate after acquisition (Figure 10): while we waited, earlier
       // queries may have cracked this piece; the crack we want may now
       // exist, or our bound may have moved to a successor piece.
-      bool have_exact = false;
-      Position exact_pos = 0;
-      bool still_ours = true;
+      bool still_ours;
       {
         MaybeSharedLock sl(&structure_mu_, latched_mode);
-        Position p;
-        if (avl_.Find(v, &p)) {
-          have_exact = true;
-          exact_pos = p;
-        } else if (PieceForValueLocked(v).get() != piece.get()) {
-          still_ours = false;
-        }
-      }
-      if (have_exact) {
-        piece->latch.WriteUnlock();
-        BoundResult r;
-        r.exact = true;
-        r.pos = exact_pos;
-        return r;
+        still_ours = pieces_->FindByValue(v).get() == piece.get() &&
+                     v > piece->lo_value && v < piece->hi_value;
       }
       if (!still_ours) {
         piece->latch.WriteUnlock();
-        continue;  // walk to the piece now containing v and retry
+        continue;  // resolve again: exact now, or in a successor piece
       }
       const CrackOutcome oc = CrackPieceLocked(piece, v, directive, ctx);
       piece->latch.WriteUnlock();
@@ -609,21 +553,21 @@ bool CrackingIndex::TryCrackInThree(const ValueRange& range, QueryContext* ctx,
   const bool latched_mode = opts_.mode != ConcurrencyMode::kNone;
   LatchAcquireContext lat = ctx->LatchCtx(&latch_stats_);
 
+  // Both bounds need a crack of the same piece exactly when both lie
+  // strictly inside its value interval; the lookup of range.lo finds it.
+  // Sorted pieces take the per-bound path: its fast path answers both
+  // bounds by binary search without latching or publishing.
+  auto holds_both = [&range](const Piece& p) {
+    return p.lo_value < range.lo && range.hi < p.hi_value && !p.sorted;
+  };
   std::shared_ptr<Piece> piece;
   size_t piece_size = 0;
   {
     MaybeSharedLock sl(&structure_mu_, latched_mode);
-    if (range.lo <= domain_lo_ || range.hi >= domain_hi_) return false;
-    Position p;
-    if (avl_.Find(range.lo, &p) || avl_.Find(range.hi, &p)) return false;
-    auto pl = PieceForValueLocked(range.lo);
-    auto ph = PieceForValueLocked(range.hi);
-    if (pl.get() != ph.get()) return false;
-    // Sorted pieces take the per-bound path: its fast path answers both
-    // bounds by binary search without latching or publishing.
-    if (pl->sorted) return false;
-    piece = pl;
-    piece_size = piece->end - piece->begin;
+    const std::shared_ptr<Piece>& p = pieces_->FindByValue(range.lo);
+    if (!holds_both(*p)) return false;
+    piece = p;
+    piece_size = piece->size();
   }
   const RefinementDirective directive = policy_.OnCrack(piece_size);
   if (directive.try_only || directive.sort_piece) {
@@ -634,27 +578,17 @@ bool CrackingIndex::TryCrackInThree(const ValueRange& range, QueryContext* ctx,
     piece->latch.WriteLock(range.lo, lat);
   }
 
-  PieceSnapshot snap;
-  bool valid = true;
+  PieceBounds snap;
+  bool valid;
   {
     MaybeSharedLock sl(&structure_mu_, latched_mode);
-    Position p;
-    if (avl_.Find(range.lo, &p) || avl_.Find(range.hi, &p) ||
-        PieceForValueLocked(range.lo).get() != piece.get() ||
-        PieceForValueLocked(range.hi).get() != piece.get() ||
-        piece->sorted) {
-      // `piece->sorted` covers the race where the piece was sorted while we
-      // waited for its write latch: cracks must not target sorted pieces
-      // (a coarse piece would be split below the floor); the per-bound
-      // sorted fast path answers instead.
-      valid = false;
-    } else {
-      snap.begin = piece->begin;
-      snap.end = piece->end;
-      snap.lo_value = piece->lo_value;
-      snap.hi_value = piece->hi_value;
-      snap.sorted = piece->sorted;
-    }
+    // The sorted test in holds_both covers the race where the piece was
+    // sorted while we waited for its write latch: cracks must not target
+    // sorted pieces (a coarse piece would be split below the floor); the
+    // per-bound sorted fast path answers instead.
+    valid = pieces_->FindByValue(range.lo).get() == piece.get() &&
+            holds_both(*piece);
+    if (valid) snap = piece->bounds();
   }
   if (!valid) {
     if (PieceLatchedMode()) piece->latch.WriteUnlock();
@@ -1072,9 +1006,8 @@ size_t CrackingIndex::NumPieces() const {
 }
 
 size_t CrackingIndex::NumCracks() const {
-  if (!initialized_.load(std::memory_order_acquire)) return 0;
-  std::shared_lock<std::shared_mutex> sl(structure_mu_);
-  return avl_.size();
+  const size_t pieces = NumPieces();
+  return pieces == 0 ? 0 : pieces - 1;
 }
 
 std::vector<size_t> CrackingIndex::PieceSizes() const {
@@ -1088,10 +1021,10 @@ std::vector<size_t> CrackingIndex::PieceSizes() const {
 bool CrackingIndex::ValidateStructure() const {
   if (!initialized_.load(std::memory_order_acquire)) return true;
   std::shared_lock<std::shared_mutex> sl(structure_mu_);
-  if (!avl_.Validate()) return false;
   if (!pieces_->Validate()) return false;
-  // Every crack position must delimit correctly: elements before < value,
-  // elements at/after >= value. Verified via piece content bounds.
+  // With the tiling's bounds ascending, values within their piece's bounds
+  // are exactly what makes every crack delimit correctly: elements before
+  // it < its value, elements at/after >= its value.
   bool ok = true;
   pieces_->ForEach([&](const Piece& p) {
     Value prev = p.lo_value;
@@ -1104,19 +1037,7 @@ bool CrackingIndex::ValidateStructure() const {
       }
     }
   });
-  if (!ok) return false;
-  // AVL entries must agree with piece boundaries.
-  std::vector<AvlTree::Entry> cracks;
-  avl_.InOrder(&cracks);
-  for (const auto& c : cracks) {
-    for (Position i = 0; i < c.pos; ++i) {
-      if (array_->ValueAt(i) >= c.value) return false;
-    }
-    for (Position i = c.pos; i < array_->size(); ++i) {
-      if (array_->ValueAt(i) < c.value) return false;
-    }
-  }
-  return true;
+  return ok;
 }
 
 Status CrackingIndex::ExportAdaptedState(AdaptedState* out) const {
@@ -1164,12 +1085,7 @@ Status CrackingIndex::ExportAdaptedState(AdaptedState* out) const {
     // captured end — which is the begin of the next piece at capture time
     // and, begins being immutable, forever after (a later split of that
     // successor only adds more begins to its right).
-    AdaptedPiece ap;
-    ap.begin = piece->begin;
-    ap.end = piece_end;
-    ap.lo_value = piece->lo_value;
-    ap.hi_value = piece->hi_value;
-    ap.sorted = piece->sorted;
+    const AdaptedPiece ap = piece->bounds();
     const Value* values = array_->ValuesSpan();
     const RowId* row_ids = array_->RowIdsSpan();
     out->values.insert(out->values.end(), values + pos, values + piece_end);
@@ -1195,11 +1111,31 @@ Status CrackingIndex::ValidateAdaptedState(const AdaptedState& state,
     }
   }
   Position expect = 0;
+  const AdaptedPiece* prev = nullptr;
   for (const auto& p : state.pieces) {
     if (p.begin != expect || p.end <= p.begin || p.end > n) {
       return Status::InvalidArgument("adapted image tiling is broken");
     }
+    // Restore answers bounds from these bounds alone (piece_map.h), so
+    // they must ascend and hold every value of their piece.
+    if (p.lo_value >= p.hi_value ||
+        (prev != nullptr && p.lo_value < prev->hi_value)) {
+      return Status::InvalidArgument(
+          "adapted image piece bounds are not ascending");
+    }
+    for (Position i = p.begin; i < p.end; ++i) {
+      const Value v = state.values[i];
+      if (v < p.lo_value || v >= p.hi_value) {
+        return Status::InvalidArgument(
+            "adapted image value outside its piece bounds");
+      }
+      if (p.sorted && i > p.begin && v < state.values[i - 1]) {
+        return Status::InvalidArgument(
+            "adapted image piece flagged sorted is not sorted");
+      }
+    }
     expect = p.end;
+    prev = &p;
   }
   if (expect != n) {
     return Status::InvalidArgument("adapted image tiling is incomplete");
@@ -1219,40 +1155,9 @@ Status CrackingIndex::RestoreAdaptedState(AdaptedState state) {
   array_ = std::make_unique<CrackerArray>(std::move(state.values),
                                           std::move(state.row_ids),
                                           opts_.kernel_tier);
-  // Same column, same values: MinMax reproduces the original domain.
-  Value lo = 0;
-  Value hi = 0;
-  if (n > 0) array_->MinMax(0, n, &lo, &hi);
-  domain_lo_ = lo;
-  domain_hi_ = hi + 1;
-  pieces_ = std::make_unique<PieceMap>(n, domain_lo_, domain_hi_,
-                                       opts_.scheduling);
-  // Re-publish each interior boundary as a crack: begins strictly ascend
-  // and each piece's lo_value is the pivot that originally cut it, so the
-  // splits replay left to right against the always-rightmost piece.
-  for (size_t i = 1; i < state.pieces.size(); ++i) {
-    PublishCrackLocked(state.pieces[i].lo_value, state.pieces[i].begin);
-  }
-  // Overwrite bounds and sorted flags with the captured ones: edge pieces
-  // may carry tighter bounds than the splits imply (a crack at position 0
-  // or n raises/lowers a bound without adding a piece).
-  for (const auto& p : state.pieces) {
-    auto piece = pieces_->FindByBegin(p.begin);
-    if (piece == nullptr ||
-        piece->end.load(std::memory_order_relaxed) != p.end) {
-      return Status::InvalidArgument("adapted image replay diverged");
-    }
-    piece->lo_value = p.lo_value;
-    piece->hi_value = p.hi_value;
-    piece->sorted = p.sorted;
-  }
-  // Boundary cracks that moved an edge piece's bound live in the AVL
-  // table of contents without a piece split; re-create them so future
-  // bound resolutions keep finding them.
-  const auto& first = state.pieces.front();
-  const auto& last = state.pieces.back();
-  if (first.lo_value > domain_lo_) avl_.Insert(first.lo_value, 0);
-  if (last.hi_value < domain_hi_) avl_.Insert(last.hi_value, n);
+  // The captured bounds are the table of contents: every crack the image
+  // knows is a piece boundary or an edge piece's tightened bound.
+  pieces_ = std::make_unique<PieceMap>(state.pieces, opts_.scheduling);
   initialized_.store(true, std::memory_order_release);
   return Status::OK();
 }

@@ -11,7 +11,6 @@
 
 #include "core/adaptive_index.h"
 #include "core/strategies.h"
-#include "cracking/avl_tree.h"
 #include "cracking/crack_policy.h"
 #include "cracking/cracker_array.h"
 #include "cracking/piece_map.h"
@@ -144,15 +143,18 @@ struct CrackingOptions {
 /// Structure:
 ///  - a CrackerArray (auxiliary copy of the column, lazily created by the
 ///    first query),
-///  - an AvlTree mapping crack values to positions (table of contents),
-///  - a PieceMap carrying one WaitQueueLatch per piece.
+///  - a PieceMap, the one table of contents: the pieces between cracks in
+///    value order, each carrying its value bounds and a WaitQueueLatch.
 ///
-/// The AVL tree and the piece map change together under `structure_mu_`
-/// (shared for lookups, exclusive for crack publication); array
-/// reorganization happens under piece write latches (or the column latch).
-/// Latch ordering: piece latches are never requested while holding
-/// `structure_mu_`, and multi-piece acquisitions proceed in ascending
-/// position order, so the latch graph is acyclic.
+/// A bound resolves with one value lookup in the piece map: at or below its
+/// piece's lo_value it is the piece's begin, at or above its hi_value the
+/// piece's end, inside a sorted piece a binary search, and otherwise a
+/// crack of that piece. The piece map changes under `structure_mu_` (shared
+/// for lookups, exclusive for crack publication); array reorganization
+/// happens under piece write latches (or the column latch). Latch ordering:
+/// piece latches are never requested while holding `structure_mu_`, and
+/// multi-piece acquisitions proceed in ascending position order, so the
+/// latch graph is acyclic.
 class CrackingIndex : public AdaptiveIndex {
  public:
   explicit CrackingIndex(const Column* column, CrackingOptions opts = {});
@@ -161,7 +163,8 @@ class CrackingIndex : public AdaptiveIndex {
 
   size_t NumPieces() const override;
 
-  /// \brief Number of cracks currently in the table of contents.
+  /// \brief Number of cracks between pieces: NumPieces() - 1 once
+  /// initialized, else 0.
   size_t NumCracks() const;
 
   /// \brief True once the first query has materialized the cracker array.
@@ -174,7 +177,7 @@ class CrackingIndex : public AdaptiveIndex {
   /// \brief Piece sizes in position order (diagnostics/benchmarks).
   std::vector<size_t> PieceSizes() const;
 
-  /// \brief Exhaustively checks structural invariants: AVL validity, piece
+  /// \brief Exhaustively checks structural invariants: the piece map's
   /// tiling, and that every piece's values lie within its bounds (sorted
   /// pieces actually sorted). Requires a quiesced index; O(n).
   bool ValidateStructure() const;
@@ -183,13 +186,7 @@ class CrackingIndex : public AdaptiveIndex {
 
   /// \brief One piece of a captured tiling: its positional extent, value
   /// bounds, and whether it was known sorted.
-  struct AdaptedPiece {
-    Position begin = 0;
-    Position end = 0;
-    Value lo_value = 0;
-    Value hi_value = 0;
-    bool sorted = false;
-  };
+  using AdaptedPiece = PieceBounds;
 
   /// \brief A consistent image of the cracked state: the reorganized
   /// array contents plus the piece tiling over them. Empty `pieces` means
@@ -220,12 +217,16 @@ class CrackingIndex : public AdaptiveIndex {
   Status RestoreAdaptedState(AdaptedState state);
 
   /// \brief Structural check of an image against a base column of
-  /// `base_count` rows: both vectors hold exactly `base_count` entries,
-  /// every rowID is below `base_count`, and the pieces tile
-  /// [0, base_count). The checkpoint decoder and RestoreAdaptedState share
-  /// it, so an image whose rowIDs would later index past the base columns
-  /// is refused before it is trusted. InvalidArgument on the first
-  /// violation.
+  /// `base_count` rows, in one O(n) pass: both vectors hold exactly
+  /// `base_count` entries, every rowID is below `base_count`, the pieces
+  /// tile [0, base_count) with ascending value bounds (`lo_value <
+  /// hi_value`, each `lo_value` at or above the previous `hi_value`),
+  /// every value lies in its piece's [lo_value, hi_value), and every piece
+  /// flagged sorted is sorted. The checkpoint decoder and
+  /// RestoreAdaptedState share it, so an image whose rowIDs would later
+  /// index past the base columns, or whose bounds would answer a bound at
+  /// the wrong position, is refused before it is trusted. InvalidArgument
+  /// on the first violation.
   static Status ValidateAdaptedState(const AdaptedState& state,
                                      size_t base_count);
 
@@ -256,11 +257,8 @@ class CrackingIndex : public AdaptiveIndex {
   /// Lazily builds the cracker array, value domain, and piece map.
   void EnsureInitialized(QueryContext* ctx);
 
-  /// Piece whose value interval contains `v`. structure_mu_ held (shared).
-  std::shared_ptr<Piece> PieceForValueLocked(Value v) const;
-
-  /// Inserts a crack into the AVL tree and splits the piece map.
-  /// structure_mu_ held exclusively.
+  /// Records a crack on `v` at `pos` in the piece map. structure_mu_ held
+  /// exclusively.
   void PublishCrackLocked(Value v, Position pos);
 
   /// Resolves `v` to a position, cracking as a side effect; the full
@@ -377,10 +375,7 @@ class CrackingIndex : public AdaptiveIndex {
   mutable std::shared_mutex structure_mu_;
   std::atomic<bool> initialized_{false};
   std::unique_ptr<CrackerArray> array_;
-  AvlTree avl_;
   std::unique_ptr<PieceMap> pieces_;
-  Value domain_lo_ = 0;  ///< min value in the column
-  Value domain_hi_ = 0;  ///< max value + 1
 
   /// Mutable: ExportAdaptedState (const — a read) latches it under
   /// kColumnLatch, like the mutable structure latch above.

@@ -2,82 +2,93 @@
 
 namespace adaptidx {
 
+using piece_map_internal::FloorSlot;
+
+void PieceTiling::Chunk::Insert(size_t at, std::shared_ptr<Piece> p) {
+  const auto off = static_cast<std::ptrdiff_t>(at);
+  lo_values.insert(lo_values.begin() + off, p->lo_value);
+  begins.insert(begins.begin() + off, p->begin);
+  pieces.insert(pieces.begin() + off, std::move(p));
+}
+
 PieceMap::PieceMap(size_t array_size, Value domain_lo, Value domain_hi,
                    SchedulingPolicy policy)
-    : array_size_(array_size), policy_(policy) {
-  auto first = std::make_shared<Piece>(0, array_size, domain_lo, domain_hi,
-                                      policy);
-  by_begin_.emplace(0, first);
-  auto chunk = std::make_shared<PieceMapSnapshot::Chunk>();
-  chunk->begins.push_back(0);
-  chunk->pieces.push_back(std::move(first));
-  auto snap = std::make_shared<PieceMapSnapshot>();
-  snap->firsts.push_back(0);
-  snap->chunks.push_back(std::move(chunk));
-  snapshot_ = std::move(snap);
-}
+    : PieceMap({PieceBounds{0, array_size, domain_lo, domain_hi, false}},
+               policy) {}
 
-void PieceMap::PublishSplit(const std::shared_ptr<Piece>& right) {
-  using Chunk = PieceMapSnapshot::Chunk;
-  const std::shared_ptr<const PieceMapSnapshot> old = AcquireSnapshot();
-  auto snap = std::make_shared<PieceMapSnapshot>(*old);
-  // `right` was cut off the tail of a piece, so it lands in the chunk
-  // holding that piece and never becomes a chunk's first entry.
-  const size_t ci = static_cast<size_t>(
-      std::upper_bound(snap->firsts.begin(), snap->firsts.end(),
-                       right->begin) -
-      snap->firsts.begin() - 1);
-  auto chunk = std::make_shared<Chunk>(*snap->chunks[ci]);
-  const auto at = static_cast<std::ptrdiff_t>(
-      std::upper_bound(chunk->begins.begin(), chunk->begins.end(),
-                       right->begin) -
-      chunk->begins.begin());
-  chunk->begins.insert(chunk->begins.begin() + at, right->begin);
-  chunk->pieces.insert(chunk->pieces.begin() + at, right);
-  if (chunk->begins.size() > PieceMapSnapshot::kChunkMax) {
-    const auto half = static_cast<std::ptrdiff_t>(chunk->begins.size() / 2);
-    auto upper = std::make_shared<Chunk>();
-    upper->begins.assign(chunk->begins.begin() + half, chunk->begins.end());
-    upper->pieces.assign(chunk->pieces.begin() + half, chunk->pieces.end());
-    chunk->begins.resize(static_cast<size_t>(half));
-    chunk->pieces.resize(static_cast<size_t>(half));
-    const auto next = static_cast<std::ptrdiff_t>(ci) + 1;
-    snap->firsts.insert(snap->firsts.begin() + next, upper->begins.front());
-    snap->chunks.insert(snap->chunks.begin() + next, std::move(upper));
+PieceMap::PieceMap(const std::vector<PieceBounds>& tiling,
+                   SchedulingPolicy policy)
+    : array_size_(tiling.back().end), policy_(policy) {
+  // Chunks start half full, the size a chunk split leaves behind, so the
+  // first cracks after a rebuild do not split every chunk they touch.
+  constexpr size_t kFill = PieceTiling::kChunkMax / 2;
+  auto t = std::make_shared<PieceTiling>();
+  std::shared_ptr<Chunk> chunk;
+  for (const PieceBounds& b : tiling) {
+    if (chunk == nullptr || chunk->pieces.size() == kFill) {
+      chunk = std::make_shared<Chunk>();
+      t->first_begins.push_back(b.begin);
+      t->first_los.push_back(b.lo_value);
+      t->chunks.push_back(chunk);
+    }
+    chunk->Insert(chunk->pieces.size(), std::make_shared<Piece>(b, policy));
   }
-  snap->chunks[ci] = std::move(chunk);
-  std::atomic_store(&snapshot_,
-                    std::shared_ptr<const PieceMapSnapshot>(std::move(snap)));
+  t->num_pieces = tiling.size();
+  tiling_ = std::move(t);
 }
 
-std::shared_ptr<Piece> PieceMap::FindByPosition(Position pos) const {
-  auto it = by_begin_.upper_bound(pos);
-  if (it == by_begin_.begin()) return nullptr;
-  --it;
-  return it->second;
+void PieceMap::Publish(size_t ci, std::shared_ptr<Chunk> chunk,
+                       size_t added) {
+  auto t = std::make_shared<PieceTiling>(*tiling_);
+  t->num_pieces += added;
+  if (chunk->pieces.size() > PieceTiling::kChunkMax) {
+    const size_t half = chunk->pieces.size() / 2;
+    const auto h = static_cast<std::ptrdiff_t>(half);
+    auto upper = std::make_shared<Chunk>();
+    upper->lo_values.assign(chunk->lo_values.begin() + h,
+                            chunk->lo_values.end());
+    upper->begins.assign(chunk->begins.begin() + h, chunk->begins.end());
+    upper->pieces.assign(chunk->pieces.begin() + h, chunk->pieces.end());
+    chunk->lo_values.resize(half);
+    chunk->begins.resize(half);
+    chunk->pieces.resize(half);
+    const auto next = static_cast<std::ptrdiff_t>(ci) + 1;
+    t->first_begins.insert(t->first_begins.begin() + next,
+                           upper->begins.front());
+    t->first_los.insert(t->first_los.begin() + next,
+                        upper->lo_values.front());
+    t->chunks.insert(t->chunks.begin() + next, std::move(upper));
+  }
+  t->first_begins[ci] = chunk->begins.front();
+  t->first_los[ci] = chunk->lo_values.front();
+  t->chunks[ci] = std::move(chunk);
+  std::atomic_store(&tiling_,
+                    std::shared_ptr<const PieceTiling>(std::move(t)));
+}
+
+void PieceMap::SetLoValue(Piece* piece, Value lo) {
+  piece->lo_value = lo;
+  const size_t ci = FloorSlot(tiling_->first_begins, piece->begin);
+  auto chunk = std::make_shared<Chunk>(*tiling_->chunks[ci]);
+  chunk->lo_values[FloorSlot(chunk->begins, piece->begin)] = lo;
+  Publish(ci, std::move(chunk), 0);
 }
 
 std::shared_ptr<Piece> PieceMap::FindByBegin(Position begin) const {
-  auto it = by_begin_.find(begin);
-  return it == by_begin_.end() ? nullptr : it->second;
+  const std::shared_ptr<Piece>& p = FindByPosition(begin);
+  return p->begin == begin ? p : nullptr;
 }
 
-std::shared_ptr<Piece> PieceMap::NextPiece(const Piece& p) const {
-  auto it = by_begin_.upper_bound(p.begin);
-  return it == by_begin_.end() ? nullptr : it->second;
-}
-
-std::shared_ptr<Piece> PieceMap::Split(const std::shared_ptr<Piece>& p,
+std::shared_ptr<Piece> PieceMap::Split(std::shared_ptr<Piece> p,
                                        Position split_pos, Value pivot) {
   if (split_pos == p->begin) {
     // Nothing below the pivot inside this piece; the crack coincides with
     // the piece's begin and the whole piece is the ">= pivot" side. The
     // predecessor's values are all < pivot, so its upper bound tightens too.
-    if (pivot > p->lo_value) p->lo_value = pivot;
-    auto it = by_begin_.find(p->begin);
-    if (it != by_begin_.begin()) {
-      Piece* prev = std::prev(it)->second.get();
-      if (pivot < prev->hi_value) prev->hi_value = pivot;
+    if (pivot > p->lo_value) SetLoValue(p.get(), pivot);
+    if (p->begin > 0) {
+      Piece& prev = *FindByPosition(p->begin - 1);
+      if (pivot < prev.hi_value) prev.hi_value = pivot;
     }
     return p;
   }
@@ -86,43 +97,61 @@ std::shared_ptr<Piece> PieceMap::Split(const std::shared_ptr<Piece>& p,
     // are all >= pivot, so its lower bound tightens too.
     if (pivot < p->hi_value) p->hi_value = pivot;
     if (split_pos >= array_size_) return nullptr;
-    auto it = by_begin_.find(split_pos);
-    if (it == by_begin_.end()) return nullptr;
-    if (pivot > it->second->lo_value) it->second->lo_value = pivot;
-    return it->second;
+    std::shared_ptr<Piece> next = FindByPosition(split_pos);
+    if (pivot > next->lo_value) SetLoValue(next.get(), pivot);
+    return next;
   }
-  auto right = std::make_shared<Piece>(split_pos, p->end, pivot, p->hi_value,
-                                       policy_);
-  right->sorted = p->sorted;
+  auto right = std::make_shared<Piece>(
+      PieceBounds{split_pos, p->end, pivot, p->hi_value, p->sorted}, policy_);
   p->end = split_pos;
   p->hi_value = pivot;
-  by_begin_.emplace(split_pos, right);
-  // Only the interior split changes the set of piece begins; the two
-  // boundary cases above merely tighten value bounds, which optimistic
-  // readers never take from the snapshot.
-  PublishSplit(right);
+  // `right` was cut off the tail of `p`, so it lands in p's chunk, right
+  // after p, and never becomes a chunk's first entry.
+  const size_t ci = FloorSlot(tiling_->first_begins, split_pos);
+  auto chunk = std::make_shared<Chunk>(*tiling_->chunks[ci]);
+  chunk->Insert(FloorSlot(chunk->begins, split_pos) + 1, right);
+  Publish(ci, std::move(chunk), 1);
   return right;
 }
 
 void PieceMap::ForEach(const std::function<void(const Piece&)>& fn) const {
-  for (const auto& [begin, piece] : by_begin_) fn(*piece);
+  for (const auto& chunk : tiling_->chunks) {
+    for (const auto& piece : chunk->pieces) fn(*piece);
+  }
 }
 
 bool PieceMap::Validate() const {
-  Position expected_begin = 0;
-  Value prev_hi = 0;
-  bool first = true;
-  for (const auto& [begin, piece] : by_begin_) {
-    if (begin != piece->begin) return false;
-    if (piece->begin != expected_begin) return false;
-    if (piece->end <= piece->begin) return false;
-    if (piece->lo_value >= piece->hi_value) return false;
-    if (!first && piece->lo_value < prev_hi) return false;
-    expected_begin = piece->end;
-    prev_hi = piece->hi_value;
-    first = false;
+  const PieceTiling& t = *tiling_;
+  const size_t num_chunks = t.chunks.size();
+  if (num_chunks == 0 || t.first_begins.size() != num_chunks ||
+      t.first_los.size() != num_chunks) {
+    return false;
   }
-  return expected_begin == array_size_;
+  Position expected_begin = 0;
+  const Piece* prev = nullptr;
+  size_t count = 0;
+  for (size_t ci = 0; ci < num_chunks; ++ci) {
+    const Chunk& c = *t.chunks[ci];
+    const size_t k = c.pieces.size();
+    if (k == 0 || k > PieceTiling::kChunkMax || c.begins.size() != k ||
+        c.lo_values.size() != k || t.first_begins[ci] != c.begins[0] ||
+        t.first_los[ci] != c.lo_values[0]) {
+      return false;
+    }
+    for (size_t i = 0; i < k; ++i) {
+      const Piece& p = *c.pieces[i];
+      if (c.begins[i] != p.begin || c.lo_values[i] != p.lo_value) {
+        return false;
+      }
+      if (p.begin != expected_begin || p.end <= p.begin) return false;
+      if (p.lo_value >= p.hi_value) return false;
+      if (prev != nullptr && p.lo_value < prev->hi_value) return false;
+      expected_begin = p.end;
+      prev = &p;
+      ++count;
+    }
+  }
+  return count == t.num_pieces && expected_begin == array_size_;
 }
 
 }  // namespace adaptidx

@@ -43,21 +43,18 @@ Position SidewaysIndex::ResolveBoundLocked(Value v, QueryContext* ctx) {
   const size_t n = entries_.size();
   if (v <= domain_lo_) return 0;
   if (v >= domain_hi_) return n;
-  Position pos;
-  {
-    std::shared_lock<std::shared_mutex> sl(structure_mu_);
-    if (avl_.Find(v, &pos)) return pos;
-  }
   // Narrow to the enclosing piece and crack it.
   Position begin = 0;
   Position end = n;
   {
     std::shared_lock<std::shared_mutex> sl(structure_mu_);
-    AvlTree::Entry e;
-    if (avl_.Floor(v, &e)) begin = e.pos;
-    if (avl_.Ceiling(v, &e)) end = e.pos;
+    auto it = cracks_.lower_bound(v);
+    if (it != cracks_.end() && it->first == v) return it->second;
+    if (it != cracks_.end()) end = it->second;
+    if (it != cracks_.begin()) begin = std::prev(it)->second;
   }
   Accessor acc(entries_.data());
+  Position pos;
   {
     ScopedTimer t(&ctx->stats.crack_ns);
     pos = CrackInTwo(acc, begin, end, v);
@@ -65,7 +62,7 @@ Position SidewaysIndex::ResolveBoundLocked(Value v, QueryContext* ctx) {
   }
   {
     std::unique_lock<std::shared_mutex> xl(structure_mu_);
-    avl_.Insert(v, pos);
+    cracks_.emplace(v, pos);
   }
   return pos;
 }
@@ -78,29 +75,18 @@ void SidewaysIndex::CrackSelect(const ValueRange& range, QueryContext* ctx,
   // Crack-in-three when both bounds land in the same uncracked piece.
   bool done = false;
   {
-    Position plo;
-    Position phi;
-    bool lo_known;
-    bool hi_known;
     Position begin = 0;
     Position end = entries_.size();
     {
       std::shared_lock<std::shared_mutex> sl(structure_mu_);
-      lo_known = avl_.Find(range.lo, &plo) || range.lo <= domain_lo_ ||
-                 range.lo >= domain_hi_;
-      hi_known = avl_.Find(range.hi, &phi) || range.hi <= domain_lo_ ||
-                 range.hi >= domain_hi_;
-      AvlTree::Entry e;
-      if (avl_.Floor(range.lo, &e)) begin = e.pos;
-      if (avl_.Ceiling(range.hi, &e)) end = std::min(end, e.pos);
-      AvlTree::Entry between;
-      const bool crack_between =
-          avl_.Ceiling(range.lo, &between) && between.value < range.hi;
-      if (!lo_known && !hi_known && !crack_between &&
-          range.lo > domain_lo_ && range.hi < domain_hi_) {
-        // Same piece: single pass.
-        done = true;
-      }
+      // Same uncracked piece: no crack in [range.lo, range.hi], and both
+      // bounds inside the value domain. The piece runs from the last crack
+      // below range.lo to the first crack above range.hi.
+      auto it = cracks_.lower_bound(range.lo);
+      if (it != cracks_.begin()) begin = std::prev(it)->second;
+      if (it != cracks_.end()) end = it->second;
+      done = (it == cracks_.end() || it->first > range.hi) &&
+             range.lo > domain_lo_ && range.hi < domain_hi_;
     }
     if (done) {
       Accessor acc(entries_.data());
@@ -113,8 +99,8 @@ void SidewaysIndex::CrackSelect(const ValueRange& range, QueryContext* ctx,
       }
       {
         std::unique_lock<std::shared_mutex> xl(structure_mu_);
-        avl_.Insert(range.lo, p1);
-        avl_.Insert(range.hi, p2);
+        cracks_.emplace(range.lo, p1);
+        cracks_.emplace(range.hi, p2);
       }
       *lo = p1;
       *hi = p2;
@@ -182,29 +168,38 @@ Status SidewaysIndex::RangeSumOther(const ValueRange& range,
 size_t SidewaysIndex::NumPieces() const {
   if (!initialized_.load(std::memory_order_acquire)) return 0;
   std::shared_lock<std::shared_mutex> sl(structure_mu_);
-  return avl_.size() + 1;
+  return cracks_.size() + 1;
 }
 
 size_t SidewaysIndex::NumCracks() const {
   if (!initialized_.load(std::memory_order_acquire)) return 0;
   std::shared_lock<std::shared_mutex> sl(structure_mu_);
-  return avl_.size();
+  return cracks_.size();
 }
 
 bool SidewaysIndex::ValidateStructure() const {
   if (!initialized_.load(std::memory_order_acquire)) return true;
   std::shared_lock<std::shared_mutex> sl(structure_mu_);
-  if (!avl_.Validate()) return false;
-  std::vector<AvlTree::Entry> cracks;
-  avl_.InOrder(&cracks);
-  for (const auto& c : cracks) {
-    for (Position i = 0; i < c.pos; ++i) {
-      if (entries_[i].a >= c.value) return false;
+  // Walk the pieces between consecutive cracks: positions must ascend with
+  // crack values, and each piece's values must lie between its two cracks.
+  Position begin = 0;
+  const Value* lo = nullptr;
+  auto piece_ok = [&](Position end, const Value* hi) {
+    if (end < begin) return false;
+    for (Position i = begin; i < end; ++i) {
+      if ((lo != nullptr && entries_[i].a < *lo) ||
+          (hi != nullptr && entries_[i].a >= *hi)) {
+        return false;
+      }
     }
-    for (Position i = c.pos; i < entries_.size(); ++i) {
-      if (entries_[i].a < c.value) return false;
-    }
+    return true;
+  };
+  for (const auto& [value, pos] : cracks_) {
+    if (!piece_ok(pos, &value)) return false;
+    begin = pos;
+    lo = &value;
   }
+  if (!piece_ok(entries_.size(), nullptr)) return false;
   // Pairing must survive reorganization: each entry's (a, b) must equal the
   // base columns at its row id.
   for (const MapEntry& e : entries_) {

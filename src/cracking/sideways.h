@@ -2,13 +2,13 @@
 #define ADAPTIDX_CRACKING_SIDEWAYS_H_
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "core/adaptive_index.h"
-#include "cracking/avl_tree.h"
 #include "latch/wait_queue_latch.h"
 #include "storage/column.h"
 
@@ -93,10 +93,12 @@ class SidewaysIndex : public AdaptiveIndex {
   const std::string name_;
 
   std::atomic<bool> initialized_{false};
-  mutable std::shared_mutex structure_mu_;  // guards avl_ + entries_ extent
+  mutable std::shared_mutex structure_mu_;  // guards cracks_
   mutable WaitQueueLatch latch_{SchedulingPolicy::kFifo};
   std::vector<MapEntry> entries_;
-  AvlTree avl_;
+  /// Table of contents: a crack on value v at position p means every entry
+  /// before p has a < v and every entry at or after p has a >= v.
+  std::map<Value, Position> cracks_;
   Value domain_lo_ = 0;
   Value domain_hi_ = 0;
 };

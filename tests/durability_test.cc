@@ -619,6 +619,47 @@ TEST_F(DurabilityTest, RestoreAdaptedStateRejectsOutOfRangeRowId) {
   EXPECT_TRUE(oracle.CheckRowIds(2000, 2600, ids));
 }
 
+// Restore answers bounds from the image's piece bounds alone, so an image
+// whose values break them must be refused: a value/rowID pair swapped
+// between the first and last piece would otherwise answer SUM [0, 300)
+// with the swapped-in large value.
+TEST_F(DurabilityTest, RestoreAdaptedStateRejectsValuesOutsideTheirBounds) {
+  Column col = Column::UniqueRandom("A", 1000, 9);
+  RangeOracle oracle(col);
+  CrackingIndex source(&col);
+  QueryContext ctx;
+  uint64_t count = 0;
+  ASSERT_TRUE(source.RangeCount(ValueRange{300, 600}, &ctx, &count).ok());
+  CrackingIndex::AdaptedState state;
+  ASSERT_TRUE(source.ExportAdaptedState(&state).ok());
+  ASSERT_EQ(state.pieces.size(), 3u);
+  ASSERT_FALSE(state.pieces[0].sorted);
+
+  std::vector<CrackingIndex::AdaptedState> bad(4, state);
+  const size_t last = col.size() - 1;
+  std::swap(bad[0].values[0], bad[0].values[last]);  // both pieces broken
+  std::swap(bad[0].row_ids[0], bad[0].row_ids[last]);
+  bad[1].pieces[1].lo_value = bad[1].pieces[0].hi_value - 1;  // overlap
+  bad[2].pieces[2].hi_value = bad[2].pieces[2].lo_value;      // empty range
+  bad[3].pieces[0].sorted = true;  // a cracked, unsorted piece
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    EXPECT_TRUE(CrackingIndex::ValidateAdaptedState(bad[i], col.size())
+                    .IsInvalidArgument());
+    CrackingIndex target(&col);
+    const Status s = target.RestoreAdaptedState(std::move(bad[i]));
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_FALSE(target.initialized());
+  }
+
+  CrackingIndex target(&col);
+  ASSERT_TRUE(target.RestoreAdaptedState(std::move(state)).ok());
+  int64_t sum = 0;
+  ASSERT_TRUE(target.RangeSum(ValueRange{0, 300}, &ctx, &sum).ok());
+  EXPECT_EQ(sum, oracle.Sum(0, 300));
+  EXPECT_TRUE(target.ValidateStructure());
+}
+
 TEST_F(DurabilityTest, ExportUnderConcurrentQueriesStaysConsistent) {
   // Queries keep cracking while exports run; every export must be a valid
   // tiling whose values are a permutation of the column.

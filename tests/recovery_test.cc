@@ -386,6 +386,70 @@ TEST_F(RecoveryTest, OutOfRangeAdaptedRowIdFallsBackToPrevious) {
   EXPECT_TRUE(oracle.CheckRowIds(0, 500, ids));
 }
 
+// Same fallback for an image whose values break their piece bounds: a
+// value/rowID pair swapped between the first and last piece, re-encoded
+// with a fresh CRC, would otherwise restore and answer the low ranges with
+// the swapped-in high value.
+TEST_F(RecoveryTest, AdaptedValueOutsideItsPieceFallsBackToPrevious) {
+  Column seed = Column::UniqueRandom("A", 500, 29);
+  LockManager lm;
+  {
+    std::unique_ptr<DurableIndex> di;
+    ASSERT_TRUE(OpenDurable(dir_, seed, &lm, &di).ok());
+    QueryContext ctx;
+    ctx.txn_id = 1;
+    uint64_t count = 0;
+    ASSERT_TRUE(
+        di->index()->RangeCount(ValueRange{100, 300}, &ctx, &count).ok());
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(di->index()->Insert(40000 + i, &ctx).ok());
+    }
+    ASSERT_TRUE(di->Checkpoint().ok());  // epoch 5
+    for (int i = 5; i < 12; ++i) {
+      ASSERT_TRUE(di->index()->Insert(40000 + i, &ctx).ok());
+    }
+    ASSERT_TRUE(di->Checkpoint().ok());  // epoch 12
+  }
+  auto checkpoints = ListCheckpoints(dir_);
+  ASSERT_EQ(checkpoints.size(), 2u);
+  {
+    CheckpointImage image;
+    ASSERT_TRUE(LoadCheckpoint(checkpoints[1].second, &image).ok());
+    ASSERT_EQ(image.epoch, 12u);
+    ASSERT_TRUE(image.has_adapted);
+    ASSERT_GE(image.adapted.pieces.size(), 2u);
+    auto& a = image.adapted;
+    std::swap(a.values.front(), a.values.back());
+    std::swap(a.row_ids.front(), a.row_ids.back());
+    ASSERT_TRUE(WriteCheckpoint(dir_, image).ok());
+  }
+  std::unique_ptr<DurableIndex> di;
+  ASSERT_TRUE(OpenDurable(dir_, seed, &lm, &di).ok());
+  const RecoveryStats& rs = di->recovery_stats();
+  EXPECT_TRUE(rs.checkpoint_loaded);
+  EXPECT_EQ(rs.invalid_checkpoints, 1u);
+  EXPECT_EQ(rs.checkpoint_epoch, 5u);  // the fallback image
+  EXPECT_TRUE(rs.adapted_restored);
+  EXPECT_EQ(di->index()->commit_epoch(), 12u);
+  RangeOracle oracle(seed);
+  QueryContext ctx;
+  for (const ValueRange& range : {ValueRange{0, 100}, ValueRange{100, 300},
+                                  ValueRange{300, 500}, ValueRange{0, 500}}) {
+    std::vector<RowId> ids;
+    ASSERT_TRUE(di->index()->RangeRowIds(range, &ctx, &ids).ok());
+    EXPECT_TRUE(oracle.CheckRowIds(range.lo, range.hi, ids))
+        << range.lo << ".." << range.hi;
+    int64_t sum = 0;
+    ASSERT_TRUE(di->index()->RangeSum(range, &ctx, &sum).ok());
+    EXPECT_EQ(sum, oracle.Sum(range.lo, range.hi))
+        << range.lo << ".." << range.hi;
+  }
+  uint64_t count = 0;
+  ASSERT_TRUE(
+      di->index()->RangeCount(ValueRange{40000, 40012}, &ctx, &count).ok());
+  EXPECT_EQ(count, 12u);
+}
+
 #if !defined(ADAPTIDX_TSAN)
 
 /// Child body of the kill suite: open the durable index, stream inserts,

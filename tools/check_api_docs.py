@@ -25,6 +25,7 @@ CHECKED_HEADERS = [
     "src/core/snapshot.h",
     "src/core/updatable_index.h",
     "src/cracking/crack_policy.h",
+    "src/cracking/piece_map.h",
     "src/server/server.h",
     "src/server/client.h",
     "src/durability/wal.h",
@@ -40,6 +41,7 @@ THREAD_SAFETY_CLASSES = {
     "QueryResult",
     "IndexConfig",
     "CrackDecision",
+    "PieceMap",
     "Snapshot",
     "SnapshotManager",
     "SnapshotScope",
