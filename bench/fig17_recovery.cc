@@ -4,9 +4,10 @@
 ///
 /// Part A — time to first query vs checkpoint age: a cracking index is
 /// trained with random range queries, checkpointed, then aged with
-/// `age` further WAL-logged inserts and reopened. Reported per age:
-/// recovery time (checkpoint load + WAL replay) and the first post-restart
-/// query latency, against the cold baseline (same column, no inherited
+/// `age` further WAL-logged inserts and reopened. Reported per age: the
+/// training checkpoint's time and image size, recovery time (checkpoint
+/// load + WAL replay) and the first post-restart query latency, against
+/// the cold baseline (same column, no inherited
 /// adaptation, first query pays the initial full-partition crack). The
 /// acceptance gate is the tentpole claim: with a fresh checkpoint the
 /// first recovered query runs measurably below cold re-adaptation,
@@ -54,17 +55,20 @@ IndexConfig CrackConfig() {
 }
 
 struct RecoveryPoint {
-  size_t age = 0;            ///< WAL records past the checkpoint
-  double open_ms = 0.0;      ///< DurableIndex::Open (load + replay)
+  size_t age = 0;              ///< WAL records past the checkpoint
+  double checkpoint_ms = 0.0;  ///< DurableIndex::Checkpoint after training
+  uint64_t image_bytes = 0;    ///< size of the image that checkpoint wrote
+  double open_ms = 0.0;        ///< DurableIndex::Open (load + replay)
   double first_query_ms = 0.0;
-  size_t pieces = 0;         ///< piece count right after recovery
+  size_t pieces = 0;           ///< piece count right after recovery
 };
 
 /// Trains `queries` random counts on a fresh durable index in `dir`,
-/// checkpoints, ages the log with `age` inserts, and closes cleanly except
-/// for the WAL suffix (which is exactly what recovery must replay).
+/// checkpoints (timed into `point`, with the image's size), ages the log
+/// with `point->age` inserts, and closes cleanly except for the WAL suffix
+/// (which is exactly what recovery must replay).
 void PrepareAgedDir(const std::string& dir, const Column& seed,
-                    size_t queries, size_t age) {
+                    size_t queries, RecoveryPoint* point) {
   LockManager lm;
   DurabilityOptions opts;
   opts.data_dir = dir;
@@ -85,20 +89,26 @@ void PrepareAgedDir(const std::string& dir, const Column& seed,
     uint64_t count = 0;
     di->index()->RangeCount(ValueRange{lo, lo + 997}, &ctx, &count);
   }
-  if (!di->Checkpoint().ok()) {
+  StopWatch checkpoint_watch;
+  const Status checkpointed = di->Checkpoint();
+  point->checkpoint_ms = checkpoint_watch.ElapsedMillis();
+  if (!checkpointed.ok()) {
     std::fprintf(stderr, "prep checkpoint failed\n");
     std::exit(1);
   }
-  for (size_t i = 0; i < age; ++i) {
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".ckpt") {
+      point->image_bytes += entry.file_size();
+    }
+  }
+  for (size_t i = 0; i < point->age; ++i) {
     di->index()->Insert(span + static_cast<Value>(i), &ctx);
   }
   di->wal_stats();  // keep the WAL alive until here
 }
 
-RecoveryPoint MeasureRecovery(const std::string& dir, const Column& seed,
-                              size_t age) {
-  RecoveryPoint point;
-  point.age = age;
+void MeasureRecovery(const std::string& dir, const Column& seed,
+                     RecoveryPoint* point) {
   LockManager lm;
   DurabilityOptions opts;
   opts.data_dir = dir;
@@ -106,19 +116,18 @@ RecoveryPoint MeasureRecovery(const std::string& dir, const Column& seed,
   std::unique_ptr<DurableIndex> di;
   StopWatch open_watch;
   Status s = DurableIndex::Open(seed, CrackConfig(), opts, &lm, "b", &di);
-  point.open_ms = open_watch.ElapsedMillis();
+  point->open_ms = open_watch.ElapsedMillis();
   if (!s.ok()) {
     std::fprintf(stderr, "recovery open failed: %s\n", s.ToString().c_str());
     std::exit(1);
   }
-  point.pieces = di->index()->NumPieces();
+  point->pieces = di->index()->NumPieces();
   QueryContext ctx;
   uint64_t count = 0;
   const Value mid = static_cast<Value>(seed.size() / 2);
   StopWatch query_watch;
   di->index()->RangeCount(ValueRange{mid, mid + 997}, &ctx, &count);
-  point.first_query_ms = query_watch.ElapsedMillis();
-  return point;
+  point->first_query_ms = query_watch.ElapsedMillis();
 }
 
 struct ThroughputPoint {
@@ -231,11 +240,16 @@ void Run() {
   for (size_t age : ages) {
     const std::string dir = root + "/age" + std::to_string(age);
     fs::create_directories(dir);
-    PrepareAgedDir(dir, seed, train_queries, age);
-    const RecoveryPoint point = MeasureRecovery(dir, seed, age);
+    RecoveryPoint point;
+    point.age = age;
+    PrepareAgedDir(dir, seed, train_queries, &point);
+    MeasureRecovery(dir, seed, &point);
     std::printf(
-        "age %6zu: open %.2f ms, first query %.4f ms, %zu pieces inherited\n",
-        point.age, point.open_ms, point.first_query_ms, point.pieces);
+        "age %6zu: checkpoint %.2f ms (%llu B), open %.2f ms, first query "
+        "%.4f ms, %zu pieces inherited\n",
+        point.age, point.checkpoint_ms,
+        static_cast<unsigned long long>(point.image_bytes), point.open_ms,
+        point.first_query_ms, point.pieces);
     recovery.push_back(point);
   }
   // Gate: with a fresh checkpoint (age 0) the inherited first query beats
@@ -309,9 +323,12 @@ void Run() {
                rows, train_queries, cold_first_query_ms);
   for (size_t i = 0; i < recovery.size(); ++i) {
     std::fprintf(f,
-                 "    {\"age\": %zu, \"open_ms\": %.3f, "
+                 "    {\"age\": %zu, \"checkpoint_ms\": %.3f, "
+                 "\"image_bytes\": %llu, \"open_ms\": %.3f, "
                  "\"first_query_ms\": %.4f, \"pieces\": %zu}%s\n",
-                 recovery[i].age, recovery[i].open_ms,
+                 recovery[i].age, recovery[i].checkpoint_ms,
+                 static_cast<unsigned long long>(recovery[i].image_bytes),
+                 recovery[i].open_ms,
                  recovery[i].first_query_ms, recovery[i].pieces,
                  i + 1 < recovery.size() ? "," : "");
   }

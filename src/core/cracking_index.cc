@@ -1105,10 +1105,19 @@ Status CrackingIndex::ValidateAdaptedState(const AdaptedState& state,
   if (state.values.size() != n || state.row_ids.size() != n) {
     return Status::InvalidArgument("adapted image size mismatch");
   }
+  // n distinct rowIDs below n are a permutation of the base rows: each
+  // base row appears exactly once, so no row is answered twice or lost.
+  std::vector<uint64_t> seen((n + 63) / 64, 0);
   for (RowId id : state.row_ids) {
     if (id >= n) {
       return Status::InvalidArgument("adapted image rowID out of range");
     }
+    uint64_t& word = seen[id >> 6];
+    const uint64_t bit = uint64_t{1} << (id & 63);
+    if ((word & bit) != 0) {
+      return Status::InvalidArgument("adapted image rowID repeats");
+    }
+    word |= bit;
   }
   Position expect = 0;
   const AdaptedPiece* prev = nullptr;

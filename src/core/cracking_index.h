@@ -218,15 +218,16 @@ class CrackingIndex : public AdaptiveIndex {
 
   /// \brief Structural check of an image against a base column of
   /// `base_count` rows, in one O(n) pass: both vectors hold exactly
-  /// `base_count` entries, every rowID is below `base_count`, the pieces
-  /// tile [0, base_count) with ascending value bounds (`lo_value <
+  /// `base_count` entries, the rowIDs are distinct and below `base_count`
+  /// (a permutation of the base rows, checked with an n-bit bitmap), the
+  /// pieces tile [0, base_count) with ascending value bounds (`lo_value <
   /// hi_value`, each `lo_value` at or above the previous `hi_value`),
   /// every value lies in its piece's [lo_value, hi_value), and every piece
   /// flagged sorted is sorted. The checkpoint decoder and
   /// RestoreAdaptedState share it, so an image whose rowIDs would later
-  /// index past the base columns, or whose bounds would answer a bound at
-  /// the wrong position, is refused before it is trusted. InvalidArgument
-  /// on the first violation.
+  /// index past the base columns or answer one row twice, or whose bounds
+  /// would answer a bound at the wrong position, is refused before it is
+  /// trusted. InvalidArgument on the first violation.
   static Status ValidateAdaptedState(const AdaptedState& state,
                                      size_t base_count);
 

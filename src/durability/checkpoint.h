@@ -29,10 +29,13 @@ namespace adaptidx {
 ///     8 bytes magic "ADIXCKP1" | u64 payload_len | u32 crc32(payload)
 ///     | payload
 ///
-/// with the payload encoded by the strict codec (util/wire.h):
+/// with the payload in the strict little-endian format of util/wire.h:
 /// format version, epoch, next row id, column name, base values,
 /// insert/anti-matter pairs, and the optional adapted image (cracker
-/// array + piece tiling). Images are installed with
+/// array + piece tiling). The three large arrays (base values, cracker
+/// values, row IDs) are raw bytes: a write sends them straight from their
+/// vectors, with no payload-sized buffer, and a load copies each out of
+/// the file's bytes in one bulk read. Images are installed with
 /// `AtomicWriteFile` (write-temp-then-rename), so a crash mid-checkpoint
 /// can never leave a torn file under a `checkpoint-*` name; a torn temp
 /// file is simply ignored by `ListCheckpoints`. The CRC additionally
@@ -56,13 +59,15 @@ struct CheckpointImage {
 };
 
 /// \brief Serializes `image` and atomically installs it as
-/// `dir`/checkpoint-<epoch>.ckpt.
+/// `dir`/checkpoint-<epoch>.ckpt. Only the framing fields are encoded; the
+/// large arrays are checksummed and written where they lie.
 Status WriteCheckpoint(const std::string& dir, const CheckpointImage& image);
 
-/// \brief Strictly decodes one image file; Corruption on a bad magic,
-/// CRC mismatch, malformed payload, or an adapted image that
-/// CrackingIndex::ValidateAdaptedState rejects against the base column
-/// (recovery treats any of these as "try the next-older image").
+/// \brief Strictly decodes one image file, read in one pass; Corruption
+/// on a bad magic, length or CRC mismatch, malformed payload, or an
+/// adapted image that CrackingIndex::ValidateAdaptedState rejects against
+/// the base column (recovery treats any of these as "try the next-older
+/// image").
 Status LoadCheckpoint(const std::string& path, CheckpointImage* out);
 
 /// \brief Checkpoint files in `dir` by ascending epoch.

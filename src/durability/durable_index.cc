@@ -1,6 +1,11 @@
 #include "durability/durable_index.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -13,6 +18,24 @@ namespace {
 /// Checkpoint images kept on disk: the newest plus one fallback should the
 /// newest fail its CRC at recovery.
 constexpr size_t kCheckpointsKept = 2;
+
+/// Frees one of the image's column-sized copies and returns its pages to
+/// the OS, which a plain free may not do. Below glibc's dynamic mmap
+/// threshold (up to 32 MB) the copy comes from the checkpointing thread's
+/// malloc arena. Freed into the top of a non-main arena, it stays resident
+/// until that top passes the trim threshold (twice the mmap threshold),
+/// and `malloc_trim` trims such an arena's bins but not its top. So the
+/// pages are discarded first, whatever the arena.
+template <typename T>
+void ReleaseCopy(std::vector<T>* v) {
+  static_assert(std::is_trivially_destructible_v<T>);
+  const uintptr_t page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const uintptr_t begin = reinterpret_cast<uintptr_t>(v->data());
+  const uintptr_t lo = (begin + page - 1) & ~(page - 1);
+  const uintptr_t hi = (begin + v->capacity() * sizeof(T)) & ~(page - 1);
+  if (hi > lo) ::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+  std::vector<T>().swap(*v);
+}
 }  // namespace
 
 Status DurableIndex::Open(const Column& seed, const IndexConfig& config,
@@ -95,6 +118,9 @@ Status DurableIndex::Checkpoint(uint64_t* epoch_out) {
 
   // 4. Install, then retire what the image supersedes.
   s = WriteCheckpoint(opts_.data_dir, image);
+  ReleaseCopy(&image.base_values);
+  ReleaseCopy(&image.adapted.values);
+  ReleaseCopy(&image.adapted.row_ids);
   if (!s.ok()) return s;
   s = PruneCheckpoints(opts_.data_dir, kCheckpointsKept);
   if (!s.ok()) return s;

@@ -1,9 +1,6 @@
 #include "server/server.h"
 
 #include <errno.h>
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 #include <unistd.h>
 
 #include <algorithm>
@@ -486,13 +483,6 @@ void Server::HandleCheckpoint(const std::shared_ptr<Connection>& conn,
   engine_pool_->Submit([this, seq] {
     uint64_t epoch = 0;
     const Status s = durable_->Checkpoint(&epoch);
-#if defined(__GLIBC__)
-    // The image and its encoding, a few times the column's size, were
-    // freed into this worker's malloc arena. Return their pages now: left
-    // resident, they stay charged to the process until whichever thread
-    // later inherits the arena happens to trim it.
-    ::malloc_trim(0);
-#endif
     ResultMsg m = ResultMsg::FromStatus(s);
     if (s.ok()) {
       m.kind = ResultMsg::kCheckpointAck;

@@ -135,8 +135,8 @@ Status SyncPath(const std::string& path) {
   return Status::OK();
 }
 
-Status AtomicWriteFile(const std::string& path, const void* data,
-                       size_t size) {
+Status AtomicWriteFile(const std::string& path,
+                       const std::vector<FilePart>& parts) {
   const std::string tmp =
       path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
   int fd;
@@ -146,18 +146,20 @@ Status AtomicWriteFile(const std::string& path, const void* data,
   if (fd < 0) {
     return Status::InvalidArgument("cannot open for write: " + tmp);
   }
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  size_t left = size;
-  while (left > 0) {
-    ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return Status::Corruption("short write: " + tmp);
+  for (const FilePart& part : parts) {
+    const uint8_t* p = static_cast<const uint8_t*>(part.data);
+    size_t left = part.size;
+    while (left > 0) {
+      ssize_t n = ::write(fd, p, left);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        return Status::Corruption("short write: " + tmp);
+      }
+      p += n;
+      left -= static_cast<size_t>(n);
     }
-    p += n;
-    left -= static_cast<size_t>(n);
   }
   // Full fsync, not fdatasync: the temp file is new, so its metadata (the
   // size) must be durable before the rename can publish it.

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "storage/table.h"
 #include "util/status.h"
@@ -63,13 +64,22 @@ Status SyncFd(int fd);
 /// directory was never synced can vanish on power loss.
 Status SyncPath(const std::string& path);
 
-/// \brief Atomically publishes `size` bytes from `data` under `path`:
-/// writes `path`.tmp.<pid>, fsyncs it, renames over `path`, and fsyncs the
-/// parent directory. After a crash at ANY point, `path` holds either the
-/// complete old content or the complete new content, never a prefix — the
-/// installation step of checkpoint images.
-Status AtomicWriteFile(const std::string& path, const void* data,
-                       size_t size);
+/// \brief One contiguous byte range of a gathered file write: `size` bytes
+/// starting at `data` (`data` may be null when `size` is 0).
+struct FilePart {
+  const void* data = nullptr;  ///< first byte of the range
+  size_t size = 0;             ///< byte count
+};
+
+/// \brief Atomically publishes the concatenation of `parts` under `path`:
+/// writes `path`.tmp.<pid> part by part, fsyncs it, renames over `path`,
+/// and fsyncs the parent directory. After a crash at ANY point, `path`
+/// holds either the complete old content or the complete new content,
+/// never a prefix — the installation step of checkpoint images. The parts
+/// are written where they lie, so a caller whose file is a header plus a
+/// few large arrays never assembles the whole file in one buffer.
+Status AtomicWriteFile(const std::string& path,
+                       const std::vector<FilePart>& parts);
 
 }  // namespace adaptidx
 

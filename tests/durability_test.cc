@@ -23,7 +23,9 @@
 #include "durability/durable_index.h"
 #include "durability/wal.h"
 #include "test_util.h"
+#include "util/crc32.h"
 #include "util/rng.h"
+#include "util/wire.h"
 
 namespace adaptidx {
 namespace {
@@ -397,6 +399,161 @@ TEST_F(DurabilityTest, WalBadHeaderIsCorruption) {
 
 // ------------------------------------------------------------- checkpoints
 
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The image format spelled out one field at a time with WireWriter: the
+/// encoder WriteCheckpoint replaced, kept as the format's reference.
+std::string ReferenceEncode(const CheckpointImage& image) {
+  WireWriter w;
+  w.PutU32(1);  // format version
+  w.PutU64(image.epoch);
+  w.PutU32(image.next_row_id);
+  w.PutString(image.column_name);
+  w.PutU32(static_cast<uint32_t>(image.base_values.size()));
+  for (Value v : image.base_values) w.PutI64(v);
+  for (const auto* pairs : {&image.inserts, &image.anti_matter}) {
+    w.PutU32(static_cast<uint32_t>(pairs->size()));
+    for (const auto& [v, id] : *pairs) {
+      w.PutI64(v);
+      w.PutU32(id);
+    }
+  }
+  w.PutU8(image.has_adapted ? 1 : 0);
+  if (image.has_adapted) {
+    const auto& a = image.adapted;
+    w.PutU32(static_cast<uint32_t>(a.values.size()));
+    for (Value v : a.values) w.PutI64(v);
+    for (RowId id : a.row_ids) w.PutU32(id);
+    w.PutU32(static_cast<uint32_t>(a.pieces.size()));
+    for (const auto& p : a.pieces) {
+      w.PutU64(p.begin);
+      w.PutU64(p.end);
+      w.PutI64(p.lo_value);
+      w.PutI64(p.hi_value);
+      w.PutU8(p.sorted ? 1 : 0);
+    }
+  }
+  const std::string payload = w.Take();
+  WireWriter file;
+  for (char c : std::string("ADIXCKP1")) file.PutU8(static_cast<uint8_t>(c));
+  file.PutU64(payload.size());
+  file.PutU32(Crc32(payload.data(), payload.size()));
+  return file.Take() + payload;
+}
+
+void ExpectSameImage(const CheckpointImage& got, const CheckpointImage& want) {
+  EXPECT_EQ(got.epoch, want.epoch);
+  EXPECT_EQ(got.next_row_id, want.next_row_id);
+  EXPECT_EQ(got.column_name, want.column_name);
+  EXPECT_EQ(got.base_values, want.base_values);
+  EXPECT_EQ(got.inserts, want.inserts);
+  EXPECT_EQ(got.anti_matter, want.anti_matter);
+  ASSERT_EQ(got.has_adapted, want.has_adapted);
+  EXPECT_EQ(got.adapted.values, want.adapted.values);
+  EXPECT_EQ(got.adapted.row_ids, want.adapted.row_ids);
+  ASSERT_EQ(got.adapted.pieces.size(), want.adapted.pieces.size());
+  for (size_t i = 0; i < got.adapted.pieces.size(); ++i) {
+    const auto& g = got.adapted.pieces[i];
+    const auto& w = want.adapted.pieces[i];
+    EXPECT_EQ(g.begin, w.begin) << "piece " << i;
+    EXPECT_EQ(g.end, w.end) << "piece " << i;
+    EXPECT_EQ(g.lo_value, w.lo_value) << "piece " << i;
+    EXPECT_EQ(g.hi_value, w.hi_value) << "piece " << i;
+    EXPECT_EQ(g.sorted, w.sorted) << "piece " << i;
+  }
+}
+
+/// A valid image of `n` shuffled base rows with pending inserts and
+/// anti-matter, whose adapted section cuts the rows into `num_pieces`
+/// value ranges: odd pieces sorted, even pieces in descending order.
+CheckpointImage AdaptedImage(uint64_t epoch, size_t n, size_t num_pieces) {
+  CheckpointImage image;
+  image.epoch = epoch;
+  image.next_row_id = static_cast<RowId>(n + 2);
+  image.column_name = "A";
+  for (size_t i = 0; i < n; ++i) {
+    image.base_values.push_back(static_cast<Value>(i) * 7 - 300);
+  }
+  Rng rng(epoch);
+  rng.Shuffle(&image.base_values);
+  image.inserts = {{7 * static_cast<Value>(n), static_cast<RowId>(n)},
+                   {7 * static_cast<Value>(n) + 1, static_cast<RowId>(n + 1)}};
+  image.anti_matter = {{image.base_values[1], 1}};
+
+  std::vector<RowId> by_value(n);
+  for (size_t i = 0; i < n; ++i) by_value[i] = static_cast<RowId>(i);
+  std::sort(by_value.begin(), by_value.end(), [&](RowId x, RowId y) {
+    return image.base_values[x] < image.base_values[y];
+  });
+  auto& a = image.adapted;
+  image.has_adapted = true;
+  for (size_t k = 0; k < num_pieces; ++k) {
+    const size_t begin = n * k / num_pieces;
+    const size_t end = n * (k + 1) / num_pieces;
+    const bool sorted = k % 2 == 1;
+    for (size_t i = begin; i < end; ++i) {
+      const RowId id = by_value[sorted ? i : begin + end - 1 - i];
+      a.values.push_back(image.base_values[id]);
+      a.row_ids.push_back(id);
+    }
+    const Value lo = image.base_values[by_value[begin]];
+    const Value hi = end < n ? image.base_values[by_value[end]]
+                             : image.base_values[by_value[n - 1]] + 1;
+    a.pieces.push_back({begin, end, lo, hi, sorted});
+  }
+  return image;
+}
+
+// The image format is pinned byte for byte: WriteCheckpoint, which writes
+// the large arrays straight from memory, produces exactly the bytes of the
+// one-field-at-a-time reference encoder, and reference bytes decode back
+// to the image they encode.
+TEST_F(DurabilityTest, CheckpointBytesMatchReferenceEncoder) {
+  std::vector<CheckpointImage> images;
+  {
+    CheckpointImage plain;  // no adapted section
+    plain.epoch = 3;
+    plain.next_row_id = 9;
+    plain.column_name = "A";
+    plain.base_values = {5, -3, 9};
+    plain.inserts = {{6, 7}, {8, 8}};
+    plain.anti_matter = {{-3, 1}};
+    images.push_back(plain);
+  }
+  images.push_back(AdaptedImage(4, 64, 3));  // empty side stores
+  images.back().inserts.clear();
+  images.back().anti_matter.clear();
+  images.push_back(AdaptedImage(5, 13, 2));  // odd sizes everywhere
+  images.back().column_name = "odd_name";
+  images.back().anti_matter.push_back({images.back().base_values[4], 4});
+  images.push_back(AdaptedImage(6, 1001, 17));  // several pieces
+  for (const CheckpointImage& image : images) {
+    SCOPED_TRACE("epoch " + std::to_string(image.epoch));
+    ASSERT_TRUE(!image.has_adapted ||
+                CrackingIndex::ValidateAdaptedState(image.adapted,
+                                                    image.base_values.size())
+                    .ok());
+    ASSERT_TRUE(WriteCheckpoint(dir_, image).ok());
+    const std::string path =
+        dir_ + "/checkpoint-" + std::to_string(image.epoch) + ".ckpt";
+    const std::string reference = ReferenceEncode(image);
+    EXPECT_EQ(ReadFileBytes(path), reference);
+
+    WriteFileBytes(path, reference);
+    CheckpointImage loaded;
+    ASSERT_TRUE(LoadCheckpoint(path, &loaded).ok());
+    ExpectSameImage(loaded, image);
+  }
+}
+
 TEST_F(DurabilityTest, CheckpointImageRoundTrip) {
   CheckpointImage image;
   image.epoch = 42;
@@ -416,19 +573,7 @@ TEST_F(DurabilityTest, CheckpointImageRoundTrip) {
   EXPECT_EQ(list[0].first, 42u);
   CheckpointImage loaded;
   ASSERT_TRUE(LoadCheckpoint(list[0].second, &loaded).ok());
-  EXPECT_EQ(loaded.epoch, 42u);
-  EXPECT_EQ(loaded.next_row_id, 1234u);
-  EXPECT_EQ(loaded.column_name, "A");
-  EXPECT_EQ(loaded.base_values, image.base_values);
-  EXPECT_EQ(loaded.inserts, image.inserts);
-  EXPECT_EQ(loaded.anti_matter, image.anti_matter);
-  ASSERT_TRUE(loaded.has_adapted);
-  EXPECT_EQ(loaded.adapted.values, image.adapted.values);
-  EXPECT_EQ(loaded.adapted.row_ids, image.adapted.row_ids);
-  ASSERT_EQ(loaded.adapted.pieces.size(), 2u);
-  EXPECT_EQ(loaded.adapted.pieces[1].begin, 2u);
-  EXPECT_EQ(loaded.adapted.pieces[1].lo_value, 5);
-  EXPECT_TRUE(loaded.adapted.pieces[1].sorted);
+  ExpectSameImage(loaded, image);
 }
 
 // The CRC proves only that the bytes are the ones written. An adapted image
@@ -467,29 +612,72 @@ TEST_F(DurabilityTest, CheckpointDecoderRejectsAdaptedImageNotFittingBase) {
   EXPECT_TRUE(LoadCheckpoint(dir_ + "/checkpoint-1.ckpt", &loaded).ok());
 }
 
+// Every flipped byte and every truncated prefix of an image is refused:
+// the header by its magic and length, the payload by its CRC. The adapted
+// image is large enough that the flips cover the CRC's 16-byte steps, all
+// three bulk arrays and the piece tiling.
 TEST_F(DurabilityTest, CheckpointCorruptionDetectedByteByByte) {
-  CheckpointImage image;
-  image.epoch = 7;
-  image.column_name = "A";
-  image.base_values = {1, 2, 3};
-  ASSERT_TRUE(WriteCheckpoint(dir_, image).ok());
-  const std::string path = ListCheckpoints(dir_)[0].second;
-  std::string pristine;
-  {
-    std::ifstream in(path, std::ios::binary);
-    pristine.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  for (size_t off = 0; off < pristine.size(); ++off) {
-    std::string mutated = pristine;
-    mutated[off] = static_cast<char>(mutated[off] ^ 0x40);
+  CheckpointImage plain;
+  plain.epoch = 7;
+  plain.column_name = "A";
+  plain.base_values = {1, 2, 3};
+  for (const CheckpointImage& image : {plain, AdaptedImage(8, 67, 4)}) {
+    SCOPED_TRACE("epoch " + std::to_string(image.epoch));
+    ASSERT_TRUE(WriteCheckpoint(dir_, image).ok());
+    const std::string path =
+        dir_ + "/checkpoint-" + std::to_string(image.epoch) + ".ckpt";
+    const std::string pristine = ReadFileBytes(path);
     {
-      std::ofstream outf(path, std::ios::binary | std::ios::trunc);
-      outf.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
+      CheckpointImage loaded;
+      ASSERT_TRUE(LoadCheckpoint(path, &loaded).ok());
+      ExpectSameImage(loaded, image);
     }
-    CheckpointImage loaded;
-    EXPECT_FALSE(LoadCheckpoint(path, &loaded).ok())
-        << "flip at offset " << off << " went undetected";
+    for (size_t off = 0; off < pristine.size(); ++off) {
+      std::string mutated = pristine;
+      mutated[off] = static_cast<char>(mutated[off] ^ 0x40);
+      WriteFileBytes(path, mutated);
+      CheckpointImage loaded;
+      EXPECT_FALSE(LoadCheckpoint(path, &loaded).ok())
+          << "flip at offset " << off << " went undetected";
+    }
+    for (size_t len = 0; len < pristine.size(); ++len) {
+      WriteFileBytes(path, pristine.substr(0, len));
+      CheckpointImage loaded;
+      EXPECT_FALSE(LoadCheckpoint(path, &loaded).ok())
+          << "prefix of " << len << " bytes was accepted";
+    }
   }
+}
+
+// Distinct row IDs are part of a valid adapted image: a repeated one keeps
+// every size, bound and sorted flag intact, yet one base row would be
+// answered twice and another never. Here SUM [0, 100) would read 27
+// instead of 25.
+TEST_F(DurabilityTest, CheckpointDecoderRejectsRepeatedAdaptedRowId) {
+  CheckpointImage image;
+  image.epoch = 42;
+  image.column_name = "A";
+  image.base_values = {5, 3, 9, 1, 7};
+  image.has_adapted = true;
+  image.adapted.values = {1, 3, 5, 9, 9};
+  image.adapted.row_ids = {3, 1, 0, 2, 2};  // row 4 (value 7) is lost
+  image.adapted.pieces = {{0, 2, -100, 4, false}, {2, 5, 5, 100, true}};
+  ASSERT_TRUE(WriteCheckpoint(dir_, image).ok());
+  CheckpointImage loaded;
+  const Status s = LoadCheckpoint(dir_ + "/checkpoint-42.ckpt", &loaded);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  EXPECT_TRUE(CrackingIndex::ValidateAdaptedState(image.adapted, 5)
+                  .IsInvalidArgument());
+  Column col("A", image.base_values);
+  CrackingIndex target(&col);
+  const Status r = target.RestoreAdaptedState(image.adapted);
+  EXPECT_TRUE(r.IsInvalidArgument()) << r.ToString();
+  EXPECT_FALSE(target.initialized());
+  QueryContext ctx;
+  int64_t sum = 0;
+  ASSERT_TRUE(target.RangeSum(ValueRange{0, 100}, &ctx, &sum).ok());
+  EXPECT_EQ(sum, 25);
 }
 
 TEST_F(DurabilityTest, PruneCheckpointsKeepsNewest) {

@@ -386,6 +386,67 @@ TEST_F(RecoveryTest, OutOfRangeAdaptedRowIdFallsBackToPrevious) {
   EXPECT_TRUE(oracle.CheckRowIds(0, 500, ids));
 }
 
+// Same fallback for an image with a repeated rowID. The copy lands next to
+// its original, so sizes, bounds and sorted flags all still hold and the
+// image would restore; every answer over the base would then count one row
+// twice and lose another.
+TEST_F(RecoveryTest, RepeatedAdaptedRowIdFallsBackToPrevious) {
+  Column seed = Column::UniqueRandom("A", 500, 31);
+  LockManager lm;
+  {
+    std::unique_ptr<DurableIndex> di;
+    ASSERT_TRUE(OpenDurable(dir_, seed, &lm, &di).ok());
+    QueryContext ctx;
+    ctx.txn_id = 1;
+    uint64_t count = 0;
+    ASSERT_TRUE(
+        di->index()->RangeCount(ValueRange{100, 300}, &ctx, &count).ok());
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(di->index()->Insert(40000 + i, &ctx).ok());
+    }
+    ASSERT_TRUE(di->Checkpoint().ok());  // epoch 5
+    for (int i = 5; i < 12; ++i) {
+      ASSERT_TRUE(di->index()->Insert(40000 + i, &ctx).ok());
+    }
+    ASSERT_TRUE(di->Checkpoint().ok());  // epoch 12
+  }
+  auto checkpoints = ListCheckpoints(dir_);
+  ASSERT_EQ(checkpoints.size(), 2u);
+  {
+    CheckpointImage image;
+    ASSERT_TRUE(LoadCheckpoint(checkpoints[1].second, &image).ok());
+    ASSERT_EQ(image.epoch, 12u);
+    ASSERT_TRUE(image.has_adapted);
+    auto& a = image.adapted;
+    const auto& piece = a.pieces.back();
+    ASSERT_GE(piece.end - piece.begin, 2u);
+    a.values[piece.begin + 1] = a.values[piece.begin];
+    a.row_ids[piece.begin + 1] = a.row_ids[piece.begin];
+    ASSERT_TRUE(WriteCheckpoint(dir_, image).ok());
+  }
+  std::unique_ptr<DurableIndex> di;
+  ASSERT_TRUE(OpenDurable(dir_, seed, &lm, &di).ok());
+  const RecoveryStats& rs = di->recovery_stats();
+  EXPECT_TRUE(rs.checkpoint_loaded);
+  EXPECT_EQ(rs.invalid_checkpoints, 1u);
+  EXPECT_EQ(rs.checkpoint_epoch, 5u);  // the fallback image
+  EXPECT_TRUE(rs.adapted_restored);
+  EXPECT_EQ(di->index()->commit_epoch(), 12u);
+  RangeOracle oracle(seed);
+  QueryContext ctx;
+  for (const ValueRange& range : {ValueRange{0, 100}, ValueRange{100, 300},
+                                  ValueRange{300, 500}, ValueRange{0, 500}}) {
+    int64_t sum = 0;
+    ASSERT_TRUE(di->index()->RangeSum(range, &ctx, &sum).ok());
+    EXPECT_EQ(sum, oracle.Sum(range.lo, range.hi))
+        << range.lo << ".." << range.hi;
+  }
+  uint64_t count = 0;
+  ASSERT_TRUE(
+      di->index()->RangeCount(ValueRange{40000, 40012}, &ctx, &count).ok());
+  EXPECT_EQ(count, 12u);
+}
+
 // Same fallback for an image whose values break their piece bounds: a
 // value/rowID pair swapped between the first and last piece, re-encoded
 // with a fresh CRC, would otherwise restore and answer the low ranges with

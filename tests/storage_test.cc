@@ -222,47 +222,70 @@ class FileIoDurabilityTest : public ::testing::Test {
 TEST_F(FileIoDurabilityTest, AtomicWriteCreatesFile) {
   const std::string path = (dir_ / "image").string();
   const std::string data = "checkpoint-bytes";
-  ASSERT_TRUE(AtomicWriteFile(path, data.data(), data.size()).ok());
+  ASSERT_TRUE(AtomicWriteFile(path, {{data.data(), data.size()}}).ok());
   EXPECT_EQ(ReadAll(path), data);
+}
+
+// The file holds the parts back to back, in order; empty parts (null or
+// not) contribute nothing and do not stop the parts after them.
+TEST_F(FileIoDurabilityTest, AtomicWriteConcatenatesParts) {
+  const std::string path = (dir_ / "image").string();
+  const std::string header = "HDR";
+  const std::vector<int64_t> values = {1, -2, 3};
+  const std::string empty;
+  const std::string tail(70000, 't');  // larger than one pipe-sized write
+  ASSERT_TRUE(AtomicWriteFile(path, {{header.data(), header.size()},
+                                     {nullptr, 0},
+                                     {values.data(), values.size() * 8},
+                                     {empty.data(), 0},
+                                     {tail.data(), tail.size()}})
+                  .ok());
+  std::string want = header;
+  want.append(reinterpret_cast<const char*>(values.data()), values.size() * 8);
+  want += tail;
+  EXPECT_EQ(ReadAll(path), want);
 }
 
 TEST_F(FileIoDurabilityTest, AtomicWriteReplacesWholeContent) {
   const std::string path = (dir_ / "image").string();
   const std::string big(1024, 'x');
-  ASSERT_TRUE(AtomicWriteFile(path, big.data(), big.size()).ok());
+  ASSERT_TRUE(AtomicWriteFile(path, {{big.data(), big.size()}}).ok());
   // A shorter rewrite must fully replace, never leave a suffix of the old
   // content (truncate-in-place would; rename guarantees it cannot).
   const std::string small = "tiny";
-  ASSERT_TRUE(AtomicWriteFile(path, small.data(), small.size()).ok());
+  ASSERT_TRUE(AtomicWriteFile(path, {{small.data(), 2}, {small.data() + 2, 2}})
+                  .ok());
   EXPECT_EQ(ReadAll(path), small);
 }
 
 TEST_F(FileIoDurabilityTest, AtomicWriteLeavesNoTempBehind) {
   const std::string path = (dir_ / "image").string();
-  ASSERT_TRUE(AtomicWriteFile(path, "d", 1).ok());
-  size_t entries = 0;
+  ASSERT_TRUE(AtomicWriteFile(path, {{"d", 1}, {"e", 1}, {nullptr, 0}}).ok());
+  std::vector<std::string> entries;
   for (const auto& e : std::filesystem::directory_iterator(dir_)) {
-    (void)e;
-    ++entries;
+    entries.push_back(e.path().filename().string());
   }
-  EXPECT_EQ(entries, 1u);
+  EXPECT_EQ(entries, std::vector<std::string>{"image"});
+  EXPECT_EQ(ReadAll(path), "de");
 }
 
 TEST_F(FileIoDurabilityTest, AtomicWriteEmptyPayload) {
   const std::string path = (dir_ / "empty").string();
-  ASSERT_TRUE(AtomicWriteFile(path, nullptr, 0).ok());
+  ASSERT_TRUE(AtomicWriteFile(path, {}).ok());
   EXPECT_TRUE(std::filesystem::exists(path));
+  EXPECT_EQ(std::filesystem::file_size(path), 0u);
+  ASSERT_TRUE(AtomicWriteFile(path, {{nullptr, 0}, {"", 0}}).ok());
   EXPECT_EQ(std::filesystem::file_size(path), 0u);
 }
 
 TEST_F(FileIoDurabilityTest, AtomicWriteToMissingDirFails) {
   const std::string path = (dir_ / "no-such-subdir" / "image").string();
-  EXPECT_FALSE(AtomicWriteFile(path, "d", 1).ok());
+  EXPECT_FALSE(AtomicWriteFile(path, {{"d", 1}}).ok());
 }
 
 TEST_F(FileIoDurabilityTest, SyncPathOnFileAndDirectory) {
   const std::string path = (dir_ / "f").string();
-  ASSERT_TRUE(AtomicWriteFile(path, "d", 1).ok());
+  ASSERT_TRUE(AtomicWriteFile(path, {{"d", 1}}).ok());
   EXPECT_TRUE(SyncPath(path).ok());
   EXPECT_TRUE(SyncPath(dir_.string()).ok());
 }

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "util/crc32.h"
 #include "util/histogram.h"
 #include "util/interval_set.h"
 #include "util/rng.h"
@@ -14,6 +16,60 @@
 
 namespace adaptidx {
 namespace {
+
+// ----------------------------------------------------------------- CRC-32
+
+// The textbook bitwise CRC-32: the definition the table kernel must match.
+uint32_t BitwiseCrc32(const uint8_t* p, size_t n, uint32_t seed = 0) {
+  uint32_t c = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> out(n);
+  for (auto& b : out) b = static_cast<uint8_t>(rng.Next());
+  return out;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(Crc32("", 0), 0x00000000u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0x00000000u);
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+}
+
+// Every length up to 256 from every start offset up to 15: covers the
+// 16-byte steps, every tail length and every alignment of the input.
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  const std::vector<uint8_t> buf = RandomBytes(256 + 16, 11);
+  for (size_t off = 0; off < 16; ++off) {
+    for (size_t len = 0; len <= 256; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + off, len),
+                BitwiseCrc32(buf.data() + off, len))
+          << "offset " << off << ", length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedSeedEqualsOneShotAtEverySplit) {
+  const std::vector<uint8_t> buf = RandomBytes(1024, 12);
+  const uint32_t whole = Crc32(buf.data(), buf.size());
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    const uint32_t head = Crc32(buf.data(), split);
+    ASSERT_EQ(Crc32(buf.data() + split, buf.size() - split, head), whole)
+        << "split at " << split;
+  }
+}
+
+TEST(Crc32Test, MultiMegabyteBufferMatchesReference) {
+  const std::vector<uint8_t> buf = RandomBytes((5u << 20) + 7, 13);
+  EXPECT_EQ(Crc32(buf.data(), buf.size()),
+            BitwiseCrc32(buf.data(), buf.size()));
+}
 
 // ---------------------------------------------------------------- Status
 

@@ -30,6 +30,10 @@ CHECKED_HEADERS = [
     "src/server/client.h",
     "src/durability/wal.h",
     "src/durability/durable_index.h",
+    "src/durability/checkpoint.h",
+    "src/durability/recovery.h",
+    "src/storage/file_io.h",
+    "src/util/crc32.h",
 ]
 
 # Classes whose *class-level* doc comment must mention thread safety.
