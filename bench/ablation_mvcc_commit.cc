@@ -9,8 +9,8 @@
 /// differential side store, swept over pending-differential size ×
 /// snapshot hold. Each commit links one O(1) delta node and the chain
 /// consolidates periodically. The sweep measures per-commit publication
-/// latency percentiles (median of three runs per cell) and writes
-/// BENCH_mvcc.json (override the path with AI_BENCH_MVCC_JSON). The
+/// latency percentiles (median over interleaved rounds per cell) and
+/// writes BENCH_mvcc.json (override the path with AI_BENCH_MVCC_JSON). The
 /// O(pending) copy-per-commit baseline this replaced is recorded in
 /// bench/baselines/mvcc_copy_vs_delta.json.
 ///
@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -149,53 +150,59 @@ PublicationCell RunPublicationCell(const Column& column, size_t pending,
   return cell;
 }
 
-/// Runs a cell three times and keeps the run with the median commit p99:
-/// one preemption or page-fault burst in a sub-microsecond loop must not
+/// Every cell runs once per round and reports the round with its median
+/// commit p99. Rounds interleave the cells, so a burst of host noise lands
+/// in one round of each cell rather than in every repeat of one cell, and
+/// one preemption or page-fault burst in a sub-microsecond loop cannot
 /// decide the gate.
-PublicationCell RunMedianCell(const Column& column, size_t pending,
-                              bool held, size_t commits) {
-  std::vector<PublicationCell> runs;
-  for (int i = 0; i < 3; ++i) {
-    runs.push_back(RunPublicationCell(column, pending, held, commits));
-  }
-  std::sort(runs.begin(), runs.end(),
-            [](const PublicationCell& a, const PublicationCell& b) {
-              return a.commit_p99_ns < b.commit_p99_ns;
-            });
-  return runs[1];
-}
+constexpr int kRounds = 31;
 
 bool RunPublicationSweep() {
   const size_t base_rows = EnvSize("AI_BENCH_MVCC_BASE", 200000);
-  const size_t commits = EnvSize("AI_BENCH_MVCC_COMMITS", 512);
+  const size_t commits = EnvSize("AI_BENCH_MVCC_COMMITS", 2048);
   PrintHeader(
       "Ablation: version publication (delta chain)",
       "base_rows=" + std::to_string(base_rows) + " measured_commits=" +
-          std::to_string(commits) + " sweep: pending x held-snapshot");
+          std::to_string(commits) + " sweep: pending x held-snapshot, "
+          "median of " + std::to_string(kRounds) + " rounds");
 
   Column column = MakeUniqueRandomColumn(base_rows);
   const size_t pendings[] = {1024, 8192, 32768};
   const size_t gate_small = pendings[0];
   const size_t gate_large = pendings[2];
+  // rounds[2 * i + held] holds every round of pending size pendings[i].
+  std::vector<std::vector<PublicationCell>> rounds(2 * std::size(pendings));
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t c = 0; c < rounds.size(); ++c) {
+      rounds[c].push_back(
+          RunPublicationCell(column, pendings[c / 2], c % 2 == 1, commits));
+    }
+  }
   std::vector<PublicationCell> cells;
   double gate_small_p99 = 0;
   double gate_large_p99 = 0;
 
   std::printf("\n%10s %6s %14s %14s %14s %8s %8s\n", "pending", "held",
               "p50(us)", "p99(us)", "max(us)", "consol", "chainmax");
-  for (size_t pending : pendings) {
-    for (bool held : {false, true}) {
-      PublicationCell cell = RunMedianCell(column, pending, held, commits);
-      std::printf("%10zu %6s %14.2f %14.2f %14.2f %8llu %8llu\n",
-                  cell.pending, held ? "yes" : "no",
-                  cell.commit_p50_ns / 1e3, cell.commit_p99_ns / 1e3,
-                  static_cast<double>(cell.commit_max_ns) / 1e3,
-                  static_cast<unsigned long long>(cell.consolidations),
-                  static_cast<unsigned long long>(cell.chain_max));
-      if (held && pending == gate_small) gate_small_p99 = cell.commit_p99_ns;
-      if (held && pending == gate_large) gate_large_p99 = cell.commit_p99_ns;
-      cells.push_back(cell);
+  for (std::vector<PublicationCell>& runs : rounds) {
+    std::sort(runs.begin(), runs.end(),
+              [](const PublicationCell& a, const PublicationCell& b) {
+                return a.commit_p99_ns < b.commit_p99_ns;
+              });
+    const PublicationCell& cell = runs[runs.size() / 2];
+    std::printf("%10zu %6s %14.2f %14.2f %14.2f %8llu %8llu\n",
+                cell.pending, cell.held_snapshot ? "yes" : "no",
+                cell.commit_p50_ns / 1e3, cell.commit_p99_ns / 1e3,
+                static_cast<double>(cell.commit_max_ns) / 1e3,
+                static_cast<unsigned long long>(cell.consolidations),
+                static_cast<unsigned long long>(cell.chain_max));
+    if (cell.held_snapshot && cell.pending == gate_small) {
+      gate_small_p99 = cell.commit_p99_ns;
     }
+    if (cell.held_snapshot && cell.pending == gate_large) {
+      gate_large_p99 = cell.commit_p99_ns;
+    }
+    cells.push_back(cell);
   }
 
   // Gate: O(1) publication means commit p99 under a held snapshot stays

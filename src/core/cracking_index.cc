@@ -1,11 +1,9 @@
 #include "core/cracking_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <thread>
 
-#include "cracking/optimistic_kernels.h"
 #include "cracking/parallel_crack.h"
 #include "lock/lock_manager.h"
 #include "util/stopwatch.h"
@@ -21,10 +19,6 @@ std::string ToString(ConcurrencyMode mode) {
       return "column-latch";
     case ConcurrencyMode::kPieceLatch:
       return "piece-latch";
-    case ConcurrencyMode::kOptimistic:
-      return "optimistic";
-    case ConcurrencyMode::kAdaptive:
-      return "adaptive";
   }
   return "unknown";
 }
@@ -65,16 +59,13 @@ class MaybeUniqueLock {
   std::shared_mutex* mu_;
 };
 
-// Each aggregator offers the latched bulk entry points (Positional /
-// Filtered), their latch-free optimistic twins (*Opt, routed through the
-// uninstrumented kernels of optimistic_kernels.h), and a one-deep
-// checkpoint/rollback so a read that fails seqlock validation can be
-// discarded without corrupting the running aggregate.
+// Each aggregator streams a region through the cracker array's bulk calls:
+// Positional for a region every value of which qualifies, Filtered for one
+// that still needs the query's value filter.
 
 struct CountAggregator {
   static constexpr bool kNeedsRead = false;
   uint64_t result = 0;
-  uint64_t saved = 0;
   void Positional(const CrackerArray& a, Position b, Position e) {
     (void)a;
     result += e - b;
@@ -83,21 +74,11 @@ struct CountAggregator {
                 const ValueRange& r) {
     result += a.ScanCountRange(b, e, r.lo, r.hi);
   }
-  void PositionalOpt(const CrackerArray& a, Position b, Position e) {
-    Positional(a, b, e);
-  }
-  void FilteredOpt(const CrackerArray& a, Position b, Position e,
-                   const ValueRange& r) {
-    result += optkern::CountFiltered(a, b, e, r);
-  }
-  void Checkpoint() { saved = result; }
-  void Rollback() { result = saved; }
 };
 
 struct SumAggregator {
   static constexpr bool kNeedsRead = true;
   int64_t result = 0;
-  int64_t saved = 0;
   void Positional(const CrackerArray& a, Position b, Position e) {
     result += a.PositionalSumRange(b, e);
   }
@@ -105,21 +86,11 @@ struct SumAggregator {
                 const ValueRange& r) {
     result += a.ScanSumRange(b, e, r.lo, r.hi);
   }
-  void PositionalOpt(const CrackerArray& a, Position b, Position e) {
-    result += optkern::SumPositional(a, b, e);
-  }
-  void FilteredOpt(const CrackerArray& a, Position b, Position e,
-                   const ValueRange& r) {
-    result += optkern::SumFiltered(a, b, e, r);
-  }
-  void Checkpoint() { saved = result; }
-  void Rollback() { result = saved; }
 };
 
 struct RowIdAggregator {
   static constexpr bool kNeedsRead = true;
   std::vector<RowId>* out;
-  size_t saved = 0;
   void Positional(const CrackerArray& a, Position b, Position e) {
     a.CollectRowIds(b, e, out);
   }
@@ -127,21 +98,11 @@ struct RowIdAggregator {
                 const ValueRange& r) {
     a.CollectRowIdsFiltered(b, e, r, out);
   }
-  void PositionalOpt(const CrackerArray& a, Position b, Position e) {
-    optkern::CollectRowIds(a, b, e, out);
-  }
-  void FilteredOpt(const CrackerArray& a, Position b, Position e,
-                   const ValueRange& r) {
-    optkern::CollectRowIdsFiltered(a, b, e, r, out);
-  }
-  void Checkpoint() { saved = out->size(); }
-  void Rollback() { out->resize(saved); }
 };
 
 struct MinMaxAggregator {
   static constexpr bool kNeedsRead = true;
   MinMaxAccumulator acc;
-  MinMaxAccumulator saved;
   void Positional(const CrackerArray& a, Position b, Position e) {
     Value lo;
     Value hi;
@@ -154,20 +115,6 @@ struct MinMaxAggregator {
     Value hi;
     if (a.MinMaxFiltered(b, e, r, &lo, &hi)) acc.Feed(lo, hi);
   }
-  void PositionalOpt(const CrackerArray& a, Position b, Position e) {
-    Value lo;
-    Value hi;
-    optkern::MinMaxPositional(a, b, e, &lo, &hi);
-    acc.Feed(lo, hi);
-  }
-  void FilteredOpt(const CrackerArray& a, Position b, Position e,
-                   const ValueRange& r) {
-    Value lo;
-    Value hi;
-    if (optkern::MinMaxFiltered(a, b, e, r, &lo, &hi)) acc.Feed(lo, hi);
-  }
-  void Checkpoint() { saved = acc; }
-  void Rollback() { acc = saved; }
 };
 
 struct Region {
@@ -313,16 +260,6 @@ CrackingIndex::CrackOutcome CrackingIndex::CrackPieceLocked(
     snap = piece->bounds();
   }
 
-  // Open the seqlock odd window before the first data movement. The
-  // publication below also changes the piece's extent, and extent changes
-  // must be inside the window too — otherwise an optimistic reader could
-  // pair a stale extent with an unchanged version and stray into a
-  // successor piece whose cracks this piece's version does not observe.
-  // The sorted fast path moves no data but still publishes (extent change),
-  // so it bumps as well.
-  const bool bump_version = OptimisticMode();
-  if (bump_version) piece->version.fetch_add(1, std::memory_order_acq_rel);
-
   // Cracks produced in this step: (value, position), published atomically.
   // Publication safety: the target bound v satisfies v in
   // [snap.lo_value, snap.hi_value); extra cracks are filtered to the open
@@ -418,8 +355,8 @@ CrackingIndex::CrackOutcome CrackingIndex::CrackPieceLocked(
     }
 
     // Coarse floor: sub-ranges this step pushed to the floor are sorted
-    // right away, inside the same odd window, so the pieces they become are
-    // born sorted and never reorganized or split again.
+    // right away, before publication, so the pieces they become are born
+    // sorted and never reorganized or split again.
     SortCoarseSubRanges(snap.begin, snap.end, local, &coarse_sorted);
   }
 
@@ -437,10 +374,6 @@ CrackingIndex::CrackOutcome CrackingIndex::CrackPieceLocked(
       if (sp != nullptr && sp->end == se) sp->sorted = true;
     }
   }
-  // Close the odd window only after publication: pieces split off above are
-  // born stable (their data moved before they became findable), and this
-  // piece's extent is final again.
-  if (bump_version) piece->version.fetch_add(1, std::memory_order_release);
   return out;
 }
 
@@ -595,11 +528,6 @@ bool CrackingIndex::TryCrackInThree(const ValueRange& range, QueryContext* ctx,
     return false;
   }
 
-  // Seqlock odd window around data movement and extent publication (same
-  // argument as in CrackPieceLocked).
-  const bool bump_version = OptimisticMode();
-  if (bump_version) piece->version.fetch_add(1, std::memory_order_acq_rel);
-
   Position p1 = 0;
   Position p2 = 0;
   bool exact = true;
@@ -658,7 +586,6 @@ bool CrackingIndex::TryCrackInThree(const ValueRange& range, QueryContext* ctx,
       if (sp != nullptr && sp->end == se) sp->sorted = true;
     }
   }
-  if (bump_version) piece->version.fetch_add(1, std::memory_order_release);
   if (PieceLatchedMode()) piece->latch.WriteUnlock();
   policy_.OnSuccess();
 
@@ -707,173 +634,45 @@ void CrackingIndex::ResolveBounds(const ValueRange& range, QueryContext* ctx,
   *hi = ResolveBound(range.hi, ctx, Attempt::kBlocking, true);
 }
 
-bool CrackingIndex::UseOptimisticRead(Piece* piece) {
-  if (opts_.mode == ConcurrencyMode::kOptimistic) return true;
-  // kAdaptive: pieces whose measured retry rate crossed the threshold read
-  // pessimistically, except for a periodic probe that lets them re-promote
-  // once the cracking front has moved on.
-  const int32_t c = piece->contention.load(std::memory_order_relaxed);
-  if (!opts_.optimistic.Demoted(c)) return true;
-  const uint32_t tick =
-      piece->probe_ticks.fetch_add(1, std::memory_order_relaxed) + 1;
-  return opts_.optimistic.ProbeNow(tick);
-}
-
-void CrackingIndex::NoteOptimisticSuccess(Piece* piece) {
-  if (opts_.mode != ConcurrencyMode::kAdaptive) return;
-  int32_t c = piece->contention.load(std::memory_order_relaxed);
-  if (c <= 0) return;
-  // Single-shot CAS: a lost race just delays the decay by one read.
-  piece->contention.compare_exchange_weak(c, opts_.optimistic.AfterSuccess(c),
-                                          std::memory_order_relaxed,
-                                          std::memory_order_relaxed);
-}
-
-void CrackingIndex::NoteOptimisticFallback(Piece* piece) {
-  if (opts_.mode != ConcurrencyMode::kAdaptive) return;
-  int32_t c = piece->contention.load(std::memory_order_relaxed);
-  piece->contention.compare_exchange_weak(c, opts_.optimistic.AfterFallback(c),
-                                          std::memory_order_relaxed,
-                                          std::memory_order_relaxed);
-}
-
 template <typename Aggregator>
 void CrackingIndex::ProcessRegion(Position b, Position e, bool filtered,
                                   const ValueRange& filter, bool needs_guard,
                                   QueryContext* ctx, Aggregator* agg) {
   if (b >= e) return;
-  if (!needs_guard) {
-    ScopedTimer t(&ctx->stats.read_ns);
-    if (filtered) {
-      agg->Filtered(*array_, b, e, filter);
-    } else {
-      agg->Positional(*array_, b, e);
+  auto read = [&](Position from, Position to) {
+    {
+      ScopedTimer t(&ctx->stats.read_ns);
+      if (filtered) {
+        agg->Filtered(*array_, from, to, filter);
+      } else {
+        agg->Positional(*array_, from, to);
+      }
     }
     ++ctx->stats.pieces_touched;
+  };
+  if (!needs_guard) {
+    read(b, e);
     return;
   }
-  const bool optimistic = OptimisticMode();
-  const int max_retries = opts_.optimistic.max_retries;
-  // Batched per region walk so the latch-free fast path pays one atomic
-  // round into the global stats instead of one per piece.
-  uint64_t opt_attempts = 0;
-  uint64_t opt_retries = 0;
-  uint64_t opt_fallbacks = 0;
-  uint64_t lookups_snapshot = 0;
-  uint64_t lookups_locked = 0;
-  // Optimistic readers locate pieces through the latch-free published
-  // snapshot of the piece map (piece_map.h), so the steady-state read path
-  // acquires structure_mu_ zero times. A stale hit (the position moved past
-  // the snapshot piece's current end) flips the rest of this walk to the
-  // locked lookup: re-loading the same stale snapshot could spin, and one
-  // region walk rarely outlives more than one split.
-  bool use_snapshot = optimistic;
   LatchAcquireContext lat = ctx->LatchCtx(&latch_stats_);
   Position pos = b;
   while (pos < e) {
     std::shared_ptr<Piece> piece;
-    if (use_snapshot) {
-      piece = pieces_->AcquireSnapshot()->FindByPosition(pos);
-      ++lookups_snapshot;
-    } else {
-      MaybeSharedLock sl(&structure_mu_, true);
+    {
+      std::shared_lock<std::shared_mutex> sl(structure_mu_);
       piece = pieces_->FindByPosition(pos);
-      ++lookups_locked;
     }
-
-    if (optimistic && UseOptimisticRead(piece.get())) {
-      // Seqlock read (protocol in piece_map.h): version, then extent, then
-      // data, then version again. An unchanged even version proves the
-      // extent was stable and nothing in [pos, upto) moved during the read.
-      bool accepted = false;
-      bool stale_piece = false;
-      int failures = 0;
-      while (failures < max_retries) {
-        const uint64_t v1 = piece->version.load(std::memory_order_acquire);
-        if ((v1 & 1) != 0) {
-          // A crack is reorganizing the piece right now: an attempt that
-          // failed before any data was read. Counting it in both attempts
-          // and retries keeps retries/attempts a true failure rate.
-          ++failures;
-          ++opt_attempts;
-          ++opt_retries;
-          std::this_thread::yield();
-          continue;
-        }
-        const Position piece_end = piece->end.load(std::memory_order_acquire);
-        if (piece_end <= pos) {
-          // The piece split before we arrived; our position now belongs to
-          // a successor. Not contention — re-resolve the piece.
-          stale_piece = true;
-          break;
-        }
-        const Position upto = std::min(piece_end, e);
-        ++opt_attempts;
-        agg->Checkpoint();
-        {
-          ScopedTimer t(&ctx->stats.read_ns);
-          if (filtered) {
-            agg->FilteredOpt(*array_, pos, upto, filter);
-          } else {
-            agg->PositionalOpt(*array_, pos, upto);
-          }
-        }
-        std::atomic_thread_fence(std::memory_order_acquire);
-        if (piece->version.load(std::memory_order_relaxed) == v1) {
-          NoteOptimisticSuccess(piece.get());
-          ++ctx->stats.pieces_touched;
-          pos = upto;
-          accepted = true;
-          break;
-        }
-        // A crack raced the read: the aggregate may have seen a value
-        // twice or not at all. Discard and retry.
-        agg->Rollback();
-        ++failures;
-        ++opt_retries;
-      }
-      if (accepted) continue;
-      if (stale_piece) {
-        // The piece split before we arrived. With a snapshot lookup this
-        // also means the snapshot itself is behind; finish the walk on the
-        // locked path rather than risk re-reading the same stale view.
-        use_snapshot = false;
-        continue;  // re-lookup, no penalty
-      }
-      // Retry budget exhausted: a cracker is hammering this piece. Degrade
-      // to the latched read so writers cannot livelock us.
-      ++opt_fallbacks;
-      NoteOptimisticFallback(piece.get());
-    }
-
     piece->latch.ReadLock(lat);
     const Position piece_end = piece->end;  // stable under the read latch
     if (pos >= piece_end) {
-      // The piece split between lookup and latch; look up again (and stop
-      // trusting the snapshot, which is evidently behind).
+      // The piece split between lookup and latch; look up again.
       piece->latch.ReadUnlock();
-      use_snapshot = false;
       continue;
     }
     const Position upto = std::min(piece_end, e);
-    {
-      ScopedTimer t(&ctx->stats.read_ns);
-      if (filtered) {
-        agg->Filtered(*array_, pos, upto, filter);
-      } else {
-        agg->Positional(*array_, pos, upto);
-      }
-    }
+    read(pos, upto);
     piece->latch.ReadUnlock();
-    ++ctx->stats.pieces_touched;
     pos = upto;
-  }
-  if (optimistic) {
-    latch_stats_.RecordOptimisticReads(opt_attempts, opt_retries,
-                                       opt_fallbacks);
-  }
-  if (lookups_snapshot + lookups_locked > 0) {
-    latch_stats_.RecordPieceLookups(lookups_snapshot, lookups_locked);
   }
 }
 
@@ -958,8 +757,7 @@ Status CrackingIndex::ExecuteRange(const ValueRange& range, QueryContext* ctx,
   }
 
   for (int i = 0; i < num_regions; ++i) {
-    // Data-touching reads need a guard in every piece-latched mode; the
-    // optimistic modes then satisfy it latch-free inside ProcessRegion.
+    // Data-touching reads take piece read latches.
     const bool needs_guard = PieceLatchedMode() &&
                              (Aggregator::kNeedsRead || regions[i].filtered);
     ProcessRegion(regions[i].begin, regions[i].end, regions[i].filtered,
@@ -1072,20 +870,28 @@ Status CrackingIndex::ExportAdaptedState(AdaptedState* out) const {
       piece = pieces_->FindByPosition(pos);
     }
     if (piece_latched) piece->latch.ReadLock(lat);
-    const Position piece_end = piece->end.load(std::memory_order_acquire);
+    // The read latch holds the extent and the data; a crack at a piece
+    // boundary may still tighten the value bounds of this piece under the
+    // exclusive structure latch alone, so they are read under it (shared).
+    // Taking it while holding a piece latch is the order cracks use too.
+    AdaptedPiece ap;
+    {
+      MaybeSharedLock sl(&structure_mu_,
+                         opts_.mode != ConcurrencyMode::kNone);
+      ap = piece->bounds();
+    }
+    const Position piece_end = ap.end;
     if (pos >= piece_end) {
       // The piece split between lookup and latch; pos belongs to a
       // successor carved off the tail. Re-resolve.
       if (piece_latched) piece->latch.ReadUnlock();
       continue;
     }
-    // Under the read latch extent, bounds, sorted flag, and data are one
-    // consistent view. pos always equals piece->begin here: begins are
-    // immutable, the walk starts at 0, and each step advances to the
-    // captured end — which is the begin of the next piece at capture time
-    // and, begins being immutable, forever after (a later split of that
-    // successor only adds more begins to its right).
-    const AdaptedPiece ap = piece->bounds();
+    // pos always equals piece->begin here: begins are immutable, the walk
+    // starts at 0, and each step advances to the captured end — which is
+    // the begin of the next piece at capture time and, begins being
+    // immutable, forever after (a later split of that successor only adds
+    // more begins to its right).
     const Value* values = array_->ValuesSpan();
     const RowId* row_ids = array_->RowIdsSpan();
     out->values.insert(out->values.end(), values + pos, values + piece_end);

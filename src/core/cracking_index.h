@@ -22,8 +22,7 @@ namespace adaptidx {
 class LockManager;
 class ThreadPool;
 
-/// \brief Concurrency control mode for the cracking index (Section 5.3,
-/// plus the optimistic extensions layered on the piece-latch protocol).
+/// \brief Concurrency control mode for the cracking index (Section 5.3).
 enum class ConcurrencyMode {
   /// No latching at all — only valid for single-threaded execution; used to
   /// measure the administrative overhead of concurrency control (Figure 13).
@@ -34,21 +33,9 @@ enum class ConcurrencyMode {
   /// A read-write latch per piece ("Piece-wise latches"): queries crack
   /// different pieces concurrently and aggregate within pieces concurrently.
   kPieceLatch,
-  /// Piece-wise latches for crackers, but aggregation readers take NO latch
-  /// at all: each piece carries a seqlock-style version counter (even =
-  /// stable, odd = crack in progress) that writers bump around every
-  /// reorganization; readers validate version and extent after reading and
-  /// retry on mismatch, falling back to the latched path after
-  /// OptimisticReadPolicy::max_retries failures so writers cannot livelock
-  /// them. Removes both read-latch mutex round-trips from the dominant
-  /// aggregation path (the Figure 13 admin cost).
-  kOptimistic,
-  /// Starts as kOptimistic and demotes individual hot pieces to latched
-  /// reads when their measured retry rate crosses the policy threshold,
-  /// re-promoting once contention subsides (periodic probing).
-  kAdaptive,
 };
 
+/// \brief The mode's display name ("none", "column-latch", "piece-latch").
 std::string ToString(ConcurrencyMode mode);
 
 /// \brief Tunables of the cracking index; defaults reproduce the paper's
@@ -122,10 +109,6 @@ struct CrackingOptions {
   /// interleaving.
   uint64_t policy_seed = 2012;
 
-  /// Retry/fallback bounds and kAdaptive demotion thresholds of the
-  /// optimistic read path; consulted only under kOptimistic/kAdaptive.
-  OptimisticReadPolicy optimistic;
-
   /// When set, refinement first verifies that no user transaction holds a
   /// conflicting lock (Section 3.3, "Conflict Avoidance") on
   /// `lock_resource`; on conflict the query answers by scanning and skips
@@ -155,12 +138,21 @@ struct CrackingOptions {
 /// piece latches are never requested while holding `structure_mu_`, and
 /// multi-piece acquisitions proceed in ascending position order, so the
 /// latch graph is acyclic.
+///
+/// Thread safety: under kColumnLatch and kPieceLatch any number of threads
+/// may query, export and read statistics concurrently; kNone is for one
+/// thread at a time. ValidateStructure needs a quiesced index, and
+/// RestoreAdaptedState must run before the first query.
 class CrackingIndex : public AdaptiveIndex {
  public:
+  /// \brief An index over `column`, which must outlive it. Nothing is
+  /// built until the first query (or RestoreAdaptedState).
   explicit CrackingIndex(const Column* column, CrackingOptions opts = {});
 
+  /// \brief The display name from the options.
   std::string Name() const override { return opts_.name; }
 
+  /// \brief Number of pieces in the piece map; 0 before the first query.
   size_t NumPieces() const override;
 
   /// \brief Number of cracks between pieces: NumPieces() - 1 once
@@ -172,6 +164,7 @@ class CrackingIndex : public AdaptiveIndex {
     return initialized_.load(std::memory_order_acquire);
   }
 
+  /// \brief The options the index was built with.
   const CrackingOptions& options() const { return opts_; }
 
   /// \brief Piece sizes in position order (diagnostics/benchmarks).
@@ -314,8 +307,8 @@ class CrackingIndex : public AdaptiveIndex {
   std::pair<Position, Position> CrackRangeThree(Position begin, Position end,
                                                 Value lo, Value hi);
 
-  /// Coarse-granular floor, applied inside the seqlock odd window after the
-  /// cracks of one refinement step: sorts every crack-delimited sub-range of
+  /// Coarse-granular floor, applied after the cracks of one refinement step
+  /// and before their publication: sorts every crack-delimited sub-range of
   /// [begin, end) whose size is at or below min_piece_size and appends its
   /// bounds to `out` so the publication step can mark the matching piece
   /// sorted. `cracks` holds the step's crack positions in ascending order.
@@ -327,37 +320,15 @@ class CrackingIndex : public AdaptiveIndex {
   /// refinement (Section 3.3's verification step).
   bool UserLockConflict(QueryContext* ctx) const;
 
-  /// True for every mode that cracks under per-piece write latches
-  /// (kPieceLatch and the optimistic modes, whose writers keep the latched
-  /// protocol and only the read side changes).
+  /// True when cracks take piece write latches and reads piece read latches.
   bool PieceLatchedMode() const {
-    return opts_.mode == ConcurrencyMode::kPieceLatch ||
-           opts_.mode == ConcurrencyMode::kOptimistic ||
-           opts_.mode == ConcurrencyMode::kAdaptive;
+    return opts_.mode == ConcurrencyMode::kPieceLatch;
   }
 
-  /// True when piece versions must be maintained and readers may go
-  /// latch-free.
-  bool OptimisticMode() const {
-    return opts_.mode == ConcurrencyMode::kOptimistic ||
-           opts_.mode == ConcurrencyMode::kAdaptive;
-  }
-
-  /// Whether this guarded read of `piece` should attempt the optimistic
-  /// path (always under kOptimistic; contention-gated with periodic probing
-  /// under kAdaptive).
-  bool UseOptimisticRead(Piece* piece);
-
-  /// kAdaptive bookkeeping after a validated / retry-exhausted read.
-  void NoteOptimisticSuccess(Piece* piece);
-  void NoteOptimisticFallback(Piece* piece);
-
-  /// Streams the positional region [b, e) into `agg` piece by piece,
-  /// guarding each piece read per the mode — read latch (kPieceLatch),
-  /// version-validated latch-free read with latched fallback
-  /// (kOptimistic/kAdaptive) — and retrying on pieces that split under us.
-  /// `needs_guard` is false when the aggregation touches no data (positional
-  /// counts), which skips all guarding.
+  /// Streams the positional region [b, e) into `agg` piece by piece under
+  /// each piece's read latch, looking the piece up again when it split
+  /// between lookup and latch. `needs_guard` is false when the aggregation
+  /// touches no data (positional counts), which skips the latching.
   template <typename Aggregator>
   void ProcessRegion(Position b, Position e, bool filtered,
                      const ValueRange& filter, bool needs_guard,

@@ -81,19 +81,6 @@ std::string IndexConfigKey(const IndexConfig& config) {
           key += "/s" + std::to_string(c.policy_seed);
         }
       }
-      if (c.mode == ConcurrencyMode::kOptimistic ||
-          c.mode == ConcurrencyMode::kAdaptive) {
-        // The optimistic policy block shapes runtime behavior (retry budget,
-        // demotion thresholds) but is only consulted under the optimistic
-        // modes; keep it out of the key otherwise so latched configs that
-        // differ only in unused knobs stay one physical index.
-        const OptimisticReadPolicy& o = c.optimistic;
-        key += ",opt=" + std::to_string(o.max_retries) + "/" +
-               std::to_string(o.demote_threshold) + "/" +
-               std::to_string(o.fallback_penalty) + "/" +
-               std::to_string(o.contention_cap) + "/" +
-               std::to_string(o.probe_period);
-      }
       if (c.lock_manager != nullptr) {
         // Identity of the manager matters, not just the resource name: the
         // same resource string under two managers is two distinct conflict

@@ -57,16 +57,27 @@ bool SideStoreVersion::AnyAntiMatterIn(const ValueRange& range) const {
 // -------------------------------------------------------- SideStoreDelta
 
 SideStoreDelta::~SideStoreDelta() {
-  // Unlink predecessors this node solely owns, iteratively: letting the
+  // Destroy the predecessors this node last owned one by one: letting the
   // member shared_ptrs cascade would recurse one destructor frame per
   // node, and a chain is as long as the consolidation threshold allows.
-  // A use_count of 1 means this local handle is the only owner (there are
-  // no weak_ptrs), so nobody can resurrect the node while we dismantle it.
-  std::shared_ptr<const SideStoreDelta> node = std::move(prev);
-  while (node != nullptr && node.use_count() == 1) {
-    std::shared_ptr<const SideStoreDelta> next = std::move(node->prev);
-    node = std::move(next);
+  // The outermost destructor on a thread drops its predecessor; when that
+  // was the last reference, the predecessor's (nested) destructor hands
+  // its own predecessor back here instead of dropping it, and the loop
+  // goes on. Each destructor writes only its own node, which no other
+  // thread can reach once the reference count has reached zero.
+  thread_local bool unlinking = false;
+  thread_local std::shared_ptr<const SideStoreDelta> handed_back;
+  if (unlinking) {
+    handed_back = std::move(prev);
+    return;
   }
+  unlinking = true;
+  std::shared_ptr<const SideStoreDelta> node = std::move(prev);
+  while (node != nullptr) {
+    node.reset();
+    node = std::move(handed_back);
+  }
+  unlinking = false;
 }
 
 // -------------------------------------------------------------- Snapshot
@@ -215,16 +226,15 @@ void SnapshotManager::CompleteRebase(
 }
 
 void SnapshotManager::Release(uint64_t epoch) {
-  bool drained = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = active_.find(epoch);
-    assert(it != active_.end());
-    if (--it->second == 0) active_.erase(it);
-    drained = active_.empty();
-  }
-  // A draining BeginRebase only cares about the registry emptying.
-  if (drained) cv_.notify_all();
+  std::lock_guard<std::mutex> lk(mu_);
+  auto it = active_.find(epoch);
+  assert(it != active_.end());
+  if (--it->second == 0) active_.erase(it);
+  // A draining BeginRebase only cares about the registry emptying. Notify
+  // under the mutex: the drain in ~UpdatableIndex destroys this manager as
+  // soon as its wait returns, and it cannot return before the mutex is
+  // released, so the notify never touches a destroyed condition variable.
+  if (active_.empty()) cv_.notify_all();
 }
 
 uint64_t SnapshotManager::base_generation() const {

@@ -98,8 +98,9 @@ struct SideStoreDelta {
         next_row_id(next_row_id_in),
         prev(std::move(prev_in)) {}
 
-  /// \brief Iteratively unlinks solely-owned predecessors so dropping a
-  /// long chain cannot overflow the stack with recursive destructors.
+  /// \brief Destroys the predecessors this node last owned iteratively, so
+  /// dropping a long chain cannot overflow the stack with recursive
+  /// destructors.
   ~SideStoreDelta();
 
   Op op;               ///< \brief The committed operation.
@@ -108,9 +109,8 @@ struct SideStoreDelta {
   uint64_t epoch;      ///< \brief Commit epoch of this delta.
   RowId next_row_id;   ///< \brief Next row id the index assigns after it.
   /// Older delta of the same era; null at the era boundary (the
-  /// consolidated base covers everything before). Mutable only so the
-  /// destructor can unlink it iteratively.
-  mutable std::shared_ptr<const SideStoreDelta> prev;
+  /// consolidated base covers everything before).
+  std::shared_ptr<const SideStoreDelta> prev;
 };
 
 class SnapshotManager;

@@ -1,58 +1,12 @@
 #ifndef ADAPTIDX_CORE_STRATEGIES_H_
 #define ADAPTIDX_CORE_STRATEGIES_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace adaptidx {
-
-/// \brief Tunables and transition rules of the optimistic piece-read path
-/// (ConcurrencyMode::kOptimistic / kAdaptive).
-///
-/// kOptimistic consults only `max_retries`. kAdaptive additionally keeps a
-/// per-piece contention score (Piece::contention): fallbacks raise it,
-/// validated reads decay it, and a piece at or above `demote_threshold` is
-/// *demoted* — its readers take the piece read latch instead of racing a
-/// busy cracker. Demoted pieces probe the optimistic path every
-/// `probe_period`-th read so they re-promote once the cracking front has
-/// moved on. All transitions are pure functions of the observed score so
-/// they can be unit-tested deterministically; the caller applies them with
-/// relaxed atomics (lost updates only delay a transition, never break
-/// correctness).
-struct OptimisticReadPolicy {
-  /// Failed seqlock validations tolerated per piece read before the reader
-  /// falls back to the latched path (the anti-livelock bound `k`).
-  int max_retries = 3;
-  /// Contention score at or above which a piece reads pessimistically.
-  int32_t demote_threshold = 8;
-  /// Score added when a read exhausts its retries and falls back.
-  int32_t fallback_penalty = 4;
-  /// Ceiling on the score so a long contention burst cannot delay
-  /// re-promotion unboundedly.
-  int32_t contention_cap = 32;
-  /// A demoted piece re-attempts the optimistic path every Nth read;
-  /// 0 disables probing (demotion becomes permanent).
-  uint32_t probe_period = 16;
-
-  bool Demoted(int32_t contention) const {
-    return contention >= demote_threshold;
-  }
-  /// Score after a fully validated optimistic read.
-  int32_t AfterSuccess(int32_t contention) const {
-    return contention > 0 ? contention - 1 : 0;
-  }
-  /// Score after a retry-exhausted fallback.
-  int32_t AfterFallback(int32_t contention) const {
-    return std::min(contention + fallback_penalty, contention_cap);
-  }
-  /// Whether a demoted piece's `tick`-th guarded read probes optimistically.
-  bool ProbeNow(uint32_t tick) const {
-    return probe_period != 0 && tick % probe_period == 0;
-  }
-};
 
 /// \brief Refinement strategies from Section 7 ("Future Work"), implemented
 /// here as configurable policies of the cracking index.
@@ -73,6 +27,7 @@ enum class RefinementStrategy {
   kDynamic,
 };
 
+/// \brief The strategy's display name ("standard", "lazy", ...).
 std::string ToString(RefinementStrategy s);
 
 /// \brief Per-crack directive produced by the policy.
@@ -92,11 +47,16 @@ struct RefinementDirective {
 /// For kDynamic it keeps an exponentially decayed conflict score fed by
 /// `OnConflict`/`OnSuccess`: above `kHighContention` the policy behaves like
 /// kLazy; below `kLowContention` like kActive; in between like kStandard.
+///
+/// Thread safety: any number of queries may call OnCrack, OnConflict and
+/// OnSuccess concurrently; the score is one atomic updated by CAS, and the
+/// rest of the policy is immutable.
 class RefinementPolicy {
  public:
-  /// `min_piece_size` is the coarse-granular cracking floor: a piece at or
-  /// below it is sorted instead of split regardless of strategy, capping
-  /// piece-map growth (0 disables the floor).
+  /// \brief A policy for `strategy`. `min_piece_size` is the
+  /// coarse-granular cracking floor: a piece at or below it is sorted
+  /// instead of split regardless of strategy, capping piece-map growth (0
+  /// disables the floor).
   RefinementPolicy(RefinementStrategy strategy, size_t sort_piece_threshold,
                    size_t min_piece_size = 0);
 
@@ -110,8 +70,12 @@ class RefinementPolicy {
   /// \brief Feeds an uncontended acquisition into the contention estimate.
   void OnSuccess();
 
+  /// \brief The configured strategy.
   RefinementStrategy strategy() const { return strategy_; }
+  /// \brief Pieces at or below this size are sorted under kActive (and
+  /// kDynamic at low contention).
   size_t sort_piece_threshold() const { return sort_piece_threshold_; }
+  /// \brief The coarse-granular floor (0 when disabled).
   size_t min_piece_size() const { return min_piece_size_; }
 
   /// \brief Current contention score in [0, 1]; ~fraction of recent

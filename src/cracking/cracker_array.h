@@ -63,8 +63,8 @@ class SplitAccessor {
 /// the index's aggregators stream regions through these bulk calls under
 /// piece read-latches. The dense value/rowID spans are also exposed
 /// (ValuesSpan / RowIdsSpan) so code outside this class — custom operators,
-/// the optimistic read kernels, the kernel micro-benchmarks and
-/// differential tests — can feed the raw arrays straight into the span
+/// the checkpoint export, the kernel micro-benchmarks and differential
+/// tests — can feed the raw arrays straight into the span
 /// kernels of span_kernels.h.
 ///
 /// Not internally synchronized — callers serialize access with the column or

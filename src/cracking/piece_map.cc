@@ -1,10 +1,12 @@
 #include "cracking/piece_map.h"
 
+#include <iterator>
+
 namespace adaptidx {
 
 using piece_map_internal::FloorSlot;
 
-void PieceTiling::Chunk::Insert(size_t at, std::shared_ptr<Piece> p) {
+void PieceMap::Chunk::Insert(size_t at, std::shared_ptr<Piece> p) {
   const auto off = static_cast<std::ptrdiff_t>(at);
   lo_values.insert(lo_values.begin() + off, p->lo_value);
   begins.insert(begins.begin() + off, p->begin);
@@ -18,60 +20,48 @@ PieceMap::PieceMap(size_t array_size, Value domain_lo, Value domain_hi,
 
 PieceMap::PieceMap(const std::vector<PieceBounds>& tiling,
                    SchedulingPolicy policy)
-    : array_size_(tiling.back().end), policy_(policy) {
+    : array_size_(tiling.back().end),
+      policy_(policy),
+      num_pieces_(tiling.size()) {
   // Chunks start half full, the size a chunk split leaves behind, so the
   // first cracks after a rebuild do not split every chunk they touch.
-  constexpr size_t kFill = PieceTiling::kChunkMax / 2;
-  auto t = std::make_shared<PieceTiling>();
-  std::shared_ptr<Chunk> chunk;
+  constexpr size_t kFill = kChunkMax / 2;
   for (const PieceBounds& b : tiling) {
-    if (chunk == nullptr || chunk->pieces.size() == kFill) {
-      chunk = std::make_shared<Chunk>();
-      t->first_begins.push_back(b.begin);
-      t->first_los.push_back(b.lo_value);
-      t->chunks.push_back(chunk);
+    if (chunks_.empty() || chunks_.back().pieces.size() == kFill) {
+      chunks_.emplace_back();
+      first_begins_.push_back(b.begin);
+      first_los_.push_back(b.lo_value);
     }
-    chunk->Insert(chunk->pieces.size(), std::make_shared<Piece>(b, policy));
+    Chunk& c = chunks_.back();
+    c.Insert(c.pieces.size(), std::make_shared<Piece>(b, policy));
   }
-  t->num_pieces = tiling.size();
-  tiling_ = std::move(t);
 }
 
-void PieceMap::Publish(size_t ci, std::shared_ptr<Chunk> chunk,
-                       size_t added) {
-  auto t = std::make_shared<PieceTiling>(*tiling_);
-  t->num_pieces += added;
-  if (chunk->pieces.size() > PieceTiling::kChunkMax) {
-    const size_t half = chunk->pieces.size() / 2;
-    const auto h = static_cast<std::ptrdiff_t>(half);
-    auto upper = std::make_shared<Chunk>();
-    upper->lo_values.assign(chunk->lo_values.begin() + h,
-                            chunk->lo_values.end());
-    upper->begins.assign(chunk->begins.begin() + h, chunk->begins.end());
-    upper->pieces.assign(chunk->pieces.begin() + h, chunk->pieces.end());
-    chunk->lo_values.resize(half);
-    chunk->begins.resize(half);
-    chunk->pieces.resize(half);
-    const auto next = static_cast<std::ptrdiff_t>(ci) + 1;
-    t->first_begins.insert(t->first_begins.begin() + next,
-                           upper->begins.front());
-    t->first_los.insert(t->first_los.begin() + next,
-                        upper->lo_values.front());
-    t->chunks.insert(t->chunks.begin() + next, std::move(upper));
-  }
-  t->first_begins[ci] = chunk->begins.front();
-  t->first_los[ci] = chunk->lo_values.front();
-  t->chunks[ci] = std::move(chunk);
-  std::atomic_store(&tiling_,
-                    std::shared_ptr<const PieceTiling>(std::move(t)));
+void PieceMap::SplitChunk(size_t ci) {
+  Chunk& c = chunks_[ci];
+  const size_t half = c.pieces.size() / 2;
+  const auto h = static_cast<std::ptrdiff_t>(half);
+  Chunk upper;
+  upper.lo_values.assign(c.lo_values.begin() + h, c.lo_values.end());
+  upper.begins.assign(c.begins.begin() + h, c.begins.end());
+  upper.pieces.assign(std::make_move_iterator(c.pieces.begin() + h),
+                      std::make_move_iterator(c.pieces.end()));
+  c.lo_values.resize(half);
+  c.begins.resize(half);
+  c.pieces.resize(half);
+  const auto next = static_cast<std::ptrdiff_t>(ci) + 1;
+  first_begins_.insert(first_begins_.begin() + next, upper.begins.front());
+  first_los_.insert(first_los_.begin() + next, upper.lo_values.front());
+  chunks_.insert(chunks_.begin() + next, std::move(upper));
 }
 
 void PieceMap::SetLoValue(Piece* piece, Value lo) {
   piece->lo_value = lo;
-  const size_t ci = FloorSlot(tiling_->first_begins, piece->begin);
-  auto chunk = std::make_shared<Chunk>(*tiling_->chunks[ci]);
-  chunk->lo_values[FloorSlot(chunk->begins, piece->begin)] = lo;
-  Publish(ci, std::move(chunk), 0);
+  const size_t ci = ChunkOf(piece->begin);
+  Chunk& c = chunks_[ci];
+  const size_t i = FloorSlot(c.begins, piece->begin);
+  c.lo_values[i] = lo;
+  if (i == 0) first_los_[ci] = lo;
 }
 
 std::shared_ptr<Piece> PieceMap::FindByBegin(Position begin) const {
@@ -107,35 +97,35 @@ std::shared_ptr<Piece> PieceMap::Split(std::shared_ptr<Piece> p,
   p->hi_value = pivot;
   // `right` was cut off the tail of `p`, so it lands in p's chunk, right
   // after p, and never becomes a chunk's first entry.
-  const size_t ci = FloorSlot(tiling_->first_begins, split_pos);
-  auto chunk = std::make_shared<Chunk>(*tiling_->chunks[ci]);
-  chunk->Insert(FloorSlot(chunk->begins, split_pos) + 1, right);
-  Publish(ci, std::move(chunk), 1);
+  const size_t ci = ChunkOf(split_pos);
+  Chunk& c = chunks_[ci];
+  c.Insert(FloorSlot(c.begins, split_pos) + 1, right);
+  ++num_pieces_;
+  if (c.pieces.size() > kChunkMax) SplitChunk(ci);
   return right;
 }
 
 void PieceMap::ForEach(const std::function<void(const Piece&)>& fn) const {
-  for (const auto& chunk : tiling_->chunks) {
-    for (const auto& piece : chunk->pieces) fn(*piece);
+  for (const Chunk& chunk : chunks_) {
+    for (const auto& piece : chunk.pieces) fn(*piece);
   }
 }
 
 bool PieceMap::Validate() const {
-  const PieceTiling& t = *tiling_;
-  const size_t num_chunks = t.chunks.size();
-  if (num_chunks == 0 || t.first_begins.size() != num_chunks ||
-      t.first_los.size() != num_chunks) {
+  const size_t num_chunks = chunks_.size();
+  if (num_chunks == 0 || first_begins_.size() != num_chunks ||
+      first_los_.size() != num_chunks) {
     return false;
   }
   Position expected_begin = 0;
   const Piece* prev = nullptr;
   size_t count = 0;
   for (size_t ci = 0; ci < num_chunks; ++ci) {
-    const Chunk& c = *t.chunks[ci];
+    const Chunk& c = chunks_[ci];
     const size_t k = c.pieces.size();
-    if (k == 0 || k > PieceTiling::kChunkMax || c.begins.size() != k ||
-        c.lo_values.size() != k || t.first_begins[ci] != c.begins[0] ||
-        t.first_los[ci] != c.lo_values[0]) {
+    if (k == 0 || k > kChunkMax || c.begins.size() != k ||
+        c.lo_values.size() != k || first_begins_[ci] != c.begins[0] ||
+        first_los_[ci] != c.lo_values[0]) {
       return false;
     }
     for (size_t i = 0; i < k; ++i) {
@@ -151,7 +141,7 @@ bool PieceMap::Validate() const {
       ++count;
     }
   }
-  return count == t.num_pieces && expected_begin == array_size_;
+  return count == num_pieces_ && expected_begin == array_size_;
 }
 
 }  // namespace adaptidx

@@ -1,7 +1,6 @@
 #ifndef ADAPTIDX_CRACKING_PIECE_MAP_H_
 #define ADAPTIDX_CRACKING_PIECE_MAP_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -30,34 +29,18 @@ struct PieceBounds {
 ///
 /// Field protection protocol:
 ///  - `begin` is immutable: splits always cut the tail off a piece.
-///  - `end`, `hi_value`, `lo_value`, `sorted` change only while holding both
-///    the owning index's structure latch (exclusive) and this piece's write
-///    latch; readers see them stably while holding either the structure
-///    latch (shared) or this piece's read latch. `end` is additionally
-///    atomic so optimistic readers can re-check the extent latch-free.
-///    The PieceMap chunk holding the piece mirrors `begin` and `lo_value`
-///    and is republished in the same exclusive section as any change.
-///  - The piece object outlives its chunk via shared_ptr, so a waiter
+///  - `end`, `hi_value`, `lo_value` and `sorted` change only under the
+///    owning index's structure latch held exclusive. A crack moves a piece's
+///    data and changes its fields while holding that piece's write latch; a
+///    crack at a piece boundary additionally tightens the neighbour's
+///    `hi_value` or `lo_value` across it. So `end` is stable under either
+///    the structure latch (shared) or this piece's read latch, the data
+///    under the read latch (or, once `sorted`, under the structure latch),
+///    and the value bounds under the structure latch.
+///  - The PieceMap chunk holding the piece mirrors `begin` and `lo_value`
+///    and is edited in the same exclusive section as any change.
+///  - The piece object outlives its chunk entry via shared_ptr, so a waiter
 ///    blocked on `latch` can safely wake after the piece has been split.
-///
-/// Optimistic (seqlock) protocol — ConcurrencyMode::kOptimistic/kAdaptive:
-///  - `version` is even while the piece is stable and odd while a crack is
-///    reorganizing it. Writers (who additionally hold the piece write latch,
-///    so versions never interleave) bump it odd *before* the first data
-///    movement or extent change and even again only *after* the cracks are
-///    published — every extent change is therefore inside an odd window.
-///  - Readers: load `version` (acquire; odd means a crack is in flight),
-///    then load `end` (acquire), read the data with no latch at all, and
-///    re-load `version`. An unchanged even version proves both that the data
-///    did not move during the read and that `end` was the stable extent for
-///    the whole window — so the read never leaked into a successor piece
-///    whose own cracks this piece's version would not observe. On mismatch
-///    the read is discarded and retried; after a bounded number of failures
-///    the reader falls back to the piece read latch so continuous cracking
-///    cannot livelock it.
-///  - `contention` / `probe_ticks` carry the kAdaptive per-piece demotion
-///    state (see OptimisticReadPolicy in core/strategies.h); both are
-///    relaxed-atomic heuristics, never correctness-bearing.
 struct Piece {
   Piece(const PieceBounds& b, SchedulingPolicy policy)
       : begin(b.begin),
@@ -67,29 +50,18 @@ struct Piece {
         sorted(b.sorted),
         latch(policy) {}
 
-  const Position begin;       ///< first position of the piece (immutable)
-  std::atomic<Position> end;  ///< one past the last position; shrinks on
-                              ///< split (atomic for optimistic extent checks)
+  const Position begin;  ///< first position of the piece (immutable)
+  Position end;          ///< one past the last position; shrinks on split
   Value lo_value;        ///< inclusive lower bound on values in the piece
   Value hi_value;        ///< exclusive upper bound on values in the piece
   bool sorted = false;   ///< piece known fully sorted (active strategy)
   WaitQueueLatch latch;  ///< piece latch
 
-  /// Seqlock version: even = stable, odd = crack in progress. Maintained by
-  /// writers only under the optimistic concurrency modes.
-  std::atomic<uint64_t> version{0};
-  /// kAdaptive demotion score: raised by optimistic fallbacks, decayed by
-  /// validated reads; at or above the policy threshold readers latch.
-  std::atomic<int32_t> contention{0};
-  /// kAdaptive probe clock for demoted pieces: every Nth guarded read
-  /// re-attempts the optimistic path so the piece can re-promote.
-  std::atomic<uint32_t> probe_ticks{0};
-
   /// \brief Number of positions in the piece.
   size_t size() const { return end - begin; }
 
   /// \brief The piece's extent, bounds and sorted flag; stable while the
-  /// caller holds the structure latch or this piece's latch.
+  /// caller holds the structure latch.
   PieceBounds bounds() const {
     return PieceBounds{begin, end, lo_value, hi_value, sorted};
   }
@@ -111,82 +83,31 @@ template <typename T> size_t FloorSlot(const std::vector<T>& keys, T key) {
 
 }  // namespace piece_map_internal
 
-/// \brief One immutable version of the piece tiling: the Piece pointers in
-/// position order, in chunks of consecutive pieces. Pieces tile the array
-/// in ascending, disjoint value ranges, so position order is also value
-/// order, and each chunk keeps the pieces' `begins` and `lo_values` beside
-/// them: one binary search finds the piece for a position, another the
-/// piece for a value.
-///
-/// Chunks are immutable and shared between successive versions: a change
-/// republishes by copying the chunk list and the one chunk it touches —
-/// O(pieces / kChunkMax + kChunkMax) instead of a copy of the whole tiling
-/// (it runs under the exclusive structure latch every lookup waits on).
-///
-/// A version held past its publication may be stale — pieces split after
-/// it still appear as their pre-split extent — but never unsafe:
-///  - `begin` is immutable, so every entry still names a live piece whose
-///    first position is exactly `begins[i]`.
-///  - The optimistic reader validates the piece's atomic `end` (the
-///    position may have moved into a successor carved off after the
-///    version) and the piece seqlock version, exactly as for a locked
-///    lookup. A position at or past the piece's current `end` means the
-///    version is stale for this region; the reader re-resolves through the
-///    locked path.
-struct PieceTiling {
-  /// A chunk splits in two once it would exceed this many pieces.
-  static constexpr size_t kChunkMax = 128;
-
-  /// Consecutive pieces in position order; never empty.
-  /// `begins[i] == pieces[i]->begin` and `lo_values[i] ==
-  /// pieces[i]->lo_value`, both ascending.
-  struct Chunk {
-    std::vector<Value> lo_values;
-    std::vector<Position> begins;
-    std::vector<std::shared_ptr<Piece>> pieces;
-
-    /// \brief Inserts `p` at slot `at`.
-    void Insert(size_t at, std::shared_ptr<Piece> p);
-  };
-
-  /// `first_begins[i]` and `first_los[i]` are `chunks[i]`'s first entries.
-  std::vector<Position> first_begins;
-  std::vector<Value> first_los;
-  std::vector<std::shared_ptr<const Chunk>> chunks;
-  size_t num_pieces = 0;
-
-  /// \brief The piece containing `pos` (the last piece for any position
-  /// at or past the array end).
-  const std::shared_ptr<Piece>& FindByPosition(Position pos) const {
-    const Chunk& c =
-        *chunks[piece_map_internal::FloorSlot(first_begins, pos)];
-    return c.pieces[piece_map_internal::FloorSlot(c.begins, pos)];
-  }
-
-  /// \brief The piece with the greatest `lo_value <= v`, or the first piece
-  /// when `v` lies below every `lo_value`.
-  const std::shared_ptr<Piece>& FindByValue(Value v) const {
-    const Chunk& c = *chunks[piece_map_internal::FloorSlot(first_los, v)];
-    return c.pieces[piece_map_internal::FloorSlot(c.lo_values, v)];
-  }
-};
-
 /// \brief The table of contents of one cracker array (Section 5.2's
 /// "memory resident AVL tree" of requested key ranges, here a chunked
 /// sorted array): the pieces that tile [0, n), found by value to resolve
 /// a query bound and by position to walk a region.
 ///
+/// The Piece pointers sit in position order, in chunks of consecutive
+/// pieces. Pieces tile the array in ascending, disjoint value ranges, so
+/// position order is also value order, and each chunk keeps the pieces'
+/// `begins` and `lo_values` beside them: one binary search over the
+/// chunks' first entries and one inside a chunk find the piece for a
+/// position, or for a value. A split edits the one chunk it lands in, in
+/// place — an insert into at most kChunkMax entries, and a chunk split once
+/// the chunk outgrows that.
+///
 /// Thread safety: not internally synchronized; the owning index's
 /// structure latch guards it. Lookups (FindByValue, FindByPosition,
-/// FindByBegin, ForEach, num_pieces) run under the latch held shared and
-/// read the current tiling by reference. Split — the only change, whether
-/// it adds a piece or moves a bound — runs under the latch held exclusive
-/// and republishes the chunk it touches. AcquireSnapshot is the one entry
-/// safe with no latch held: optimistic readers take the current tiling
-/// with std::atomic_load, paired with the std::atomic_store of every
-/// republication.
+/// FindByBegin, ForEach, num_pieces) run under the latch held shared.
+/// Split — the only change, whether it adds a piece or moves a bound —
+/// runs under the latch held exclusive and edits the tiling in place, so a
+/// reference a lookup returned is valid only until the latch is released.
 class PieceMap {
  public:
+  /// \brief A chunk splits in two once it would exceed this many pieces.
+  static constexpr size_t kChunkMax = 128;
+
   /// \brief Starts with a single piece covering [0, array_size) and the
   /// whole value domain [domain_lo, domain_hi).
   PieceMap(size_t array_size, Value domain_lo, Value domain_hi,
@@ -204,23 +125,25 @@ class PieceMap {
   /// `v <= lo_value`, its `end` when `v >= hi_value`, and otherwise inside
   /// the piece. The reference is valid while the structure latch is held.
   const std::shared_ptr<Piece>& FindByValue(Value v) const {
-    return tiling_->FindByValue(v);
+    const Chunk& c = chunks_[piece_map_internal::FloorSlot(first_los_, v)];
+    return c.pieces[piece_map_internal::FloorSlot(c.lo_values, v)];
   }
 
   /// \brief The piece containing position `pos` (the last piece for any
   /// position at or past the array end). The reference is valid while the
   /// structure latch is held.
   const std::shared_ptr<Piece>& FindByPosition(Position pos) const {
-    return tiling_->FindByPosition(pos);
+    const Chunk& c = chunks_[ChunkOf(pos)];
+    return c.pieces[piece_map_internal::FloorSlot(c.begins, pos)];
   }
 
   /// \brief The piece starting exactly at `begin`; null when none does.
   std::shared_ptr<Piece> FindByBegin(Position begin) const;
 
   /// \brief Records a crack on `pivot` at `split_pos` inside `p` (taken by
-  /// value: a reference into the tiling would dangle once the change is
-  /// republished). Caller holds the structure latch exclusively and `p`'s
-  /// write latch.
+  /// value: a reference into the tiling would dangle once the chunk
+  /// holding it is edited). Caller holds the structure latch exclusively
+  /// and `p`'s write latch.
   ///
   ///  - Interior split: `p` keeps [begin, split_pos) with hi_value=pivot; a
   ///    new piece [split_pos, old_end) with lo_value=pivot is inserted and
@@ -236,15 +159,8 @@ class PieceMap {
   std::shared_ptr<Piece> Split(std::shared_ptr<Piece> p, Position split_pos,
                                Value pivot);
 
-  /// \brief The current tiling, safe with no latch held. Republished by
-  /// every change, so it is stale only while a reader races a split —
-  /// which the reader detects through the piece's atomic `end` and seqlock.
-  std::shared_ptr<const PieceTiling> AcquireSnapshot() const {
-    return std::atomic_load(&tiling_);
-  }
-
   /// \brief Number of pieces in the tiling.
-  size_t num_pieces() const { return tiling_->num_pieces; }
+  size_t num_pieces() const { return num_pieces_; }
   /// \brief Length of the array the pieces tile.
   size_t array_size() const { return array_size_; }
   /// \brief Latch scheduling policy of every piece.
@@ -259,22 +175,38 @@ class PieceMap {
   bool Validate() const;
 
  private:
-  using Chunk = PieceTiling::Chunk;
+  /// Consecutive pieces in position order; never empty.
+  /// `begins[i] == pieces[i]->begin` and `lo_values[i] ==
+  /// pieces[i]->lo_value`, both ascending.
+  struct Chunk {
+    std::vector<Value> lo_values;
+    std::vector<Position> begins;
+    std::vector<std::shared_ptr<Piece>> pieces;
 
-  /// Raises `piece`'s lo_value to `lo` and republishes its chunk.
+    /// Inserts `p` at slot `at`.
+    void Insert(size_t at, std::shared_ptr<Piece> p);
+  };
+
+  /// Index of the chunk holding position `pos`.
+  size_t ChunkOf(Position pos) const {
+    return piece_map_internal::FloorSlot(first_begins_, pos);
+  }
+
+  /// Raises `piece`'s lo_value to `lo`, in the piece and in its chunk.
   void SetLoValue(Piece* piece, Value lo);
 
-  /// Publishes a tiling whose chunk `ci` is replaced by `chunk` (split in
-  /// two once it outgrew kChunkMax) and which holds `added` more pieces.
-  /// Caller holds the structure latch exclusively.
-  void Publish(size_t ci, std::shared_ptr<Chunk> chunk, size_t added);
+  /// Moves the upper half of chunk `ci`, which outgrew kChunkMax, into a
+  /// new chunk right after it.
+  void SplitChunk(size_t ci);
 
   const size_t array_size_;
   const SchedulingPolicy policy_;
-  /// Replaced with std::atomic_store under the exclusive structure latch;
-  /// read directly under the shared latch, or with std::atomic_load by
-  /// AcquireSnapshot.
-  std::shared_ptr<const PieceTiling> tiling_;
+  /// `first_begins_[i]` and `first_los_[i]` are `chunks_[i]`'s first
+  /// entries.
+  std::vector<Position> first_begins_;
+  std::vector<Value> first_los_;
+  std::vector<Chunk> chunks_;
+  size_t num_pieces_ = 0;
 };
 
 }  // namespace adaptidx

@@ -227,10 +227,8 @@ class Session {
   Database* database() const { return db_; }
 
   /// \brief Latch statistics of the index this session resolves
-  /// (table, column) to under its pinned config — including the optimistic
-  /// attempt/retry/fallback counters of ConcurrencyMode::kOptimistic /
-  /// kAdaptive, so per-mode concurrency cost is observable through the
-  /// session layer. Direct-index sessions ignore the names and report the
+  /// (table, column) to under its pinned config, so per-mode concurrency
+  /// cost is observable through the session layer. Direct-index sessions ignore the names and report the
   /// bound index. Resolving may create the index (like a query would);
   /// returns null when the table/column does not exist. The pointer stays
   /// valid for the session's lifetime.

@@ -9,8 +9,7 @@ std::string LatchStats::ToString() const {
   std::snprintf(
       buf, sizeof(buf),
       "reads=%llu (blocked %llu, %.3f ms) writes=%llu (blocked %llu, "
-      "%.3f ms) try_failures=%llu optimistic=%llu (retries %llu, "
-      "fallbacks %llu) lookups=%llu/%llu (snapshot/locked) "
+      "%.3f ms) try_failures=%llu "
       "pcracks=%llu (chunks %llu, merge %.3f ms) coarse_sorts=%llu "
       "snapshots=%llu (lag %llu, max %llu) deltas=%llu (chain max %llu) "
       "consolidations=%llu (folded %llu)",
@@ -21,11 +20,6 @@ std::string LatchStats::ToString() const {
       static_cast<unsigned long long>(write_conflicts()),
       static_cast<double>(write_wait_ns()) / 1e6,
       static_cast<unsigned long long>(try_failures()),
-      static_cast<unsigned long long>(optimistic_attempts()),
-      static_cast<unsigned long long>(optimistic_retries()),
-      static_cast<unsigned long long>(optimistic_fallbacks()),
-      static_cast<unsigned long long>(piece_lookups_snapshot()),
-      static_cast<unsigned long long>(piece_lookups_locked()),
       static_cast<unsigned long long>(parallel_cracks()),
       static_cast<unsigned long long>(parallel_crack_chunks()),
       static_cast<double>(parallel_crack_merge_ns()) / 1e6,

@@ -36,38 +36,14 @@ class LatchStats {
     try_failures_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// \brief Accounts a batch of optimistic (latch-free, version-validated)
-  /// piece reads: `attempts` reads were tried, `retries` of them failed —
-  /// either aborted on an odd (crack-in-flight) version before reading or
-  /// discarded on post-read validation mismatch — and `fallbacks` exhausted
-  /// their retry budget and degraded to the latched read path. Retries are
-  /// a subset of attempts, so retries/attempts is the optimistic failure
-  /// rate. Batched per region walk so the optimistic fast path pays one
-  /// atomic round instead of one per piece — these counters keep the
-  /// fig14/fig15 wait breakdowns meaningful when no read latch is ever
-  /// acquired.
-  void RecordOptimisticReads(uint64_t attempts, uint64_t retries,
-                             uint64_t fallbacks) {
-    if (attempts > 0) {
-      optimistic_attempts_.fetch_add(attempts, std::memory_order_relaxed);
-    }
-    if (retries > 0) {
-      optimistic_retries_.fetch_add(retries, std::memory_order_relaxed);
-    }
-    if (fallbacks > 0) {
-      optimistic_fallbacks_.fetch_add(fallbacks, std::memory_order_relaxed);
-    }
-  }
-
   /// \brief Accounts one snapshot-served (MVCC) read: a query answered
   /// against a pinned differential-store version without holding the
   /// side-table latch for the duration of the read. `epoch_lag` is how many
   /// updates committed between the snapshot's capture epoch and the read's
   /// completion — the staleness a long scan accumulated while the update
   /// stream ran unblocked beside it (0 when nothing committed meanwhile).
-  /// These counters are the snapshot analogue of the optimistic ones above:
-  /// they keep reader/writer interference observable when reads acquire no
-  /// latch that could ever block.
+  /// These counters keep reader/writer interference observable when reads
+  /// acquire no latch that could ever block.
   void RecordSnapshotRead(uint64_t epoch_lag) {
     snapshot_reads_.fetch_add(1, std::memory_order_relaxed);
     if (epoch_lag > 0) {
@@ -102,22 +78,6 @@ class LatchStats {
     consolidated_deltas_.fetch_add(folded, std::memory_order_relaxed);
   }
 
-  /// \brief Accounts a batch of piece lookups performed by one region walk:
-  /// `snapshot` lookups resolved their piece against the versioned boundary
-  /// snapshot (no `structure_mu_` acquisition at all), `locked` lookups took
-  /// the structure latch shared. The optimistic read path is expected to
-  /// report zero locked lookups in the absence of snapshot staleness — the
-  /// single-thread assertion that the last shared acquisition really left
-  /// the read path.
-  void RecordPieceLookups(uint64_t snapshot, uint64_t locked) {
-    if (snapshot > 0) {
-      piece_lookups_snapshot_.fetch_add(snapshot, std::memory_order_relaxed);
-    }
-    if (locked > 0) {
-      piece_lookups_locked_.fetch_add(locked, std::memory_order_relaxed);
-    }
-  }
-
   /// \brief Accounts one chunked parallel crack: `chunks` chunk tasks were
   /// dispatched (including the one the cracking thread ran itself) and the
   /// swap-based refined merge took `merge_ns`.
@@ -139,17 +99,10 @@ class LatchStats {
   uint64_t read_conflicts() const { return read_conflicts_.load(); }
   uint64_t write_conflicts() const { return write_conflicts_.load(); }
   uint64_t try_failures() const { return try_failures_.load(); }
-  uint64_t optimistic_attempts() const { return optimistic_attempts_.load(); }
-  uint64_t optimistic_retries() const { return optimistic_retries_.load(); }
-  uint64_t optimistic_fallbacks() const {
-    return optimistic_fallbacks_.load();
-  }
-  uint64_t piece_lookups_snapshot() const {
-    return piece_lookups_snapshot_.load();
-  }
-  uint64_t piece_lookups_locked() const {
-    return piece_lookups_locked_.load();
-  }
+  /// Always 0: every piece read takes its read latch and none validates
+  /// optimistically. Kept for callers that report an optimistic retry rate.
+  uint64_t optimistic_attempts() const { return 0; }
+  uint64_t optimistic_retries() const { return 0; }
   uint64_t parallel_cracks() const { return parallel_cracks_.load(); }
   uint64_t parallel_crack_chunks() const {
     return parallel_crack_chunks_.load();
@@ -181,11 +134,6 @@ class LatchStats {
     read_conflicts_ = 0;
     write_conflicts_ = 0;
     try_failures_ = 0;
-    optimistic_attempts_ = 0;
-    optimistic_retries_ = 0;
-    optimistic_fallbacks_ = 0;
-    piece_lookups_snapshot_ = 0;
-    piece_lookups_locked_ = 0;
     parallel_cracks_ = 0;
     parallel_crack_chunks_ = 0;
     parallel_crack_merge_ns_ = 0;
@@ -209,11 +157,6 @@ class LatchStats {
   std::atomic<uint64_t> read_conflicts_;
   std::atomic<uint64_t> write_conflicts_;
   std::atomic<uint64_t> try_failures_;
-  std::atomic<uint64_t> optimistic_attempts_;
-  std::atomic<uint64_t> optimistic_retries_;
-  std::atomic<uint64_t> optimistic_fallbacks_;
-  std::atomic<uint64_t> piece_lookups_snapshot_;
-  std::atomic<uint64_t> piece_lookups_locked_;
   std::atomic<uint64_t> parallel_cracks_;
   std::atomic<uint64_t> parallel_crack_chunks_;
   std::atomic<int64_t> parallel_crack_merge_ns_;

@@ -431,9 +431,6 @@ void Server::HandleStats(const std::shared_ptr<Connection>& conn,
     add("try_failures", ls.try_failures());
     add("read_wait_ns", static_cast<uint64_t>(ls.read_wait_ns()));
     add("write_wait_ns", static_cast<uint64_t>(ls.write_wait_ns()));
-    add("optimistic_attempts", ls.optimistic_attempts());
-    add("optimistic_retries", ls.optimistic_retries());
-    add("optimistic_fallbacks", ls.optimistic_fallbacks());
     add("snapshot_reads", ls.snapshot_reads());
     add("snapshot_epoch_lag", ls.snapshot_epoch_lag());
     add("delta_publishes", ls.delta_publishes());

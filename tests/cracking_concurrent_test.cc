@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/cracking_index.h"
 #include "engine/driver.h"
+#include "engine/session.h"
 #include "test_util.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "workload/workload.h"
 
 namespace adaptidx {
@@ -167,31 +170,120 @@ INSTANTIATE_TEST_SUITE_P(
                         SchedulingPolicy::kMiddleOut,
                         RefinementStrategy::kStandard, false,
                         CrackPolicy::kMDD1R, "piece_mdd1r"},
-        ConcurrentParam{ConcurrencyMode::kOptimistic,
-                        SchedulingPolicy::kMiddleOut,
-                        RefinementStrategy::kStandard, false, CrackPolicy::kExact,
-                        "optimistic_middleout"},
-        ConcurrentParam{ConcurrencyMode::kOptimistic,
-                        SchedulingPolicy::kMiddleOut,
-                        RefinementStrategy::kActive, false, CrackPolicy::kExact,
-                        "optimistic_active_sorts"},
-        ConcurrentParam{ConcurrencyMode::kOptimistic,
-                        SchedulingPolicy::kMiddleOut,
-                        RefinementStrategy::kStandard, true, CrackPolicy::kExact,
-                        "optimistic_groupcrack"},
-        ConcurrentParam{ConcurrencyMode::kAdaptive,
-                        SchedulingPolicy::kMiddleOut,
-                        RefinementStrategy::kStandard, false, CrackPolicy::kExact,
-                        "adaptive_middleout"},
-        ConcurrentParam{ConcurrencyMode::kAdaptive,
-                        SchedulingPolicy::kFifo,
+        ConcurrentParam{ConcurrencyMode::kPieceLatch, SchedulingPolicy::kFifo,
                         RefinementStrategy::kStandard, false,
-                        CrackPolicy::kDDR, "adaptive_fifo_ddr"},
-        ConcurrentParam{ConcurrencyMode::kOptimistic,
+                        CrackPolicy::kDDR, "piece_fifo_ddr"},
+        ConcurrentParam{ConcurrencyMode::kPieceLatch,
                         SchedulingPolicy::kMiddleOut,
                         RefinementStrategy::kStandard, false,
-                        CrackPolicy::kDDC, "optimistic_ddc"}),
+                        CrackPolicy::kDDC, "piece_ddc"}),
     [](const auto& info) { return info.param.name; });
+
+// -------------------------------------------------- Session differential
+
+/// Every concurrency mode agrees with the scan oracle on every query kind
+/// through the session layer. kNone is only valid single-threaded; the
+/// latched modes run under concurrent sessions submitting batches onto a
+/// shared pool.
+TEST(CrackingSessionTest, ThreeModesAgreeWithOracleUnderSessions) {
+  Column column = Column::UniqueRandom("A", kRows, 4242);
+  RangeOracle oracle(column);
+  ThreadPool pool(4);
+
+  for (ConcurrencyMode mode :
+       {ConcurrencyMode::kNone, ConcurrencyMode::kColumnLatch,
+        ConcurrencyMode::kPieceLatch}) {
+    SCOPED_TRACE(ToString(mode));
+    CrackingOptions opts;
+    opts.mode = mode;
+    CrackingIndex index(&column, opts);
+    const bool concurrent = mode != ConcurrencyMode::kNone;
+
+    auto run_session = [&](uint64_t seed) {
+      auto session = Session::OnIndex(&index, concurrent ? &pool : nullptr);
+      Rng rng(seed);
+      std::vector<Query> batch;
+      for (int i = 0; i < 120; ++i) {
+        Value lo = rng.UniformRange(0, kRows);
+        Value hi = rng.UniformRange(0, kRows);
+        if (lo > hi) std::swap(lo, hi);
+        switch (i % 4) {
+          case 0:
+            batch.push_back(Query::Count("", "", lo, hi));
+            break;
+          case 1:
+            batch.push_back(Query::Sum("", "", lo, hi));
+            break;
+          case 2:
+            batch.push_back(
+                Query::RowIds("", "", lo, std::min<Value>(hi, lo + 2000)));
+            break;
+          default:
+            batch.push_back(Query::MinMax("", "", lo, hi));
+            break;
+        }
+      }
+      std::vector<QueryTicket> tickets;
+      if (concurrent) tickets = session->SubmitBatch(batch);
+      bool ok = true;
+      for (size_t i = 0; i < batch.size(); ++i) {
+        QueryResult result;
+        if (concurrent) {
+          if (!tickets[i].status().ok()) {
+            ok = false;
+            continue;
+          }
+          result = tickets[i].result();
+        } else if (!session->Execute(batch[i], &result).ok()) {
+          ok = false;
+          continue;
+        }
+        const Value lo = batch[i].range.lo;
+        const Value hi = batch[i].range.hi;
+        switch (batch[i].kind) {
+          case QueryKind::kCount:
+            ok &= result.count == oracle.Count(lo, hi);
+            break;
+          case QueryKind::kSum:
+            ok &= result.sum == oracle.Sum(lo, hi);
+            break;
+          case QueryKind::kRowIds:
+            ok &= oracle.CheckRowIds(lo, hi, result.row_ids);
+            break;
+          case QueryKind::kMinMax: {
+            Value omn = 0;
+            Value omx = 0;
+            const bool ofound = oracle.MinMax(lo, hi, &omn, &omx);
+            ok &= result.has_minmax == ofound &&
+                  (!ofound || (result.min_value == omn &&
+                               result.max_value == omx));
+            break;
+          }
+          default:
+            break;
+        }
+      }
+      return ok;
+    };
+
+    if (concurrent) {
+      std::atomic<bool> all_ok{true};
+      std::vector<std::thread> clients;
+      for (int c = 0; c < 4; ++c) {
+        clients.emplace_back([&, c] {
+          if (!run_session(1000 + static_cast<uint64_t>(c) * 131)) {
+            all_ok.store(false);
+          }
+        });
+      }
+      for (auto& t : clients) t.join();
+      EXPECT_TRUE(all_ok.load());
+    } else {
+      EXPECT_TRUE(run_session(1000));
+    }
+    EXPECT_TRUE(index.ValidateStructure());
+  }
+}
 
 // ------------------------------------------------------- Specific races
 

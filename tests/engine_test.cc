@@ -544,6 +544,7 @@ TEST(DatabaseTest, ConfigsDifferingOnlyInOptionsGetDistinctEntries) {
   ASSERT_NE(b, nullptr);
   EXPECT_NE(a.get(), b.get());
   EXPECT_EQ(db.catalog()->num_indexes(), 2u);
+  EXPECT_NE(IndexConfigKey(piece), IndexConfigKey(column_latch));
 
   // Display-only fields do not distinguish entries.
   IndexConfig renamed = piece;

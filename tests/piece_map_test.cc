@@ -76,7 +76,7 @@ TEST(PieceMapTest, SplitAtBeginAdjustsBounds) {
   EXPECT_EQ(right->lo_value, 600);
   EXPECT_EQ(m.FindByPosition(0)->hi_value, 500);  // prev hi unchanged (500<600)
   EXPECT_TRUE(m.Validate());
-  // The raised lo_value is republished: 600 now resolves to the right
+  // The raised lo_value reaches the chunk: 600 now resolves to the right
   // piece's begin, and every value in [500, 600) to the left piece's end.
   EXPECT_EQ(m.FindByValue(600), right);
   for (Value v : {500, 550, 599}) {
@@ -133,7 +133,7 @@ TEST(PieceMapTest, SplitAtEndRaisesSuccessorLoValue) {
   auto suc = m.Split(p, 40, 500);
   p->hi_value = 450;  // p's values are known to lie below 450
   // A crack at p's end on a pivot in p's former range, above its values:
-  // the successor's lo_value rises and is republished for lookups.
+  // the successor's lo_value rises, in the piece and in its chunk.
   EXPECT_EQ(m.Split(p, 40, 520).get(), suc.get());
   EXPECT_EQ(suc->lo_value, 520);
   EXPECT_EQ(p->hi_value, 450);
@@ -197,19 +197,20 @@ TEST(PieceMapTest, ManyRandomSplitsKeepTiling) {
   size_t total = 0;
   m.ForEach([&total](const Piece& p) { total += p.size(); });
   EXPECT_EQ(total, n);
-  // The tiling, republished chunk by chunk on every split (hundreds of
-  // pieces: its chunks split too), finds for every position the piece
-  // whose extent holds it, and the latch-free snapshot is that tiling.
-  auto snap = m.AcquireSnapshot();
-  size_t published = 0;
-  for (const auto& chunk : snap->chunks) published += chunk->begins.size();
-  EXPECT_EQ(published, m.num_pieces());
-  EXPECT_GT(snap->chunks.size(), 1u);
+  // The tiling, edited in place on every split (hundreds of pieces: its
+  // chunks split too), finds for every position the piece whose extent
+  // holds it, and reaches every piece by its begin.
+  EXPECT_GT(m.num_pieces(), PieceMap::kChunkMax);
+  size_t starts = 0;
   for (Position pos = 0; pos < n; ++pos) {
     const auto& piece = m.FindByPosition(pos);
     ASSERT_TRUE(piece->begin <= pos && pos < piece->end) << pos;
-    ASSERT_EQ(snap->FindByPosition(pos), piece) << pos;
+    if (piece->begin == pos) {
+      ASSERT_EQ(m.FindByBegin(pos), piece) << pos;
+      ++starts;
+    }
   }
+  EXPECT_EQ(starts, m.num_pieces());
 }
 
 // Value lookups against a std::map<Value, Position> oracle of the cracks.
@@ -244,7 +245,7 @@ TEST(PieceMapTest, RandomCracksResolveLikeOracle) {
     const auto up = oracle.upper_bound(v);
     if (v <= p->lo_value || v >= p->hi_value) {
       // Exact: the bound's position is the piece's begin or end.
-      ASSERT_EQ(v <= p->lo_value ? p->begin : p->end.load(), truth) << v;
+      ASSERT_EQ(v <= p->lo_value ? p->begin : p->end, truth) << v;
       continue;
     }
     // Inexact: v was never cracked, and the piece runs from the greatest
@@ -254,7 +255,7 @@ TEST(PieceMapTest, RandomCracksResolveLikeOracle) {
         << v;
     ASSERT_EQ(p->lo_value, up == oracle.begin() ? 0 : std::prev(up)->first)
         << v;
-    ASSERT_EQ(p->end.load(), up == oracle.end() ? n : up->second) << v;
+    ASSERT_EQ(p->end, up == oracle.end() ? n : up->second) << v;
     ASSERT_EQ(p->hi_value, up == oracle.end() ? domain_hi : up->first) << v;
     ASSERT_TRUE(p->begin <= truth && truth <= p->end) << v;
   }
@@ -277,7 +278,7 @@ TEST(PieceMapTest, OnePassBuildEqualsSplitBuild) {
   std::vector<PieceBounds> tiling;
   split_built.ForEach(
       [&tiling](const Piece& p) { tiling.push_back(p.bounds()); });
-  ASSERT_GT(tiling.size(), 2 * PieceTiling::kChunkMax);
+  ASSERT_GT(tiling.size(), 2 * PieceMap::kChunkMax);
 
   PieceMap one_pass(tiling, SchedulingPolicy::kFifo);
   EXPECT_TRUE(one_pass.Validate());

@@ -453,5 +453,26 @@ TEST(SessionTicketTest, TerminalTicketsAreDone) {
   session.reset();
 }
 
+// A direct-index session reports the latch statistics of its index: under
+// piece latches every data-reading query takes piece read latches.
+TEST(SessionTest, LatchStatsVisibleThroughSession) {
+  constexpr size_t kRows = 20000;
+  Column column = Column::UniqueRandom("A", kRows, 17);
+  RangeOracle oracle(column);
+  CrackingOptions opts;
+  opts.mode = ConcurrencyMode::kPieceLatch;
+  CrackingIndex index(&column, opts);
+  auto session = Session::OnIndex(&index, nullptr);
+  for (int i = 0; i < 50; ++i) {
+    int64_t sum = 0;
+    ASSERT_TRUE(session->Sum("", "", i * 100, i * 100 + 5000, &sum).ok());
+    ASSERT_EQ(sum, oracle.Sum(i * 100, i * 100 + 5000));
+  }
+  const LatchStats* stats = session->IndexLatchStats("", "");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats, &index.latch_stats());
+  EXPECT_GT(stats->read_acquires(), 0u);
+}
+
 }  // namespace
 }  // namespace adaptidx

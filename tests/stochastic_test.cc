@@ -201,16 +201,16 @@ TEST(StochasticConvergenceTest, Mdd1rReachesQuiescenceOnRepeatedRanges) {
   EXPECT_TRUE(index.ValidateStructure());
 }
 
-/// Random pivots under the latch-free optimistic read path: concurrent
-/// readers must see consistent answers while DDR/MDD1R crackers publish
-/// multi-crack steps. Run under TSAN in CI.
-TEST(StochasticConcurrentTest, OptimisticReadersUnderStochasticCracking) {
+/// Random pivots under piece latches: concurrent readers must see
+/// consistent answers while DDR/MDD1R crackers publish multi-crack steps.
+/// Run under TSAN in CI.
+TEST(StochasticConcurrentTest, ReadersUnderStochasticCracking) {
   for (CrackPolicy policy : {CrackPolicy::kDDR, CrackPolicy::kMDD1R}) {
     const size_t n = 60000;
     Column col = Column::UniqueRandom("A", n, 79);
     RangeOracle oracle(col);
     CrackingOptions opts;
-    opts.mode = ConcurrencyMode::kOptimistic;
+    opts.mode = ConcurrencyMode::kPieceLatch;
     opts.crack_policy = policy;
     opts.policy_min_piece = 1024;
     CrackingIndex index(&col, opts);

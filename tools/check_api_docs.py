@@ -21,6 +21,8 @@ CHECKED_HEADERS = [
     "src/engine/session.h",
     "src/core/query.h",
     "src/core/adaptive_index.h",
+    "src/core/cracking_index.h",
+    "src/core/strategies.h",
     "src/core/index_factory.h",
     "src/core/snapshot.h",
     "src/core/updatable_index.h",
@@ -41,6 +43,8 @@ THREAD_SAFETY_CLASSES = {
     "Session",
     "QueryTicket",
     "AdaptiveIndex",
+    "CrackingIndex",
+    "RefinementPolicy",
     "Query",
     "QueryResult",
     "IndexConfig",
