@@ -1,18 +1,22 @@
 /// \file Ablation of MVCC snapshot reads over the differential-file layer
-/// (Section 4.2/4.3): a long analytical scan runs concurrently with an
-/// update stream through one `UpdatableIndex`, once with latched reads
-/// (every query holds the side-table latch shared for its whole duration,
-/// so each in-flight scan blocks every writer) and once with snapshot reads
-/// (the scan pins an epoch snapshot in O(1) and reads latch-free, so
-/// writers only ever wait on each other).
+/// (Section 4.2/4.3), in two parts.
 ///
-/// The base method is a plain scan so every analytical read costs a full
-/// O(rows) pass — the paper's long-reader/short-writer interference pattern
-/// at its most extreme. Reported per mode: scan throughput, update
-/// throughput, and the update-latency distribution (p50/p99/max); the
-/// acceptance signal is p99 update latency improving under snapshots (on a
-/// single-hardware-thread VM the improvement shrinks toward the scheduler
-/// quantum — see docs/BENCHMARKS.md).
+/// Part 1, interference: a long analytical scan runs concurrently with an
+/// update stream through one `UpdatableIndex`. Every read pins an epoch
+/// snapshot in O(1) and takes no side-table latch, so writers only ever
+/// wait on each other. The base method is a plain scan so every read costs
+/// a full O(rows) pass — the paper's long-reader/short-writer pattern at
+/// its most extreme. Reported: scan throughput, update throughput, the
+/// update-latency distribution (p50/p99/max) and the side-table writer
+/// blocked-wait.
+///
+/// Part 2, read cost by pending size: a converged 400-value SUM over a
+/// cracked 4M-row column, with 0 / 2k / 20k / 200k pending inserts in the
+/// side store. Every read is followed by two commits (an insert and the
+/// delete of a random pending insert, so the pending size holds still),
+/// so the reads land across the whole consolidation cycle: right after a
+/// consolidation they scan an empty delta log, just before the next one a
+/// full log. Reported per size: read p50/p90 and the longest log seen.
 ///
 /// Writes BENCH_snapshot.json (override with AI_BENCH_SNAPSHOT_JSON).
 
@@ -32,8 +36,7 @@ namespace adaptidx {
 namespace bench {
 namespace {
 
-struct ModeResult {
-  std::string name;
+struct InterferenceResult {
   double seconds = 0;
   uint64_t scans = 0;
   uint64_t updates = 0;
@@ -42,8 +45,16 @@ struct ModeResult {
   double update_max_us = 0;
   double write_wait_ms = 0;  ///< side-table latch: writers blocked (total)
   uint64_t write_conflicts = 0;
+  uint64_t read_acquires = 0;  ///< side-table read acquisitions (always 0)
   uint64_t snapshot_reads = 0;
   uint64_t max_epoch_lag = 0;
+};
+
+struct PendingResult {
+  size_t pending = 0;
+  double sum_p50_us = 0;
+  double sum_p90_us = 0;
+  uint64_t log_max = 0;
 };
 
 double Percentile(std::vector<int64_t>* ns, double p) {
@@ -54,8 +65,8 @@ double Percentile(std::vector<int64_t>* ns, double p) {
   return static_cast<double>((*ns)[k]) / 1e3;
 }
 
-ModeResult RunMode(const Column& column, bool snapshot_reads,
-                   size_t update_threads, size_t updates_per_thread) {
+InterferenceResult RunInterference(const Column& column, size_t update_threads,
+                                   size_t updates_per_thread) {
   IndexConfig config;
   // Full scan per analytical read: the longest read the layer can produce.
   config.method = IndexMethod::kScan;
@@ -72,7 +83,6 @@ ModeResult RunMode(const Column& column, bool snapshot_reads,
   // One long-scanner: repeated full-range sums until the updaters finish.
   threads.emplace_back([&] {
     QueryContext ctx;
-    ctx.snapshot_reads = snapshot_reads;
     while (!stop.load(std::memory_order_acquire)) {
       int64_t sum = 0;
       (void)index.RangeSum(ValueRange{0, domain * 2}, &ctx, &sum);
@@ -99,8 +109,7 @@ ModeResult RunMode(const Column& column, bool snapshot_reads,
   stop.store(true, std::memory_order_release);
   threads[0].join();
 
-  ModeResult r;
-  r.name = snapshot_reads ? "snapshot" : "latched";
+  InterferenceResult r;
   r.seconds = wall.ElapsedSeconds();
   r.scans = scans.load();
   r.updates = update_threads * updates_per_thread;
@@ -112,79 +121,134 @@ ModeResult RunMode(const Column& column, bool snapshot_reads,
       all.empty() ? 0 : static_cast<double>(*std::max_element(all.begin(),
                                                               all.end())) /
                             1e3;
-  r.write_wait_ms =
-      static_cast<double>(index.latch_stats().write_wait_ns()) / 1e6;
-  r.write_conflicts = index.latch_stats().write_conflicts();
-  r.snapshot_reads = index.latch_stats().snapshot_reads();
-  r.max_epoch_lag = index.latch_stats().snapshot_max_epoch_lag();
+  const LatchStats& side = index.latch_stats();
+  r.write_wait_ms = static_cast<double>(side.write_wait_ns()) / 1e6;
+  r.write_conflicts = side.write_conflicts();
+  r.read_acquires = side.read_acquires();
+  r.snapshot_reads = side.snapshot_reads();
+  r.max_epoch_lag = side.snapshot_max_epoch_lag();
   return r;
+}
+
+/// Part 2: one cracked index, converged on a fixed set of 400-value ranges,
+/// grown through each pending size in turn.
+std::vector<PendingResult> RunReadPathByPending(size_t rows, size_t reads) {
+  constexpr Value kWidth = 400;
+  constexpr size_t kRanges = 512;
+  const Value domain = static_cast<Value>(rows);
+  IndexConfig config;
+  config.method = IndexMethod::kCrack;
+  UpdatableIndex index(MakeUniqueRandomColumn(rows), config);
+  Rng rng(4242);
+  std::vector<ValueRange> ranges;
+  for (size_t i = 0; i < kRanges; ++i) {
+    const Value lo = rng.UniformRange(0, domain - kWidth);
+    ranges.push_back(ValueRange{lo, lo + kWidth});
+  }
+  QueryContext ctx;
+  // Converge: after two passes every bound is an existing crack, so the
+  // measured reads do no refinement and time the read path alone.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const ValueRange& r : ranges) {
+      int64_t sum = 0;
+      (void)index.RangeSum(r, &ctx, &sum);
+    }
+  }
+
+  uint64_t txn = 1;
+  std::vector<std::pair<Value, RowId>> pending;
+  auto insert = [&] {
+    QueryContext uctx;
+    uctx.txn_id = txn++;
+    const Value v = rng.UniformRange(0, domain);
+    RowId id = 0;
+    (void)index.Insert(v, &uctx, &id);
+    pending.emplace_back(v, id);
+  };
+  std::vector<PendingResult> out;
+  for (size_t target : {size_t{0}, size_t{2000}, size_t{20000},
+                        size_t{200000}}) {
+    while (pending.size() < target) insert();
+    index.mutable_latch_stats()->Reset();
+    std::vector<int64_t> lat;
+    lat.reserve(reads);
+    for (size_t i = 0; i < reads; ++i) {
+      const ValueRange& r = ranges[i % kRanges];
+      int64_t sum = 0;
+      const int64_t t0 = NowNanos();
+      (void)index.RangeSum(r, &ctx, &sum);
+      lat.push_back(NowNanos() - t0);
+      // Two commits per read, pending size unchanged: the log advances
+      // through its consolidation cycle under the reads.
+      insert();
+      const size_t pick = rng.Uniform(pending.size());
+      QueryContext uctx;
+      uctx.txn_id = txn++;
+      (void)index.Delete(pending[pick].first, pending[pick].second, &uctx);
+      pending[pick] = pending.back();
+      pending.pop_back();
+    }
+    PendingResult pr;
+    pr.pending = target;
+    pr.sum_p50_us = Percentile(&lat, 0.50);
+    pr.sum_p90_us = Percentile(&lat, 0.90);
+    pr.log_max = index.latch_stats().delta_chain_max();
+    out.push_back(pr);
+  }
+  return out;
 }
 
 void Run() {
   const size_t rows = EnvSize("AI_BENCH_ROWS", 2000000);
-  // One updater by default: with a single writer, every nanosecond of
-  // side-table write blocked-wait is time spent behind an in-flight *read*
-  // — exactly the interference under ablation. More updaters add
-  // writer-writer serialization to both modes and blur the signal.
+  // One updater by default: with a single writer, any side-table write
+  // blocked-wait could only come from a reader — exactly the interference
+  // snapshot reads remove. More updaters add writer-writer serialization
+  // and blur the signal.
   const size_t update_threads = EnvSize("AI_BENCH_SNAPSHOT_UPDATERS", 1);
   const size_t updates_per_thread =
       EnvSize("AI_BENCH_SNAPSHOT_UPDATES", 2000);
+  const size_t read_path_rows = EnvSize("AI_BENCH_READ_PATH_ROWS", 4000000);
+  const size_t read_path_reads = EnvSize("AI_BENCH_READ_PATH_READS", 8192);
   PrintHeader(
-      "Ablation: MVCC snapshot reads vs latched reads (long-scan/update "
-      "interference)",
+      "Ablation: MVCC snapshot reads (long-scan/update interference; read "
+      "cost by pending size)",
       "rows=" + std::to_string(rows) + " base=scan scanners=1 updaters=" +
           std::to_string(update_threads) + " updates/thread=" +
-          std::to_string(updates_per_thread));
+          std::to_string(updates_per_thread) +
+          " | read-path rows=" + std::to_string(read_path_rows) +
+          " reads/size=" + std::to_string(read_path_reads));
 
   Column column = MakeUniqueRandomColumn(rows);
-  // Interleave the two modes over three repetitions and keep each mode's
-  // best run (by the primary blocked-wait signal), so machine drift biases
-  // neither (same rationale as fig13).
-  ModeResult latched;
-  ModeResult snapshot;
-  latched.write_wait_ms = 1e100;
-  snapshot.write_wait_ms = 1e100;
+  // Three repetitions; keep the run with the least writer blocked-wait
+  // (same rationale as fig13: drift then biases no single run).
+  InterferenceResult best;
+  best.write_wait_ms = 1e100;
   for (int rep = 0; rep < 3; ++rep) {
-    ModeResult l = RunMode(column, false, update_threads, updates_per_thread);
-    if (l.write_wait_ms < latched.write_wait_ms) latched = l;
-    ModeResult s = RunMode(column, true, update_threads, updates_per_thread);
-    if (s.write_wait_ms < snapshot.write_wait_ms) snapshot = s;
+    InterferenceResult r =
+        RunInterference(column, update_threads, updates_per_thread);
+    if (r.write_wait_ms < best.write_wait_ms) best = r;
   }
+  std::printf("\n%8s %8s %10s %11s %11s %12s %9s %8s %8s\n", "secs",
+              "scans", "updates/s", "upd_p50_us", "upd_p99_us", "upd_max_us",
+              "w_wait_ms", "r_acq", "max_lag");
+  std::printf("%8.3f %8llu %10.0f %11.1f %11.1f %12.1f %9.2f %8llu %8llu\n",
+              best.seconds, static_cast<unsigned long long>(best.scans),
+              static_cast<double>(best.updates) / best.seconds,
+              best.update_p50_us, best.update_p99_us, best.update_max_us,
+              best.write_wait_ms,
+              static_cast<unsigned long long>(best.read_acquires),
+              static_cast<unsigned long long>(best.max_epoch_lag));
 
-  std::printf("\n%-10s %8s %8s %10s %11s %11s %12s %9s %8s\n", "read_mode",
-              "secs", "scans", "updates/s", "upd_p50_us", "upd_p99_us",
-              "upd_max_us", "w_wait_ms", "max_lag");
-  for (const ModeResult* r : {&latched, &snapshot}) {
-    std::printf(
-        "%-10s %8.3f %8llu %10.0f %11.1f %11.1f %12.1f %9.2f %8llu\n",
-        r->name.c_str(), r->seconds,
-        static_cast<unsigned long long>(r->scans),
-        static_cast<double>(r->updates) / r->seconds, r->update_p50_us,
-        r->update_p99_us, r->update_max_us, r->write_wait_ms,
-        static_cast<unsigned long long>(r->max_epoch_lag));
+  const std::vector<PendingResult> by_pending =
+      RunReadPathByPending(read_path_rows, read_path_reads);
+  std::printf("\nconverged 400-value SUM over %zu rows, by pending inserts:\n",
+              read_path_rows);
+  std::printf("%9s %11s %11s %8s\n", "pending", "sum_p50_us", "sum_p90_us",
+              "log_max");
+  for (const PendingResult& p : by_pending) {
+    std::printf("%9zu %11.2f %11.2f %8llu\n", p.pending, p.sum_p50_us,
+                p.sum_p90_us, static_cast<unsigned long long>(p.log_max));
   }
-
-  const double improvement = snapshot.update_p99_us > 0
-                                 ? latched.update_p99_us /
-                                       snapshot.update_p99_us
-                                 : 0.0;
-  const bool improved = snapshot.update_p99_us <= latched.update_p99_us;
-  // Primary interference signal: total time writers spent *blocked* on the
-  // side-table latch. Unlike wall-clock p99 — which on a single hardware
-  // thread is dominated by scheduler-quantum noise (a writer deschedules
-  // behind a CPU-burning scanner whether or not any latch is involved) —
-  // blocked-wait is attributed at the latch itself, so it isolates exactly
-  // what snapshot reads remove: writers waiting out in-flight reads.
-  const bool wait_reduced = snapshot.write_wait_ms <= latched.write_wait_ms;
-  std::printf(
-      "\nside-table writer blocked-wait, latched -> snapshot: %.2f ms -> "
-      "%.2f ms (%s)\n",
-      latched.write_wait_ms, snapshot.write_wait_ms,
-      wait_reduced ? "reduced" : "NOT reduced");
-  std::printf(
-      "p99 update latency, latched/snapshot: %.2fx (wall-clock; meaningful "
-      "on multi-core only — %u hardware threads here)\n",
-      improvement, std::thread::hardware_concurrency());
 
   const char* json_env = std::getenv("AI_BENCH_SNAPSHOT_JSON");
   const std::string json_path = json_env != nullptr && *json_env != '\0'
@@ -195,39 +259,39 @@ void Run() {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return;
   }
-  std::fprintf(f,
-               "{\n  \"bench\": \"ablation_snapshot_reads\",\n"
-               "  \"rows\": %zu,\n  \"scan_threads\": 1,\n"
-               "  \"update_threads\": %zu,\n  \"updates_per_thread\": %zu,\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"results\": [\n",
-               rows, update_threads, updates_per_thread,
-               std::thread::hardware_concurrency());
-  bool first = true;
-  for (const ModeResult* r : {&latched, &snapshot}) {
-    std::fprintf(
-        f,
-        "%s    {\"read_mode\": \"%s\", \"total_secs\": %.6f, "
-        "\"scans\": %llu, \"updates_per_sec\": %.1f, "
-        "\"update_p50_us\": %.3f, \"update_p99_us\": %.3f, "
-        "\"update_max_us\": %.3f, \"write_wait_ms\": %.4f, "
-        "\"write_conflicts\": %llu, \"snapshot_reads\": %llu, "
-        "\"max_epoch_lag\": %llu}",
-        first ? "" : ",\n", r->name.c_str(), r->seconds,
-        static_cast<unsigned long long>(r->scans),
-        static_cast<double>(r->updates) / r->seconds, r->update_p50_us,
-        r->update_p99_us, r->update_max_us, r->write_wait_ms,
-        static_cast<unsigned long long>(r->write_conflicts),
-        static_cast<unsigned long long>(r->snapshot_reads),
-        static_cast<unsigned long long>(r->max_epoch_lag));
-    first = false;
+  std::fprintf(
+      f,
+      "{\n  \"bench\": \"ablation_snapshot_reads\",\n"
+      "  \"hardware_threads\": %u,\n"
+      "  \"interference\": {\"rows\": %zu, \"scan_threads\": 1, "
+      "\"update_threads\": %zu, \"updates_per_thread\": %zu, "
+      "\"total_secs\": %.6f, \"scans\": %llu, \"updates_per_sec\": %.1f, "
+      "\"update_p50_us\": %.3f, \"update_p99_us\": %.3f, "
+      "\"update_max_us\": %.3f, \"write_wait_ms\": %.4f, "
+      "\"write_conflicts\": %llu, \"read_acquires\": %llu, "
+      "\"snapshot_reads\": %llu, \"max_epoch_lag\": %llu},\n"
+      "  \"read_path_by_pending\": {\"rows\": %zu, \"range_width\": 400, "
+      "\"reads_per_size\": %zu, \"commits_per_read\": 2, \"sizes\": [\n",
+      std::thread::hardware_concurrency(), rows, update_threads,
+      updates_per_thread, best.seconds,
+      static_cast<unsigned long long>(best.scans),
+      static_cast<double>(best.updates) / best.seconds, best.update_p50_us,
+      best.update_p99_us, best.update_max_us, best.write_wait_ms,
+      static_cast<unsigned long long>(best.write_conflicts),
+      static_cast<unsigned long long>(best.read_acquires),
+      static_cast<unsigned long long>(best.snapshot_reads),
+      static_cast<unsigned long long>(best.max_epoch_lag), read_path_rows,
+      read_path_reads);
+  for (size_t i = 0; i < by_pending.size(); ++i) {
+    const PendingResult& p = by_pending[i];
+    std::fprintf(f,
+                 "    {\"pending\": %zu, \"sum_p50_us\": %.3f, "
+                 "\"sum_p90_us\": %.3f, \"log_max\": %llu}%s\n",
+                 p.pending, p.sum_p50_us, p.sum_p90_us,
+                 static_cast<unsigned long long>(p.log_max),
+                 i + 1 < by_pending.size() ? "," : "");
   }
-  std::fprintf(f,
-               "\n  ],\n  \"p99_latched_over_snapshot\": %.4f,\n"
-               "  \"snapshot_p99_le_latched\": %s,\n"
-               "  \"snapshot_wait_le_latched\": %s\n}\n",
-               improvement, improved ? "true" : "false",
-               wait_reduced ? "true" : "false");
+  std::fprintf(f, "  ]}\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
 }

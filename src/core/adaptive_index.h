@@ -63,12 +63,6 @@ struct QueryContext {
   uint32_t client_id = 0;
   uint64_t txn_id = 0;
   uint32_t session_id = 0;  ///< issuing session; 0 outside the session API
-  /// MVCC read hint: an `UpdatableIndex` answers this query against a
-  /// per-query epoch snapshot of its differential side stores (no
-  /// side-table latch held during the read) instead of the latched shared
-  /// path. Stamped by sessions opened with `SessionOptions::snapshot_reads`;
-  /// ignored by indexes without a differential layer.
-  bool snapshot_reads = false;
   /// Transactional read scope (`Session::BeginSnapshot`): when set, an
   /// `UpdatableIndex` answers this query against the scope's pinned epoch
   /// — the same one for every query of the scope — instead of capturing
@@ -84,7 +78,6 @@ struct QueryContext {
     ctx.client_id = client_id;
     ctx.txn_id = txn_id;
     ctx.session_id = session_id;
-    ctx.snapshot_reads = snapshot_reads;
     ctx.snapshot_scope = snapshot_scope;
     return ctx;
   }

@@ -137,6 +137,13 @@ ThreadPool* SharedCrackPool() {
   return pool;
 }
 
+/// Chunks of a parallel crack: one per pool worker plus one on the
+/// cracking thread itself.
+size_t CrackChunks(const ThreadPool& pool) { return pool.num_threads() + 1; }
+
+/// Extra cracks one group crack applies for the queries queued on a piece.
+constexpr size_t kGroupCrackMax = 3;
+
 }  // namespace
 
 CrackingIndex::CrackingIndex(const Column* column, CrackingOptions opts)
@@ -147,22 +154,20 @@ CrackingIndex::CrackingIndex(const Column* column, CrackingOptions opts)
       decision_(opts_.crack_policy, opts_.policy_min_piece,
                 opts_.policy_seed) {}
 
-ThreadPool* CrackingIndex::CrackPool() const {
-  if (opts_.parallel_crack_min_piece == 0) return nullptr;
+ThreadPool* CrackingIndex::CrackPool(Position begin, Position end) const {
+  if (opts_.parallel_crack_min_piece == 0 ||
+      end - begin < opts_.parallel_crack_min_piece) {
+    return nullptr;
+  }
   return opts_.pool != nullptr ? opts_.pool : SharedCrackPool();
 }
 
 Position CrackingIndex::CrackRange(Position begin, Position end, Value pivot) {
-  ThreadPool* pool = CrackPool();
-  if (pool == nullptr || end - begin < opts_.parallel_crack_min_piece) {
-    return array_->CrackTwo(begin, end, pivot);
-  }
-  const size_t chunks = opts_.parallel_crack_chunks != 0
-                            ? opts_.parallel_crack_chunks
-                            : pool->num_threads() + 1;
+  ThreadPool* pool = CrackPool(begin, end);
+  if (pool == nullptr) return array_->CrackTwo(begin, end, pivot);
   ParallelCrackStats stats;
-  const Position pos =
-      ParallelCrackTwo(array_.get(), begin, end, pivot, pool, chunks, &stats);
+  const Position pos = ParallelCrackTwo(array_.get(), begin, end, pivot, pool,
+                                        CrackChunks(*pool), &stats);
   if (stats.chunks > 0) {
     latch_stats_.RecordParallelCrack(stats.chunks, stats.merge_ns);
   }
@@ -173,16 +178,11 @@ std::pair<Position, Position> CrackingIndex::CrackRangeThree(Position begin,
                                                              Position end,
                                                              Value lo,
                                                              Value hi) {
-  ThreadPool* pool = CrackPool();
-  if (pool == nullptr || end - begin < opts_.parallel_crack_min_piece) {
-    return array_->CrackThree(begin, end, lo, hi);
-  }
-  const size_t chunks = opts_.parallel_crack_chunks != 0
-                            ? opts_.parallel_crack_chunks
-                            : pool->num_threads() + 1;
+  ThreadPool* pool = CrackPool(begin, end);
+  if (pool == nullptr) return array_->CrackThree(begin, end, lo, hi);
   ParallelCrackStats stats;
   const auto pp = ParallelCrackThree(array_.get(), begin, end, lo, hi, pool,
-                                     chunks, &stats);
+                                     CrackChunks(*pool), &stats);
   if (stats.chunks > 0) {
     latch_stats_.RecordParallelCrack(stats.chunks, stats.merge_ns);
   }
@@ -338,7 +338,7 @@ CrackingIndex::CrackOutcome CrackingIndex::CrackPieceLocked(
                     pending.end());
       size_t done = 0;
       for (Value w : pending) {
-        if (done >= opts_.group_crack_max) break;
+        if (done >= kGroupCrackMax) break;
         if (w <= snap.lo_value || w >= snap.hi_value) continue;
         if (local.count(w) > 0) continue;
         // Narrow to the sub-range between the cracks already made.

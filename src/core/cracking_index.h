@@ -61,9 +61,8 @@ struct CrackingOptions {
   /// Section 7 "Dynamic Algorithms": while holding a piece's write latch,
   /// additionally crack on the bounds of queries queued behind it
   /// ("algorithms that in one step refine the index for multiple query
-  /// requests"), up to `group_crack_max` extra cracks.
+  /// requests"), up to three extra cracks.
   bool group_crack = false;
-  size_t group_crack_max = 3;
 
   /// Refinement strategy (Section 7): standard / lazy / active / dynamic.
   RefinementStrategy strategy = RefinementStrategy::kStandard;
@@ -78,14 +77,12 @@ struct CrackingOptions {
   size_t min_piece_size = 128;
 
   /// Intra-query parallel cracking: a crack over a piece of at least this
-  /// many elements is split into contiguous chunks cracked concurrently on
-  /// `pool` and repaired with a swap-based refined merge (parallel_crack.h).
-  /// Only first-touch-scale cracks qualify by default; the threshold keeps
+  /// many elements is split into contiguous chunks — one per `pool` worker
+  /// plus one on the cracking thread — cracked concurrently and repaired
+  /// with a swap-based refined merge (parallel_crack.h). Only
+  /// first-touch-scale cracks qualify by default; the threshold keeps
   /// steady-state cracks on the cheap sequential kernel.
   size_t parallel_crack_min_piece = 1u << 17;
-  /// Chunk fan-out for parallel cracks; 0 derives pool->num_threads() + 1
-  /// (every worker plus the submitting query thread).
-  size_t parallel_crack_chunks = 0;
   /// Shared pool for parallel cracks; not owned. When null, a process-wide
   /// lazily created pool is used if the machine has more than one hardware
   /// thread, else cracks stay sequential.
@@ -293,10 +290,11 @@ class CrackingIndex : public AdaptiveIndex {
                                 const RefinementDirective& directive,
                                 QueryContext* ctx);
 
-  /// The pool used for intra-query parallel cracks: the configured one, or
-  /// a lazily created process-wide pool on multi-core machines, or null
-  /// (sequential cracks) on single-core machines.
-  ThreadPool* CrackPool() const;
+  /// The pool for an intra-query parallel crack of [begin, end): the
+  /// configured one, or a lazily created process-wide pool on multi-core
+  /// machines; null (a sequential crack) below parallel_crack_min_piece or
+  /// on single-core machines.
+  ThreadPool* CrackPool(Position begin, Position end) const;
 
   /// Two-way crack of [begin, end): chunked-parallel on the crack pool when
   /// the range reaches parallel_crack_min_piece, else the sequential kernel.

@@ -41,8 +41,8 @@ std::string IndexConfigKey(const IndexConfig& config) {
     key += "m" + std::to_string(config.min_rows_per_shard);
     key += "h" + std::to_string(config.partition_needs_cores);
   }
-  // The consolidation bounds shape the version-chain state the
-  // differential layer's writer maintains.
+  // The consolidation bounds shape the delta-log state the differential
+  // layer's writer maintains.
   key += "+snap(" + std::to_string(config.snapshot_consolidate_min) + "," +
          std::to_string(config.snapshot_consolidate_max) + ")";
   // Only the option block the method consults participates — two configs
@@ -58,16 +58,14 @@ std::string IndexConfigKey(const IndexConfig& config) {
       key += ",tier=" + std::to_string(static_cast<int>(c.kernel_tier));
       key += ",c3=" + std::to_string(c.use_crack_in_three);
       key += ",swap=" + std::to_string(c.swap_bound_on_conflict);
-      key += ",gc=" + std::to_string(c.group_crack) + "/" +
-             std::to_string(c.group_crack_max);
+      key += ",gc=" + std::to_string(c.group_crack);
       key += ",strat=" + std::to_string(static_cast<int>(c.strategy));
       key += ",sortthr=" + std::to_string(c.sort_piece_threshold);
       key += ",floor=" + std::to_string(c.min_piece_size);
       // The crack pool pointer stays out (execution resource), but the
-      // parallel-crack thresholds shape crack granularity and the resulting
-      // intra-piece physical order, so they participate.
-      key += ",pcrack=" + std::to_string(c.parallel_crack_min_piece) + "/" +
-             std::to_string(c.parallel_crack_chunks);
+      // parallel-crack threshold shapes crack granularity and the resulting
+      // intra-piece physical order, so it participates.
+      key += ",pcrack=" + std::to_string(c.parallel_crack_min_piece);
       // The crack policy decides which pivots physically reorganize the
       // array, so it (and its recursion floor) is index identity. The seed
       // participates only for the randomized policies that consult it —

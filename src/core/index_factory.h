@@ -69,20 +69,18 @@ struct IndexConfig {
   ThreadPool* pool = nullptr;
 
   /// Differential-layer option, consulted by `UpdatableIndex` only. Its
-  /// write path always publishes each commit as one O(1) delta node of an
-  /// epoch-stamped version chain (`core/snapshot.h`), so a snapshot
-  /// capture is one short pin and reads requesting
-  /// `QueryContext::snapshot_reads` never hold the side-table latch.
-  /// This floor bounds consolidation: a flat base is materialized no
-  /// earlier than this many chained deltas, so tiny side stores don't
-  /// consolidate on every other commit. The effective threshold is
-  /// max(floor, pending/8) capped by `snapshot_consolidate_max` — O(1)
-  /// amortized publication while bounding the suffix readers fold.
-  /// Participates in `IndexConfigKey`.
+  /// write path appends each commit as one O(1) entry to the delta log of
+  /// its side store (`core/snapshot.h`), and every read pins a snapshot
+  /// and scans the log entries in its range. This floor bounds
+  /// consolidation: a full log is folded into a new flat version, and the
+  /// next log holds max(floor, pending/8) entries capped by
+  /// `snapshot_consolidate_max`, so tiny side stores don't consolidate on
+  /// every other commit — O(1) amortized publication while bounding the
+  /// log readers scan. Participates in `IndexConfigKey`.
   size_t snapshot_consolidate_min = 64;
 
-  /// Delta-chain consolidation ceiling: the chain never grows past this
-  /// many deltas regardless of pending size, bounding per-read fold work.
+  /// Delta-log consolidation ceiling: the log never grows past this many
+  /// entries regardless of pending size, bounding per-read scan work.
   /// Participates in `IndexConfigKey`.
   size_t snapshot_consolidate_max = 4096;
 

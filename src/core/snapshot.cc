@@ -1,83 +1,94 @@
 #include "core/snapshot.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <limits>
+
+#include "cracking/span_kernels.h"
+
+#ifdef ADAPTIDX_X86_SIMD
+#include <immintrin.h>
+#endif
 
 namespace adaptidx {
 
 namespace {
 
-/// First element of a (value, rowID)-sorted vector with value >= lo.
-std::vector<std::pair<Value, RowId>>::const_iterator LowerBound(
-    const std::vector<std::pair<Value, RowId>>& entries, Value lo) {
-  return std::lower_bound(entries.begin(), entries.end(),
-                          std::make_pair(lo, RowId{0}));
-}
-
-void CountSumIn(const std::vector<std::pair<Value, RowId>>& entries,
-                const ValueRange& range, uint64_t* count, int64_t* sum) {
-  *count = 0;
-  *sum = 0;
-  for (auto it = LowerBound(entries, range.lo);
-       it != entries.end() && it->first < range.hi; ++it) {
-    ++*count;
-    *sum += it->first;
+#ifdef ADAPTIDX_X86_SIMD
+/// Values of `values[begin, end)` in [lo, hi), 16 per step. A delta log
+/// sits in L1, where these compares outrun the AVX2 span kernel (which is
+/// sized for memory-bound column scans).
+__attribute__((target("avx512f"))) uint64_t CountInAvx512(
+    const Value* values, size_t begin, size_t end, Value lo, Value hi) {
+  const __m512i vlo = _mm512_set1_epi64(lo);
+  const __m512i vhi = _mm512_set1_epi64(hi);
+  uint64_t n = 0;
+  size_t i = begin;
+  for (; i + 16 <= end; i += 16) {
+    const __m512i a = _mm512_loadu_si512(values + i);
+    const __m512i b = _mm512_loadu_si512(values + i + 8);
+    const __mmask8 ma = _mm512_cmpge_epi64_mask(a, vlo) &
+                        _mm512_cmplt_epi64_mask(a, vhi);
+    const __mmask8 mb = _mm512_cmpge_epi64_mask(b, vlo) &
+                        _mm512_cmplt_epi64_mask(b, vhi);
+    n += static_cast<uint64_t>(__builtin_popcount(ma) +
+                               __builtin_popcount(mb));
   }
+  for (; i < end; ++i) n += values[i] >= lo && values[i] < hi;
+  return n;
 }
+#endif
+
+using Entries = std::vector<std::pair<Value, RowId>>;
 
 }  // namespace
 
-// ------------------------------------------------------ SideStoreVersion
-
-void SideStoreVersion::InsertCountSum(const ValueRange& range,
-                                      uint64_t* count, int64_t* sum) const {
-  CountSumIn(inserts, range, count, sum);
-}
-
-void SideStoreVersion::AntiMatterCountSum(const ValueRange& range,
-                                          uint64_t* count,
-                                          int64_t* sum) const {
-  CountSumIn(anti_matter, range, count, sum);
-}
-
-bool SideStoreVersion::HidesRow(Value v, RowId id) const {
-  return std::binary_search(anti_matter.begin(), anti_matter.end(),
-                            std::make_pair(v, id));
-}
-
-size_t SideStoreVersion::FirstInsertAtOrAbove(Value lo) const {
-  return static_cast<size_t>(LowerBound(inserts, lo) - inserts.begin());
-}
-
-bool SideStoreVersion::AnyAntiMatterIn(const ValueRange& range) const {
-  auto it = LowerBound(anti_matter, range.lo);
-  return it != anti_matter.end() && it->first < range.hi;
-}
-
-// -------------------------------------------------------- SideStoreDelta
-
-SideStoreDelta::~SideStoreDelta() {
-  // Destroy the predecessors this node last owned one by one: letting the
-  // member shared_ptrs cascade would recurse one destructor frame per
-  // node, and a chain is as long as the consolidation threshold allows.
-  // The outermost destructor on a thread drops its predecessor; when that
-  // was the last reference, the predecessor's (nested) destructor hands
-  // its own predecessor back here instead of dropping it, and the loop
-  // goes on. Each destructor writes only its own node, which no other
-  // thread can reach once the reference count has reached zero.
-  thread_local bool unlinking = false;
-  thread_local std::shared_ptr<const SideStoreDelta> handed_back;
-  if (unlinking) {
-    handed_back = std::move(prev);
-    return;
+SideStoreVersion FoldLog(const SideStoreVersion& base, const DeltaLog& log,
+                         size_t length) {
+  SideStoreVersion out;
+  Entries inserts;
+  Entries anti;
+  Entries cancels;
+  for (size_t i = 0; i < length; ++i) {
+    const DeltaEntry e = log[i];
+    Entries* to = e.op == DeltaEntry::Op::kInsert       ? &inserts
+                  : e.op == DeltaEntry::Op::kAntiMatter ? &anti
+                                                        : &cancels;
+    to->emplace_back(e.value, e.row_id);
   }
-  unlinking = true;
-  std::shared_ptr<const SideStoreDelta> node = std::move(prev);
-  while (node != nullptr) {
-    node.reset();
-    node = std::move(handed_back);
+  std::sort(inserts.begin(), inserts.end());
+  std::sort(anti.begin(), anti.end());
+  std::sort(cancels.begin(), cancels.end());
+  // (value, rowID) pairs are unique — row ids are never reused — so each
+  // cancel names exactly one pending insert, in the base or in the log.
+  Entries all;
+  all.reserve(base.inserts.size() + inserts.size());
+  std::merge(base.inserts.begin(), base.inserts.end(), inserts.begin(),
+             inserts.end(), std::back_inserter(all));
+  out.inserts.reserve(all.size() - cancels.size());
+  std::set_difference(all.begin(), all.end(), cancels.begin(), cancels.end(),
+                      std::back_inserter(out.inserts));
+  out.anti_matter.reserve(base.anti_matter.size() + anti.size());
+  std::merge(base.anti_matter.begin(), base.anti_matter.end(), anti.begin(),
+             anti.end(), std::back_inserter(out.anti_matter));
+  out.epoch = base.epoch + length;
+  out.next_row_id = base.next_row_id + static_cast<RowId>(inserts.size());
+  return out;
+}
+
+// -------------------------------------------------------------- DeltaLog
+
+uint64_t DeltaLog::CountIn(size_t begin, size_t end,
+                           const ValueRange& range) const {
+#ifdef ADAPTIDX_X86_SIMD
+  static const bool avx512 = BestKernelTier() == KernelTier::kAvx512;
+  if (avx512) {
+    return CountInAvx512(values_.get(), begin, end, range.lo, range.hi);
   }
-  unlinking = false;
+#endif
+  return ScanCountSpan(values_.get(), begin, end, range.lo, range.hi,
+                       KernelTier::kAuto);
 }
 
 // -------------------------------------------------------------- Snapshot
@@ -86,193 +97,240 @@ Snapshot& Snapshot::operator=(Snapshot&& other) noexcept {
   if (this != &other) {
     Release();
     mgr_ = other.mgr_;
-    version_ = std::move(other.version_);
-    head_ = std::move(other.head_);
-    chain_length_ = other.chain_length_;
+    shard_ = other.shard_;
+    store_ = std::move(other.store_);
+    log_length_ = other.log_length_;
     epoch_ = other.epoch_;
-    next_row_id_ = other.next_row_id_;
     base_generation_ = other.base_generation_;
     other.mgr_ = nullptr;
-    other.version_ = nullptr;
-    other.head_ = nullptr;
+    other.store_ = nullptr;
   }
   return *this;
 }
 
 void Snapshot::Release() {
-  if (mgr_ != nullptr && version_ != nullptr) {
-    mgr_->Release(epoch_);
+  if (mgr_ != nullptr && store_ != nullptr) {
+    mgr_->Release(shard_, epoch_);
   }
   mgr_ = nullptr;
-  version_ = nullptr;
-  head_ = nullptr;
+  store_ = nullptr;
 }
 
 SideStoreVersion Snapshot::Materialize() const {
   assert(valid());
-  SideStoreVersion flat;
-  flat.epoch = epoch_;
-  flat.next_row_id = next_row_id_;
-  flat.inserts = version_->inserts;
-  flat.anti_matter = version_->anti_matter;
-  if (head_ == nullptr) return flat;
-  // Collect the era-local suffix oldest-first, then replay it. (value,
-  // rowID) pairs are unique — row ids are never reused — so a cancel
-  // names exactly one pending insert, wherever it sits.
-  std::vector<const SideStoreDelta*> chain;
-  chain.reserve(chain_length_);
-  for (const SideStoreDelta* d = head_.get(); d != nullptr;
-       d = d->prev.get()) {
-    chain.push_back(d);
-  }
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    const SideStoreDelta* d = *it;
-    const std::pair<Value, RowId> entry{d->value, d->row_id};
-    switch (d->op) {
-      case SideStoreDelta::Op::kInsert:
-        flat.inserts.push_back(entry);
-        break;
-      case SideStoreDelta::Op::kAntiMatter:
-        flat.anti_matter.push_back(entry);
-        break;
-      case SideStoreDelta::Op::kCancelInsert: {
-        auto pos =
-            std::find(flat.inserts.begin(), flat.inserts.end(), entry);
-        assert(pos != flat.inserts.end());
-        flat.inserts.erase(pos);
-        break;
-      }
-    }
-  }
-  std::sort(flat.inserts.begin(), flat.inserts.end());
-  std::sort(flat.anti_matter.begin(), flat.anti_matter.end());
-  return flat;
+  return FoldLog(store_->version, store_->log, log_length_);
 }
+
 
 // ------------------------------------------------------- SnapshotManager
 
-SnapshotManager::SnapshotManager(RowId next_row_id)
-    : current_next_row_id_(next_row_id) {
-  auto pristine = std::make_shared<SideStoreVersion>();
-  pristine->next_row_id = next_row_id;
-  current_ = std::move(pristine);
+SnapshotManager::SnapshotManager(RowId next_row_id, size_t log_min,
+                                 size_t log_max)
+    : log_min_(std::max<size_t>(log_min, 1)),
+      log_max_(std::max(log_max, log_min_)) {
+  SideStoreVersion pristine;
+  pristine.next_row_id = next_row_id;
+  InstallLocked(MakeStore(std::move(pristine)));
 }
 
-size_t SnapshotManager::PublishDelta(SideStoreDelta::Op op, Value v,
-                                     RowId row_id, uint64_t epoch,
-                                     RowId next_row_id) {
-  std::lock_guard<std::mutex> lk(mu_);
-  assert(epoch > current_epoch_);
-  head_ = std::make_shared<const SideStoreDelta>(op, v, row_id, epoch,
-                                                 next_row_id,
-                                                 std::move(head_));
-  ++chain_length_;
+std::shared_ptr<SideStore> SnapshotManager::MakeStore(
+    SideStoreVersion version) const {
+  const size_t pending = version.inserts.size() + version.anti_matter.size();
+  const size_t capacity = std::min(log_max_, std::max(log_min_, pending / 8));
+  return std::make_shared<SideStore>(std::move(version), capacity);
+}
+
+void SnapshotManager::InstallLocked(std::shared_ptr<SideStore> store) {
+  log_length_ = 0;
+  store_ = std::move(store);
+}
+
+SnapshotManager::RowState SnapshotManager::Lookup(Value v, RowId id) const {
+  // The writer latch orders this against every Append/Consolidate, so the
+  // pair is read without mu_.
+  const SideStoreVersion& version = store_->version;
+  const std::pair<Value, RowId> row{v, id};
+  RowState state =
+      std::binary_search(version.inserts.begin(), version.inserts.end(), row)
+          ? RowState::kPendingInsert
+      : std::binary_search(version.anti_matter.begin(),
+                           version.anti_matter.end(), row)
+          ? RowState::kDeleted
+          : RowState::kAbsent;
+  auto apply = [&](const DeltaEntry& e) {
+    if (e.value != v || e.row_id != id) return;
+    switch (e.op) {
+      case DeltaEntry::Op::kInsert:
+        state = RowState::kPendingInsert;
+        break;
+      case DeltaEntry::Op::kAntiMatter:
+        state = RowState::kDeleted;
+        break;
+      case DeltaEntry::Op::kCancelInsert:
+        state = RowState::kAbsent;
+        break;
+    }
+  };
+  const DeltaLog& log = store_->log;
+  if (v < std::numeric_limits<Value>::max()) {
+    log.ForEachIn(log_length_, ValueRange{v, v + 1}, apply);
+  } else {
+    for (size_t i = 0; i < log_length_; ++i) apply(log[i]);
+  }
+  return state;
+}
+
+size_t SnapshotManager::Append(const DeltaEntry& entry) {
+  std::unique_lock<std::shared_mutex> lk(mu_);
+  DeltaLog& log = store_->log;
+  assert(log_length_ < log.capacity());
+  // Slot log_length_ lies beyond every pinned length, so no reader sees it
+  // before the length below publishes it.
+  log.values_[log_length_] = entry.value;
+  log.row_ids_[log_length_] = entry.row_id;
+  log.ops_[log_length_] = entry.op;
+  ++log_length_;
   ++deltas_published_;
-  current_epoch_ = epoch;
-  current_next_row_id_ = next_row_id;
-  return chain_length_;
+  return log_length_;
 }
 
-void SnapshotManager::Consolidate(
-    std::shared_ptr<const SideStoreVersion> version) {
-  std::lock_guard<std::mutex> lk(mu_);
-  // Equal on a chain-triggered consolidation; greater when recovery
-  // re-seeds the state wholesale (`UpdatableIndex::RestoreState`).
-  assert(version->epoch >= current_epoch_);
-  // The new base covers every chained delta; pinned snapshots keep their
-  // own suffix alive, everything unpinned dies with this head reset (the
-  // delta destructor unlinks iteratively).
-  current_epoch_ = version->epoch;
-  current_ = std::move(version);
-  current_next_row_id_ = current_->next_row_id;
-  head_ = nullptr;
-  chain_length_ = 0;
+SideStoreVersion SnapshotManager::MaterializeCurrent() const {
+  return FoldLog(store_->version, store_->log, log_length_);
+}
+
+void SnapshotManager::Consolidate() {
+  // The fold runs outside mu_: the writer latch keeps every append out, and
+  // readers keep reading the pair they pinned.
+  std::shared_ptr<SideStore> store = MakeStore(MaterializeCurrent());
+  std::unique_lock<std::shared_mutex> lk(mu_);
+  InstallLocked(std::move(store));
   ++consolidations_;
 }
 
+void SnapshotManager::Install(SideStoreVersion version) {
+  std::shared_ptr<SideStore> store = MakeStore(std::move(version));
+  std::unique_lock<std::shared_mutex> lk(mu_);
+  assert(store->version.epoch >= EpochLocked());
+  InstallLocked(std::move(store));
+}
+
 Snapshot SnapshotManager::Acquire() {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [this] { return !rebasing_; });
-  ++active_[current_epoch_];
-  return Snapshot(this, current_, head_, chain_length_, current_epoch_,
-                  current_next_row_id_, base_generation_);
+  // Threads take registry shards round robin, so a handful of concurrent
+  // readers each lock a shard of their own.
+  static std::atomic<size_t> next_shard{0};
+  thread_local const size_t shard =
+      next_shard.fetch_add(1, std::memory_order_relaxed) % kPinShards;
+  std::shared_lock<std::shared_mutex> lk(mu_);
+  cv_.wait(lk, [this] { return rebase_ != Rebase::kSwapping; });
+  {
+    PinShard& s = shards_[shard];
+    std::lock_guard<std::mutex> g(s.mu);
+    if (!s.pins.empty() && s.pins.back().first == EpochLocked()) {
+      ++s.pins.back().second;
+    } else {
+      s.pins.emplace_back(EpochLocked(), 1);
+    }
+  }
+  Snapshot snap;
+  snap.mgr_ = this;
+  snap.shard_ = shard;
+  snap.store_ = store_;
+  snap.log_length_ = log_length_;
+  snap.epoch_ = EpochLocked();
+  snap.base_generation_ = base_generation_;
+  return snap;
 }
 
 void SnapshotManager::BeginRebase() {
-  std::unique_lock<std::mutex> lk(mu_);
+  std::unique_lock<std::shared_mutex> lk(mu_);
   // One rebase at a time: a second checkpoint parks here until the first
   // completes, then establishes its own drain.
-  cv_.wait(lk, [this] { return !rebasing_; });
-  rebasing_ = true;
-  cv_.wait(lk, [this] { return active_.empty(); });
+  cv_.wait(lk, [this] { return rebase_ == Rebase::kNone; });
+  rebase_ = Rebase::kDraining;
+  // Captures stay admitted while draining, and a pin count grows only
+  // under mu_ shared: so wait shard by shard, and finish once one pass
+  // under the exclusive lock finds every shard empty.
+  for (;;) {
+    PinShard* busy = nullptr;
+    for (PinShard& s : shards_) {
+      std::lock_guard<std::mutex> g(s.mu);
+      if (!s.pins.empty()) {
+        busy = &s;
+        break;
+      }
+    }
+    if (busy == nullptr) break;
+    lk.unlock();
+    {
+      std::unique_lock<std::mutex> g(busy->mu);
+      busy->emptied.wait(g, [busy] { return busy->pins.empty(); });
+    }
+    lk.lock();
+  }
+  rebase_ = Rebase::kSwapping;
 }
 
-void SnapshotManager::CompleteRebase(
-    std::shared_ptr<const SideStoreVersion> version) {
+void SnapshotManager::CompleteRebase(SideStoreVersion version) {
+  std::shared_ptr<SideStore> store = MakeStore(std::move(version));
   {
-    std::lock_guard<std::mutex> lk(mu_);
-    // The delta chain belongs to the pre-checkpoint base generation; no
-    // snapshot can reference it anymore (the drain guaranteed that), so it
-    // is dropped wholesale.
-    head_ = nullptr;
-    chain_length_ = 0;
-    current_epoch_ = version->epoch;
-    current_next_row_id_ = version->next_row_id;
-    current_ = std::move(version);
+    std::unique_lock<std::shared_mutex> lk(mu_);
+    // The old store belongs to the pre-checkpoint base generation; no
+    // snapshot can reference it anymore (the drain guaranteed that).
+    InstallLocked(std::move(store));
     ++base_generation_;
-    rebasing_ = false;
+    rebase_ = Rebase::kNone;
   }
   cv_.notify_all();
 }
 
-void SnapshotManager::Release(uint64_t epoch) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = active_.find(epoch);
-  assert(it != active_.end());
-  if (--it->second == 0) active_.erase(it);
-  // A draining BeginRebase only cares about the registry emptying. Notify
-  // under the mutex: the drain in ~UpdatableIndex destroys this manager as
-  // soon as its wait returns, and it cannot return before the mutex is
-  // released, so the notify never touches a destroyed condition variable.
-  if (active_.empty()) cv_.notify_all();
-}
-
-uint64_t SnapshotManager::base_generation() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return base_generation_;
-}
-
-uint64_t SnapshotManager::current_epoch() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return current_epoch_;
+void SnapshotManager::Release(size_t shard, uint64_t epoch) {
+  PinShard& s = shards_[shard];
+  std::lock_guard<std::mutex> g(s.mu);
+  auto it = std::lower_bound(s.pins.begin(), s.pins.end(),
+                             std::make_pair(epoch, size_t{0}));
+  assert(it != s.pins.end() && it->first == epoch);
+  if (--it->second == 0) s.pins.erase(it);
+  // Notify under the shard lock: a draining BeginRebase reads this shard
+  // under the same lock, so it cannot miss the release, nor return — and
+  // let ~UpdatableIndex destroy this manager — before the notify is done.
+  if (s.pins.empty()) s.emptied.notify_all();
 }
 
 size_t SnapshotManager::active_snapshots() const {
-  std::lock_guard<std::mutex> lk(mu_);
+  std::shared_lock<std::shared_mutex> lk(mu_);
   size_t n = 0;
-  for (const auto& [epoch, pins] : active_) n += pins;
+  for (PinShard& s : shards_) {
+    std::lock_guard<std::mutex> g(s.mu);
+    for (const auto& [epoch, pins] : s.pins) n += pins;
+  }
   return n;
 }
 
 uint64_t SnapshotManager::oldest_active_epoch() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return active_.empty() ? current_epoch_ : active_.begin()->first;
+  std::shared_lock<std::shared_mutex> lk(mu_);
+  uint64_t oldest = EpochLocked();
+  for (PinShard& s : shards_) {
+    std::lock_guard<std::mutex> g(s.mu);
+    if (!s.pins.empty()) oldest = std::min(oldest, s.pins.front().first);
+  }
+  return oldest;
 }
 
 uint64_t SnapshotManager::deltas_published() const {
-  std::lock_guard<std::mutex> lk(mu_);
+  std::shared_lock<std::shared_mutex> lk(mu_);
   return deltas_published_;
 }
 
 uint64_t SnapshotManager::consolidations() const {
-  std::lock_guard<std::mutex> lk(mu_);
+  std::shared_lock<std::shared_mutex> lk(mu_);
   return consolidations_;
 }
 
-size_t SnapshotManager::chain_length() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return chain_length_;
+size_t SnapshotManager::log_length() const {
+  std::shared_lock<std::shared_mutex> lk(mu_);
+  return log_length_;
 }
+
 
 // --------------------------------------------------------- SnapshotScope
 

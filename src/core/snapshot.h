@@ -1,11 +1,14 @@
 #ifndef ADAPTIDX_CORE_SNAPSHOT_H_
 #define ADAPTIDX_CORE_SNAPSHOT_H_
 
+#include <algorithm>
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <utility>
 #include <vector>
 
@@ -15,14 +18,14 @@ namespace adaptidx {
 
 /// \brief One immutable, epoch-stamped flat copy of the differential side
 /// stores of an `UpdatableIndex` (pending inserts + anti-matter) — the
-/// consolidated representation behind snapshot reads.
+/// consolidated half of the side store.
 ///
 /// The paper's Section 4.2/4.3 design treats adaptive merging's
 /// differential files as the natural place for multi-version concurrency:
 /// the base column is immutable between checkpoints, so versioning the
 /// *differentials* versions the whole logical column. A flat version is
-/// materialized by consolidation, by checkpoints and by recovery; it is
-/// never mutated after publication.
+/// made by consolidation, by checkpoints and by recovery; it is never
+/// mutated after publication.
 ///
 /// Thread-safety: immutable after construction; any number of threads may
 /// read one version concurrently without synchronization.
@@ -40,46 +43,12 @@ struct SideStoreVersion {
   /// Anti-matter (deletion markers against base rows), sorted by
   /// (value, rowID).
   std::vector<std::pair<Value, RowId>> anti_matter;
-
-  /// \brief Count and sum of pending inserts falling in [range.lo,
-  /// range.hi).
-  void InsertCountSum(const ValueRange& range, uint64_t* count,
-                      int64_t* sum) const;
-
-  /// \brief Count and sum of anti-matter markers falling in [range.lo,
-  /// range.hi).
-  void AntiMatterCountSum(const ValueRange& range, uint64_t* count,
-                          int64_t* sum) const;
-
-  /// \brief Whether base row (`v`, `id`) is hidden by an anti-matter
-  /// marker in this version.
-  bool HidesRow(Value v, RowId id) const;
-
-  /// \brief Index of the first pending insert with value >= `lo`
-  /// (for in-range iteration: advance while `inserts[i].first < hi`).
-  size_t FirstInsertAtOrAbove(Value lo) const;
-
-  /// \brief True when at least one anti-matter marker falls in the range —
-  /// the predicate that decides whether a min/max answer from the base
-  /// index can be trusted.
-  bool AnyAntiMatterIn(const ValueRange& range) const;
 };
 
-/// \brief One committed update published in O(1): the op, its (value,
-/// rowID) payload, and the epoch it committed at, linked onto the previous
-/// delta of the same consolidation era (`prev` is null for the first delta
-/// after a consolidated base).
-///
-/// This is what makes MVCC publication cost independent of the pending
-/// side-store size: instead of copying both side stores per commit
-/// (O(pending) inside the writer latch), the writer allocates one node.
-/// Readers fold the era-local chain suffix over the consolidated base;
-/// consolidation bounds the suffix length.
-///
-/// Thread-safety: immutable after publication; destruction unlinks the
-/// chain iteratively so releasing the last reference to a long chain never
-/// recurses one stack frame per node.
-struct SideStoreDelta {
+/// \brief One committed update in the delta log: what the commit did to the
+/// differential side stores and its (value, rowID) operand. Each entry is
+/// one commit epoch.
+struct DeltaEntry {
   /// What the commit did to the differential side stores.
   enum class Op : uint8_t {
     kInsert,        ///< added (value, rowID) to the pending inserts
@@ -87,30 +56,87 @@ struct SideStoreDelta {
     kCancelInsert,  ///< removed a still-pending insert (delete of it)
   };
 
-  /// \brief Builds one delta node; `prev` links the era-local chain.
-  SideStoreDelta(Op op_in, Value value_in, RowId row_id_in, uint64_t epoch_in,
-                 RowId next_row_id_in,
-                 std::shared_ptr<const SideStoreDelta> prev_in)
-      : op(op_in),
-        value(value_in),
-        row_id(row_id_in),
-        epoch(epoch_in),
-        next_row_id(next_row_id_in),
-        prev(std::move(prev_in)) {}
+  Value value;   ///< \brief Operand value.
+  RowId row_id;  ///< \brief Operand row id.
+  Op op;         ///< \brief The committed operation.
+};
 
-  /// \brief Destroys the predecessors this node last owned iteratively, so
-  /// dropping a long chain cannot overflow the stack with recursive
-  /// destructors.
-  ~SideStoreDelta();
+/// \brief The commits since the last consolidation, oldest first: a
+/// fixed-capacity append-only array.
+///
+/// The writer appends one entry per commit; the `SnapshotManager` publishes
+/// the new length under its mutex, and entries below a published length
+/// never change. Consolidation starts a new log, so a pinned reader keeps
+/// reading the log (and the prefix length) it pinned. Values are stored
+/// apart from the rest of each entry, so a reader's range scan streams
+/// through 8 bytes per entry.
+///
+/// Thread-safety: entries below a length obtained from the manager are
+/// immutable and may be read from any number of threads.
+class DeltaLog {
+ public:
+  /// \brief An empty log with room for `capacity` entries (uninitialized
+  /// until appended).
+  explicit DeltaLog(size_t capacity)
+      : values_(new Value[capacity]),
+        row_ids_(new RowId[capacity]),
+        ops_(new DeltaEntry::Op[capacity]),
+        capacity_(capacity) {}
 
-  Op op;               ///< \brief The committed operation.
-  Value value;         ///< \brief Operand value.
-  RowId row_id;        ///< \brief Operand row id.
-  uint64_t epoch;      ///< \brief Commit epoch of this delta.
-  RowId next_row_id;   ///< \brief Next row id the index assigns after it.
-  /// Older delta of the same era; null at the era boundary (the
-  /// consolidated base covers everything before).
-  std::shared_ptr<const SideStoreDelta> prev;
+  /// \brief Maximum number of entries before the log must consolidate.
+  size_t capacity() const { return capacity_; }
+
+  /// \brief Entry `i`; requires `i` below a published length.
+  DeltaEntry operator[](size_t i) const {
+    return DeltaEntry{values_[i], row_ids_[i], ops_[i]};
+  }
+
+  /// \brief Calls `fn(entry)` for each of the first `length` entries whose
+  /// value lies in `range`, oldest first. Each block of values is counted
+  /// with SIMD compares first, and only blocks holding a match — none, for
+  /// most narrow reads — are visited entry by entry.
+  template <typename Fn> void ForEachIn(size_t length, const ValueRange& range,
+                                        Fn fn) const {
+    constexpr size_t kBlock = 256;
+    for (size_t begin = 0; begin < length; begin += kBlock) {
+      const size_t end = std::min(length, begin + kBlock);
+      if (CountIn(begin, end, range) == 0) continue;
+      for (size_t i = begin; i < end; ++i) {
+        if (range.Contains(values_[i])) fn((*this)[i]);
+      }
+    }
+  }
+
+ private:
+  friend class SnapshotManager;
+
+  /// Number of values in [begin, end) that lie in `range`.
+  uint64_t CountIn(size_t begin, size_t end, const ValueRange& range) const;
+
+  std::unique_ptr<Value[]> values_;
+  std::unique_ptr<RowId[]> row_ids_;
+  std::unique_ptr<DeltaEntry::Op[]> ops_;
+  size_t capacity_;
+};
+
+/// \brief Folds `log[0, length)` into `base`: the flat state after those
+/// commits. Each entry is one epoch and each insert takes the next row id,
+/// so the result is stamped `base.epoch + length` and `base.next_row_id`
+/// plus the inserts. O(pending + length·log).
+SideStoreVersion FoldLog(const SideStoreVersion& base, const DeltaLog& log,
+                         size_t length);
+
+/// \brief The differentials of an `UpdatableIndex`, stored once: an
+/// immutable consolidated version and the delta log of the commits made
+/// since it. Consolidation replaces the whole pair; readers pin one pair
+/// with one reference count.
+struct SideStore {
+  /// \brief Pairs `version_in` with an empty log of `log_capacity` entries.
+  SideStore(SideStoreVersion version_in, size_t log_capacity)
+      : version(std::move(version_in)), log(log_capacity) {}
+
+  const SideStoreVersion version;  ///< \brief The consolidated state.
+  DeltaLog log;                    ///< \brief Commits since `version`.
 };
 
 class SnapshotManager;
@@ -120,14 +146,14 @@ class SnapshotManager;
 ///
 /// A snapshot is captured in O(1) (a short pin on the manager, no
 /// side-table latch) and holds exactly the differential state of its
-/// `epoch()`: a consolidated base `version()` plus the era-local
-/// `delta_head()` chain suffix committed after that base (empty right
-/// after consolidation). Updates committed after capture are invisible, so
+/// `epoch()`: a consolidated `version()` plus the first `log_length()`
+/// entries of the delta log committed after it (none right after
+/// consolidation). Updates committed after capture are invisible, so
 /// re-running a query against the same snapshot always returns the
-/// identical answer (repeatable read). The base
-/// column/index referenced by `base_generation()` is guaranteed stable
-/// while the snapshot is held: `UpdatableIndex::Checkpoint()` drains
-/// (waits for) every outstanding snapshot before swapping the base.
+/// identical answer (repeatable read). The base column/index referenced by
+/// `base_generation()` is guaranteed stable while the snapshot is held:
+/// `UpdatableIndex::Checkpoint()` drains (waits for) every outstanding
+/// snapshot before swapping the base.
 ///
 /// Because checkpoints — and the index destructor — wait on outstanding
 /// snapshots, a thread must never call `Checkpoint()` on, or destroy, the
@@ -147,7 +173,7 @@ class Snapshot {
   Snapshot() = default;
 
   /// \brief Releases the pin (unblocking a draining checkpoint and freeing
-  /// the chain suffix no other pin observes).
+  /// the version and log no other pin observes).
   ~Snapshot() { Release(); }
 
   Snapshot(Snapshot&& other) noexcept { *this = std::move(other); }
@@ -157,37 +183,31 @@ class Snapshot {
   Snapshot& operator=(const Snapshot&) = delete;
 
   /// \brief False for default-constructed or released snapshots.
-  bool valid() const { return version_ != nullptr; }
+  bool valid() const { return store_ != nullptr; }
 
-  /// \brief The commit epoch this snapshot reads at (base epoch plus every
-  /// chained delta).
+  /// \brief The commit epoch this snapshot reads at (`version().epoch`
+  /// plus `log_length()`).
   uint64_t epoch() const { return epoch_; }
 
   /// \brief The base-column generation (bumped by every checkpoint) this
   /// snapshot's rowIDs and base answers are expressed against.
   uint64_t base_generation() const { return base_generation_; }
 
-  /// \brief The pinned consolidated base state. Requires `valid()`. It
-  /// covers epochs up to `version().epoch` only; the deltas of
-  /// (`version().epoch`, `epoch()`] hang off `delta_head()`.
-  const SideStoreVersion& version() const { return *version_; }
+  /// \brief The pinned consolidated state. Requires `valid()`. It covers
+  /// epochs up to `version().epoch` only; the commits of
+  /// (`version().epoch`, `epoch()`] are `log()[0, log_length())`.
+  const SideStoreVersion& version() const { return store_->version; }
 
-  /// \brief Newest delta this snapshot observes; null when the snapshot is
-  /// exactly a consolidated state. Walking `prev` to null yields the
-  /// era-local suffix to fold over `version()`.
-  const SideStoreDelta* delta_head() const { return head_.get(); }
+  /// \brief The pinned delta log. Requires `valid()`.
+  const DeltaLog& log() const { return store_->log; }
 
-  /// \brief Number of deltas between `version()` and this snapshot — the
-  /// fold work a reader pays (bounded by the consolidation threshold).
-  size_t chain_length() const { return chain_length_; }
-
-  /// \brief Next row id the index would assign at `epoch()`.
-  RowId next_row_id() const { return next_row_id_; }
+  /// \brief Number of log entries this snapshot observes — the most a
+  /// reader scans (bounded by the log's capacity).
+  size_t log_length() const { return log_length_; }
 
   /// \brief Materializes the full differential state at `epoch()` as one
-  /// flat sorted version (base plus folded chain suffix) — the checkpoint
-  /// image path, which needs the complete state, not the incremental view.
-  /// O(base + chain·log). Requires `valid()`.
+  /// flat sorted version (`FoldLog` over the pinned pair) — the checkpoint
+  /// image path, which needs the complete state. Requires `valid()`.
   SideStoreVersion Materialize() const;
 
   /// \brief Explicitly drops the pin early (idempotent).
@@ -197,129 +217,149 @@ class Snapshot {
   friend class SnapshotManager;
   friend class UpdatableIndex;  ///< validates snapshot/index pairing
 
-  Snapshot(SnapshotManager* mgr,
-           std::shared_ptr<const SideStoreVersion> version,
-           std::shared_ptr<const SideStoreDelta> head, size_t chain_length,
-           uint64_t epoch, RowId next_row_id, uint64_t base_generation)
-      : mgr_(mgr),
-        version_(std::move(version)),
-        head_(std::move(head)),
-        chain_length_(chain_length),
-        epoch_(epoch),
-        next_row_id_(next_row_id),
-        base_generation_(base_generation) {}
-
   SnapshotManager* mgr_ = nullptr;
-  std::shared_ptr<const SideStoreVersion> version_;
-  std::shared_ptr<const SideStoreDelta> head_;
-  size_t chain_length_ = 0;
+  size_t shard_ = 0;  ///< pin-registry shard the pin is counted in
+  std::shared_ptr<const SideStore> store_;
+  size_t log_length_ = 0;
   uint64_t epoch_ = 0;
-  RowId next_row_id_ = 0;
   uint64_t base_generation_ = 0;
 };
 
-/// \brief Publishes, pins, and drains versions — the version-chain
-/// bookkeeping of the MVCC layer.
+/// \brief The side store of an `UpdatableIndex` — one flat version plus one
+/// delta log — and the registry that publishes, pins and drains it.
 ///
-/// Writer protocol: after mutating the side stores under the index's
-/// exclusive latch, the writer publishes the commit as one O(1) delta node
-/// (`PublishDelta`). A periodic `Consolidate` installs a flat base and
-/// resets the chain so readers never fold an unbounded suffix. Reader
-/// protocol: `Acquire` pins the current (base, chain head) pair under a
-/// short internal mutex — the "short pin" — and the returned `Snapshot`
-/// releases it on destruction. Checkpoint protocol: `BeginRebase` blocks
-/// new acquisitions and waits until every outstanding snapshot is
-/// released, the caller swaps the base, then `CompleteRebase` installs the
-/// post-checkpoint version under the next base generation and re-admits
-/// readers.
+/// Writer protocol (every writer method requires the index's writer latch,
+/// which serializes them): `Lookup` classifies a (value, rowID) against the
+/// current pair, `Append` logs one commit and publishes it, and
+/// `Consolidate` folds a full log into a new flat version and starts an
+/// empty log whose capacity is the consolidation threshold over the new
+/// pending size: min(max, max(min, pending/8)). Reader protocol: `Acquire`
+/// pins the current (version, log, length) triple under a short internal
+/// mutex — the "short pin" — and the returned `Snapshot` releases it on
+/// destruction. Readers share the manager's mutex and count their pin in
+/// a registry shard of their own thread, so concurrent readers never wait
+/// on one another. Checkpoint protocol: `BeginRebase` waits until no
+/// snapshot is pinned and then blocks new acquisitions, the caller swaps
+/// the base, and `CompleteRebase` installs the post-checkpoint version
+/// under the next base generation and re-admits readers. Acquisitions made
+/// while `BeginRebase` still waits are admitted, so a thread that holds a
+/// pin can keep reading until it lets go; the rebase then waits for a
+/// moment with no read in flight.
 ///
-/// Reclamation is epoch-based through the pins themselves: every snapshot
-/// holds shared ownership of its base and chain head, so superseding a
-/// base (consolidation) or dropping the chain frees exactly the suffix no
-/// pin can observe anymore — a delta node dies the moment the last
-/// snapshot that could see it releases. Chain destruction is iterative
-/// (see `SideStoreDelta::~SideStoreDelta`), never one stack frame per
-/// node.
+/// Reclamation is through the pins themselves: every snapshot holds shared
+/// ownership of its version and log, so consolidation frees exactly what
+/// no pin can observe anymore.
 ///
-/// Thread-safety: fully synchronized internally; all methods may be called
-/// from any thread. `BeginRebase`/`CompleteRebase` must be paired and are
-/// mutually exclusive with each other (the index's exclusive latch
-/// provides that).
+/// Thread-safety: readers and introspection may call from any thread;
+/// writer methods need the writer latch as above. `BeginRebase` /
+/// `CompleteRebase` must be paired.
 class SnapshotManager {
  public:
   /// \brief Starts at epoch 0 with empty side stores; `next_row_id` is the
-  /// row id the index assigns first (the base column's size).
-  explicit SnapshotManager(RowId next_row_id);
+  /// row id the index assigns first (the base column's size). `log_min` /
+  /// `log_max` bound the delta log's capacity (`IndexConfig`'s
+  /// consolidation bounds).
+  SnapshotManager(RowId next_row_id, size_t log_min, size_t log_max);
 
-  /// \brief Commit publication, O(1): links one delta node for
-  /// (`op`, `v`, `row_id`) committed at `epoch` onto the current chain.
-  /// Returns the resulting chain length so the caller can trigger
-  /// consolidation.
-  size_t PublishDelta(SideStoreDelta::Op op, Value v, RowId row_id,
-                      uint64_t epoch, RowId next_row_id);
+  /// \brief What the current state holds for one (value, rowID).
+  enum class RowState { kAbsent, kPendingInsert, kDeleted };
 
-  /// \brief Installs `version` (the flat materialization of the current
-  /// state, same epoch) as the new consolidated base and resets the delta
-  /// chain. Pinned snapshots keep their suffix alive through their own
-  /// references; unpinned deltas are freed here.
-  void Consolidate(std::shared_ptr<const SideStoreVersion> version);
+  /// \brief Writer: classifies (`v`, `id`) against the current version
+  /// (binary search) and log (one pass).
+  RowState Lookup(Value v, RowId id) const;
 
-  /// \brief Pins the current version (base + chain head). Blocks while a
-  /// rebase (checkpoint drain) is in progress, so it must be called
-  /// WITHOUT holding any latch the rebasing thread needs.
+  /// \brief Writer: logs `entry` as the next commit epoch and publishes it.
+  /// Returns the log length after the append; the log is full when it
+  /// equals `log_capacity()`, and the caller must `Consolidate` before the
+  /// next append.
+  size_t Append(const DeltaEntry& entry);
+
+  /// \brief Writer: capacity of the current log.
+  size_t log_capacity() const { return store_->log.capacity(); }
+
+  /// \brief Writer: folds the log into a new flat version and starts an
+  /// empty log. Readers keep the pair they pinned.
+  void Consolidate();
+
+  /// \brief Writer: replaces the whole state with `version` and an empty
+  /// log — the recovery entry point. `version.epoch` must not be below the
+  /// current epoch.
+  void Install(SideStoreVersion version);
+
+  /// \brief Writer: the full current state as one flat version.
+  SideStoreVersion MaterializeCurrent() const;
+
+  /// \brief Pins the current state. Blocks only while a rebase is past its
+  /// drain (swapping the base), so it must be called WITHOUT holding any
+  /// latch the rebasing thread needs.
   Snapshot Acquire();
 
-  /// \brief Checkpoint entry: serializes against other rebases, blocks new
-  /// acquisitions, then waits until no snapshot is active. Must be called
-  /// WITHOUT holding the index latch — snapshot holders may need it to
-  /// finish the read their pin protects (see `UpdatableIndex::Checkpoint`
-  /// for the ordering).
+  /// \brief Checkpoint entry: serializes against other rebases, waits until
+  /// no snapshot is active, then blocks new acquisitions. Must be called
+  /// WITHOUT holding the index's writer latch — snapshot holders may need
+  /// it to finish the work their pin brackets (see
+  /// `UpdatableIndex::Checkpoint` for the ordering).
   void BeginRebase();
 
-  /// \brief Checkpoint exit: installs the post-checkpoint `version`, bumps
-  /// the base generation, drops the (now meaningless) delta chain, and
-  /// re-admits readers.
-  void CompleteRebase(std::shared_ptr<const SideStoreVersion> version);
-
-  /// \brief Generation of the base column current snapshots read against;
-  /// bumped by every `CompleteRebase`.
-  uint64_t base_generation() const;
-
-  /// \brief Epoch of the currently published state (base epoch plus every
-  /// chained delta).
-  uint64_t current_epoch() const;
+  /// \brief Checkpoint exit: installs the post-checkpoint `version` with an
+  /// empty log, bumps the base generation, and re-admits readers.
+  void CompleteRebase(SideStoreVersion version);
 
   /// \brief Number of snapshots currently pinned.
   size_t active_snapshots() const;
 
-  /// \brief Oldest epoch pinned by an active snapshot; `current_epoch()`
+  /// \brief Oldest epoch pinned by an active snapshot; the current epoch
   /// when none is active.
   uint64_t oldest_active_epoch() const;
 
-  // ---- chain observability (tests/benchmarks) --------------------------
+  // ---- log observability (tests/benchmarks) ----------------------------
 
-  uint64_t deltas_published() const;    ///< O(1) delta-node publications
-  uint64_t consolidations() const;      ///< chain → flat-base materializations
-  size_t chain_length() const;          ///< deltas currently chained on the base
+  uint64_t deltas_published() const;  ///< log entries appended
+  uint64_t consolidations() const;    ///< log → flat-version folds
+  size_t log_length() const;          ///< entries in the current log
 
  private:
   friend class Snapshot;
 
-  /// Unpins one snapshot at `epoch`; wakes a draining rebase when the
-  /// registry empties.
-  void Release(uint64_t epoch);
+  /// Where a checkpoint's rebase stands.
+  enum class Rebase { kNone, kDraining, kSwapping };
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;  ///< drain progress + rebase completion
-  bool rebasing_ = false;
-  std::shared_ptr<const SideStoreVersion> current_;
-  std::shared_ptr<const SideStoreDelta> head_;  ///< newest delta, null if none
-  size_t chain_length_ = 0;
-  uint64_t current_epoch_ = 0;
-  RowId current_next_row_id_ = 0;
+  /// Pairs `version` with an empty log sized by the consolidation
+  /// threshold over its pending size.
+  std::shared_ptr<SideStore> MakeStore(SideStoreVersion version) const;
+
+  /// Makes `store` current. Requires `mu_` held.
+  void InstallLocked(std::shared_ptr<SideStore> store);
+
+  /// Epoch of the published state. Requires `mu_` held.
+  uint64_t EpochLocked() const { return store_->version.epoch + log_length_; }
+
+  /// Unpins one snapshot at `epoch` from registry shard `shard`; wakes a
+  /// draining rebase when the shard empties. Takes only the shard's lock.
+  void Release(size_t shard, uint64_t epoch);
+
+  /// One slice of the pin registry, on its own cache line: pin counts by
+  /// ascending epoch (a pin always takes the newest epoch, so entries are
+  /// added at the back). Captures add pins holding the manager's mutex
+  /// shared; releases remove them holding only `mu`.
+  struct alignas(64) PinShard {
+    std::mutex mu;
+    std::condition_variable emptied;  ///< a draining rebase waits here
+    std::vector<std::pair<uint64_t, size_t>> pins;
+  };
+  static constexpr size_t kPinShards = 16;
+
+  const size_t log_min_;
+  const size_t log_max_;
+  /// Guards the published state below: shared by readers (capture,
+  /// introspection), exclusive for writers and rebases.
+  mutable std::shared_mutex mu_;
+  std::condition_variable_any cv_;  ///< rebase completion
+  Rebase rebase_ = Rebase::kNone;
+  std::shared_ptr<SideStore> store_;
+  size_t log_length_ = 0;
   uint64_t base_generation_ = 0;
-  /// Pin counts per epoch of every active snapshot.
-  std::map<uint64_t, size_t> active_;
+  mutable std::array<PinShard, kPinShards> shards_;
   uint64_t deltas_published_ = 0;
   uint64_t consolidations_ = 0;
 };

@@ -8,203 +8,112 @@ namespace adaptidx {
 
 namespace {
 
-/// Acquires `mu` (shared or exclusive per the lock type) and accounts the
-/// acquisition on `stats`: uncontended fast path via try-lock, otherwise the
-/// blocked wait is timed. This makes reader/writer interference on the side
-/// tables observable — the quantity the snapshot-read ablation measures.
-template <typename Lock, typename Mutex>
-Lock AccountedLock(Mutex& mu, void (LatchStats::*record)(int64_t, bool),
-                   LatchStats* stats) {
-  Lock lk(mu, std::try_to_lock);
+/// Acquires the writer latch and accounts the acquisition on `stats`:
+/// uncontended fast path via try-lock, otherwise the blocked wait is timed.
+/// Writers wait only on each other and on a checkpoint's base swap; no
+/// reader ever holds this latch.
+std::unique_lock<std::mutex> LockWriter(std::mutex& mu, LatchStats* stats) {
+  std::unique_lock<std::mutex> lk(mu, std::try_to_lock);
   if (lk.owns_lock()) {
-    (stats->*record)(0, false);
+    stats->RecordWrite(0, false);
     return lk;
   }
   const int64_t t0 = NowNanos();
   lk.lock();
-  (stats->*record)(NowNanos() - t0, true);
+  stats->RecordWrite(NowNanos() - t0, true);
   return lk;
 }
 
-// The two differential views the shared combine logic below runs against.
-// Latched reads walk the live ordered containers (under the shared
-// side-table latch); snapshot reads walk an immutable SideStoreVersion's
-// sorted vectors (no latch). Keeping ONE combine implementation over both
-// is what guarantees the two paths can never diverge semantically.
+using Entries = std::vector<std::pair<Value, RowId>>;
 
-/// Live side stores (mu_ held, shared suffices).
-struct MapDiffView {
-  const std::multimap<Value, RowId>& inserts;
-  const std::set<std::pair<Value, RowId>>& anti_matter;
-
-  void InsertCountSum(const ValueRange& range, uint64_t* count,
-                      int64_t* sum) const {
-    *count = 0;
-    *sum = 0;
-    for (auto it = inserts.lower_bound(range.lo);
-         it != inserts.end() && it->first < range.hi; ++it) {
-      ++*count;
-      *sum += it->first;
-    }
+/// The entries of a (value, rowID)-sorted vector whose value lies in a
+/// range.
+struct SortedRun {
+  SortedRun(const Entries& entries, const ValueRange& range)
+      : first(std::lower_bound(entries.begin(), entries.end(),
+                               std::make_pair(range.lo, RowId{0}))),
+        last(std::lower_bound(first, entries.end(),
+                              std::make_pair(range.hi, RowId{0}))) {}
+  bool Contains(const std::pair<Value, RowId>& entry) const {
+    return std::binary_search(first, last, entry);
   }
-  void AntiMatterCountSum(const ValueRange& range, uint64_t* count,
-                          int64_t* sum) const {
-    *count = 0;
-    *sum = 0;
-    for (auto it = anti_matter.lower_bound({range.lo, 0});
-         it != anti_matter.end() && it->first < range.hi; ++it) {
-      ++*count;
-      *sum += it->first;
-    }
-  }
-  bool AnyAntiMatter() const { return !anti_matter.empty(); }
-  bool AnyAntiMatterIn(const ValueRange& range) const {
-    auto it = anti_matter.lower_bound({range.lo, 0});
-    return it != anti_matter.end() && it->first < range.hi;
-  }
-  bool HidesRow(Value v, RowId id) const {
-    return anti_matter.count({v, id}) > 0;
-  }
-  template <typename Fn>
-  void ForEachInsertIn(const ValueRange& range, Fn fn) const {
-    for (auto it = inserts.lower_bound(range.lo);
-         it != inserts.end() && it->first < range.hi; ++it) {
-      fn(it->first, it->second);
-    }
-  }
+  Entries::const_iterator first;
+  Entries::const_iterator last;
 };
 
-/// Pinned immutable version (no latch needed).
-struct VersionDiffView {
-  const SideStoreVersion& v;
-
-  void InsertCountSum(const ValueRange& range, uint64_t* count,
-                      int64_t* sum) const {
-    v.InsertCountSum(range, count, sum);
-  }
-  void AntiMatterCountSum(const ValueRange& range, uint64_t* count,
-                          int64_t* sum) const {
-    v.AntiMatterCountSum(range, count, sum);
-  }
-  bool AnyAntiMatter() const { return !v.anti_matter.empty(); }
-  bool AnyAntiMatterIn(const ValueRange& range) const {
-    return v.AnyAntiMatterIn(range);
-  }
-  bool HidesRow(Value value, RowId id) const { return v.HidesRow(value, id); }
-  template <typename Fn>
-  void ForEachInsertIn(const ValueRange& range, Fn fn) const {
-    for (size_t i = v.FirstInsertAtOrAbove(range.lo);
-         i < v.inserts.size() && v.inserts[i].first < range.hi; ++i) {
-      fn(v.inserts[i].first, v.inserts[i].second);
-    }
-  }
-};
-
-/// Pinned delta-chain snapshot: the consolidated base plus the era-local
-/// suffix of O(1) commit deltas, folded once per query into three sorted
-/// vectors. The arithmetic leans on (value, rowID) uniqueness — row ids
-/// are never reused, so a chained kCancelInsert names exactly one insert
-/// that the base or the chain currently counts, and anti-matter is purely
-/// additive until a checkpoint resets both stores. Fold cost is
-/// O(chain log chain), bounded by the consolidation threshold.
-struct DeltaChainView {
-  const SideStoreVersion& base;
-  std::vector<std::pair<Value, RowId>> chain_inserts;
-  std::vector<std::pair<Value, RowId>> chain_anti;
-  std::vector<std::pair<Value, RowId>> cancels;
-
-  explicit DeltaChainView(const Snapshot& snapshot)
-      : base(snapshot.version()) {
-    for (const SideStoreDelta* d = snapshot.delta_head(); d != nullptr;
-         d = d->prev.get()) {
-      const std::pair<Value, RowId> entry{d->value, d->row_id};
-      switch (d->op) {
-        case SideStoreDelta::Op::kInsert:
-          chain_inserts.push_back(entry);
-          break;
-        case SideStoreDelta::Op::kAntiMatter:
-          chain_anti.push_back(entry);
-          break;
-        case SideStoreDelta::Op::kCancelInsert:
-          cancels.push_back(entry);
-          break;
-      }
-    }
-    std::sort(chain_inserts.begin(), chain_inserts.end());
-    std::sort(chain_anti.begin(), chain_anti.end());
-    std::sort(cancels.begin(), cancels.end());
+/// The differentials one read sees inside its value range: the runs of the
+/// pinned flat version in range plus the pinned log's entries in range,
+/// gathered in one pass over the log. Each cancel names exactly one
+/// pending insert, in the version or earlier in the log (row ids are never
+/// reused), and anti-matter only grows until a checkpoint resets the
+/// store, so the in-range entries net out by plain addition and
+/// subtraction.
+class RangeDiff {
+ public:
+  RangeDiff(const Snapshot& snapshot, const ValueRange& range)
+      : flat_inserts_(snapshot.version().inserts, range),
+        flat_anti_(snapshot.version().anti_matter, range) {
+    snapshot.log().ForEachIn(snapshot.log_length(), range,
+                             [this](const DeltaEntry& e) {
+      Entries* to = e.op == DeltaEntry::Op::kInsert       ? &inserts_
+                    : e.op == DeltaEntry::Op::kAntiMatter ? &anti_
+                                                          : &cancels_;
+      to->emplace_back(e.value, e.row_id);
+    });
+    std::sort(anti_.begin(), anti_.end());
+    std::sort(cancels_.begin(), cancels_.end());
   }
 
-  static void RangeCountSum(const std::vector<std::pair<Value, RowId>>& v,
-                            const ValueRange& range, uint64_t* count,
-                            int64_t* sum) {
-    auto it = std::lower_bound(v.begin(), v.end(),
-                               std::make_pair(range.lo, RowId{0}));
-    for (; it != v.end() && it->first < range.hi; ++it) {
+  void InsertCountSum(uint64_t* count, int64_t* sum) const {
+    ForEachInsert([&](Value v, RowId) {
+      ++*count;
+      *sum += v;
+    });
+  }
+  void AntiMatterCountSum(uint64_t* count, int64_t* sum) const {
+    for (auto it = flat_anti_.first; it != flat_anti_.last; ++it) {
       ++*count;
       *sum += it->first;
     }
-  }
-
-  void InsertCountSum(const ValueRange& range, uint64_t* count,
-                      int64_t* sum) const {
-    // Each cancelled (value, rowID) is currently counted exactly once —
-    // in the base if it was pending at consolidation, in the chain if it
-    // was inserted after — so subtracting the in-range cancels nets the
-    // live pending-insert population.
-    base.InsertCountSum(range, count, sum);
-    RangeCountSum(chain_inserts, range, count, sum);
-    uint64_t cancel_count = 0;
-    int64_t cancel_sum = 0;
-    RangeCountSum(cancels, range, &cancel_count, &cancel_sum);
-    *count -= cancel_count;
-    *sum -= cancel_sum;
-  }
-  void AntiMatterCountSum(const ValueRange& range, uint64_t* count,
-                          int64_t* sum) const {
-    base.AntiMatterCountSum(range, count, sum);
-    RangeCountSum(chain_anti, range, count, sum);
+    for (const auto& [v, id] : anti_) {
+      ++*count;
+      *sum += v;
+    }
   }
   bool AnyAntiMatter() const {
-    return !base.anti_matter.empty() || !chain_anti.empty();
+    return flat_anti_.first != flat_anti_.last || !anti_.empty();
   }
-  bool AnyAntiMatterIn(const ValueRange& range) const {
-    if (base.AnyAntiMatterIn(range)) return true;
-    auto it = std::lower_bound(chain_anti.begin(), chain_anti.end(),
-                               std::make_pair(range.lo, RowId{0}));
-    return it != chain_anti.end() && it->first < range.hi;
-  }
+  /// Requires `value` inside the range.
   bool HidesRow(Value value, RowId id) const {
-    return base.HidesRow(value, id) ||
-           std::binary_search(chain_anti.begin(), chain_anti.end(),
-                              std::make_pair(value, id));
+    const std::pair<Value, RowId> row{value, id};
+    return flat_anti_.Contains(row) ||
+           std::binary_search(anti_.begin(), anti_.end(), row);
   }
-  bool Cancelled(Value value, RowId id) const {
-    return std::binary_search(cancels.begin(), cancels.end(),
-                              std::make_pair(value, id));
-  }
+  /// Calls `fn(value, rowID)` for every live pending insert in range.
   template <typename Fn>
-  void ForEachInsertIn(const ValueRange& range, Fn fn) const {
-    for (size_t i = base.FirstInsertAtOrAbove(range.lo);
-         i < base.inserts.size() && base.inserts[i].first < range.hi; ++i) {
-      if (Cancelled(base.inserts[i].first, base.inserts[i].second)) continue;
-      fn(base.inserts[i].first, base.inserts[i].second);
-    }
-    auto it = std::lower_bound(chain_inserts.begin(), chain_inserts.end(),
-                               std::make_pair(range.lo, RowId{0}));
-    for (; it != chain_inserts.end() && it->first < range.hi; ++it) {
-      if (Cancelled(it->first, it->second)) continue;
-      fn(it->first, it->second);
-    }
+  void ForEachInsert(Fn fn) const {
+    auto visit = [&](const std::pair<Value, RowId>& e) {
+      if (cancels_.empty() ||
+          !std::binary_search(cancels_.begin(), cancels_.end(), e)) {
+        fn(e.first, e.second);
+      }
+    };
+    std::for_each(flat_inserts_.first, flat_inserts_.last, visit);
+    std::for_each(inserts_.begin(), inserts_.end(), visit);
   }
+
+ private:
+  SortedRun flat_inserts_;
+  SortedRun flat_anti_;
+  Entries inserts_;  ///< log inserts in range, commit order
+  Entries anti_;     ///< log anti-matter in range, sorted
+  Entries cancels_;  ///< log cancellations in range, sorted
 };
 
-/// THE query evaluation of the differential layer — shared verbatim by the
-/// latched and snapshot paths: combines the base index/column answer with
-/// one differential view. The caller guarantees `diff`, `base`, and
-/// `index` stay valid for the duration (shared latch or snapshot pin).
-template <typename DiffView>
-Status CombineWithDifferentials(const Query& query, const DiffView& diff,
+/// The query evaluation of the differential layer: combines the base
+/// index/column answer with the differentials in the query's range. The
+/// caller's snapshot pin keeps `diff`, `base`, and `index` valid.
+Status CombineWithDifferentials(const Query& query, const RangeDiff& diff,
                                 const Column& base, AdaptiveIndex* index,
                                 QueryContext* ctx, QueryResult* result) {
   const ValueRange& range = query.range;
@@ -214,12 +123,12 @@ Status CombineWithDifferentials(const Query& query, const DiffView& diff,
       QueryResult base_result;
       Status s = index->Execute(query, ctx, &base_result);
       if (!s.ok()) return s;
-      uint64_t ins_c;
-      int64_t ins_s;
-      uint64_t del_c;
-      int64_t del_s;
-      diff.InsertCountSum(range, &ins_c, &ins_s);
-      diff.AntiMatterCountSum(range, &del_c, &del_s);
+      uint64_t ins_c = 0;
+      int64_t ins_s = 0;
+      uint64_t del_c = 0;
+      int64_t del_s = 0;
+      diff.InsertCountSum(&ins_c, &ins_s);
+      diff.AntiMatterCountSum(&del_c, &del_s);
       if (query.kind == QueryKind::kCount) {
         result->count = base_result.count + ins_c - del_c;
       } else {
@@ -240,14 +149,14 @@ Status CombineWithDifferentials(const Query& query, const DiffView& diff,
                                              result->row_ids.end(), hidden),
                               result->row_ids.end());
       }
-      diff.ForEachInsertIn(range, [&](Value, RowId id) {
+      diff.ForEachInsert([&](Value, RowId id) {
         result->row_ids.push_back(id);
       });
       return Status::OK();
     }
     case QueryKind::kMinMax: {
       MinMaxAccumulator acc;
-      if (!diff.AnyAntiMatterIn(range)) {
+      if (!diff.AnyAntiMatter()) {
         // The base answer cannot name a deleted extreme; combine it with
         // the pending insertions directly.
         QueryResult base_result;
@@ -267,7 +176,7 @@ Status CombineWithDifferentials(const Query& query, const DiffView& diff,
           acc.Feed(v);
         }
       }
-      diff.ForEachInsertIn(range, [&](Value v, RowId) { acc.Feed(v); });
+      diff.ForEachInsert([&](Value v, RowId) { acc.Feed(v); });
       acc.Store(result);
       return Status::OK();
     }
@@ -275,6 +184,26 @@ Status CombineWithDifferentials(const Query& query, const DiffView& diff,
       return Status::NotSupported("updatable index holds no second column");
   }
   return Status::InvalidArgument("unknown query kind");
+}
+
+/// Pending inserts and anti-matter markers at `snapshot`'s epoch.
+std::pair<size_t, size_t> PendingAt(const Snapshot& snapshot) {
+  size_t inserts = snapshot.version().inserts.size();
+  size_t deletes = snapshot.version().anti_matter.size();
+  for (size_t i = 0; i < snapshot.log_length(); ++i) {
+    switch (snapshot.log()[i].op) {
+      case DeltaEntry::Op::kInsert:
+        ++inserts;
+        break;
+      case DeltaEntry::Op::kAntiMatter:
+        ++deletes;
+        break;
+      case DeltaEntry::Op::kCancelInsert:
+        --inserts;
+        break;
+    }
+  }
+  return {inserts, deletes};
 }
 
 }  // namespace
@@ -287,12 +216,13 @@ UpdatableIndex::UpdatableIndex(Column base, IndexConfig config,
       lock_resource_(std::move(lock_resource)),
       base_(std::make_unique<Column>(std::move(base))),
       next_row_id_(static_cast<RowId>(base_->size())),
-      snapshots_(next_row_id_) {
+      snapshots_(next_row_id_, config_.snapshot_consolidate_min,
+                 config_.snapshot_consolidate_max) {
   RebuildIndexLocked();
 }
 
 UpdatableIndex::~UpdatableIndex() {
-  // Drain: block new captures and wait for every outstanding pin, exactly
+  // Drain: wait for every outstanding pin and block new captures, exactly
   // as a checkpoint would. Once the registry is empty every Snapshot
   // handle has run Release() (which nulls its manager pointer), so no
   // destructor of a surviving handle can reach back into freed memory.
@@ -312,44 +242,27 @@ std::string UpdatableIndex::Name() const {
   return "updatable(" + index_->Name() + ")";
 }
 
-std::shared_ptr<SideStoreVersion> UpdatableIndex::MaterializeVersionLocked()
-    const {
-  auto v = std::make_shared<SideStoreVersion>();
-  v->epoch = commit_epoch_.load(std::memory_order_relaxed);
-  v->next_row_id = next_row_id_;
-  // Both copies come out (value, rowID)-sorted: the multimap preserves
-  // insertion order within equal values and row ids are assigned
-  // monotonically, so equal-value runs are rowID-ascending; the anti-matter
-  // set is ordered by the pair directly.
-  v->inserts.assign(inserts_.begin(), inserts_.end());
-  v->anti_matter.assign(anti_matter_.begin(), anti_matter_.end());
-  return v;
-}
-
-size_t UpdatableIndex::ConsolidateThresholdLocked() const {
-  const size_t pending = inserts_.size() + anti_matter_.size();
-  const size_t floor =
-      std::max<size_t>(config_.snapshot_consolidate_min, 1);
-  const size_t cap = std::max(config_.snapshot_consolidate_max, floor);
-  return std::min(cap, std::max(floor, pending / 8));
-}
-
-void UpdatableIndex::CommitEpochLocked(SideStoreDelta::Op op, Value v,
-                                       RowId row_id) {
-  const uint64_t epoch =
-      commit_epoch_.fetch_add(1, std::memory_order_release) + 1;
-  // O(1) publication; the chain is consolidated into a flat base before
-  // readers would fold a suffix longer than the adaptive threshold
-  // (>= floor so tiny stores don't thrash, pending/8 so the occasional
-  // O(pending) materialization stays amortized-O(1) per commit, capped so
-  // per-read fold work is bounded).
-  const size_t chain =
-      snapshots_.PublishDelta(op, v, row_id, epoch, next_row_id_);
-  latch_stats_.RecordDeltaPublish(chain);
-  if (chain >= ConsolidateThresholdLocked()) {
-    snapshots_.Consolidate(MaterializeVersionLocked());
-    latch_stats_.RecordConsolidation(chain);
+void UpdatableIndex::CommitEpochLocked(const DeltaEntry& entry) {
+  commit_epoch_.fetch_add(1, std::memory_order_release);
+  // O(1) publication; a full log is folded into a new flat version, whose
+  // fresh log is sized by the consolidation threshold over the new pending
+  // size (>= floor so tiny stores don't thrash, pending/8 so the
+  // O(pending) fold stays amortized-O(1) per commit, capped so a read
+  // scans a bounded log).
+  const size_t length = snapshots_.Append(entry);
+  latch_stats_.RecordDeltaPublish(length);
+  if (length == snapshots_.log_capacity()) {
+    snapshots_.Consolidate();
+    latch_stats_.RecordConsolidation(length);
   }
+}
+
+void UpdatableIndex::Consolidate() {
+  std::lock_guard<std::mutex> lk(mu_);
+  const size_t length = snapshots_.log_length();
+  if (length == 0) return;
+  snapshots_.Consolidate();
+  latch_stats_.RecordConsolidation(length);
 }
 
 Snapshot UpdatableIndex::CaptureSnapshot() const {
@@ -368,20 +281,12 @@ Status UpdatableIndex::ExecuteSnapshot(const Query& query,
     return Status::InvalidArgument("snapshot belongs to another index");
   }
   if (query.range.Empty()) return Status::OK();
-  // No side-table latch for the duration of the read: the base column and
-  // wrapped index are stable while the snapshot is pinned, because
-  // Checkpoint() drains every outstanding snapshot before swapping them
-  // (synchronized through the SnapshotManager mutex).
-  Status s;
-  if (snapshot.delta_head() == nullptr) {
-    // Exactly a consolidated state — zero-copy view over its vectors.
-    s = CombineWithDifferentials(query, VersionDiffView{snapshot.version()},
-                                 *base_, index_.get(), ctx, result);
-  } else {
-    // Fold the era-local delta suffix over the consolidated base.
-    s = CombineWithDifferentials(query, DeltaChainView(snapshot), *base_,
-                                 index_.get(), ctx, result);
-  }
+  // No side-table latch: the base column and wrapped index are stable while
+  // the snapshot is pinned, because Checkpoint() drains every outstanding
+  // snapshot before swapping them (synchronized through the
+  // SnapshotManager mutex).
+  Status s = CombineWithDifferentials(query, RangeDiff(snapshot, query.range),
+                                      *base_, index_.get(), ctx, result);
   if (s.ok() && query.kind == QueryKind::kRowIds) {
     result->count = result->row_ids.size();
   }
@@ -395,8 +300,8 @@ Status UpdatableIndex::ExecuteImpl(const Query& query, QueryContext* ctx,
     // Transactional scope: every query of the scope reads at the ONE epoch
     // its first query pinned for this index (repeatable reads across a
     // multi-query transaction). A scope closed mid-flight (EndSnapshot
-    // racing an async submission) refuses adoption; fall through to the
-    // per-query paths below.
+    // racing an async submission) refuses adoption; fall through to a
+    // per-query pin.
     SnapshotScope* scope = ctx->snapshot_scope.get();
     const Snapshot* pinned = scope->Find(this);
     if (pinned == nullptr) pinned = scope->Adopt(this, CaptureSnapshot());
@@ -404,18 +309,10 @@ Status UpdatableIndex::ExecuteImpl(const Query& query, QueryContext* ctx,
       return ExecuteSnapshot(query, *pinned, ctx, result);
     }
   }
-  if (ctx != nullptr && ctx->snapshot_reads) {
-    // Per-query snapshot capture: each execution (each ticket of an async
-    // batch) pins its own epoch, so every answer is individually
-    // consistent and the side-table latch is never held across the read.
-    Snapshot snapshot = CaptureSnapshot();
-    return ExecuteSnapshot(query, snapshot, ctx, result);
-  }
-  auto lk = AccountedLock<std::shared_lock<std::shared_mutex>>(
-      mu_, &LatchStats::RecordRead, &latch_stats_);
-  return CombineWithDifferentials(query,
-                                  MapDiffView{inserts_, anti_matter_},
-                                  *base_, index_.get(), ctx, result);
+  // Per-query pin: each execution (each ticket of an async batch) reads at
+  // its own epoch, so every answer is individually consistent.
+  Snapshot snapshot = CaptureSnapshot();
+  return ExecuteSnapshot(query, snapshot, ctx, result);
 }
 
 Status UpdatableIndex::Insert(Value v, QueryContext* ctx, RowId* row_id) {
@@ -431,10 +328,8 @@ Status UpdatableIndex::Insert(Value v, QueryContext* ctx, RowId* row_id) {
   CommitSink* sink = nullptr;
   uint64_t lsn = 0;
   {
-    auto lk = AccountedLock<std::unique_lock<std::shared_mutex>>(
-        mu_, &LatchStats::RecordWrite, &latch_stats_);
+    auto lk = LockWriter(mu_, &latch_stats_);
     assigned = next_row_id_++;
-    inserts_.emplace(v, assigned);
     // Write-ahead: the record is sequenced at the commit point, before the
     // epoch advance makes the insert visible — log order == commit order.
     // LogCommit only buffers; the fsync wait happens after the latch drops.
@@ -442,7 +337,7 @@ Status UpdatableIndex::Insert(Value v, QueryContext* ctx, RowId* row_id) {
       sink = sink_;
       lsn = sink->LogCommit(CommitSink::OpType::kInsert, v, assigned);
     }
-    CommitEpochLocked(SideStoreDelta::Op::kInsert, v, assigned);
+    CommitEpochLocked({v, assigned, DeltaEntry::Op::kInsert});
   }
   if (locking) lock_manager_->ReleaseAll(ctx->txn_id);  // auto-commit
   if (sink != nullptr) {
@@ -465,35 +360,25 @@ Status UpdatableIndex::Delete(Value v, RowId row_id, QueryContext* ctx) {
   CommitSink* sink = nullptr;
   uint64_t lsn = 0;
   {
-    auto lk = AccountedLock<std::unique_lock<std::shared_mutex>>(
-        mu_, &LatchStats::RecordWrite, &latch_stats_);
-    // A pending insertion is cancelled directly.
-    bool cancelled = false;
-    for (auto it = inserts_.lower_bound(v);
-         it != inserts_.end() && it->first == v; ++it) {
-      if (it->second == row_id) {
-        inserts_.erase(it);
-        cancelled = true;
-        break;
-      }
-    }
-    if (!cancelled) {
+    auto lk = LockWriter(mu_, &latch_stats_);
+    // A pending insertion is cancelled directly; a live base row gets
+    // anti-matter.
+    const SnapshotManager::RowState state = snapshots_.Lookup(v, row_id);
+    DeltaEntry::Op op = DeltaEntry::Op::kCancelInsert;
+    if (state != SnapshotManager::RowState::kPendingInsert) {
       const bool in_base = row_id < base_->size() && (*base_)[row_id] == v;
-      if (!in_base || anti_matter_.count({v, row_id}) > 0) {
+      if (!in_base || state == SnapshotManager::RowState::kDeleted) {
         result = Status::NotFound("no live tuple (" + std::to_string(v) +
                                   ", " + std::to_string(row_id) + ")");
-      } else {
-        anti_matter_.emplace(v, row_id);
       }
+      op = DeltaEntry::Op::kAntiMatter;
     }
     if (result.ok()) {
       if (sink_ != nullptr) {
         sink = sink_;
         lsn = sink->LogCommit(CommitSink::OpType::kDelete, v, row_id);
       }
-      CommitEpochLocked(cancelled ? SideStoreDelta::Op::kCancelInsert
-                                  : SideStoreDelta::Op::kAntiMatter,
-                        v, row_id);
+      CommitEpochLocked({v, row_id, op});
     }
   }
   if (locking) lock_manager_->ReleaseAll(ctx->txn_id);
@@ -505,29 +390,26 @@ Status UpdatableIndex::Delete(Value v, RowId row_id, QueryContext* ctx) {
 }
 
 Status UpdatableIndex::Checkpoint() {
-  // Drain FIRST, before taking mu_: block new snapshot captures and wait
-  // until every outstanding snapshot is released — held snapshots
-  // reference the current base column/index, which is about to be
-  // replaced. The ordering matters: a snapshot holder may need mu_ to
-  // finish the operation its pin brackets (e.g. another thread holding a
-  // pin across an Insert), so waiting for pins while holding mu_
-  // exclusively would deadlock the whole index. With the drain complete
-  // and rebasing latched in the manager, no new pin can appear before the
-  // exclusive acquisition below (capture checks the rebase flag without
-  // holding mu_).
+  // Drain FIRST, before taking mu_: wait until every outstanding snapshot
+  // is released and block new captures — held snapshots reference the
+  // current base column/index, which is about to be replaced. The ordering
+  // matters: a snapshot holder may need mu_ to finish the operation its
+  // pin brackets (e.g. another thread holding a pin across an Insert), so
+  // waiting for pins while holding mu_ would deadlock the whole index.
+  // Once the drain completes no new pin can appear before CompleteRebase.
   snapshots_.BeginRebase();
-  std::unique_lock<std::shared_mutex> lk(mu_);
+  std::unique_lock<std::mutex> lk(mu_);
+  const SideStoreVersion state = snapshots_.MaterializeCurrent();
+  std::vector<bool> dead(base_->size(), false);
+  for (const auto& [v, id] : state.anti_matter) dead[id] = true;
   std::vector<Value> values;
-  values.reserve(base_->size() + inserts_.size() - anti_matter_.size());
+  values.reserve(base_->size() - state.anti_matter.size() +
+                 state.inserts.size());
   for (size_t i = 0; i < base_->size(); ++i) {
-    const Value v = (*base_)[i];
-    if (anti_matter_.count({v, static_cast<RowId>(i)}) > 0) continue;
-    values.push_back(v);
+    if (!dead[i]) values.push_back((*base_)[i]);
   }
-  for (const auto& [v, id] : inserts_) values.push_back(v);
+  for (const auto& [v, id] : state.inserts) values.push_back(v);
   base_ = std::make_unique<Column>(base_->name(), std::move(values));
-  inserts_.clear();
-  anti_matter_.clear();
   next_row_id_ = static_cast<RowId>(base_->size());
   RebuildIndexLocked();
   // The fold is one logged, committed system transaction: folding is a
@@ -541,15 +423,17 @@ Status UpdatableIndex::Checkpoint() {
   // The fold advances the epoch and installs the post-checkpoint
   // (empty-differential) version under the next base generation,
   // re-admitting snapshot captures.
-  commit_epoch_.fetch_add(1, std::memory_order_release);
-  snapshots_.CompleteRebase(MaterializeVersionLocked());
+  SideStoreVersion folded;
+  folded.epoch = commit_epoch_.fetch_add(1, std::memory_order_release) + 1;
+  folded.next_row_id = next_row_id_;
+  snapshots_.CompleteRebase(std::move(folded));
   lk.unlock();
   if (sink != nullptr) return sink->WaitDurable(lsn);
   return Status::OK();
 }
 
 void UpdatableIndex::SetCommitSink(CommitSink* sink) {
-  std::unique_lock<std::shared_mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   sink_ = sink;
 }
 
@@ -557,33 +441,33 @@ void UpdatableIndex::RestoreState(
     const std::vector<std::pair<Value, RowId>>& inserts,
     const std::vector<std::pair<Value, RowId>>& anti_matter,
     RowId next_row_id, uint64_t epoch) {
-  std::unique_lock<std::shared_mutex> lk(mu_);
-  inserts_.clear();
-  anti_matter_.clear();
-  for (const auto& [v, id] : inserts) inserts_.emplace(v, id);
-  anti_matter_.insert(anti_matter.begin(), anti_matter.end());
+  std::lock_guard<std::mutex> lk(mu_);
   next_row_id_ = next_row_id;
   commit_epoch_.store(epoch, std::memory_order_release);
-  // Re-seed the version chain at the restored epoch so the first snapshot
+  // Re-seed the side store at the restored epoch so the first snapshot
   // capture after recovery sees the restored differentials (monotonic
   // epochs hold: the constructor-time state sits at epoch 0, below any
   // restored epoch).
-  snapshots_.Consolidate(MaterializeVersionLocked());
+  SideStoreVersion restored;
+  restored.epoch = epoch;
+  restored.next_row_id = next_row_id;
+  restored.inserts = inserts;
+  restored.anti_matter = anti_matter;
+  snapshots_.Install(std::move(restored));
 }
 
 size_t UpdatableIndex::num_rows() const {
-  std::shared_lock<std::shared_mutex> lk(mu_);
-  return base_->size() + inserts_.size() - anti_matter_.size();
+  const Snapshot snapshot = CaptureSnapshot();  // holds base_ stable
+  const auto [inserts, deletes] = PendingAt(snapshot);
+  return base_->size() + inserts - deletes;
 }
 
 size_t UpdatableIndex::pending_inserts() const {
-  std::shared_lock<std::shared_mutex> lk(mu_);
-  return inserts_.size();
+  return PendingAt(CaptureSnapshot()).first;
 }
 
 size_t UpdatableIndex::pending_deletes() const {
-  std::shared_lock<std::shared_mutex> lk(mu_);
-  return anti_matter_.size();
+  return PendingAt(CaptureSnapshot()).second;
 }
 
 }  // namespace adaptidx

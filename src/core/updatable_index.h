@@ -2,10 +2,8 @@
 #define ADAPTIDX_CORE_UPDATABLE_INDEX_H_
 
 #include <atomic>
-#include <map>
 #include <memory>
-#include <set>
-#include <shared_mutex>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -25,12 +23,15 @@ namespace adaptidx {
 /// Design:
 ///  - The base column stays immutable, so the wrapped adaptive index keeps
 ///    refining it with latch-only system transactions, untouched by updates.
-///  - Insertions accumulate in a value-ordered side store; deletions become
-///    anti-matter markers (deleting a still-pending insertion cancels it
-///    directly).
-///  - Queries combine the base index's answer with the differentials under
-///    a short shared latch — or, with snapshot reads (below), against a
-///    pinned immutable version with no side-table latch held at all.
+///  - The differentials are stored once (`SnapshotManager`): one immutable
+///    flat `SideStoreVersion` of pending inserts and anti-matter markers,
+///    plus one append-only `DeltaLog` of the commits since it was made.
+///    Deleting a still-pending insertion cancels it directly.
+///  - Every query pins a `Snapshot` of that pair (one short pin, O(1)) and
+///    combines the base index's answer with the version and the log entries
+///    inside its value range, folded in one pass. No read takes the
+///    side-table latch, so a long analytical scan never blocks the update
+///    stream.
 ///  - `Checkpoint()` is a maintenance system transaction that folds the
 ///    differentials into a fresh base column, rebuilds the adaptive index
 ///    from scratch (re-entering state 4 of Figure 5), and re-assigns row
@@ -43,34 +44,27 @@ namespace adaptidx {
 /// cracking index's refinement probe sees the conflict and forgoes
 /// optimization; queries still answer correctly by scanning.
 ///
-/// MVCC snapshot reads (Section 4.3: "merge steps can run as multi-version
-/// system transactions"): every committed update advances a monotonically
-/// increasing `commit_epoch()` and publishes the commit to the version
-/// chain as one O(1) `SideStoreDelta` node (op, value, rowID, epoch)
-/// linked onto the current version. The chain is periodically consolidated
-/// into a flat `SideStoreVersion` (bounds in `IndexConfig`) so readers
-/// never fold an unbounded suffix. A query whose context sets
-/// `QueryContext::snapshot_reads` captures a `Snapshot` (one short pin,
-/// O(1)) and answers count/sum/rowIDs/minmax against exactly that epoch
-/// *without holding the side-table latch during the read* — a long
-/// analytical scan no longer blocks the update stream. A query carrying a
-/// `QueryContext::snapshot_scope` instead reuses the scope's pinned epoch
-/// across every query of the scope (transactional repeatable reads).
-/// Version and delta reclamation is epoch-based — state is dropped once no
-/// pin can observe it — and `Checkpoint()` drains outstanding snapshots
-/// before swapping the base (so a thread must not checkpoint while holding
-/// its own snapshot).
+/// MVCC (Section 4.3: "merge steps can run as multi-version system
+/// transactions"): every committed update advances a monotonically
+/// increasing `commit_epoch()` and appends one entry to the delta log. A
+/// full log is consolidated into a new flat version (its capacity follows
+/// `IndexConfig::snapshot_consolidate_min/max`), so a reader scans at most
+/// one log. A query carrying a `QueryContext::snapshot_scope` reuses the
+/// scope's pinned epoch across every query of the scope (transactional
+/// repeatable reads); any other query pins the current epoch for its own
+/// duration. Versions and logs are freed once no pin observes them, and
+/// `Checkpoint()` drains outstanding snapshots before swapping the base (so
+/// a thread must not checkpoint while holding its own snapshot).
 ///
 /// Thread-safety: all methods may be called concurrently from any number
-/// of threads; updates serialize on an internal writer latch, reads are
-/// shared (latched path) or latch-free (snapshot path).
+/// of threads; updates serialize on an internal writer latch, reads take
+/// no side-table latch.
 ///
 /// Observability: `latch_stats()` of this wrapper reports the *side-table*
-/// latch (read/write acquisitions with blocked wait time — the
-/// reader/writer interference snapshot reads remove) plus the
-/// snapshot-read/epoch-lag counters; the wrapped index accounts its own
-/// piece/column latch traffic separately under
-/// `base_index()->latch_stats()`.
+/// writer latch (write acquisitions with blocked wait time; its read
+/// counters stay 0) plus the snapshot-read, epoch-lag and delta-log
+/// counters; the wrapped index accounts its own piece/column latch traffic
+/// separately under `base_index()->latch_stats()`.
 class UpdatableIndex : public AdaptiveIndex {
  public:
   /// \brief Takes ownership of the base data. `config` selects and
@@ -107,22 +101,27 @@ class UpdatableIndex : public AdaptiveIndex {
   /// generation and *drains* — blocks until every outstanding `Snapshot` of
   /// this index is released — before taking the side-table latch and
   /// swapping the base, so held snapshots stay valid and pin-holding
-  /// threads remain free to use the index (updates, latched reads) while
-  /// the drain waits. The one forbidden shape is a thread waiting on its
-  /// own pin: never call `Checkpoint()` while holding a snapshot of this
-  /// index on the same thread (self-deadlock).
+  /// threads remain free to use the index (updates and reads) while the
+  /// drain waits. The one forbidden shape is a thread waiting on its own
+  /// pin: never call `Checkpoint()` while holding a snapshot of this index
+  /// on the same thread (self-deadlock).
   Status Checkpoint();
+
+  /// \brief Folds the delta log into a new flat version now, so the next
+  /// reads scan no log. Recovery calls it once after WAL replay. Commits no
+  /// epoch; thread-safe.
+  void Consolidate();
 
   // ---- snapshot reads ---------------------------------------------------
 
   /// \brief Pins a consistent view at the current commit epoch: O(1), one
-  /// short pin on the version chain and no side-table latch. Blocks while
-  /// a checkpoint drains. Thread-safe; release the snapshot promptly.
+  /// short pin on the side store and no side-table latch. Blocks while a
+  /// checkpoint swaps the base. Thread-safe; release the snapshot promptly.
   Snapshot CaptureSnapshot() const;
 
   /// \brief Answers `query` against `snapshot` — repeatable: the same
   /// snapshot always yields the identical result regardless of concurrent
-  /// commits. Holds no side-table latch during the read. kSumOther is
+  /// commits. Holds no side-table latch. kSumOther is
   /// NotSupported (no second column); an invalid snapshot is
   /// InvalidArgument. Thread-safe.
   Status ExecuteSnapshot(const Query& query, const Snapshot& snapshot,
@@ -134,8 +133,8 @@ class UpdatableIndex : public AdaptiveIndex {
     return commit_epoch_.load(std::memory_order_acquire);
   }
 
-  /// \brief Version-chain bookkeeping (active pins, chain length,
-  /// publication counters) for tests and benchmarks. Thread-safe.
+  /// \brief Side-store bookkeeping (active pins, log length, publication
+  /// counters) for tests and benchmarks. Thread-safe.
   const SnapshotManager& snapshots() const { return snapshots_; }
 
   // ---- durability hooks -------------------------------------------------
@@ -183,53 +182,39 @@ class UpdatableIndex : public AdaptiveIndex {
   size_t NumPieces() const override { return index_->NumPieces(); }
 
  protected:
-  /// \brief Dispatches to the snapshot path when the context carries a
-  /// `snapshot_scope` (reusing the scope's pinned epoch) or sets
-  /// `snapshot_reads` (capturing a fresh per-query snapshot), to the
-  /// latched shared-side-table path otherwise.
+  /// \brief Answers against the context's `snapshot_scope` pin when it
+  /// carries one, otherwise against a snapshot captured for this query.
   Status ExecuteImpl(const Query& query, QueryContext* ctx,
                      QueryResult* result) override;
 
  private:
   /// Re-wires config/lock settings and builds the wrapped index. Requires
-  /// mu_ held exclusively (or construction).
+  /// mu_ held (or construction).
   void RebuildIndexLocked();
 
-  /// Materializes the current differential state as an immutable version
-  /// stamped with the current commit epoch. mu_ held (shared suffices).
-  std::shared_ptr<SideStoreVersion> MaterializeVersionLocked() const;
-
-  /// Commits one epoch and publishes it as one O(1) delta node describing
-  /// (`op`, `v`, `row_id`), consolidating when the chain reaches the
-  /// adaptive threshold. Requires mu_ held exclusively.
-  void CommitEpochLocked(SideStoreDelta::Op op, Value v, RowId row_id);
-
-  /// Chain length at which the next commit consolidates:
-  /// min(consolidate_max, max(consolidate_min, pending/8)). Requires mu_
-  /// held (shared suffices).
-  size_t ConsolidateThresholdLocked() const;
+  /// Commits one epoch and appends `entry` to the delta log, consolidating
+  /// when the log is full. Requires mu_ held.
+  void CommitEpochLocked(const DeltaEntry& entry);
 
   IndexConfig config_;
   LockManager* lock_manager_;
   std::string lock_resource_;
 
-  mutable std::shared_mutex mu_;
+  /// The writer latch: serializes updates, consolidation and the
+  /// checkpoint's base swap. Readers never take it.
+  mutable std::mutex mu_;
   std::unique_ptr<Column> base_;
   std::unique_ptr<AdaptiveIndex> index_;
-  /// Pending insertions, value-ordered: value -> row id.
-  std::multimap<Value, RowId> inserts_;
-  /// Anti-matter markers against base rows, ordered by (value, row id).
-  std::set<std::pair<Value, RowId>> anti_matter_;
   RowId next_row_id_;
 
   /// Write-ahead sink; nullptr when the index is not durable. Written at
   /// open/recovery time, read at every commit point under mu_.
   CommitSink* sink_ = nullptr;
 
-  /// Committed-update counter; written under mu_ exclusive, read lock-free
+  /// Committed-update counter; written under mu_, read lock-free
   /// (epoch-lag accounting).
   std::atomic<uint64_t> commit_epoch_{0};
-  /// Version chain + snapshot registry (drain, epoch reclamation).
+  /// The side store (flat version + delta log) and its snapshot registry.
   mutable SnapshotManager snapshots_;
 };
 

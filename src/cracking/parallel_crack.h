@@ -39,8 +39,8 @@ class ThreadPool;
 /// touch pairwise disjoint swap pairs, so the workers share no element.
 /// Completion is a mutex/condition-variable handshake, so every worker
 /// write happens-before the caller's return — callers run the whole
-/// operation inside a piece's seqlock odd window with the piece write latch
-/// held, exactly like a sequential crack.
+/// operation with the piece write latch held, exactly like a sequential
+/// crack.
 
 /// \brief Counters describing one or more parallel crack invocations.
 struct ParallelCrackStats {

@@ -94,8 +94,8 @@ Status DurableIndex::Checkpoint(uint64_t* epoch_out) {
     // base column and wrapped index stable (a fold would drain us first).
     Snapshot snap = index_->CaptureSnapshot();
     // The image needs the FULL state at the pinned epoch — `snap.version()`
-    // is only the consolidated base, so fold the chain suffix into one flat
-    // view (a plain copy when the chain is empty).
+    // is only the consolidated half, so fold the pinned log into one flat
+    // view (a plain copy when the log is empty).
     SideStoreVersion v = snap.Materialize();
     image.epoch = v.epoch;
     image.next_row_id = v.next_row_id;

@@ -116,9 +116,11 @@ Status RecoverIndex(const std::string& data_dir, const Column& seed,
     WalSegmentScan scan;
     Status s = ScanWalSegment(segments[i].second, &scan);
     if (!s.ok()) {
-      // An unreadable header on the newest segment means the crash hit
+      // A short or bad header on the newest segment means the crash hit
       // inside the header write of a fresh segment: nothing in it was ever
-      // acknowledged. Anywhere else it is real corruption.
+      // acknowledged. Anywhere else it is real corruption. A segment that
+      // could not be read (IOError) is never cut: it may hold acknowledged
+      // commits.
       if (i + 1 == segments.size() && s.IsCorruption()) {
         std::filesystem::remove(segments[i].second, ec);
         continue;
@@ -172,6 +174,9 @@ Status RecoverIndex(const std::string& data_dir, const Column& seed,
         std::to_string(index->commit_epoch()) + ", last lsn " +
         std::to_string(last_lsn));
   }
+  // Replay leaves a delta log of up to the consolidation cap behind; fold
+  // it now so the first reads after recovery scan none.
+  index->Consolidate();
   stats->next_lsn = last_lsn + 1;
   *out = std::move(index);
   return Status::OK();

@@ -1,6 +1,7 @@
 #include "durability/wal.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -350,15 +351,40 @@ Status ScanWalSegment(const std::string& path, WalSegmentScan* out) {
   out->records.clear();
   out->valid_bytes = 0;
   out->torn = false;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open wal segment: " + path);
+  int fd;
+  do {
+    fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) return Status::NotFound("cannot open wal segment: " + path);
+  // Read exactly the bytes fstat reports: a failed or short read is an I/O
+  // error, never the end of the log — treating it as a torn tail would cut
+  // acknowledged commits off the segment.
   std::string data;
-  {
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
+  std::string why;
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    why = std::strerror(errno);
+  } else if (!S_ISREG(st.st_mode)) {
+    why = "not a regular file";
+  } else {
+    data.resize(static_cast<size_t>(st.st_size));
+    size_t got = 0;
+    while (got < data.size() && why.empty()) {
+      const ssize_t n = ::read(fd, &data[got], data.size() - got);
+      if (n > 0) {
+        got += static_cast<size_t>(n);
+      } else if (n == 0) {
+        why = "short read at byte " + std::to_string(got) + " of " +
+              std::to_string(data.size());
+      } else if (errno != EINTR) {
+        why = std::strerror(errno);
+      }
+    }
   }
-  std::fclose(f);
+  ::close(fd);
+  if (!why.empty()) {
+    return Status::IOError("cannot read wal segment " + path + ": " + why);
+  }
   if (data.size() < kSegmentHeaderBytes ||
       std::memcmp(data.data(), kSegmentMagic, sizeof(kSegmentMagic)) != 0) {
     return Status::Corruption("bad wal segment header: " + path);

@@ -196,8 +196,11 @@ struct WalSegmentScan {
 };
 
 /// \brief Reads one segment, accepting the longest valid prefix.
-/// Corruption only for an unreadable/bad header (a header is written in
-/// one small write; a torn header means the segment never held a record).
+/// Corruption only for a short or bad header (a header is written in one
+/// small write; a torn header means the segment never held a record).
+/// IOError when the file cannot be read in full (not a regular file, or a
+/// failed or short read): its bytes were never judged, so the caller must
+/// not treat them as a torn tail.
 Status ScanWalSegment(const std::string& path, WalSegmentScan* out);
 
 /// \brief Lists segment file paths in `dir` by ascending first_lsn.

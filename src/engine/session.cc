@@ -116,7 +116,6 @@ QueryContext Session::MakeContext() const {
   ctx.client_id = client_id_;
   ctx.txn_id = txn_id_;
   ctx.session_id = session_id_;
-  ctx.snapshot_reads = opts_.snapshot_reads;
   {
     std::lock_guard<std::mutex> lk(scope_mu_);
     ctx.snapshot_scope = scope_;

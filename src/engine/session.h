@@ -32,15 +32,10 @@ struct SessionOptions {
   /// User-transaction identity for update operations; 0 auto-assigns a
   /// globally unique id that cannot collide with small hand-picked test ids.
   uint64_t txn_id = 0;
-  /// MVCC reads: stamp `QueryContext::snapshot_reads` on every query this
-  /// session submits, so an `UpdatableIndex` answers it against a pinned
-  /// epoch snapshot of its differential side stores instead of holding the
-  /// side-table latch across the read. Capture is per query execution —
-  /// each ticket of an async batch pins its own epoch, so every answer is
-  /// individually consistent (repeatable against its snapshot) while the
-  /// batch as a whole observes the update stream progressing. Capture is
-  /// always O(1) (one pin on the index's delta chain); indexes without a
-  /// differential layer ignore the flag.
+  /// Accepted and ignored: every read of an `UpdatableIndex` pins a
+  /// per-query epoch snapshot (each ticket of an async batch its own).
+  /// Kept only because existing callers still set it; it goes at their
+  /// next change.
   bool snapshot_reads = false;
 };
 

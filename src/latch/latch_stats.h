@@ -36,9 +36,9 @@ class LatchStats {
     try_failures_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// \brief Accounts one snapshot-served (MVCC) read: a query answered
-  /// against a pinned differential-store version without holding the
-  /// side-table latch for the duration of the read. `epoch_lag` is how many
+  /// \brief Accounts one snapshot-served (MVCC) read — every read of an
+  /// `UpdatableIndex`: a query answered against a pinned side-store
+  /// version without taking the side-table latch. `epoch_lag` is how many
   /// updates committed between the snapshot's capture epoch and the read's
   /// completion — the staleness a long scan accumulated while the update
   /// stream ran unblocked beside it (0 when nothing committed meanwhile).
@@ -56,23 +56,23 @@ class LatchStats {
     }
   }
 
-  /// \brief Accounts one O(1) delta-node publication by the MVCC write
-  /// path: the commit linked one `SideStoreDelta` onto the version chain,
-  /// which then held `chain_len` deltas. The running max of `chain_len` is
-  /// the worst fold suffix any snapshot reader could have seen — the
-  /// quantity the consolidation threshold bounds.
-  void RecordDeltaPublish(uint64_t chain_len) {
+  /// \brief Accounts one O(1) publication by the MVCC write path: the
+  /// commit appended one `DeltaEntry` to the delta log, which then held
+  /// `log_len` entries. The running max of `log_len` is the longest
+  /// log any snapshot reader could have scanned — the quantity the
+  /// consolidation threshold bounds.
+  void RecordDeltaPublish(uint64_t log_len) {
     delta_publishes_.fetch_add(1, std::memory_order_relaxed);
     uint64_t prev = delta_chain_max_.load(std::memory_order_relaxed);
-    while (chain_len > prev &&
+    while (log_len > prev &&
            !delta_chain_max_.compare_exchange_weak(
-               prev, chain_len, std::memory_order_relaxed)) {
+               prev, log_len, std::memory_order_relaxed)) {
     }
   }
 
-  /// \brief Accounts one delta-chain consolidation: `folded` chained
-  /// deltas were materialized into a flat consolidated base (the periodic
-  /// O(pending) step that keeps per-commit publication O(1) amortized).
+  /// \brief Accounts one delta-log consolidation: `folded` log entries
+  /// were merged into a new flat version (the periodic O(pending) step
+  /// that keeps per-commit publication O(1) amortized).
   void RecordConsolidation(uint64_t folded) {
     consolidations_.fetch_add(1, std::memory_order_relaxed);
     consolidated_deltas_.fetch_add(folded, std::memory_order_relaxed);

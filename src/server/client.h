@@ -63,7 +63,8 @@ class Client {
   bool connected() const { return fd_ >= 0; }
 
   /// \brief OPEN_SESSION handshake; records the server-assigned session id
-  /// in `session_id()`.
+  /// in `session_id()`. `snapshot_reads` sets flag bit 0, which the server
+  /// ignores (every read already pins a snapshot).
   Status OpenSession(bool snapshot_reads = false, uint32_t client_id = 0);
 
   /// \brief Server-assigned session id (0 before `OpenSession`).

@@ -100,12 +100,13 @@ Status TryDecodeFrame(const uint8_t* data, size_t size, size_t max_frame_bytes,
 
 /// \brief OPEN_SESSION request payload.
 struct OpenSessionReq {
-  /// Bit 0: request MVCC snapshot reads for every query of the session.
+  /// Bit 0 (`kFlagSnapshotReads`) is accepted and ignored: every read
+  /// already answers against a pinned snapshot.
   uint8_t flags = 0;
   /// Client identity stamped on contexts; 0 auto-assigns the session id.
   uint32_t client_id = 0;
 
-  /// \brief Flag bit for `SessionOptions::snapshot_reads`.
+  /// \brief Ignored flag bit, kept so existing clients may still send it.
   static constexpr uint8_t kFlagSnapshotReads = 0x01;
 
   /// \brief Serializes the payload.

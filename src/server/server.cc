@@ -244,7 +244,6 @@ void Server::HandleOpenSession(const std::shared_ptr<Connection>& conn,
   SessionOptions sopts;
   sopts.config = opts_.index_config;
   sopts.client_id = req.client_id;
-  sopts.snapshot_reads = (req.flags & OpenSessionReq::kFlagSnapshotReads) != 0;
   conn->session =
       Session::OnIndex(index_, engine_pool_.get(), std::move(sopts));
   OpenOkMsg ok;

@@ -19,7 +19,9 @@ class Status {
   /// Status codes. `kBusy` signals a failed try-acquire (conflict avoidance,
   /// Section 3.3 of the paper); `kConflict` signals a detected transactional
   /// lock conflict; `kAborted` signals a refinement that was abandoned via
-  /// early termination.
+  /// early termination; `kIOError` signals a failed or short read or write
+  /// of a file whose bytes were not judged (unlike `kCorruption`, which
+  /// says the bytes were read and are wrong).
   enum class Code : unsigned char {
     kOk = 0,
     kNotFound = 1,
@@ -30,6 +32,7 @@ class Status {
     kTimedOut = 6,
     kNotSupported = 7,
     kCorruption = 8,
+    kIOError = 9,
   };
 
   Status() = default;
@@ -60,6 +63,9 @@ class Status {
   static Status Corruption(std::string msg = "") {
     return Status(Code::kCorruption, std::move(msg));
   }
+  static Status IOError(std::string msg = "") {
+    return Status(Code::kIOError, std::move(msg));
+  }
 
   bool ok() const { return code_ == Code::kOk; }
   bool IsNotFound() const { return code_ == Code::kNotFound; }
@@ -70,6 +76,7 @@ class Status {
   bool IsTimedOut() const { return code_ == Code::kTimedOut; }
   bool IsNotSupported() const { return code_ == Code::kNotSupported; }
   bool IsCorruption() const { return code_ == Code::kCorruption; }
+  bool IsIOError() const { return code_ == Code::kIOError; }
 
   Code code() const { return code_; }
   const std::string& message() const { return msg_; }
@@ -103,6 +110,9 @@ class Status {
         break;
       case Code::kCorruption:
         out = "Corruption";
+        break;
+      case Code::kIOError:
+        out = "IOError";
         break;
     }
     if (!msg_.empty()) {

@@ -285,6 +285,65 @@ TEST_F(RecoveryTest, TornTailIsTruncatedAndPrefixKept) {
   EXPECT_EQ(again->index()->commit_epoch(), 9u);
 }
 
+TEST_F(RecoveryTest, UnreadableNewestSegmentFailsRecoveryAndStays) {
+  // A segment that cannot be read is not a torn tail: its bytes were never
+  // judged, so recovery must fail rather than cut or delete the log. A
+  // directory under the newest segment's name fails every read.
+  Column seed = Column::UniqueRandom("A", 500, 29);
+  const std::string segment = dir_ + "/wal-1.log";
+  fs::create_directories(segment);
+  LockManager lm;
+  std::unique_ptr<DurableIndex> di;
+  Status s = OpenDurable(dir_, seed, &lm, &di);
+  EXPECT_FALSE(s.ok());
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_TRUE(fs::is_directory(segment));
+}
+
+TEST_F(RecoveryTest, ReplayedSuffixLeavesNoDeltaLog) {
+  // Recovery folds the replayed WAL suffix into the flat version, so the
+  // first snapshot after a restart scans no log — and still answers the
+  // full logical state.
+  Column seed = Column::UniqueRandom("A", 2000, 31);
+  std::multiset<Value> oracle(seed.values().begin(), seed.values().end());
+  LockManager lm;
+  {
+    std::unique_ptr<DurableIndex> di;
+    ASSERT_TRUE(OpenDurable(dir_, seed, &lm, &di).ok());
+    QueryContext ctx;
+    ctx.txn_id = 1;
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(di->index()->Insert(3000 + i, &ctx).ok());
+      oracle.insert(3000 + i);
+    }
+    ASSERT_TRUE(di->Checkpoint().ok());
+    RowId pending = 0;
+    for (int i = 0; i < 150; ++i) {
+      ASSERT_TRUE(di->index()->Insert(5000 + 3 * i, &ctx, &pending).ok());
+      oracle.insert(5000 + 3 * i);
+    }
+    ASSERT_TRUE(di->index()->Delete(5000 + 3 * 149, pending, &ctx).ok());
+    oracle.erase(oracle.find(5000 + 3 * 149));
+    ASSERT_TRUE(di->index()->Delete(seed[11], 11, &ctx).ok());
+    oracle.erase(oracle.find(seed[11]));
+  }
+  std::unique_ptr<DurableIndex> di;
+  ASSERT_TRUE(OpenDurable(dir_, seed, &lm, &di).ok());
+  EXPECT_TRUE(di->recovery_stats().checkpoint_loaded);
+  EXPECT_EQ(di->recovery_stats().records_replayed, 152u);
+  Snapshot snap = di->index()->CaptureSnapshot();
+  EXPECT_EQ(snap.log_length(), 0u);
+  int64_t want = 0;
+  for (Value v : oracle) want += v;
+  QueryContext ctx;
+  QueryResult r;
+  ASSERT_TRUE(di->index()
+                  ->ExecuteSnapshot(Query::Sum("", "", 0, 100000), snap, &ctx,
+                                    &r)
+                  .ok());
+  EXPECT_EQ(r.sum, want);
+}
+
 TEST_F(RecoveryTest, CorruptNewestCheckpointFallsBackToPrevious) {
   Column seed = Column::UniqueRandom("A", 500, 19);
   LockManager lm;

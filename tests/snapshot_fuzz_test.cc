@@ -1,4 +1,4 @@
-// Randomized differential harness for delta-chain MVCC publication and
+// Randomized differential harness for delta-log MVCC publication and
 // transactional snapshot scopes.
 //
 // Shape: 2-8 threads (seed-derived) run concurrent role loops against one
@@ -10,7 +10,7 @@
 // mutex; every pin copies the oracle AT CAPTURE TIME, and every query the
 // pin (or scope) answers later is compared against that frozen copy for
 // count, sum, rowID set, and min/max. Consolidation thresholds are set low
-// so chains fold repeatedly behind held pins.
+// so logs fold repeatedly behind held pins.
 //
 // Reproduction: the seed is printed on every run; replay a failure with
 //   AI_FUZZ_SEED=<seed> ./snapshot_fuzz_test
@@ -114,7 +114,7 @@ struct Harness {
   static IndexConfig Config() {
     IndexConfig config;
     config.method = IndexMethod::kCrack;
-    // Low thresholds: chains consolidate every handful of commits, so pins
+    // Low thresholds: logs consolidate every handful of commits, so pins
     // routinely survive multiple consolidations behind them.
     config.snapshot_consolidate_min = 4;
     config.snapshot_consolidate_max = 64;
@@ -287,9 +287,7 @@ void ScopedReaderLoop(Harness* h, uint64_t seed, int scopes,
                       int queries_per_scope) {
   Rng rng(seed);
   ThreadPool pool(1);
-  SessionOptions sopts;
-  sopts.snapshot_reads = true;
-  auto session = Session::OnIndex(&h->index, &pool, sopts);
+  auto session = Session::OnIndex(&h->index, &pool, SessionOptions{});
   QueryContext uctx;
   for (int s = 0; s < scopes && !h->failed.load(); ++s) {
     std::vector<std::pair<Value, RowId>> frozen;
@@ -337,7 +335,7 @@ void ScopedReaderLoop(Harness* h, uint64_t seed, int scopes,
 }
 
 /// Folds the differential layer mid-stream; each fold drains every pin in
-/// flight, rebases the chain, renumbers rowIDs, and bumps the base
+/// flight, rebases the side store, renumbers rowIDs, and bumps the base
 /// generation. The oracle mutex covers the whole fold so the oracle's
 /// replayed renumbering lands atomically with the index's — a pin drain in
 /// progress only ever waits on readers, which never take the mutex while

@@ -197,11 +197,12 @@ TEST(SnapshotTest, RepeatableReadUnderUpdateStream) {
   EXPECT_GE(index.latch_stats().snapshot_max_epoch_lag(), 1000u);
 }
 
-// ------------------------------------------- snapshot vs latched differential
+// ------------------------------------------ snapshot vs logical oracle
 
-TEST(SnapshotTest, SnapshotMatchesLatchedOracleAcrossKinds) {
-  // Interleaved update stream; after every burst, the snapshot path, the
-  // latched path, and a logical multiset oracle must agree on all kinds.
+TEST(SnapshotTest, SnapshotMatchesLogicalOracleAcrossKinds) {
+  // Interleaved update stream; after every burst, a plain query (which pins
+  // its own snapshot), a query against an explicitly captured snapshot and
+  // the logical oracle must agree on all kinds.
   Column col = Column::UniformRandom("A", 3000, 0, 5000, 5);
   UpdatableIndex index(col, SnapConfig());
   LogicalOracle oracle;
@@ -213,9 +214,7 @@ TEST(SnapshotTest, SnapshotMatchesLatchedOracleAcrossKinds) {
 
   Rng rng(11);
   QueryContext uctx;
-  QueryContext latched_ctx;
-  QueryContext snap_ctx;
-  snap_ctx.snapshot_reads = true;  // context-stamped dispatch, as a session
+  QueryContext ctx;
   for (int round = 0; round < 60; ++round) {
     for (int i = 0; i < 10; ++i) {
       uctx.txn_id = static_cast<uint64_t>(round) * 100 + i + 1;
@@ -236,52 +235,39 @@ TEST(SnapshotTest, SnapshotMatchesLatchedOracleAcrossKinds) {
     Value lo = rng.UniformRange(0, 5000);
     Value hi = rng.UniformRange(0, 5000);
     if (lo > hi) std::swap(lo, hi);
+    std::vector<RowId> want_ids;
+    for (const auto& [v, id] : live) {
+      if (v >= lo && v < hi) want_ids.push_back(id);
+    }
+    std::sort(want_ids.begin(), want_ids.end());
+    auto first = oracle.values.lower_bound(lo);
+    auto last = oracle.values.lower_bound(hi);
+    const bool want_found = first != last;
 
-    // Count + sum: snapshot == latched == oracle.
-    uint64_t c_latched = 0;
-    uint64_t c_snap = 0;
-    ASSERT_TRUE(
-        index.RangeCount(ValueRange{lo, hi}, &latched_ctx, &c_latched).ok());
-    ASSERT_TRUE(index.RangeCount(ValueRange{lo, hi}, &snap_ctx, &c_snap).ok());
-    EXPECT_EQ(c_latched, oracle.Count(lo, hi));
-    EXPECT_EQ(c_snap, oracle.Count(lo, hi));
-    int64_t s_latched = 0;
-    int64_t s_snap = 0;
-    ASSERT_TRUE(
-        index.RangeSum(ValueRange{lo, hi}, &latched_ctx, &s_latched).ok());
-    ASSERT_TRUE(index.RangeSum(ValueRange{lo, hi}, &snap_ctx, &s_snap).ok());
-    EXPECT_EQ(s_latched, oracle.Sum(lo, hi));
-    EXPECT_EQ(s_snap, oracle.Sum(lo, hi));
-
-    // RowIds and MinMax: the two paths agree exactly (same epoch, nothing
-    // committed in between).
-    std::vector<RowId> ids_latched;
-    std::vector<RowId> ids_snap;
-    ASSERT_TRUE(
-        index.RangeRowIds(ValueRange{lo, hi}, &latched_ctx, &ids_latched)
-            .ok());
-    ASSERT_TRUE(
-        index.RangeRowIds(ValueRange{lo, hi}, &snap_ctx, &ids_snap).ok());
-    std::sort(ids_latched.begin(), ids_latched.end());
-    std::sort(ids_snap.begin(), ids_snap.end());
-    EXPECT_EQ(ids_latched, ids_snap);
-    Value mn_l = 0, mx_l = 0, mn_s = 0, mx_s = 0;
-    bool found_l = false, found_s = false;
-    ASSERT_TRUE(index
-                    .RangeMinMax(ValueRange{lo, hi}, &latched_ctx, &mn_l,
-                                 &mx_l, &found_l)
-                    .ok());
-    ASSERT_TRUE(index
-                    .RangeMinMax(ValueRange{lo, hi}, &snap_ctx, &mn_s, &mx_s,
-                                 &found_s)
-                    .ok());
-    EXPECT_EQ(found_l, found_s);
-    if (found_l) {
-      EXPECT_EQ(mn_l, mn_s);
-      EXPECT_EQ(mx_l, mx_s);
+    Snapshot snap = index.CaptureSnapshot();
+    auto run = [&](const Query& q, QueryResult* r, bool pinned) {
+      return pinned ? index.ExecuteSnapshot(q, snap, &ctx, r)
+                    : index.Execute(q, &ctx, r);
+    };
+    for (bool pinned : {false, true}) {
+      QueryResult r;
+      ASSERT_TRUE(run(Query::Count("", "", lo, hi), &r, pinned).ok());
+      EXPECT_EQ(r.count, oracle.Count(lo, hi));
+      ASSERT_TRUE(run(Query::Sum("", "", lo, hi), &r, pinned).ok());
+      EXPECT_EQ(r.sum, oracle.Sum(lo, hi));
+      ASSERT_TRUE(run(Query::RowIds("", "", lo, hi), &r, pinned).ok());
+      std::sort(r.row_ids.begin(), r.row_ids.end());
+      EXPECT_EQ(r.row_ids, want_ids);
+      ASSERT_TRUE(run(Query::MinMax("", "", lo, hi), &r, pinned).ok());
+      EXPECT_EQ(r.has_minmax, want_found);
+      if (want_found && r.has_minmax) {
+        EXPECT_EQ(r.min_value, *first);
+        EXPECT_EQ(r.max_value, *std::prev(last));
+      }
     }
   }
-  EXPECT_GT(index.latch_stats().snapshot_reads(), 0u);
+  EXPECT_EQ(index.latch_stats().snapshot_reads(), 60u * 8u);
+  EXPECT_EQ(index.latch_stats().read_acquires(), 0u);
 }
 
 // ------------------------------------------------ checkpoint drain + reclaim
@@ -333,7 +319,7 @@ TEST(SnapshotTest, CheckpointDrainsOutstandingSnapshots) {
 TEST(SnapshotTest, CheckpointCompletesWhilePinHolderUsesIndex) {
   // Deadlock regression: Checkpoint() must drain BEFORE taking the
   // side-table latch. A thread that holds a snapshot and then performs
-  // latch-taking operations (updates, latched reads) must glide through
+  // index operations (updates, reads) must glide through
   // while the checkpoint waits on its pin; the old order (latch first,
   // then drain) deadlocked the whole index on this shape.
   Column col = Column::UniqueRandom("A", 1000, 21);
@@ -438,11 +424,11 @@ TEST(SnapshotTest, EpochReclamationRetiresUnpinnedVersions) {
   EXPECT_EQ(index.snapshots().oldest_active_epoch(), index.commit_epoch());
 }
 
-// ------------------------------------------------- delta-chain publication
+// --------------------------------------------------- delta-log publication
 
 TEST(SnapshotTest, DefaultConfigPublishesOneDeltaPerCommit) {
-  // No option enables the chain: a default-config index publishes every
-  // commit as one delta, and a pin answers repeatably across later commits.
+  // No option enables the log: a default-config index publishes every
+  // commit as one entry, and a pin answers repeatably across later commits.
   Column col = Column::UniqueRandom("A", 1000, 26);
   UpdatableIndex index(col, IndexConfig{});
   QueryContext uctx;
@@ -454,8 +440,8 @@ TEST(SnapshotTest, DefaultConfigPublishesOneDeltaPerCommit) {
   EXPECT_EQ(index.snapshots().deltas_published(), 2u);
 
   Snapshot pin = index.CaptureSnapshot();
-  EXPECT_EQ(pin.chain_length(), 2u);
-  EXPECT_EQ(pin.next_row_id(), 1002u);
+  EXPECT_EQ(pin.log_length(), 2u);
+  EXPECT_EQ(pin.Materialize().next_row_id, 1002u);
   QueryContext ctx;
   QueryResult before;
   ASSERT_TRUE(index
@@ -476,10 +462,10 @@ TEST(SnapshotTest, DefaultConfigPublishesOneDeltaPerCommit) {
 }
 
 TEST(SnapshotTest, DeltaChainPublishesO1NodesAndConsolidates) {
-  // Delta-chain publication: each commit links one O(1)
-  // delta node; a full flat version is materialized only when the chain
-  // crosses the consolidation threshold. A pin taken before the stream
-  // keeps answering at its epoch across every consolidation behind it.
+  // Delta-log publication: each commit appends one O(1) entry; a full flat
+  // version is materialized only when the log reaches its capacity. A pin
+  // taken before the stream keeps answering at its epoch across every
+  // consolidation behind it.
   Column col = Column::UniqueRandom("A", 500, 9);
   IndexConfig config = SnapConfig();
   config.snapshot_consolidate_min = 8;
@@ -497,7 +483,7 @@ TEST(SnapshotTest, DeltaChainPublishesO1NodesAndConsolidates) {
   const SnapshotManager& mgr = index.snapshots();
   EXPECT_EQ(mgr.deltas_published(), 200u);
   EXPECT_GE(mgr.consolidations(), 200u / 32u);   // cap forces periodic folds
-  EXPECT_LE(mgr.chain_length(), 32u);            // never above the cap
+  EXPECT_LE(mgr.log_length(), 32u);              // never above the cap
   EXPECT_EQ(index.latch_stats().delta_publishes(), 200u);
   EXPECT_LE(index.latch_stats().delta_chain_max(), 32u);
   EXPECT_GT(index.latch_stats().consolidated_deltas(), 0u);
@@ -510,11 +496,11 @@ TEST(SnapshotTest, DeltaChainPublishesO1NodesAndConsolidates) {
           .ok());
   EXPECT_EQ(r.count, 500u);
 
-  // A fresh capture with a non-empty chain folds the suffix at read time.
+  // A fresh capture with a non-empty log folds it at read time.
   ASSERT_TRUE(index.Insert(10500, &uctx).ok());
   ASSERT_TRUE(index.Insert(10501, &uctx).ok());
   Snapshot fresh = index.CaptureSnapshot();
-  EXPECT_GE(fresh.chain_length(), 1u);
+  EXPECT_GE(fresh.log_length(), 1u);
   ASSERT_TRUE(
       index.ExecuteSnapshot(Query::Count("", "", 0, 20000), fresh, &ctx, &r)
           .ok());
@@ -531,7 +517,7 @@ TEST(SnapshotTest, DeltaChainFoldsDeletesAndCancellations) {
   // inserts — against the logical multiset oracle after every commit.
   Column col = Column::UniformRandom("A", 400, 0, 1000, 10);
   IndexConfig config = SnapConfig();
-  config.snapshot_consolidate_min = 1u << 20;  // never consolidate: pure chain
+  config.snapshot_consolidate_min = 1u << 20;  // never consolidate: pure log
   UpdatableIndex index(col, config);
   LogicalOracle oracle;
   for (Value v : col.values()) oracle.values.insert(v);
@@ -544,7 +530,6 @@ TEST(SnapshotTest, DeltaChainFoldsDeletesAndCancellations) {
   Rng rng(25);
   QueryContext uctx;
   QueryContext snap_ctx;
-  snap_ctx.snapshot_reads = true;
   for (int i = 0; i < 300; ++i) {
     uctx.txn_id = static_cast<uint64_t>(i) + 1;
     const int op = static_cast<int>(rng.Uniform(3));
@@ -580,7 +565,7 @@ TEST(SnapshotTest, DeltaChainFoldsDeletesAndCancellations) {
     }
   }
   EXPECT_EQ(index.snapshots().consolidations(), 0u);
-  EXPECT_EQ(index.snapshots().chain_length(), 300u);
+  EXPECT_EQ(index.snapshots().log_length(), 300u);
 }
 
 // --------------------------------------------------- concurrent consistency
@@ -621,7 +606,6 @@ TEST(SnapshotTest, ConcurrentSnapshotReadsStayConsistent) {
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&, r] {
       QueryContext ctx;
-      ctx.snapshot_reads = true;
       uint64_t last_count = 0;
       while (!writers_done.load(std::memory_order_acquire) && !failed.load()) {
         Snapshot snap = index.CaptureSnapshot();
@@ -660,9 +644,7 @@ TEST(SnapshotTest, ScopeGivesRepeatableReadsAcrossCommits) {
   Column col = Column::UniformRandom("A", 3000, 0, 10000, 15);
   UpdatableIndex index(col, SnapConfig());
   ThreadPool pool(2);
-  SessionOptions sopts;
-  sopts.snapshot_reads = true;
-  auto session = Session::OnIndex(&index, &pool, sopts);
+  auto session = Session::OnIndex(&index, &pool, SessionOptions{});
 
   QueryContext uctx;
   uctx.txn_id = 77;
@@ -742,9 +724,7 @@ TEST(SnapshotTest, ScopedSumOtherPlanPinsOneEpoch) {
   Column b = Column::UniformRandom("B", kRows + 300, 1, 100, 18);
   UpdatableIndex index(a, SnapConfig());
   ThreadPool pool(1);
-  SessionOptions sopts;
-  sopts.snapshot_reads = true;
-  auto session = Session::OnIndex(&index, &pool, sopts);
+  auto session = Session::OnIndex(&index, &pool, SessionOptions{});
 
   QueryContext uctx;
   uctx.txn_id = 5;
@@ -790,9 +770,7 @@ TEST(SnapshotTest, ScopePinBlocksCheckpointUntilEnd) {
   Column col = Column::UniqueRandom("A", 800, 19);
   UpdatableIndex index(col, SnapConfig());
   ThreadPool pool(1);
-  SessionOptions sopts;
-  sopts.snapshot_reads = true;
-  auto session = Session::OnIndex(&index, &pool, sopts);
+  auto session = Session::OnIndex(&index, &pool, SessionOptions{});
   QueryContext uctx;
   uctx.txn_id = 3;
   ASSERT_TRUE(index.Insert(4242, &uctx).ok());
@@ -824,9 +802,7 @@ TEST(SnapshotTest, SessionCloseReleasesScopePins) {
   Column col = Column::UniqueRandom("A", 600, 20);
   UpdatableIndex index(col, SnapConfig());
   ThreadPool pool(1);
-  SessionOptions sopts;
-  sopts.snapshot_reads = true;
-  auto session = Session::OnIndex(&index, &pool, sopts);
+  auto session = Session::OnIndex(&index, &pool, SessionOptions{});
   QueryContext uctx;
   uctx.txn_id = 2;
   ASSERT_TRUE(index.Insert(77, &uctx).ok());
@@ -841,41 +817,62 @@ TEST(SnapshotTest, SessionCloseReleasesScopePins) {
 
 // ----------------------------------------------------- session integration
 
-TEST(SnapshotTest, SessionStampsSnapshotReads) {
+TEST(SnapshotTest, SessionsReadSnapshotsWhateverTheFlag) {
+  // `SessionOptions::snapshot_reads` is accepted and ignored: sessions with
+  // and without it read through the same snapshot path, and both agree
+  // with the logical oracle while pending updates sit in the side store.
   Column col = Column::UniqueRandom("A", 2000, 13);
-  RangeOracle oracle(col);
+  LogicalOracle oracle;
+  for (Value v : col.values()) oracle.values.insert(v);
   UpdatableIndex index(col, SnapConfig());
   ThreadPool pool(2);
+  QueryContext uctx;
+  uctx.txn_id = 1;
+  for (Value v : {150, 250, 250, 950}) {
+    ASSERT_TRUE(index.Insert(v, &uctx).ok());
+    oracle.values.insert(v);
+  }
+  ASSERT_TRUE(index.Delete(col[7], 7, &uctx).ok());
+  oracle.values.erase(oracle.values.find(col[7]));
 
   SessionOptions sopts;
   sopts.snapshot_reads = true;
-  auto session = Session::OnIndex(&index, &pool, sopts);
-  QueryContext probe = session->MakeContext();
-  EXPECT_TRUE(probe.snapshot_reads);
+  auto flagged = Session::OnIndex(&index, &pool, sopts);
+  auto plain = Session::OnIndex(&index, &pool, SessionOptions{});
+  for (Session* session : {flagged.get(), plain.get()}) {
+    uint64_t count = 0;
+    ASSERT_TRUE(session->Count("", "", 100, 900, &count).ok());
+    EXPECT_EQ(count, oracle.Count(100, 900));
+    std::vector<Query> batch;
+    batch.push_back(Query::Sum("", "", 100, 900));
+    batch.push_back(Query::Count("", "", 200, 300));
+    auto tickets = session->SubmitBatch(std::move(batch));
+    ASSERT_TRUE(tickets[0].status().ok());
+    ASSERT_TRUE(tickets[1].status().ok());
+    EXPECT_EQ(tickets[0].result().sum, oracle.Sum(100, 900));
+    EXPECT_EQ(tickets[1].result().count, oracle.Count(200, 300));
+  }
+  EXPECT_EQ(index.latch_stats().snapshot_reads(), 6u);
+  EXPECT_EQ(index.latch_stats().read_acquires(), 0u);
+}
 
-  // Sync and async submissions both ride the snapshot path.
+TEST(SnapshotTest, DefaultSessionReadPinsSnapshotWithoutSideLatch) {
+  // One read path: a read through a default session counts as a snapshot
+  // read and takes no side-table read acquisition.
+  Column col = Column::UniqueRandom("A", 2000, 27);
+  RangeOracle oracle(col);
+  UpdatableIndex index(col, SnapConfig());
+  ThreadPool pool(1);
+  auto session = Session::OnIndex(&index, &pool, SessionOptions{});
   uint64_t count = 0;
   ASSERT_TRUE(session->Count("", "", 100, 900, &count).ok());
   EXPECT_EQ(count, oracle.Count(100, 900));
-  std::vector<Query> batch;
-  batch.push_back(Query::Sum("", "", 100, 900));
-  batch.push_back(Query::Count("", "", 200, 300));
-  auto tickets = session->SubmitBatch(std::move(batch));
-  ASSERT_TRUE(tickets[0].status().ok());
-  ASSERT_TRUE(tickets[1].status().ok());
-  EXPECT_EQ(tickets[0].result().sum, oracle.Sum(100, 900));
-  EXPECT_EQ(tickets[1].result().count, oracle.Count(200, 300));
-  EXPECT_EQ(index.latch_stats().snapshot_reads(), 3u);
-
-  // A plain session on the same index keeps the latched path.
-  auto latched = Session::OnIndex(&index, &pool, SessionOptions{});
-  ASSERT_TRUE(latched->Count("", "", 100, 900, &count).ok());
-  EXPECT_EQ(count, oracle.Count(100, 900));
-  EXPECT_EQ(index.latch_stats().snapshot_reads(), 3u);  // unchanged
+  EXPECT_EQ(index.latch_stats().snapshot_reads(), 1u);
+  EXPECT_EQ(index.latch_stats().read_acquires(), 0u);
 }
 
 TEST(SnapshotTest, ConfigKeySeparatesSnapshotReads) {
-  // Consolidation tuning shapes the version-chain state the writer keeps.
+  // Consolidation tuning shapes the delta-log state the writer keeps.
   IndexConfig snap;
   snap.method = IndexMethod::kCrack;
   IndexConfig tuned = snap;
@@ -898,7 +895,6 @@ TEST(SnapshotTest, SnapshotReadsWorkOverEveryBaseMethod) {
     uctx.txn_id = 1;
     ASSERT_TRUE(index.Insert(1500, &uctx).ok());
     QueryContext ctx;
-    ctx.snapshot_reads = true;
     uint64_t count = 0;
     ASSERT_TRUE(index.RangeCount(ValueRange{1000, 2000}, &ctx, &count).ok());
     EXPECT_EQ(count, 1001u) << ToString(method);  // 1000 base + 1 pending
