@@ -1,27 +1,19 @@
 /// \file Ablation of MVCC snapshot reads over the differential-file layer
-/// (Section 4.2/4.3), in two parts.
+/// (Section 4.2/4.3): read cost by pending size.
 ///
-/// Part 1, interference: a long analytical scan runs concurrently with an
-/// update stream through one `UpdatableIndex`. Every read pins an epoch
-/// snapshot in O(1) and takes no side-table latch, so writers only ever
-/// wait on each other. The base method is a plain scan so every read costs
-/// a full O(rows) pass — the paper's long-reader/short-writer pattern at
-/// its most extreme. Reported: scan throughput, update throughput, the
-/// update-latency distribution (p50/p99/max) and the side-table writer
-/// blocked-wait.
-///
-/// Part 2, read cost by pending size: a converged 400-value SUM over a
-/// cracked 4M-row column, with 0 / 2k / 20k / 200k pending inserts in the
-/// side store. Every read is followed by two commits (an insert and the
-/// delete of a random pending insert, so the pending size holds still),
-/// so the reads land across the whole consolidation cycle: right after a
-/// consolidation they scan an empty delta log, just before the next one a
-/// full log. Reported per size: read p50/p90 and the longest log seen.
+/// Every `UpdatableIndex` read pins an epoch snapshot and folds the delta
+/// log entries inside its value range. This bench times a converged
+/// 400-value SUM over a cracked 4M-row column, with 0 / 2k / 20k / 200k
+/// pending inserts in the side store. Every read is followed by two
+/// commits (an insert and the delete of a random pending insert, so the
+/// pending size holds still), so the reads land across the whole
+/// consolidation cycle: right after a consolidation they scan an empty
+/// delta log, just before the next one a full log. Reported per size: read
+/// p50/p90 and the longest log seen.
 ///
 /// Writes BENCH_snapshot.json (override with AI_BENCH_SNAPSHOT_JSON).
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -35,20 +27,6 @@
 namespace adaptidx {
 namespace bench {
 namespace {
-
-struct InterferenceResult {
-  double seconds = 0;
-  uint64_t scans = 0;
-  uint64_t updates = 0;
-  double update_p50_us = 0;
-  double update_p99_us = 0;
-  double update_max_us = 0;
-  double write_wait_ms = 0;  ///< side-table latch: writers blocked (total)
-  uint64_t write_conflicts = 0;
-  uint64_t read_acquires = 0;  ///< side-table read acquisitions (always 0)
-  uint64_t snapshot_reads = 0;
-  uint64_t max_epoch_lag = 0;
-};
 
 struct PendingResult {
   size_t pending = 0;
@@ -65,72 +43,7 @@ double Percentile(std::vector<int64_t>* ns, double p) {
   return static_cast<double>((*ns)[k]) / 1e3;
 }
 
-InterferenceResult RunInterference(const Column& column, size_t update_threads,
-                                   size_t updates_per_thread) {
-  IndexConfig config;
-  // Full scan per analytical read: the longest read the layer can produce.
-  config.method = IndexMethod::kScan;
-  UpdatableIndex index(column, config);
-  const Value domain = static_cast<Value>(column.size());
-
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> txn{1};
-  std::atomic<uint64_t> scans{0};
-  std::vector<std::vector<int64_t>> latencies(update_threads);
-
-  StopWatch wall;
-  std::vector<std::thread> threads;
-  // One long-scanner: repeated full-range sums until the updaters finish.
-  threads.emplace_back([&] {
-    QueryContext ctx;
-    while (!stop.load(std::memory_order_acquire)) {
-      int64_t sum = 0;
-      (void)index.RangeSum(ValueRange{0, domain * 2}, &ctx, &sum);
-      scans.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  for (size_t u = 0; u < update_threads; ++u) {
-    threads.emplace_back([&, u] {
-      Rng rng(u * 17 + 3);
-      QueryContext ctx;
-      auto& lat = latencies[u];
-      lat.reserve(updates_per_thread);
-      for (size_t i = 0; i < updates_per_thread; ++i) {
-        ctx.txn_id = txn.fetch_add(1);
-        const Value v = rng.UniformRange(0, domain);
-        const int64_t t0 = NowNanos();
-        (void)index.Insert(v, &ctx);
-        lat.push_back(NowNanos() - t0);
-      }
-    });
-  }
-  // Join updaters (threads[1..]), then stop the scanner.
-  for (size_t t = 1; t < threads.size(); ++t) threads[t].join();
-  stop.store(true, std::memory_order_release);
-  threads[0].join();
-
-  InterferenceResult r;
-  r.seconds = wall.ElapsedSeconds();
-  r.scans = scans.load();
-  r.updates = update_threads * updates_per_thread;
-  std::vector<int64_t> all;
-  for (auto& lat : latencies) all.insert(all.end(), lat.begin(), lat.end());
-  r.update_p50_us = Percentile(&all, 0.50);
-  r.update_p99_us = Percentile(&all, 0.99);
-  r.update_max_us =
-      all.empty() ? 0 : static_cast<double>(*std::max_element(all.begin(),
-                                                              all.end())) /
-                            1e3;
-  const LatchStats& side = index.latch_stats();
-  r.write_wait_ms = static_cast<double>(side.write_wait_ns()) / 1e6;
-  r.write_conflicts = side.write_conflicts();
-  r.read_acquires = side.read_acquires();
-  r.snapshot_reads = side.snapshot_reads();
-  r.max_epoch_lag = side.snapshot_max_epoch_lag();
-  return r;
-}
-
-/// Part 2: one cracked index, converged on a fixed set of 400-value ranges,
+/// One cracked index, converged on a fixed set of 400-value ranges,
 /// grown through each pending size in turn.
 std::vector<PendingResult> RunReadPathByPending(size_t rows, size_t reads) {
   constexpr Value kWidth = 400;
@@ -199,50 +112,16 @@ std::vector<PendingResult> RunReadPathByPending(size_t rows, size_t reads) {
 }
 
 void Run() {
-  const size_t rows = EnvSize("AI_BENCH_ROWS", 2000000);
-  // One updater by default: with a single writer, any side-table write
-  // blocked-wait could only come from a reader — exactly the interference
-  // snapshot reads remove. More updaters add writer-writer serialization
-  // and blur the signal.
-  const size_t update_threads = EnvSize("AI_BENCH_SNAPSHOT_UPDATERS", 1);
-  const size_t updates_per_thread =
-      EnvSize("AI_BENCH_SNAPSHOT_UPDATES", 2000);
-  const size_t read_path_rows = EnvSize("AI_BENCH_READ_PATH_ROWS", 4000000);
-  const size_t read_path_reads = EnvSize("AI_BENCH_READ_PATH_READS", 8192);
-  PrintHeader(
-      "Ablation: MVCC snapshot reads (long-scan/update interference; read "
-      "cost by pending size)",
-      "rows=" + std::to_string(rows) + " base=scan scanners=1 updaters=" +
-          std::to_string(update_threads) + " updates/thread=" +
-          std::to_string(updates_per_thread) +
-          " | read-path rows=" + std::to_string(read_path_rows) +
-          " reads/size=" + std::to_string(read_path_reads));
-
-  Column column = MakeUniqueRandomColumn(rows);
-  // Three repetitions; keep the run with the least writer blocked-wait
-  // (same rationale as fig13: drift then biases no single run).
-  InterferenceResult best;
-  best.write_wait_ms = 1e100;
-  for (int rep = 0; rep < 3; ++rep) {
-    InterferenceResult r =
-        RunInterference(column, update_threads, updates_per_thread);
-    if (r.write_wait_ms < best.write_wait_ms) best = r;
-  }
-  std::printf("\n%8s %8s %10s %11s %11s %12s %9s %8s %8s\n", "secs",
-              "scans", "updates/s", "upd_p50_us", "upd_p99_us", "upd_max_us",
-              "w_wait_ms", "r_acq", "max_lag");
-  std::printf("%8.3f %8llu %10.0f %11.1f %11.1f %12.1f %9.2f %8llu %8llu\n",
-              best.seconds, static_cast<unsigned long long>(best.scans),
-              static_cast<double>(best.updates) / best.seconds,
-              best.update_p50_us, best.update_p99_us, best.update_max_us,
-              best.write_wait_ms,
-              static_cast<unsigned long long>(best.read_acquires),
-              static_cast<unsigned long long>(best.max_epoch_lag));
+  const size_t rows = EnvSize("AI_BENCH_READ_PATH_ROWS", 4000000);
+  const size_t reads = EnvSize("AI_BENCH_READ_PATH_READS", 8192);
+  PrintHeader("Ablation: MVCC snapshot reads (read cost by pending size)",
+              "rows=" + std::to_string(rows) +
+                  " reads/size=" + std::to_string(reads));
 
   const std::vector<PendingResult> by_pending =
-      RunReadPathByPending(read_path_rows, read_path_reads);
+      RunReadPathByPending(rows, reads);
   std::printf("\nconverged 400-value SUM over %zu rows, by pending inserts:\n",
-              read_path_rows);
+              rows);
   std::printf("%9s %11s %11s %8s\n", "pending", "sum_p50_us", "sum_p90_us",
               "log_max");
   for (const PendingResult& p : by_pending) {
@@ -263,25 +142,9 @@ void Run() {
       f,
       "{\n  \"bench\": \"ablation_snapshot_reads\",\n"
       "  \"hardware_threads\": %u,\n"
-      "  \"interference\": {\"rows\": %zu, \"scan_threads\": 1, "
-      "\"update_threads\": %zu, \"updates_per_thread\": %zu, "
-      "\"total_secs\": %.6f, \"scans\": %llu, \"updates_per_sec\": %.1f, "
-      "\"update_p50_us\": %.3f, \"update_p99_us\": %.3f, "
-      "\"update_max_us\": %.3f, \"write_wait_ms\": %.4f, "
-      "\"write_conflicts\": %llu, \"read_acquires\": %llu, "
-      "\"snapshot_reads\": %llu, \"max_epoch_lag\": %llu},\n"
       "  \"read_path_by_pending\": {\"rows\": %zu, \"range_width\": 400, "
       "\"reads_per_size\": %zu, \"commits_per_read\": 2, \"sizes\": [\n",
-      std::thread::hardware_concurrency(), rows, update_threads,
-      updates_per_thread, best.seconds,
-      static_cast<unsigned long long>(best.scans),
-      static_cast<double>(best.updates) / best.seconds, best.update_p50_us,
-      best.update_p99_us, best.update_max_us, best.write_wait_ms,
-      static_cast<unsigned long long>(best.write_conflicts),
-      static_cast<unsigned long long>(best.read_acquires),
-      static_cast<unsigned long long>(best.snapshot_reads),
-      static_cast<unsigned long long>(best.max_epoch_lag), read_path_rows,
-      read_path_reads);
+      std::thread::hardware_concurrency(), rows, reads);
   for (size_t i = 0; i < by_pending.size(); ++i) {
     const PendingResult& p = by_pending[i];
     std::fprintf(f,

@@ -1,44 +1,14 @@
 #include "core/snapshot.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <limits>
 
 #include "cracking/span_kernels.h"
 
-#ifdef ADAPTIDX_X86_SIMD
-#include <immintrin.h>
-#endif
-
 namespace adaptidx {
 
 namespace {
-
-#ifdef ADAPTIDX_X86_SIMD
-/// Values of `values[begin, end)` in [lo, hi), 16 per step. A delta log
-/// sits in L1, where these compares outrun the AVX2 span kernel (which is
-/// sized for memory-bound column scans).
-__attribute__((target("avx512f"))) uint64_t CountInAvx512(
-    const Value* values, size_t begin, size_t end, Value lo, Value hi) {
-  const __m512i vlo = _mm512_set1_epi64(lo);
-  const __m512i vhi = _mm512_set1_epi64(hi);
-  uint64_t n = 0;
-  size_t i = begin;
-  for (; i + 16 <= end; i += 16) {
-    const __m512i a = _mm512_loadu_si512(values + i);
-    const __m512i b = _mm512_loadu_si512(values + i + 8);
-    const __mmask8 ma = _mm512_cmpge_epi64_mask(a, vlo) &
-                        _mm512_cmplt_epi64_mask(a, vhi);
-    const __mmask8 mb = _mm512_cmpge_epi64_mask(b, vlo) &
-                        _mm512_cmplt_epi64_mask(b, vhi);
-    n += static_cast<uint64_t>(__builtin_popcount(ma) +
-                               __builtin_popcount(mb));
-  }
-  for (; i < end; ++i) n += values[i] >= lo && values[i] < hi;
-  return n;
-}
-#endif
 
 using Entries = std::vector<std::pair<Value, RowId>>;
 
@@ -81,12 +51,6 @@ SideStoreVersion FoldLog(const SideStoreVersion& base, const DeltaLog& log,
 
 uint64_t DeltaLog::CountIn(size_t begin, size_t end,
                            const ValueRange& range) const {
-#ifdef ADAPTIDX_X86_SIMD
-  static const bool avx512 = BestKernelTier() == KernelTier::kAvx512;
-  if (avx512) {
-    return CountInAvx512(values_.get(), begin, end, range.lo, range.hi);
-  }
-#endif
   return ScanCountSpan(values_.get(), begin, end, range.lo, range.hi,
                        KernelTier::kAuto);
 }
@@ -97,7 +61,6 @@ Snapshot& Snapshot::operator=(Snapshot&& other) noexcept {
   if (this != &other) {
     Release();
     mgr_ = other.mgr_;
-    shard_ = other.shard_;
     store_ = std::move(other.store_);
     log_length_ = other.log_length_;
     epoch_ = other.epoch_;
@@ -110,7 +73,7 @@ Snapshot& Snapshot::operator=(Snapshot&& other) noexcept {
 
 void Snapshot::Release() {
   if (mgr_ != nullptr && store_ != nullptr) {
-    mgr_->Release(shard_, epoch_);
+    mgr_->Release(epoch_);
   }
   mgr_ = nullptr;
   store_ = nullptr;
@@ -181,7 +144,7 @@ SnapshotManager::RowState SnapshotManager::Lookup(Value v, RowId id) const {
 }
 
 size_t SnapshotManager::Append(const DeltaEntry& entry) {
-  std::unique_lock<std::shared_mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   DeltaLog& log = store_->log;
   assert(log_length_ < log.capacity());
   // Slot log_length_ lies beyond every pinned length, so no reader sees it
@@ -202,78 +165,54 @@ void SnapshotManager::Consolidate() {
   // The fold runs outside mu_: the writer latch keeps every append out, and
   // readers keep reading the pair they pinned.
   std::shared_ptr<SideStore> store = MakeStore(MaterializeCurrent());
-  std::unique_lock<std::shared_mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   InstallLocked(std::move(store));
   ++consolidations_;
 }
 
 void SnapshotManager::Install(SideStoreVersion version) {
   std::shared_ptr<SideStore> store = MakeStore(std::move(version));
-  std::unique_lock<std::shared_mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   assert(store->version.epoch >= EpochLocked());
   InstallLocked(std::move(store));
 }
 
 Snapshot SnapshotManager::Acquire() {
-  // Threads take registry shards round robin, so a handful of concurrent
-  // readers each lock a shard of their own.
-  static std::atomic<size_t> next_shard{0};
-  thread_local const size_t shard =
-      next_shard.fetch_add(1, std::memory_order_relaxed) % kPinShards;
-  std::shared_lock<std::shared_mutex> lk(mu_);
+  std::unique_lock<std::mutex> lk(mu_);
   cv_.wait(lk, [this] { return rebase_ != Rebase::kSwapping; });
-  {
-    PinShard& s = shards_[shard];
-    std::lock_guard<std::mutex> g(s.mu);
-    if (!s.pins.empty() && s.pins.back().first == EpochLocked()) {
-      ++s.pins.back().second;
-    } else {
-      s.pins.emplace_back(EpochLocked(), 1);
-    }
+  // Epochs only grow, so the newest pin goes at the back of the sorted
+  // registry.
+  const uint64_t epoch = EpochLocked();
+  if (!pins_.empty() && pins_.back().first == epoch) {
+    ++pins_.back().second;
+  } else {
+    pins_.emplace_back(epoch, 1);
   }
   Snapshot snap;
   snap.mgr_ = this;
-  snap.shard_ = shard;
   snap.store_ = store_;
   snap.log_length_ = log_length_;
-  snap.epoch_ = EpochLocked();
+  snap.epoch_ = epoch;
   snap.base_generation_ = base_generation_;
   return snap;
 }
 
 void SnapshotManager::BeginRebase() {
-  std::unique_lock<std::shared_mutex> lk(mu_);
+  std::unique_lock<std::mutex> lk(mu_);
   // One rebase at a time: a second checkpoint parks here until the first
   // completes, then establishes its own drain.
   cv_.wait(lk, [this] { return rebase_ == Rebase::kNone; });
+  // Captures stay admitted while draining, so a pin holder can keep
+  // reading; the drain ends at the first moment no pin is held.
   rebase_ = Rebase::kDraining;
-  // Captures stay admitted while draining, and a pin count grows only
-  // under mu_ shared: so wait shard by shard, and finish once one pass
-  // under the exclusive lock finds every shard empty.
-  for (;;) {
-    PinShard* busy = nullptr;
-    for (PinShard& s : shards_) {
-      std::lock_guard<std::mutex> g(s.mu);
-      if (!s.pins.empty()) {
-        busy = &s;
-        break;
-      }
-    }
-    if (busy == nullptr) break;
-    lk.unlock();
-    {
-      std::unique_lock<std::mutex> g(busy->mu);
-      busy->emptied.wait(g, [busy] { return busy->pins.empty(); });
-    }
-    lk.lock();
-  }
+  cv_.wait(lk, [this] { return pins_.empty(); });
   rebase_ = Rebase::kSwapping;
 }
 
 void SnapshotManager::CompleteRebase(SideStoreVersion version) {
   std::shared_ptr<SideStore> store = MakeStore(std::move(version));
   {
-    std::unique_lock<std::shared_mutex> lk(mu_);
+    std::lock_guard<std::mutex> lk(mu_);
     // The old store belongs to the pre-checkpoint base generation; no
     // snapshot can reference it anymore (the drain guaranteed that).
     InstallLocked(std::move(store));
@@ -283,51 +222,43 @@ void SnapshotManager::CompleteRebase(SideStoreVersion version) {
   cv_.notify_all();
 }
 
-void SnapshotManager::Release(size_t shard, uint64_t epoch) {
-  PinShard& s = shards_[shard];
-  std::lock_guard<std::mutex> g(s.mu);
-  auto it = std::lower_bound(s.pins.begin(), s.pins.end(),
+void SnapshotManager::Release(uint64_t epoch) {
+  std::lock_guard<std::mutex> lk(mu_);
+  auto it = std::lower_bound(pins_.begin(), pins_.end(),
                              std::make_pair(epoch, size_t{0}));
-  assert(it != s.pins.end() && it->first == epoch);
-  if (--it->second == 0) s.pins.erase(it);
-  // Notify under the shard lock: a draining BeginRebase reads this shard
-  // under the same lock, so it cannot miss the release, nor return — and
-  // let ~UpdatableIndex destroy this manager — before the notify is done.
-  if (s.pins.empty()) s.emptied.notify_all();
+  assert(it != pins_.end() && it->first == epoch);
+  if (--it->second == 0) pins_.erase(it);
+  // A draining BeginRebase only cares about the registry emptying. Notify
+  // under the mutex: the drain in ~UpdatableIndex destroys this manager as
+  // soon as its wait returns, and it cannot return before the mutex is
+  // released, so the notify never touches a destroyed condition variable.
+  if (pins_.empty()) cv_.notify_all();
 }
 
 size_t SnapshotManager::active_snapshots() const {
-  std::shared_lock<std::shared_mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   size_t n = 0;
-  for (PinShard& s : shards_) {
-    std::lock_guard<std::mutex> g(s.mu);
-    for (const auto& [epoch, pins] : s.pins) n += pins;
-  }
+  for (const auto& [epoch, pins] : pins_) n += pins;
   return n;
 }
 
 uint64_t SnapshotManager::oldest_active_epoch() const {
-  std::shared_lock<std::shared_mutex> lk(mu_);
-  uint64_t oldest = EpochLocked();
-  for (PinShard& s : shards_) {
-    std::lock_guard<std::mutex> g(s.mu);
-    if (!s.pins.empty()) oldest = std::min(oldest, s.pins.front().first);
-  }
-  return oldest;
+  std::lock_guard<std::mutex> lk(mu_);
+  return pins_.empty() ? EpochLocked() : pins_.front().first;
 }
 
 uint64_t SnapshotManager::deltas_published() const {
-  std::shared_lock<std::shared_mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   return deltas_published_;
 }
 
 uint64_t SnapshotManager::consolidations() const {
-  std::shared_lock<std::shared_mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   return consolidations_;
 }
 
 size_t SnapshotManager::log_length() const {
-  std::shared_lock<std::shared_mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   return log_length_;
 }
 

@@ -2,13 +2,11 @@
 #define ADAPTIDX_CORE_SNAPSHOT_H_
 
 #include <algorithm>
-#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <utility>
 #include <vector>
 
@@ -93,8 +91,8 @@ class DeltaLog {
 
   /// \brief Calls `fn(entry)` for each of the first `length` entries whose
   /// value lies in `range`, oldest first. Each block of values is counted
-  /// with SIMD compares first, and only blocks holding a match — none, for
-  /// most narrow reads — are visited entry by entry.
+  /// with the span-count kernel first, and only blocks holding a match —
+  /// none, for most narrow reads — are visited entry by entry.
   template <typename Fn> void ForEachIn(size_t length, const ValueRange& range,
                                         Fn fn) const {
     constexpr size_t kBlock = 256;
@@ -218,7 +216,6 @@ class Snapshot {
   friend class UpdatableIndex;  ///< validates snapshot/index pairing
 
   SnapshotManager* mgr_ = nullptr;
-  size_t shard_ = 0;  ///< pin-registry shard the pin is counted in
   std::shared_ptr<const SideStore> store_;
   size_t log_length_ = 0;
   uint64_t epoch_ = 0;
@@ -236,15 +233,14 @@ class Snapshot {
 /// pending size: min(max, max(min, pending/8)). Reader protocol: `Acquire`
 /// pins the current (version, log, length) triple under a short internal
 /// mutex — the "short pin" — and the returned `Snapshot` releases it on
-/// destruction. Readers share the manager's mutex and count their pin in
-/// a registry shard of their own thread, so concurrent readers never wait
-/// on one another. Checkpoint protocol: `BeginRebase` waits until no
-/// snapshot is pinned and then blocks new acquisitions, the caller swaps
-/// the base, and `CompleteRebase` installs the post-checkpoint version
-/// under the next base generation and re-admits readers. Acquisitions made
-/// while `BeginRebase` still waits are admitted, so a thread that holds a
-/// pin can keep reading until it lets go; the rebase then waits for a
-/// moment with no read in flight.
+/// destruction; the pin is counted in one registry ordered by epoch.
+/// Checkpoint protocol: `BeginRebase` waits until no snapshot is pinned
+/// and then blocks new acquisitions, the caller swaps the base, and
+/// `CompleteRebase` installs the post-checkpoint version under the next
+/// base generation and re-admits readers. Acquisitions made while
+/// `BeginRebase` still waits are admitted, so a thread that holds a pin can
+/// keep reading until it lets go; the rebase then waits for a moment with
+/// no read in flight.
 ///
 /// Reclamation is through the pins themselves: every snapshot holds shared
 /// ownership of its version and log, so consolidation frees exactly what
@@ -334,32 +330,20 @@ class SnapshotManager {
   /// Epoch of the published state. Requires `mu_` held.
   uint64_t EpochLocked() const { return store_->version.epoch + log_length_; }
 
-  /// Unpins one snapshot at `epoch` from registry shard `shard`; wakes a
-  /// draining rebase when the shard empties. Takes only the shard's lock.
-  void Release(size_t shard, uint64_t epoch);
-
-  /// One slice of the pin registry, on its own cache line: pin counts by
-  /// ascending epoch (a pin always takes the newest epoch, so entries are
-  /// added at the back). Captures add pins holding the manager's mutex
-  /// shared; releases remove them holding only `mu`.
-  struct alignas(64) PinShard {
-    std::mutex mu;
-    std::condition_variable emptied;  ///< a draining rebase waits here
-    std::vector<std::pair<uint64_t, size_t>> pins;
-  };
-  static constexpr size_t kPinShards = 16;
+  /// Unpins one snapshot at `epoch`; wakes a draining rebase when the
+  /// registry empties.
+  void Release(uint64_t epoch);
 
   const size_t log_min_;
   const size_t log_max_;
-  /// Guards the published state below: shared by readers (capture,
-  /// introspection), exclusive for writers and rebases.
-  mutable std::shared_mutex mu_;
-  std::condition_variable_any cv_;  ///< rebase completion
+  mutable std::mutex mu_;       ///< guards everything below
+  std::condition_variable cv_;  ///< drain progress + rebase completion
   Rebase rebase_ = Rebase::kNone;
   std::shared_ptr<SideStore> store_;
   size_t log_length_ = 0;
   uint64_t base_generation_ = 0;
-  mutable std::array<PinShard, kPinShards> shards_;
+  /// Pin counts by ascending epoch.
+  std::vector<std::pair<uint64_t, size_t>> pins_;
   uint64_t deltas_published_ = 0;
   uint64_t consolidations_ = 0;
 };

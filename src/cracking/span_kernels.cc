@@ -128,6 +128,11 @@ __attribute__((target("avx2"))) uint64_t ScanCountAvx2(const Value* values,
   }
   alignas(32) uint64_t lanes[4];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
+  // GCC 12 emits no vzeroupper before the call into the scalar epilogue
+  // (a partially inlined clone). Without this one the kernel returns with
+  // the upper YMM halves dirty, and every later legacy-SSE instruction in
+  // the thread pays a merge penalty.
+  _mm256_zeroupper();
   return lanes[0] + lanes[1] + lanes[2] + lanes[3] +
          ScanCountBranchless(values, i, end, lo, hi);
 }
