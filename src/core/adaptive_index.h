@@ -106,7 +106,9 @@ struct QueryContext {
 /// so results can be computed per fragment and combined — the property
 /// partitioned parallel execution depends on. The per-kind methods
 /// (`RangeCount`/`RangeSum`/`RangeRowIds`/`RangeMinMax`) are non-virtual
-/// convenience wrappers over `Execute`.
+/// convenience wrappers over `Execute`. `TryExecute` is the same answer
+/// without waiting or refining, or Busy; a caller that may not block (the
+/// server's I/O loop) tries it first and hands Busy queries to `Execute`.
 class AdaptiveIndex {
  public:
   virtual ~AdaptiveIndex() = default;
@@ -122,17 +124,27 @@ class AdaptiveIndex {
   /// kSumOther requires a second column and is only answerable by indexes
   /// that hold one (the engine's session layer plans it otherwise).
   Status Execute(const Query& query, QueryContext* ctx, QueryResult* result) {
-    result->Reset(query.kind);
-    // Empty (including inverted) predicates answer zero/none for every
-    // kind; guarded here once so no implementation's arithmetic ever sees
-    // lo > hi (a sorted index's hi-position minus lo-position would wrap).
-    if (query.range.Empty()) return Status::OK();
-    Status s = ExecuteImpl(query, ctx, result);
-    if (s.ok() && query.kind == QueryKind::kRowIds) {
-      result->count = result->row_ids.size();
-    }
+    return Dispatch(&AdaptiveIndex::ExecuteImpl, query, ctx, result);
+  }
+
+  /// \brief Answers `query` exactly as `Execute` would, or returns Busy
+  /// without having waited for anything or changed the index. It takes
+  /// only try-latches, never initializes, cracks or scans a piece for a
+  /// bound, and reads at most `kTryExecuteBudget` positions (a positional
+  /// COUNT reads none); whatever it cannot answer under those rules is
+  /// Busy, and `Execute` must answer it, so the index keeps adapting. On
+  /// Busy `result` is reset. Indexes that do not implement it answer every
+  /// non-empty query Busy. Thread-safe wherever `Execute` is.
+  Status TryExecute(const Query& query, QueryContext* ctx,
+                    QueryResult* result) {
+    Status s = Dispatch(&AdaptiveIndex::TryExecuteImpl, query, ctx, result);
+    if (!s.ok()) result->Reset(query.kind);
     return s;
   }
+
+  /// \brief The most data positions (cracker-array entries plus pending
+  /// differential entries) one `TryExecute` reads; larger reads are Busy.
+  static constexpr size_t kTryExecuteBudget = 16 * 1024;
 
   // ---- convenience wrappers over Execute ------------------------------
 
@@ -196,7 +208,30 @@ class AdaptiveIndex {
   virtual Status ExecuteImpl(const Query& query, QueryContext* ctx,
                              QueryResult* result) = 0;
 
+  /// \brief `ExecuteImpl` under the rules of `TryExecute`; Busy by default.
+  virtual Status TryExecuteImpl(const Query&, QueryContext*, QueryResult*) {
+    return Status::Busy("index answers no query without waiting");
+  }
+
   LatchStats latch_stats_;
+
+ private:
+  using Impl = Status (AdaptiveIndex::*)(const Query&, QueryContext*,
+                                         QueryResult*);
+
+  Status Dispatch(Impl impl, const Query& query, QueryContext* ctx,
+                  QueryResult* result) {
+    result->Reset(query.kind);
+    // Empty (including inverted) predicates answer zero/none for every
+    // kind; guarded here once so no implementation's arithmetic ever sees
+    // lo > hi (a sorted index's hi-position minus lo-position would wrap).
+    if (query.range.Empty()) return Status::OK();
+    Status s = (this->*impl)(query, ctx, result);
+    if (s.ok() && query.kind == QueryKind::kRowIds) {
+      result->count = result->row_ids.size();
+    }
+    return s;
+  }
 };
 
 }  // namespace adaptidx

@@ -27,11 +27,19 @@ namespace {
 
 /// Structure-latch guards that compile to no-ops when concurrency control is
 /// disabled (Figure 13 measures exactly this administrative difference).
+/// With `try_only` the shared guard takes the latch only when it is free
+/// and reports `busy()` otherwise (the no-wait read).
 class MaybeSharedLock {
  public:
-  MaybeSharedLock(std::shared_mutex* mu, bool enabled)
+  MaybeSharedLock(std::shared_mutex* mu, bool enabled, bool try_only = false)
       : mu_(enabled ? mu : nullptr) {
-    if (mu_ != nullptr) mu_->lock_shared();
+    if (mu_ == nullptr) return;
+    if (!try_only) {
+      mu_->lock_shared();
+    } else if (!mu_->try_lock_shared()) {
+      mu_ = nullptr;
+      busy_ = true;
+    }
   }
   ~MaybeSharedLock() {
     if (mu_ != nullptr) mu_->unlock_shared();
@@ -39,8 +47,11 @@ class MaybeSharedLock {
   MaybeSharedLock(const MaybeSharedLock&) = delete;
   MaybeSharedLock& operator=(const MaybeSharedLock&) = delete;
 
+  bool busy() const { return busy_; }
+
  private:
   std::shared_mutex* mu_;
+  bool busy_ = false;
 };
 
 class MaybeUniqueLock {
@@ -143,6 +154,9 @@ size_t CrackChunks(const ThreadPool& pool) { return pool.num_threads() + 1; }
 
 /// Extra cracks one group crack applies for the queries queued on a piece.
 constexpr size_t kGroupCrackMax = 3;
+
+/// The answer of a no-wait read that would have to wait or refine.
+Status NoWaitBusy() { return Status::Busy("no-wait read"); }
 
 }  // namespace
 
@@ -390,11 +404,19 @@ CrackingIndex::BoundResult CrackingIndex::ResolveBound(Value v,
     return r;
   };
 
+  auto busy = [] {
+    BoundResult r;
+    r.busy = true;
+    return r;
+  };
+  const bool no_wait = attempt == Attempt::kNoWait;
+
   for (;;) {
     std::shared_ptr<Piece> piece;
     size_t piece_size = 0;
     {
-      MaybeSharedLock sl(&structure_mu_, latched_mode);
+      MaybeSharedLock sl(&structure_mu_, latched_mode, no_wait);
+      if (sl.busy()) return busy();
       // One value lookup answers every bound the tiling already knows:
       // values before the piece are < lo_value, values after it are >= the
       // next piece's lo_value > v (piece_map.h, FindByValue).
@@ -409,6 +431,7 @@ CrackingIndex::BoundResult CrackingIndex::ResolveBound(Value v,
         // frozen.
         return exact_at(array_->LowerBoundInSorted(p->begin, p->end, v));
       }
+      if (no_wait) return busy();  // the bound needs a crack
       if (!refine_allowed) {
         ctx->stats.refinement_skipped = true;
         BoundResult r;
@@ -428,11 +451,7 @@ CrackingIndex::BoundResult CrackingIndex::ResolveBound(Value v,
         if (!piece->latch.TryWriteLock(lat)) {
           policy_.OnConflict();
           ++ctx->stats.conflicts;
-          if (attempt == Attempt::kTryThenFail) {
-            BoundResult r;
-            r.latch_busy = true;
-            return r;
-          }
+          if (attempt == Attempt::kTryThenFail) return busy();
           // Conflict avoidance (Section 3.3): forgo the refinement and
           // answer by scanning. Re-resolve first instead of scanning
           // `piece`: the latch holder may have split it since the lookup,
@@ -621,7 +640,7 @@ void CrackingIndex::ResolveBounds(const ValueRange& range, QueryContext* ctx,
     // with the second bound first, then come back.
     BoundResult first =
         ResolveBound(range.lo, ctx, Attempt::kTryThenFail, true);
-    if (first.latch_busy) {
+    if (first.busy) {
       *hi = ResolveBound(range.hi, ctx, Attempt::kBlocking, true);
       *lo = ResolveBound(range.lo, ctx, Attempt::kBlocking, true);
     } else {
@@ -635,10 +654,11 @@ void CrackingIndex::ResolveBounds(const ValueRange& range, QueryContext* ctx,
 }
 
 template <typename Aggregator>
-void CrackingIndex::ProcessRegion(Position b, Position e, bool filtered,
+bool CrackingIndex::ProcessRegion(Position b, Position e, bool filtered,
                                   const ValueRange& filter, bool needs_guard,
-                                  QueryContext* ctx, Aggregator* agg) {
-  if (b >= e) return;
+                                  Attempt attempt, QueryContext* ctx,
+                                  Aggregator* agg) {
+  if (b >= e) return true;
   auto read = [&](Position from, Position to) {
     {
       ScopedTimer t(&ctx->stats.read_ns);
@@ -652,17 +672,23 @@ void CrackingIndex::ProcessRegion(Position b, Position e, bool filtered,
   };
   if (!needs_guard) {
     read(b, e);
-    return;
+    return true;
   }
+  const bool no_wait = attempt == Attempt::kNoWait;
   LatchAcquireContext lat = ctx->LatchCtx(&latch_stats_);
   Position pos = b;
   while (pos < e) {
     std::shared_ptr<Piece> piece;
     {
-      std::shared_lock<std::shared_mutex> sl(structure_mu_);
+      MaybeSharedLock sl(&structure_mu_, true, no_wait);
+      if (sl.busy()) return false;
       piece = pieces_->FindByPosition(pos);
     }
-    piece->latch.ReadLock(lat);
+    if (!no_wait) {
+      piece->latch.ReadLock(lat);
+    } else if (!piece->latch.TryReadLock(lat)) {
+      return false;
+    }
     const Position piece_end = piece->end;  // stable under the read latch
     if (pos >= piece_end) {
       // The piece split between lookup and latch; look up again.
@@ -674,43 +700,58 @@ void CrackingIndex::ProcessRegion(Position b, Position e, bool filtered,
     piece->latch.ReadUnlock();
     pos = upto;
   }
+  return true;
 }
 
 template <typename Aggregator>
 Status CrackingIndex::ExecuteRange(const ValueRange& range, QueryContext* ctx,
-                                   Aggregator* agg) {
+                                   Attempt attempt, Aggregator* agg) {
   if (range.Empty()) return Status::OK();
-  EnsureInitialized(ctx);
-  const bool refine_allowed = !UserLockConflict(ctx);
-  if (!refine_allowed) ctx->stats.refinement_skipped = true;
   LatchAcquireContext lat = ctx->LatchCtx(&latch_stats_);
 
   BoundResult lo;
   BoundResult hi;
-  if (opts_.mode == ConcurrencyMode::kColumnLatch) {
-    bool do_refine = refine_allowed;
-    if (do_refine) {
-      const RefinementDirective d = policy_.OnCrack(array_->size());
-      if (d.try_only) {
-        if (!column_latch_.TryWriteLock(lat)) {
-          policy_.OnConflict();
-          ++ctx->stats.conflicts;
-          ctx->stats.refinement_skipped = true;
-          do_refine = false;
-        }
-      } else {
-        column_latch_.WriteLock(range.lo, lat);
-      }
-    }
-    if (do_refine) {
-      ResolveBounds(range, ctx, true, &lo, &hi);
-      column_latch_.WriteUnlock();
-      policy_.OnSuccess();
-    } else {
-      ResolveBounds(range, ctx, false, &lo, &hi);
+  if (attempt == Attempt::kNoWait) {
+    // Only a built, piece-latched index whose tiling already resolves both
+    // bounds answers without waiting: this read never builds the index,
+    // takes the column latch, or cracks or scans a piece for a bound. Both
+    // bounds exact leave one positional region below.
+    if (!PieceLatchedMode() || !initialized()) return NoWaitBusy();
+    lo = ResolveBound(range.lo, ctx, attempt, false);
+    if (!lo.busy) hi = ResolveBound(range.hi, ctx, attempt, false);
+    if (lo.busy || hi.busy) return NoWaitBusy();
+    if (Aggregator::kNeedsRead && hi.pos > lo.pos + kTryExecuteBudget) {
+      return NoWaitBusy();
     }
   } else {
-    ResolveBounds(range, ctx, refine_allowed, &lo, &hi);
+    EnsureInitialized(ctx);
+    const bool refine_allowed = !UserLockConflict(ctx);
+    if (!refine_allowed) ctx->stats.refinement_skipped = true;
+    if (opts_.mode == ConcurrencyMode::kColumnLatch) {
+      bool do_refine = refine_allowed;
+      if (do_refine) {
+        const RefinementDirective d = policy_.OnCrack(array_->size());
+        if (d.try_only) {
+          if (!column_latch_.TryWriteLock(lat)) {
+            policy_.OnConflict();
+            ++ctx->stats.conflicts;
+            ctx->stats.refinement_skipped = true;
+            do_refine = false;
+          }
+        } else {
+          column_latch_.WriteLock(range.lo, lat);
+        }
+      }
+      if (do_refine) {
+        ResolveBounds(range, ctx, true, &lo, &hi);
+        column_latch_.WriteUnlock();
+        policy_.OnSuccess();
+      } else {
+        ResolveBounds(range, ctx, false, &lo, &hi);
+      }
+    } else {
+      ResolveBounds(range, ctx, refine_allowed, &lo, &hi);
+    }
   }
 
   // Assemble up to three disjoint position regions in ascending order; a
@@ -760,34 +801,46 @@ Status CrackingIndex::ExecuteRange(const ValueRange& range, QueryContext* ctx,
     // Data-touching reads take piece read latches.
     const bool needs_guard = PieceLatchedMode() &&
                              (Aggregator::kNeedsRead || regions[i].filtered);
-    ProcessRegion(regions[i].begin, regions[i].end, regions[i].filtered,
-                  range, needs_guard, ctx, agg);
+    if (!ProcessRegion(regions[i].begin, regions[i].end, regions[i].filtered,
+                       range, needs_guard, attempt, ctx, agg)) {
+      return NoWaitBusy();
+    }
   }
   return Status::OK();
 }
 
 Status CrackingIndex::ExecuteImpl(const Query& query, QueryContext* ctx,
                                   QueryResult* result) {
+  return ExecuteKind(query, ctx, Attempt::kBlocking, result);
+}
+
+Status CrackingIndex::TryExecuteImpl(const Query& query, QueryContext* ctx,
+                                     QueryResult* result) {
+  return ExecuteKind(query, ctx, Attempt::kNoWait, result);
+}
+
+Status CrackingIndex::ExecuteKind(const Query& query, QueryContext* ctx,
+                                  Attempt attempt, QueryResult* result) {
   switch (query.kind) {
     case QueryKind::kCount: {
       CountAggregator agg;
-      Status s = ExecuteRange(query.range, ctx, &agg);
+      Status s = ExecuteRange(query.range, ctx, attempt, &agg);
       result->count = agg.result;
       return s;
     }
     case QueryKind::kSum: {
       SumAggregator agg;
-      Status s = ExecuteRange(query.range, ctx, &agg);
+      Status s = ExecuteRange(query.range, ctx, attempt, &agg);
       result->sum = agg.result;
       return s;
     }
     case QueryKind::kRowIds: {
       RowIdAggregator agg{&result->row_ids};
-      return ExecuteRange(query.range, ctx, &agg);
+      return ExecuteRange(query.range, ctx, attempt, &agg);
     }
     case QueryKind::kMinMax: {
       MinMaxAggregator agg;
-      Status s = ExecuteRange(query.range, ctx, &agg);
+      Status s = ExecuteRange(query.range, ctx, attempt, &agg);
       agg.acc.Store(result);
       return s;
     }

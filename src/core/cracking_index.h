@@ -136,6 +136,12 @@ struct CrackingOptions {
 /// multi-piece acquisitions proceed in ascending position order, so the
 /// latch graph is acyclic.
 ///
+/// `TryExecute` (kPieceLatch only) answers a query whose bounds already sit
+/// on cracks or inside sorted pieces through the same resolution and read
+/// steps, with `structure_mu_.try_lock_shared` and each piece's
+/// `TryReadLock` in place of the waiting calls; a bound that needs a crack,
+/// a held latch, or a read beyond `kTryExecuteBudget` positions is Busy.
+///
 /// Thread safety: under kColumnLatch and kPieceLatch any number of threads
 /// may query, export and read statistics concurrently; kNone is for one
 /// thread at a time. ValidateStructure needs a quiesced index, and
@@ -224,20 +230,24 @@ class CrackingIndex : public AdaptiveIndex {
  protected:
   Status ExecuteImpl(const Query& query, QueryContext* ctx,
                      QueryResult* result) override;
+  Status TryExecuteImpl(const Query& query, QueryContext* ctx,
+                        QueryResult* result) override;
 
  private:
-  /// How a bound resolution may acquire the piece write latch.
+  /// How a read may acquire latches.
   enum class Attempt {
     kBlocking,     ///< wait for the latch
-    kTryThenScan,  ///< try once; on failure return an inexact result
-    kTryThenFail,  ///< try once; on failure report failure to the caller
+    kTryThenFail,  ///< try the piece write latch once; on failure report
+                   ///< busy to the caller
+    kNoWait,       ///< TryExecute: try every latch once and never refine; a
+                   ///< held latch or a bound that needs a crack is busy
   };
 
   /// Result of resolving one bound value to a crack position.
   struct BoundResult {
     bool exact = false;
-    bool latch_busy = false;  ///< only under Attempt::kTryThenFail
-    Position pos = 0;         ///< valid when exact
+    bool busy = false;  ///< only under kTryThenFail and kNoWait
+    Position pos = 0;   ///< valid when exact
     /// When inexact: scan [scan_begin, scan_end) with the query's value
     /// filter. The region is delimited by cracks present at resolution time
     /// and therefore contains a fixed set of values forever after.
@@ -254,7 +264,9 @@ class CrackingIndex : public AdaptiveIndex {
 
   /// Resolves `v` to a position, cracking as a side effect; the full
   /// protocol of Section 5.3 including revalidation after wake-up
-  /// (Figure 10). `refine_allowed=false` forces the scan fallback.
+  /// (Figure 10). `refine_allowed=false` forces the scan fallback. Under
+  /// kNoWait it only reads the tiling: exact, or busy when the structure
+  /// latch is held or `v` needs a crack.
   BoundResult ResolveBound(Value v, QueryContext* ctx, Attempt attempt,
                            bool refine_allowed);
 
@@ -326,16 +338,22 @@ class CrackingIndex : public AdaptiveIndex {
   /// Streams the positional region [b, e) into `agg` piece by piece under
   /// each piece's read latch, looking the piece up again when it split
   /// between lookup and latch. `needs_guard` is false when the aggregation
-  /// touches no data (positional counts), which skips the latching.
+  /// touches no data (positional counts), which skips the latching. False
+  /// when a kNoWait read found a latch held (`agg` is then partial).
   template <typename Aggregator>
-  void ProcessRegion(Position b, Position e, bool filtered,
+  bool ProcessRegion(Position b, Position e, bool filtered,
                      const ValueRange& filter, bool needs_guard,
-                     QueryContext* ctx, Aggregator* agg);
+                     Attempt attempt, QueryContext* ctx, Aggregator* agg);
 
-  /// Shared driver for count/sum/rowids/minmax.
+  /// Shared driver for count/sum/rowids/minmax; `attempt` is kBlocking
+  /// (Execute) or kNoWait (TryExecute).
   template <typename Aggregator>
   Status ExecuteRange(const ValueRange& range, QueryContext* ctx,
-                      Aggregator* agg);
+                      Attempt attempt, Aggregator* agg);
+
+  /// Dispatches `query.kind` to ExecuteRange with its aggregator.
+  Status ExecuteKind(const Query& query, QueryContext* ctx, Attempt attempt,
+                     QueryResult* result);
 
   const Column* column_;
   CrackingOptions opts_;

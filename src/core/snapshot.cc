@@ -180,6 +180,16 @@ void SnapshotManager::Install(SideStoreVersion version) {
 Snapshot SnapshotManager::Acquire() {
   std::unique_lock<std::mutex> lk(mu_);
   cv_.wait(lk, [this] { return rebase_ != Rebase::kSwapping; });
+  return PinLocked();
+}
+
+Snapshot SnapshotManager::TryAcquire() {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (rebase_ == Rebase::kSwapping) return Snapshot();
+  return PinLocked();
+}
+
+Snapshot SnapshotManager::PinLocked() {
   // Epochs only grow, so the newest pin goes at the back of the sorted
   // registry.
   const uint64_t epoch = EpochLocked();

@@ -234,13 +234,14 @@ class Snapshot {
 /// pins the current (version, log, length) triple under a short internal
 /// mutex — the "short pin" — and the returned `Snapshot` releases it on
 /// destruction; the pin is counted in one registry ordered by epoch.
-/// Checkpoint protocol: `BeginRebase` waits until no snapshot is pinned
-/// and then blocks new acquisitions, the caller swaps the base, and
-/// `CompleteRebase` installs the post-checkpoint version under the next
-/// base generation and re-admits readers. Acquisitions made while
-/// `BeginRebase` still waits are admitted, so a thread that holds a pin can
-/// keep reading until it lets go; the rebase then waits for a moment with
-/// no read in flight.
+/// `TryAcquire` is the same pin for a reader that may not wait: it refuses
+/// instead of waiting out a base swap. Checkpoint protocol: `BeginRebase`
+/// waits until no snapshot is pinned and then blocks new acquisitions, the
+/// caller swaps the base, and `CompleteRebase` installs the post-checkpoint
+/// version under the next base generation and re-admits readers.
+/// Acquisitions made while `BeginRebase` still waits are admitted, so a
+/// thread that holds a pin can keep reading until it lets go; the rebase
+/// then waits for a moment with no read in flight.
 ///
 /// Reclamation is through the pins themselves: every snapshot holds shared
 /// ownership of its version and log, so consolidation frees exactly what
@@ -290,6 +291,11 @@ class SnapshotManager {
   /// latch the rebasing thread needs.
   Snapshot Acquire();
 
+  /// \brief `Acquire` that never waits for a rebase: an invalid snapshot
+  /// while one swaps the base. It takes only the internal mutex, which no
+  /// thread holds across a wait.
+  Snapshot TryAcquire();
+
   /// \brief Checkpoint entry: serializes against other rebases, waits until
   /// no snapshot is active, then blocks new acquisitions. Must be called
   /// WITHOUT holding the index's writer latch — snapshot holders may need
@@ -326,6 +332,9 @@ class SnapshotManager {
 
   /// Makes `store` current. Requires `mu_` held.
   void InstallLocked(std::shared_ptr<SideStore> store);
+
+  /// Pins the published state. Requires `mu_` held and no swap under way.
+  Snapshot PinLocked();
 
   /// Epoch of the published state. Requires `mu_` held.
   uint64_t EpochLocked() const { return store_->version.epoch + log_length_; }

@@ -83,6 +83,12 @@ class RangeDiff {
   bool AnyAntiMatter() const {
     return flat_anti_.first != flat_anti_.last || !anti_.empty();
   }
+  /// Entries in range, cancellations included: what a combine reads.
+  size_t size() const {
+    return static_cast<size_t>((flat_inserts_.last - flat_inserts_.first) +
+                               (flat_anti_.last - flat_anti_.first)) +
+           inserts_.size() + anti_.size() + cancels_.size();
+  }
   /// Requires `value` inside the range.
   bool HidesRow(Value value, RowId id) const {
     const std::pair<Value, RowId> row{value, id};
@@ -112,16 +118,23 @@ class RangeDiff {
 
 /// The query evaluation of the differential layer: combines the base
 /// index/column answer with the differentials in the query's range. The
-/// caller's snapshot pin keeps `diff`, `base`, and `index` valid.
+/// caller's snapshot pin keeps `diff`, `base`, and `index` valid. With
+/// `no_wait` the base index answers through `TryExecute`, and a combine
+/// that would scan the base column is Busy instead.
 Status CombineWithDifferentials(const Query& query, const RangeDiff& diff,
                                 const Column& base, AdaptiveIndex* index,
-                                QueryContext* ctx, QueryResult* result) {
+                                bool no_wait, QueryContext* ctx,
+                                QueryResult* result) {
   const ValueRange& range = query.range;
+  auto base_answer = [&](QueryResult* r) {
+    return no_wait ? index->TryExecute(query, ctx, r)
+                   : index->Execute(query, ctx, r);
+  };
   switch (query.kind) {
     case QueryKind::kCount:
     case QueryKind::kSum: {
       QueryResult base_result;
-      Status s = index->Execute(query, ctx, &base_result);
+      Status s = base_answer(&base_result);
       if (!s.ok()) return s;
       uint64_t ins_c = 0;
       int64_t ins_s = 0;
@@ -138,7 +151,7 @@ Status CombineWithDifferentials(const Query& query, const RangeDiff& diff,
     }
     case QueryKind::kRowIds: {
       QueryResult base_result;
-      Status s = index->Execute(query, ctx, &base_result);
+      Status s = base_answer(&base_result);
       if (!s.ok()) return s;
       result->row_ids = std::move(base_result.row_ids);
       if (diff.AnyAntiMatter()) {
@@ -160,11 +173,13 @@ Status CombineWithDifferentials(const Query& query, const RangeDiff& diff,
         // The base answer cannot name a deleted extreme; combine it with
         // the pending insertions directly.
         QueryResult base_result;
-        Status s = index->Execute(query, ctx, &base_result);
+        Status s = base_answer(&base_result);
         if (!s.ok()) return s;
         if (base_result.has_minmax) {
           acc.Feed(base_result.min_value, base_result.max_value);
         }
+      } else if (no_wait) {
+        return Status::Busy("no-wait read would scan the base column");
       } else {
         // A deleted row may have been the extreme; re-derive from the base
         // column skipping hidden rows. Deletions in the queried range are
@@ -281,16 +296,29 @@ Status UpdatableIndex::ExecuteSnapshot(const Query& query,
     return Status::InvalidArgument("snapshot belongs to another index");
   }
   if (query.range.Empty()) return Status::OK();
+  Status s = ExecutePinned(query, snapshot, /*no_wait=*/false, ctx, result);
+  if (s.ok() && query.kind == QueryKind::kRowIds) {
+    result->count = result->row_ids.size();
+  }
+  return s;
+}
+
+Status UpdatableIndex::ExecutePinned(const Query& query,
+                                     const Snapshot& snapshot, bool no_wait,
+                                     QueryContext* ctx, QueryResult* result) {
   // No side-table latch: the base column and wrapped index are stable while
   // the snapshot is pinned, because Checkpoint() drains every outstanding
   // snapshot before swapping them (synchronized through the
   // SnapshotManager mutex).
-  Status s = CombineWithDifferentials(query, RangeDiff(snapshot, query.range),
-                                      *base_, index_.get(), ctx, result);
-  if (s.ok() && query.kind == QueryKind::kRowIds) {
-    result->count = result->row_ids.size();
+  const RangeDiff diff(snapshot, query.range);
+  if (no_wait && diff.size() > kTryExecuteBudget) {
+    return Status::Busy("no-wait read over budget");
   }
-  latch_stats_.RecordSnapshotRead(commit_epoch() - snapshot.epoch());
+  Status s = CombineWithDifferentials(query, diff, *base_, index_.get(),
+                                      no_wait, ctx, result);
+  if (s.ok()) {
+    latch_stats_.RecordSnapshotRead(commit_epoch() - snapshot.epoch());
+  }
   return s;
 }
 
@@ -313,6 +341,17 @@ Status UpdatableIndex::ExecuteImpl(const Query& query, QueryContext* ctx,
   // its own epoch, so every answer is individually consistent.
   Snapshot snapshot = CaptureSnapshot();
   return ExecuteSnapshot(query, snapshot, ctx, result);
+}
+
+Status UpdatableIndex::TryExecuteImpl(const Query& query, QueryContext* ctx,
+                                      QueryResult* result) {
+  // A scoped read adopts its scope's pin through ExecuteImpl.
+  if (ctx != nullptr && ctx->snapshot_scope != nullptr) {
+    return Status::Busy("scoped read");
+  }
+  const Snapshot snapshot = snapshots_.TryAcquire();
+  if (!snapshot.valid()) return Status::Busy("checkpoint swapping the base");
+  return ExecutePinned(query, snapshot, /*no_wait=*/true, ctx, result);
 }
 
 Status UpdatableIndex::Insert(Value v, QueryContext* ctx, RowId* row_id) {

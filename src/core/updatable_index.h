@@ -187,7 +187,21 @@ class UpdatableIndex : public AdaptiveIndex {
   Status ExecuteImpl(const Query& query, QueryContext* ctx,
                      QueryResult* result) override;
 
+  /// \brief Pins through `SnapshotManager::TryAcquire` and combines the
+  /// wrapped index's `TryExecute` with the differentials. Busy for a scoped
+  /// read, during a checkpoint's base swap, when the base answer is Busy,
+  /// when more than `kTryExecuteBudget` differential entries lie in range,
+  /// and for MINMAX with anti-matter in range (which scans the base
+  /// column).
+  Status TryExecuteImpl(const Query& query, QueryContext* ctx,
+                        QueryResult* result) override;
+
  private:
+  /// Answers a non-empty `query` against a pinned `snapshot`; `no_wait`
+  /// selects TryExecute's rules.
+  Status ExecutePinned(const Query& query, const Snapshot& snapshot,
+                       bool no_wait, QueryContext* ctx, QueryResult* result);
+
   /// Re-wires config/lock settings and builds the wrapped index. Requires
   /// mu_ held (or construction).
   void RebuildIndexLocked();

@@ -285,6 +285,14 @@ Status Session::Execute(const Query& query, QueryResult* result,
   return s;
 }
 
+Status Session::TryExecute(const Query& query, QueryResult* result) {
+  if (direct_ == nullptr) return Status::Busy("catalog session");
+  QueryContext ctx = MakeContext();
+  Status s = direct_->TryExecute(query, &ctx, result);
+  if (s.ok()) submitted_.fetch_add(1, std::memory_order_relaxed);
+  return s;
+}
+
 Status Session::Count(const std::string& table, const std::string& column,
                       Value lo, Value hi, uint64_t* out, QueryStats* stats) {
   QueryResult result;

@@ -147,6 +147,14 @@ class Session {
   Status Execute(const Query& query, QueryResult* result,
                  QueryStats* stats = nullptr);
 
+  /// \brief Answers `query` on the calling thread as `Execute` would, or
+  /// returns Busy having waited for nothing: the bound index's
+  /// `AdaptiveIndex::TryExecute`, which never refines. Only direct-index
+  /// sessions answer (a catalog session may have to build its index);
+  /// every query of a database session is Busy. An answered query counts
+  /// in `queries_submitted()`. Thread-safe.
+  Status TryExecute(const Query& query, QueryResult* result);
+
   /// \brief `select count(*) from table where lo <= column < hi`.
   Status Count(const std::string& table, const std::string& column, Value lo,
                Value hi, uint64_t* out, QueryStats* stats = nullptr);

@@ -27,6 +27,7 @@ struct Server::Connection {
   uint64_t id = 0;
   int fd = -1;
   std::string in;                 // receive buffer (decoded frame by frame)
+  size_t in_offset = 0;           // bytes of `in` already decoded
   std::deque<std::string> out;    // encoded responses awaiting write
   size_t out_offset = 0;          // bytes of out.front() already written
   std::shared_ptr<Session> session;  // null until OPEN_SESSION
@@ -159,26 +160,35 @@ void Server::OnConnectionIo(uint64_t conn_id, bool readable, bool writable) {
 }
 
 void Server::ProcessFrames(const std::shared_ptr<Connection>& conn) {
+  // Decoded bytes leave the buffer only once they are at least half of it,
+  // so each buffered byte is moved O(1) times however long a pipelined
+  // burst is.
+  if (conn->in_offset * 2 >= conn->in.size()) {
+    conn->in.erase(0, conn->in_offset);
+    conn->in_offset = 0;
+  }
   size_t handled = 0;
   while (handled < opts_.fairness_quantum && !conn->closing) {
     Frame frame;
     size_t consumed = 0;
     Status s = TryDecodeFrame(
-        reinterpret_cast<const uint8_t*>(conn->in.data()), conn->in.size(),
-        opts_.max_frame_bytes, &frame, &consumed);
+        reinterpret_cast<const uint8_t*>(conn->in.data()) + conn->in_offset,
+        conn->in.size() - conn->in_offset, opts_.max_frame_bytes, &frame,
+        &consumed);
     if (!s.ok()) {
       ProtocolError(conn, s);
       return;
     }
     if (consumed == 0) return;  // only a frame prefix buffered: need bytes
-    conn->in.erase(0, consumed);
+    conn->in_offset += consumed;
     frames_received_.fetch_add(1, std::memory_order_relaxed);
     ++handled;
     DispatchFrame(conn, frame);
   }
   // Round-robin fairness: the quantum is spent but more input is already
   // buffered — yield to the other connections and continue next pass.
-  if (!conn->closing && conn->in.size() >= kFrameLengthBytes &&
+  if (!conn->closing &&
+      conn->in.size() - conn->in_offset >= kFrameLengthBytes &&
       !conn->process_scheduled) {
     conn->process_scheduled = true;
     const uint64_t conn_id = conn->id;
@@ -268,8 +278,20 @@ void Server::HandleQuery(const std::shared_ptr<Connection>& conn,
     return;
   }
   const uint64_t seq = Track(conn->id, frame.request_id, 1, /*expires=*/true);
+  // A converged read is answered here on the loop. TryExecute never waits
+  // and never refines: anything it cannot answer (a bound to crack, a held
+  // latch, a large read) goes to the engine exactly as before, which keeps
+  // adapting the index.
+  Query query = req.ToQuery();
+  QueryResult result;
+  if (conn->session->TryExecute(query, &result).ok()) {
+    inline_reads_.fetch_add(1, std::memory_order_relaxed);
+    Finish(seq, ResultMsg::FromResult(result).Encode());
+    return;
+  }
+  inline_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   engine_pool_->Submit(
-      [this, seq, session = conn->session, query = req.ToQuery()] {
+      [this, seq, session = conn->session, query = std::move(query)] {
         QueryResult result;
         const Status s = session->Execute(query, &result);
         std::string payload = (s.ok() ? ResultMsg::FromResult(result)
@@ -393,6 +415,11 @@ void Server::HandleStats(const std::shared_ptr<Connection>& conn,
       protocol_errors_.load(std::memory_order_relaxed));
   put("server.deadline_expired",
       deadline_expired_.load(std::memory_order_relaxed));
+  // Adaptation reaching the loop: QUERYs answered on it against those
+  // handed to the engine.
+  put("server.inline_reads", inline_reads_.load(std::memory_order_relaxed));
+  put("server.inline_fallbacks",
+      inline_fallbacks_.load(std::memory_order_relaxed));
   // Is anything stuck? The registry of unanswered requests, oldest first.
   put("server.pending", pending_.size());
   put("server.oldest_pending_us",
@@ -418,6 +445,14 @@ void Server::HandleStats(const std::shared_ptr<Connection>& conn,
   put("index.pending_deletes", index_->pending_deletes());
   put("index.commit_epoch", index_->commit_epoch());
   put("index.num_pieces", index_->NumPieces());
+  // Is anything pinned? Live snapshots, the delta log they may scan, and
+  // how many commits the oldest pin lags (the oldest epoch is read first:
+  // the commit epoch never falls behind it).
+  const SnapshotManager& snapshots = index_->snapshots();
+  const uint64_t oldest_pin = snapshots.oldest_active_epoch();
+  put("snapshot.active_pins", snapshots.active_snapshots());
+  put("snapshot.log_length", snapshots.log_length());
+  put("snapshot.oldest_pin_lag", index_->commit_epoch() - oldest_pin);
   auto put_latch_stats = [&stats](const std::string& prefix,
                                   const LatchStats& ls) {
     auto add = [&stats, &prefix](const char* name, uint64_t v) {
@@ -537,6 +572,7 @@ void Server::ProtocolError(const std::shared_ptr<Connection>& conn,
                            const Status& error) {
   protocol_errors_.fetch_add(1, std::memory_order_relaxed);
   conn->in.clear();  // nothing after a breach is trustworthy
+  conn->in_offset = 0;
   conn->closing = true;
   SendFrame(conn, FrameType::kError, 0,
             ResultMsg::FromStatus(error).Encode());

@@ -69,22 +69,28 @@ struct ServerOptions {
 /// Architecture: a single poll-reactor I/O thread (`EventLoop`) owns every
 /// socket and all per-connection state. Frames map onto the engine's
 /// session API — OPEN_SESSION opens a `Session` (one per connection,
-/// carrying client identity and the snapshot-reads flag). Each QUERY,
-/// each query of a BATCH, INSERT/DELETE and CHECKPOINT is one engine-pool
-/// task that runs the session's synchronous path, encodes its answer on
-/// the worker and posts it to the loop, so responses complete *out of
-/// order* by request id — a long scan never head-of-line-blocks a point
-/// query pipelined behind it. The loop keeps a registry of unanswered
-/// requests, answers reads past `request_deadline_ms` TimedOut, and
-/// drops their late completions.
+/// carrying client identity and the snapshot-reads flag). A converged
+/// QUERY — bounds on existing cracks or inside sorted pieces, free
+/// latches, a small read — is answered on the loop by
+/// `Session::TryExecute`, which never waits and never refines. Every other
+/// QUERY, each query of a BATCH, INSERT/DELETE and CHECKPOINT is one
+/// engine-pool task that runs the session's synchronous path, encodes its
+/// answer on the worker and posts it to the loop, so responses complete
+/// *out of order* by request id — a long scan never head-of-line-blocks a
+/// point query pipelined behind it. Both answer through the loop's
+/// registry of unanswered requests, which answers reads past
+/// `request_deadline_ms` TimedOut and drops their late completions.
 ///
 /// Overload: every request passes `AdmissionController::TryAdmit` first;
 /// refusals are answered SERVER_BUSY immediately (load-shed at the edge,
 /// before engine queues or latch waits absorb the excess), and the STATS
 /// frame serializes the shed counters, the three-state overload gauge,
-/// the registry's size and oldest age, per-session counters, and the
-/// served index's `LatchStats` — the whole concurrency stack observable
-/// over the wire.
+/// the registry's size and oldest age, the loop-answered and handed-off
+/// QUERY counts (`server.inline_reads`, `server.inline_fallbacks`),
+/// per-session counters, the snapshot pin gauges (`snapshot.active_pins`,
+/// `snapshot.log_length`, `snapshot.oldest_pin_lag`), and the served
+/// index's `LatchStats` — the whole concurrency stack observable over the
+/// wire.
 ///
 /// Thread-safety: `Start`/`Stop` and the observability accessors may be
 /// called from any thread; everything socket-facing is confined to the
@@ -221,6 +227,8 @@ class Server {
   std::atomic<uint64_t> responses_sent_{0};
   std::atomic<uint64_t> protocol_errors_{0};
   std::atomic<uint64_t> deadline_expired_{0};
+  std::atomic<uint64_t> inline_reads_{0};
+  std::atomic<uint64_t> inline_fallbacks_{0};
 };
 
 }  // namespace server

@@ -415,6 +415,106 @@ TEST(CrackingLockTest, IntentionLockDoesNotBlockRefinement) {
   lm.ReleaseAll(99);
 }
 
+// ------------------------------------------------------------ TryExecute
+
+Status TryQuery(CrackingIndex* index, const Query& query, QueryResult* r) {
+  QueryContext ctx;
+  return index->TryExecute(query, &ctx, r);
+}
+
+TEST(CrackingTryExecuteTest, BusyBeforeTheFirstQuery) {
+  Column col = Column::UniqueRandom("A", kRows, 31);
+  CrackingIndex index(&col);
+  QueryResult r;
+  EXPECT_TRUE(TryQuery(&index, Query::Count("", "", 100, 200), &r).IsBusy());
+  EXPECT_FALSE(index.initialized());  // it never builds the index
+  // An empty range needs no index at all.
+  EXPECT_TRUE(TryQuery(&index, Query::Count("", "", 200, 100), &r).ok());
+  EXPECT_EQ(r.count, 0u);
+}
+
+TEST(CrackingTryExecuteTest, BoundInsideAnUnsortedPieceIsBusyAndCracksNothing) {
+  Column col = Column::UniqueRandom("A", kRows, 32);
+  CrackingIndex index(&col);
+  QueryContext ctx;
+  uint64_t count = 0;
+  ASSERT_TRUE(index.RangeCount(ValueRange{1000, 3000}, &ctx, &count).ok());
+  const size_t pieces = index.NumPieces();
+  // 2000 lies inside the 2000-row piece [1000, 3000), far above the sort
+  // floor: answering it would need a crack.
+  QueryResult r;
+  EXPECT_TRUE(TryQuery(&index, Query::Count("", "", 1000, 2000), &r).IsBusy());
+  EXPECT_TRUE(TryQuery(&index, Query::Sum("", "", 2000, 3000), &r).IsBusy());
+  EXPECT_EQ(r.sum, 0);  // reset on Busy
+  EXPECT_EQ(index.NumPieces(), pieces);
+  EXPECT_TRUE(index.ValidateStructure());
+}
+
+TEST(CrackingTryExecuteTest, ConvergedRangesMatchExecute) {
+  Column col = Column::UniqueRandom("A", kRows, 33);
+  CrackingIndex index(&col);
+  QueryContext ctx;
+  uint64_t count = 0;
+  // Cracks at 1000 and 1100; the 100 rows between them sit below the sort
+  // floor, so that piece is sorted.
+  ASSERT_TRUE(index.RangeCount(ValueRange{1000, 1100}, &ctx, &count).ok());
+  const size_t pieces = index.NumPieces();
+  const ValueRange ranges[] = {
+      {1000, 1100},   // both bounds on cracks
+      {1020, 1080},   // both inside the sorted piece
+      {1000, 1050},   // one of each
+      {-50, 1100},    // below the domain, across two pieces
+  };
+  for (const ValueRange& range : ranges) {
+    for (const Query& q : {Query::Count("", "", range.lo, range.hi),
+                           Query::Sum("", "", range.lo, range.hi),
+                           Query::RowIds("", "", range.lo, range.hi),
+                           Query::MinMax("", "", range.lo, range.hi)}) {
+      QueryResult tried;
+      ASSERT_TRUE(TryQuery(&index, q, &tried).ok())
+          << "[" << range.lo << "," << range.hi << ")";
+      QueryResult executed;
+      ASSERT_TRUE(index.Execute(q, &ctx, &executed).ok());
+      EXPECT_TRUE(tried == executed)
+          << "[" << range.lo << "," << range.hi << ")";
+    }
+  }
+  EXPECT_EQ(index.NumPieces(), pieces);
+}
+
+TEST(CrackingTryExecuteTest, ReadsBeyondTheBudgetAreBusy) {
+  constexpr size_t kBudget = AdaptiveIndex::kTryExecuteBudget;
+  const Value budget = static_cast<Value>(kBudget);
+  Column col = Column::UniqueRandom("A", 4 * kBudget, 34);
+  CrackingIndex index(&col);
+  QueryContext ctx;
+  uint64_t count = 0;
+  ASSERT_TRUE(index.RangeCount(ValueRange{0, budget}, &ctx, &count).ok());
+  ASSERT_TRUE(index.RangeCount(ValueRange{0, budget + 1}, &ctx, &count).ok());
+  QueryResult r;
+  // Exactly the budget is read; one position more is not.
+  ASSERT_TRUE(TryQuery(&index, Query::Sum("", "", 0, budget), &r).ok());
+  EXPECT_EQ(r.sum, static_cast<int64_t>(kBudget * (kBudget - 1) / 2));
+  EXPECT_TRUE(TryQuery(&index, Query::Sum("", "", 0, budget + 1), &r).IsBusy());
+  EXPECT_TRUE(
+      TryQuery(&index, Query::RowIds("", "", 0, budget + 1), &r).IsBusy());
+  // A positional COUNT reads no position, whatever its width.
+  ASSERT_TRUE(TryQuery(&index, Query::Count("", "", 0, budget + 1), &r).ok());
+  EXPECT_EQ(r.count, kBudget + 1);
+}
+
+TEST(CrackingTryExecuteTest, ColumnLatchModeIsAlwaysBusy) {
+  Column col = Column::UniqueRandom("A", kRows, 35);
+  CrackingOptions opts;
+  opts.mode = ConcurrencyMode::kColumnLatch;
+  CrackingIndex index(&col, opts);
+  QueryContext ctx;
+  uint64_t count = 0;
+  ASSERT_TRUE(index.RangeCount(ValueRange{1000, 1100}, &ctx, &count).ok());
+  QueryResult r;
+  EXPECT_TRUE(TryQuery(&index, Query::Count("", "", 1000, 1100), &r).IsBusy());
+}
+
 // ----------------------------------------------------------- Naming
 
 TEST(CrackingIndexTest, NameReflectsOptions) {

@@ -8,8 +8,10 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "server/client.h"
@@ -496,6 +498,210 @@ TEST(ServerStatsTest, PendingGaugesShowACrackInProgress) {
   EXPECT_EQ(StatOf(stats, "server.pending"), 0u);
   EXPECT_EQ(StatOf(stats, "server.oldest_pending_us"), 0u);
   EXPECT_EQ(StatOf(stats, "session.in_flight"), 0u);
+  server->Stop();
+}
+
+TEST(ServerStatsTest, SnapshotGaugesShowAHeldPin) {
+  auto server = StartServer(Column::UniqueRandom("A", 1000, 82));
+  Client client = ConnectTo(*server);
+  ASSERT_TRUE(client.OpenSession().ok());
+  StatsMsg stats;
+  {
+    const Snapshot pin = server->index()->CaptureSnapshot();
+    RowId row_id = 0;
+    ASSERT_TRUE(client.Insert(5000, &row_id).ok());
+    ASSERT_TRUE(client.Stats(&stats).ok());
+    EXPECT_GE(StatOf(stats, "snapshot.active_pins"), 1u);
+    EXPECT_GE(StatOf(stats, "snapshot.oldest_pin_lag"), 1u);
+    EXPECT_GE(StatOf(stats, "snapshot.log_length"), 1u);
+  }
+  ASSERT_TRUE(client.Stats(&stats).ok());
+  EXPECT_EQ(StatOf(stats, "snapshot.active_pins"), 0u);
+  EXPECT_EQ(StatOf(stats, "snapshot.oldest_pin_lag"), 0u);
+  server->Stop();
+}
+
+// ------------------------------------------------------------- inline reads
+
+TEST(ServerInlineReadTest, ConvergedReadsAreAnsweredOnTheLoop) {
+  const size_t kRows = 20000;
+  Column base = Column::UniqueRandom("A", kRows, 83);
+  RangeOracle oracle(base);
+  auto server = StartServer(std::move(base));
+  Client client = ConnectTo(*server);
+  ASSERT_TRUE(client.OpenSession().ok());
+
+  // The first COUNT cracks both bounds on the engine; from then on the
+  // range is converged and the loop answers it.
+  uint64_t count = 0;
+  ASSERT_TRUE(client.Count(5000, 5100, &count).ok());
+  EXPECT_EQ(count, 100u);
+  StatsMsg stats;
+  ASSERT_TRUE(client.Stats(&stats).ok());
+  const uint64_t inline_reads = StatOf(stats, "server.inline_reads");
+  const uint64_t fallbacks = StatOf(stats, "server.inline_fallbacks");
+  EXPECT_GE(fallbacks, 1u);
+
+  const uint64_t kRepeats = 25;
+  for (uint64_t i = 0; i < kRepeats; ++i) {
+    ASSERT_TRUE(client.Count(5000, 5100, &count).ok());
+    EXPECT_EQ(count, 100u);
+  }
+  ASSERT_TRUE(client.Stats(&stats).ok());
+  EXPECT_EQ(StatOf(stats, "server.inline_reads"), inline_reads + kRepeats);
+  EXPECT_EQ(StatOf(stats, "server.inline_fallbacks"), fallbacks);
+  EXPECT_GE(StatOf(stats, "session.queries_submitted"), 1 + kRepeats);
+
+  // A cold range needs cracks: the engine answers it, correctly.
+  int64_t sum = 0;
+  ASSERT_TRUE(client.Sum(12000, 12345, &sum).ok());
+  EXPECT_EQ(sum, oracle.Sum(12000, 12345));
+  ASSERT_TRUE(client.Stats(&stats).ok());
+  EXPECT_EQ(StatOf(stats, "server.inline_reads"), inline_reads + kRepeats);
+  EXPECT_EQ(StatOf(stats, "server.inline_fallbacks"), fallbacks + 1);
+  EXPECT_EQ(StatOf(stats, "server.pending"), 0u);
+  EXPECT_EQ(StatOf(stats, "admission.global_in_flight"), 0u);
+  server->Stop();
+}
+
+TEST(ServerInlineReadTest, InlineReadsRaceEngineCracks) {
+  // Four clients draw every kind of read from one pool of overlapping
+  // ranges, half of them narrowed to fresh sub-ranges: the loop answers
+  // the converged ones while engine workers crack the pieces they read.
+  const size_t kRows = 20000;
+  const int kClients = 4;
+  Column base = Column::UniqueRandom("A", kRows, 84);
+  RangeOracle oracle(base);
+  ServerOptions opts;
+  opts.engine_threads = 2;
+  auto server = StartServer(std::move(base), opts);
+  std::vector<std::pair<Value, Value>> pool;
+  Rng pool_rng(85);
+  for (int i = 0; i < 32; ++i) {
+    const Value lo = pool_rng.UniformRange(0, kRows - 1000);
+    pool.emplace_back(lo, lo + pool_rng.UniformRange(50, 1000));
+  }
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      Client client;
+      if (!client.Connect("127.0.0.1", server->port()).ok() ||
+          !client.OpenSession().ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      Rng rng(86 + c);
+      for (int i = 0; i < 160; ++i) {
+        auto [lo, hi] = pool[rng.Uniform(pool.size())];
+        if (i % 2 == 1) {
+          lo = rng.UniformRange(lo, hi - 1);
+          hi = rng.UniformRange(lo + 1, hi);
+        }
+        bool ok = false;
+        switch (i % 4) {
+          case 0: {
+            uint64_t count = 0;
+            ok = client.Count(lo, hi, &count).ok() &&
+                 count == oracle.Count(lo, hi);
+            break;
+          }
+          case 1: {
+            int64_t sum = 0;
+            ok = client.Sum(lo, hi, &sum).ok() && sum == oracle.Sum(lo, hi);
+            break;
+          }
+          case 2: {
+            std::vector<RowId> ids;
+            ok = client.RowIds(lo, hi, &ids).ok() &&
+                 oracle.CheckRowIds(lo, hi, ids);
+            break;
+          }
+          default: {
+            Value mn = 0, mx = 0, omn = 0, omx = 0;
+            bool found = false;
+            const bool ofound = oracle.MinMax(lo, hi, &omn, &omx);
+            ok = client.MinMax(lo, hi, &mn, &mx, &found).ok() &&
+                 found == ofound && (!found || (mn == omn && mx == omx));
+          }
+        }
+        if (!ok) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  Client client = ConnectTo(*server);
+  ASSERT_TRUE(client.OpenSession().ok());
+  StatsMsg stats;
+  ASSERT_TRUE(client.Stats(&stats).ok());
+  EXPECT_GT(StatOf(stats, "server.inline_reads"), 0u);
+  EXPECT_GT(StatOf(stats, "server.inline_fallbacks"), 0u);
+  EXPECT_EQ(StatOf(stats, "server.inline_reads") +
+                StatOf(stats, "server.inline_fallbacks"),
+            static_cast<uint64_t>(kClients) * 160);
+  server->Stop();
+}
+
+// ---------------------------------------------------------------- pipelining
+
+TEST(ServerPipelineTest, LongBurstIsAnsweredOnceAndLeavesTheConnectionUsable) {
+  // One write of 20k pipelined QUERY frames, decoded a fairness quantum at
+  // a time across thousands of loop passes. One engine worker and one
+  // admission slot per connection shed most of them on the loop (about
+  // 88% on a 4-vCPU host). Every request id must come back exactly once,
+  // and the connection must keep working afterwards.
+  const size_t kRows = 100000;
+  Column base = Column::UniqueRandom("A", kRows, 87);
+  RangeOracle oracle(base);
+  ServerOptions opts;
+  opts.engine_threads = 1;
+  opts.admission.per_connection_inflight = 1;
+  auto server = StartServer(std::move(base), opts);
+  Client client = ConnectTo(*server);
+  ASSERT_TRUE(client.OpenSession().ok());
+
+  const int kBurst = 20000;
+  std::string burst;
+  std::set<uint64_t> unanswered;
+  for (int i = 0; i < kBurst; ++i) {
+    const Value lo = static_cast<Value>((i * 7919) % (kRows - 100));
+    const uint64_t id = client.NextRequestId();
+    unanswered.insert(id);
+    burst += EncodeFrame(FrameType::kQuery, id,
+                         QueryReq{QueryKind::kCount, lo, lo + 100}.Encode());
+  }
+  ASSERT_TRUE(client.SendRaw(burst.data(), burst.size()).ok());
+
+  int busy = 0;
+  for (int i = 0; i < kBurst; ++i) {
+    Frame f;
+    ASSERT_TRUE(client.ReadFrame(&f).ok());
+    ASSERT_EQ(unanswered.erase(f.request_id), 1u)
+        << "request " << f.request_id << " answered twice or never sent";
+    if (f.type == FrameType::kServerBusy) {
+      ++busy;
+      continue;
+    }
+    ASSERT_EQ(f.type, FrameType::kResult);
+    ResultMsg m;
+    ASSERT_TRUE(m.Decode(f.payload).ok());
+    EXPECT_TRUE(m.ToStatus().ok()) << m.ToStatus().ToString();
+    EXPECT_EQ(m.count, 100u);
+  }
+  EXPECT_TRUE(unanswered.empty());
+  EXPECT_GT(busy, 0);
+
+  uint64_t count = 0;
+  ASSERT_TRUE(client.Count(1000, 3000, &count).ok());
+  EXPECT_EQ(count, oracle.Count(1000, 3000));
+  StatsMsg stats;
+  ASSERT_TRUE(client.Stats(&stats).ok());
+  EXPECT_EQ(StatOf(stats, "server.frames_received"),
+            static_cast<uint64_t>(kBurst) + 3);  // + OPEN_SESSION, QUERY, STATS
+  EXPECT_EQ(StatOf(stats, "server.protocol_errors"), 0u);
   server->Stop();
 }
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/updatable_index.h"
@@ -246,6 +249,137 @@ TEST(UpdatableIndexTest, ConcurrentReadersAndWriters) {
   ASSERT_TRUE(
       index.RangeCount(ValueRange{-1000000, 1000000}, &ctx, &count).ok());
   EXPECT_EQ(count, index.num_rows());
+}
+
+// ------------------------------------------------------------ TryExecute
+
+/// The base rows plus every live pending insert, as (value, rowID) pairs.
+class LiveRows {
+ public:
+  explicit LiveRows(const Column& col) {
+    for (size_t i = 0; i < col.size(); ++i) {
+      rows_.emplace(col[i], static_cast<RowId>(i));
+    }
+  }
+  void Add(Value v, RowId id) { rows_.emplace(v, id); }
+  void Remove(Value v, RowId id) { rows_.erase({v, id}); }
+
+  /// The answer `query` must get over these rows (row ids ascending).
+  QueryResult Answer(const Query& query) const {
+    QueryResult r;
+    r.Reset(query.kind);
+    MinMaxAccumulator acc;
+    for (auto it = rows_.lower_bound({query.range.lo, 0});
+         it != rows_.end() && it->first < query.range.hi; ++it) {
+      switch (query.kind) {
+        case QueryKind::kCount:
+          ++r.count;
+          break;
+        case QueryKind::kSum:
+          r.sum += it->first;
+          break;
+        case QueryKind::kRowIds:
+          ++r.count;
+          r.row_ids.push_back(it->second);
+          break;
+        default:
+          acc.Feed(it->first);
+      }
+    }
+    if (query.kind == QueryKind::kMinMax) acc.Store(&r);
+    std::sort(r.row_ids.begin(), r.row_ids.end());
+    return r;
+  }
+
+ private:
+  std::set<std::pair<Value, RowId>> rows_;
+};
+
+Status TryQuery(UpdatableIndex* index, const Query& query, QueryResult* r) {
+  QueryContext ctx;
+  Status s = index->TryExecute(query, &ctx, r);
+  std::sort(r->row_ids.begin(), r->row_ids.end());
+  return s;
+}
+
+TEST(UpdatableIndexTest, TryExecuteIsBusyBeforeTheFirstQuery) {
+  Column col = Column::UniqueRandom("A", 2000, 41);
+  UpdatableIndex index(col, CrackConfig());
+  QueryResult r;
+  EXPECT_TRUE(TryQuery(&index, Query::Count("", "", 100, 200), &r).IsBusy());
+  EXPECT_EQ(index.NumPieces(), 0u);
+}
+
+TEST(UpdatableIndexTest, TryExecuteMatchesTheOracleWithPendingUpdates) {
+  Column col = Column::UniqueRandom("A", 4000, 42);
+  UpdatableIndex index(col, CrackConfig());
+  LiveRows live(col);
+  QueryContext ctx;
+  ctx.txn_id = 7;
+  uint64_t count = 0;
+  // Cracks at 1000 and 1100 (a sorted piece between them) and at 3000.
+  ASSERT_TRUE(index.RangeCount(ValueRange{1000, 1100}, &ctx, &count).ok());
+  ASSERT_TRUE(index.RangeCount(ValueRange{1100, 3000}, &ctx, &count).ok());
+  const size_t pieces = index.NumPieces();
+
+  // Pending inserts (one cancelled again) and anti-matter on base rows.
+  for (Value v : {1050, 1050, 1099, 2500, 9000}) {
+    RowId id = 0;
+    ASSERT_TRUE(index.Insert(v, &ctx, &id).ok());
+    live.Add(v, id);
+  }
+  RowId cancelled = 0;
+  ASSERT_TRUE(index.Insert(1060, &ctx, &cancelled).ok());
+  ASSERT_TRUE(index.Delete(1060, cancelled, &ctx).ok());
+  for (size_t i = 0; i < col.size(); ++i) {
+    if (col[i] == 1010 || col[i] == 2999) {
+      ASSERT_TRUE(index.Delete(col[i], static_cast<RowId>(i), &ctx).ok());
+      live.Remove(col[i], static_cast<RowId>(i));
+    }
+  }
+
+  for (const ValueRange& range : {ValueRange{1000, 1100},
+                                  ValueRange{1020, 1080},
+                                  ValueRange{1100, 3000}}) {
+    for (const Query& q : {Query::Count("", "", range.lo, range.hi),
+                           Query::Sum("", "", range.lo, range.hi),
+                           Query::RowIds("", "", range.lo, range.hi)}) {
+      QueryResult r;
+      ASSERT_TRUE(TryQuery(&index, q, &r).ok())
+          << "[" << range.lo << "," << range.hi << ")";
+      EXPECT_TRUE(r == live.Answer(q))
+          << "[" << range.lo << "," << range.hi << ")";
+    }
+  }
+  // MINMAX without anti-matter in range combines the base answer.
+  const Query minmax = Query::MinMax("", "", 1020, 1080);
+  QueryResult r;
+  ASSERT_TRUE(TryQuery(&index, minmax, &r).ok());
+  EXPECT_TRUE(r == live.Answer(minmax));
+  // With anti-matter in range it would scan the base column.
+  EXPECT_TRUE(TryQuery(&index, Query::MinMax("", "", 1000, 1100), &r).IsBusy());
+  // An inner bound still needs a crack.
+  EXPECT_TRUE(TryQuery(&index, Query::Count("", "", 1500, 3000), &r).IsBusy());
+  EXPECT_EQ(index.NumPieces(), pieces);
+}
+
+TEST(UpdatableIndexTest, TryExecuteIsBusyOverTheBudget) {
+  Column col = Column::UniqueRandom("A", 4000, 43);
+  UpdatableIndex index(col, CrackConfig());
+  QueryContext ctx;
+  ctx.txn_id = 8;
+  uint64_t count = 0;
+  ASSERT_TRUE(index.RangeCount(ValueRange{1000, 1100}, &ctx, &count).ok());
+  QueryResult r;
+  ASSERT_TRUE(TryQuery(&index, Query::Count("", "", 1000, 1100), &r).ok());
+  // More pending entries in range than one no-wait read may visit.
+  const size_t pending = AdaptiveIndex::kTryExecuteBudget + 1;
+  for (size_t i = 0; i < pending; ++i) {
+    ASSERT_TRUE(index.Insert(1000 + static_cast<Value>(i % 100), &ctx).ok());
+  }
+  EXPECT_TRUE(TryQuery(&index, Query::Count("", "", 1000, 1100), &r).IsBusy());
+  ASSERT_TRUE(index.RangeCount(ValueRange{1000, 1100}, &ctx, &count).ok());
+  EXPECT_EQ(count, 100u + pending);
 }
 
 class UpdatableOverMethodsTest : public ::testing::TestWithParam<IndexMethod> {
