@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <thread>
+#include <tuple>
 
 #include "cracking/parallel_crack.h"
 #include "lock/lock_manager.h"
@@ -163,16 +164,12 @@ Status NoWaitBusy() { return Status::Busy("no-wait read"); }
 CrackingIndex::CrackingIndex(const Column* column, CrackingOptions opts)
     : column_(column),
       opts_(std::move(opts)),
-      policy_(opts_.strategy, opts_.sort_piece_threshold,
-              opts_.min_piece_size),
+      policy_(opts_.strategy, opts_.sort_piece_threshold, kMinPieceSize),
       decision_(opts_.crack_policy, opts_.policy_min_piece,
                 opts_.policy_seed) {}
 
 ThreadPool* CrackingIndex::CrackPool(Position begin, Position end) const {
-  if (opts_.parallel_crack_min_piece == 0 ||
-      end - begin < opts_.parallel_crack_min_piece) {
-    return nullptr;
-  }
+  if (end - begin < kParallelCrackMinPiece) return nullptr;
   return opts_.pool != nullptr ? opts_.pool : SharedCrackPool();
 }
 
@@ -206,10 +203,9 @@ std::pair<Position, Position> CrackingIndex::CrackRangeThree(Position begin,
 void CrackingIndex::SortCoarseSubRanges(
     Position begin, Position end, const std::map<Value, Position>& cracks,
     std::vector<std::pair<Position, Position>>* out) {
-  if (opts_.min_piece_size == 0) return;
   Position prev = begin;
   auto consider = [&](Position b, Position e) {
-    if (b >= e || e - b > opts_.min_piece_size) return;
+    if (b >= e || e - b > kMinPieceSize) return;
     array_->SortRange(b, e);
     out->emplace_back(b, e);
     latch_stats_.RecordCoarseSortHit();
@@ -260,9 +256,10 @@ bool CrackingIndex::UserLockConflict(QueryContext* ctx) const {
                                             ctx->txn_id);
 }
 
-CrackingIndex::CrackOutcome CrackingIndex::CrackPieceLocked(
-    const std::shared_ptr<Piece>& piece, Value v,
-    const RefinementDirective& directive, QueryContext* ctx) {
+void CrackingIndex::CrackPieceLocked(const std::shared_ptr<Piece>& piece,
+                                     const Value* v, size_t n,
+                                     const RefinementDirective& directive,
+                                     QueryContext* ctx, BoundResult* out) {
   // The caller holds the piece's write latch (piece mode) or is the only
   // writer (column/none mode): begin/end are stable. Value bounds are read
   // under the structure latch; neighbor cracks can only tighten them toward
@@ -273,36 +270,41 @@ CrackingIndex::CrackOutcome CrackingIndex::CrackPieceLocked(
                        opts_.mode != ConcurrencyMode::kNone);
     snap = piece->bounds();
   }
+  // The step's bounds: lo alone, or lo and hi of a two-bound step.
+  const Value lo = v[0];
+  const Value hi = v[n - 1];
 
   // Cracks produced in this step: (value, position), published atomically.
-  // Publication safety: the target bound v satisfies v in
-  // [snap.lo_value, snap.hi_value); extra cracks are filtered to the open
-  // interval (snap.lo_value, snap.hi_value). Any crack value in that
-  // interval can never be contradicted by concurrent neighbor cracks, whose
-  // pivots always stay outside the interval.
+  // Publication safety: the bounds lie in [snap.lo_value, snap.hi_value);
+  // extra cracks are filtered to the open interval (snap.lo_value,
+  // snap.hi_value). Any crack value in that interval can never be
+  // contradicted by concurrent neighbor cracks, whose pivots always stay
+  // outside the interval.
   std::map<Value, Position> local;
   bool mark_sorted = false;
-  CrackOutcome out;
+  for (size_t i = 0; i < n; ++i) out[i] = BoundResult{};
   // Sub-ranges sorted under the coarse floor; the matching pieces are
   // flagged sorted during publication, once their bounds became piece
   // boundaries.
   std::vector<std::pair<Position, Position>> coarse_sorted;
-  const bool coarse_piece =
-      opts_.min_piece_size > 0 &&
-      snap.end - snap.begin <= opts_.min_piece_size;
 
   if (snap.sorted) {
-    out.pos = array_->LowerBoundInSorted(snap.begin, snap.end, v);
+    // Sorted while this step waited for the latch (a two-bound step never
+    // gets here: it revalidates that its piece is unsorted).
+    out[0].exact = true;
+    out[0].pos = array_->LowerBoundInSorted(snap.begin, snap.end, lo);
     // A coarse piece answers by binary search and publishes nothing: a
     // crack would split it below the floor and grow the piece map for no
     // scan saving (the position is exact and stable either way, since a
     // sorted piece's data never moves again).
-    if (!coarse_piece) local.emplace(v, out.pos);
+    if (snap.end - snap.begin > kMinPieceSize) local.emplace(lo, out[0].pos);
   } else if (directive.sort_piece) {
+    // A two-bound step never sorts: the strategy's sort goes per bound.
     ScopedTimer t(&ctx->stats.crack_ns);
     array_->SortRange(snap.begin, snap.end);
-    out.pos = array_->LowerBoundInSorted(snap.begin, snap.end, v);
-    if (!directive.coarse) local.emplace(v, out.pos);
+    out[0].exact = true;
+    out[0].pos = array_->LowerBoundInSorted(snap.begin, snap.end, lo);
+    if (!directive.coarse) local.emplace(lo, out[0].pos);
     if (directive.coarse) latch_stats_.RecordCoarseSortHit();
     mark_sorted = true;
     ++ctx->stats.cracks;
@@ -312,38 +314,62 @@ CrackingIndex::CrackOutcome CrackingIndex::CrackPieceLocked(
     Position hi_pos = snap.end;
     // Crack-policy pivots (crack_policy.h): each proposed data-driven
     // pivot is filtered against the publication-safety invariant above
-    // (open piece value interval, not the bound itself), cracked through
-    // the same CrackRange dispatch as the bound — so the parallel path
-    // applies — and narrows the sub-range still holding v.
+    // (open piece value interval, not a bound itself), cracked through the
+    // same CrackRange dispatch as a bound — so the parallel path applies —
+    // and narrows the sub-range still holding the bounds. A pivot strictly
+    // between two bounds cannot narrow further without separating them, so
+    // it ends the recursion; and when the step finishes with the three-way
+    // bound crack it must not be cracked at all — the three-way pass would
+    // move elements back across it, contradicting the published position.
+    // Only kMDD1R (which skips the bound crack and answers by scan) keeps
+    // such a pivot.
+    const bool bound_crack = decision_.CracksBound(snap.end - snap.begin);
     Value pv = 0;
     for (size_t step = 0;
-         decision_.NextPivot(*array_, lo_pos, hi_pos, v, step, &pv); ++step) {
-      if (pv == v || pv <= snap.lo_value || pv >= snap.hi_value) break;
+         decision_.NextPivot(*array_, lo_pos, hi_pos, lo, step, &pv); ++step) {
+      if (pv <= snap.lo_value || pv >= snap.hi_value) break;
+      if (pv == lo || pv == hi) break;
+      const bool inside = pv > lo && pv < hi;
+      if (inside && bound_crack) break;
       const Position pp = CrackRange(lo_pos, hi_pos, pv);
       // A repeated pivot value (possible on duplicate-heavy data) cannot
       // narrow the range further; stop rather than spin.
       if (!local.emplace(pv, pp).second) break;
       ++ctx->stats.cracks;
-      if (v < pv) {
+      if (pv < lo) {
+        lo_pos = pp;
+      } else if (pv > hi) {
         hi_pos = pp;
       } else {
-        lo_pos = pp;
+        break;  // kMDD1R's single pivot landed between the bounds
       }
     }
     // The bound crack — skipped only when the policy answers by scan
     // (kMDD1R above its floor) AND a pivot crack actually landed; without
     // that fallback an all-equal or bound-hugging piece would never shrink.
-    if (decision_.CracksBound(snap.end - snap.begin) || local.empty()) {
-      out.pos = CrackRange(lo_pos, hi_pos, v);
-      local.emplace(v, out.pos);
-      ++ctx->stats.cracks;
+    if (bound_crack || local.empty()) {
+      if (n == 1) {
+        out[0].pos = CrackRange(lo_pos, hi_pos, lo);
+      } else {
+        std::tie(out[0].pos, out[1].pos) =
+            CrackRangeThree(lo_pos, hi_pos, lo, hi);
+      }
+      for (size_t i = 0; i < n; ++i) {
+        out[i].exact = true;
+        local.emplace(v[i], out[i].pos);
+      }
+      ctx->stats.cracks += n;
     } else {
-      out.exact = false;
-      out.scan_begin = lo_pos;
-      out.scan_end = hi_pos;
+      // The bounds answer by a filtered scan of [lo_pos, hi_pos), a region
+      // delimited by this step's cracks (or the piece's immutable
+      // boundaries) whose value set is therefore fixed forever.
+      for (size_t i = 0; i < n; ++i) {
+        out[i].scan_begin = lo_pos;
+        out[i].scan_end = hi_pos;
+      }
     }
 
-    if (out.exact && opts_.group_crack && PieceLatchedMode()) {
+    if (out[0].exact && opts_.group_crack && PieceLatchedMode()) {
       // Section 7 "Dynamic Algorithms": refine for the queries queued on
       // this piece in the same step, so they find their crack ready.
       std::vector<Value> pending = piece->latch.PendingWriterBounds();
@@ -388,28 +414,31 @@ CrackingIndex::CrackOutcome CrackingIndex::CrackPieceLocked(
       if (sp != nullptr && sp->end == se) sp->sorted = true;
     }
   }
-  return out;
 }
 
-CrackingIndex::BoundResult CrackingIndex::ResolveBound(Value v,
-                                                       QueryContext* ctx,
-                                                       Attempt attempt,
-                                                       bool refine_allowed) {
+bool CrackingIndex::ResolveBound(const Value* v, size_t n, QueryContext* ctx,
+                                 Attempt attempt, bool refine_allowed,
+                                 BoundResult* out) {
   const bool latched_mode = opts_.mode != ConcurrencyMode::kNone;
   LatchAcquireContext lat = ctx->LatchCtx(&latch_stats_);
-  auto exact_at = [](Position pos) {
-    BoundResult r;
-    r.exact = true;
-    r.pos = pos;
-    return r;
+  auto exact_at = [out](Position pos) {
+    out[0] = BoundResult{};
+    out[0].exact = true;
+    out[0].pos = pos;
+    return true;
   };
-
-  auto busy = [] {
-    BoundResult r;
-    r.busy = true;
-    return r;
+  auto busy = [out] {
+    out[0] = BoundResult{};
+    out[0].busy = true;
+    return true;
   };
   const bool no_wait = attempt == Attempt::kNoWait;
+  // The step's piece holds its bounds strictly inside its value interval;
+  // a two-bound step also needs it unsorted, since a sorted piece answers
+  // each bound by binary search without latching or publishing.
+  auto holds = [v, n](const Piece& p) {
+    return p.lo_value < v[0] && v[n - 1] < p.hi_value && (n == 1 || !p.sorted);
+  };
 
   for (;;) {
     std::shared_ptr<Piece> piece;
@@ -419,31 +448,36 @@ CrackingIndex::BoundResult CrackingIndex::ResolveBound(Value v,
       if (sl.busy()) return busy();
       // One value lookup answers every bound the tiling already knows:
       // values before the piece are < lo_value, values after it are >= the
-      // next piece's lo_value > v (piece_map.h, FindByValue).
-      const std::shared_ptr<Piece>& p = pieces_->FindByValue(v);
-      if (v <= p->lo_value) return exact_at(p->begin);
-      if (v >= p->hi_value) return exact_at(p->end);
+      // next piece's lo_value > v (piece_map.h, FindByValue). It also
+      // chooses the shape: the bounds of a two-bound step in two pieces go
+      // one by one.
+      const std::shared_ptr<Piece>& p = pieces_->FindByValue(v[0]);
+      if (n == 2 && !holds(*p)) return false;
+      if (v[0] <= p->lo_value) return exact_at(p->begin);
+      if (v[0] >= p->hi_value) return exact_at(p->end);
       if (p->sorted) {
         // Sorted-piece fast path: binary search answers the bound exactly
         // with no write latch and no publication. Safe under the shared
         // structure latch alone: `sorted` is set exclusively, after the
         // final data movement, so an observed flag means the data is
         // frozen.
-        return exact_at(array_->LowerBoundInSorted(p->begin, p->end, v));
+        return exact_at(array_->LowerBoundInSorted(p->begin, p->end, v[0]));
       }
       if (no_wait) return busy();  // the bound needs a crack
       if (!refine_allowed) {
         ctx->stats.refinement_skipped = true;
-        BoundResult r;
-        r.scan_begin = p->begin;
-        r.scan_end = p->end;
-        return r;
+        out[0] = BoundResult{};
+        out[0].scan_begin = p->begin;
+        out[0].scan_end = p->end;
+        return true;
       }
       piece = p;  // a copy: the piece outlives the shared section
       piece_size = piece->size();
     }
 
     const RefinementDirective directive = policy_.OnCrack(piece_size);
+    // The strategy's try-latch and sort go bound by bound.
+    if (n == 2 && (directive.try_only || directive.sort_piece)) return false;
     const bool use_try = attempt != Attempt::kBlocking || directive.try_only;
 
     if (PieceLatchedMode()) {
@@ -461,196 +495,58 @@ CrackingIndex::BoundResult CrackingIndex::ResolveBound(Value v,
           continue;
         }
       } else {
-        piece->latch.WriteLock(v, lat);
+        piece->latch.WriteLock(v[0], lat);
       }
 
       // Revalidate after acquisition (Figure 10): while we waited, earlier
       // queries may have cracked this piece; the crack we want may now
-      // exist, or our bound may have moved to a successor piece.
+      // exist, or our bounds may have moved to a successor piece.
       bool still_ours;
       {
         MaybeSharedLock sl(&structure_mu_, latched_mode);
-        still_ours = pieces_->FindByValue(v).get() == piece.get() &&
-                     v > piece->lo_value && v < piece->hi_value;
+        still_ours =
+            pieces_->FindByValue(v[0]).get() == piece.get() && holds(*piece);
       }
       if (!still_ours) {
         piece->latch.WriteUnlock();
         continue;  // resolve again: exact now, or in a successor piece
       }
-      const CrackOutcome oc = CrackPieceLocked(piece, v, directive, ctx);
+      CrackPieceLocked(piece, v, n, directive, ctx, out);
       piece->latch.WriteUnlock();
       policy_.OnSuccess();
-      BoundResult r;
-      r.exact = oc.exact;
-      r.pos = oc.pos;
-      r.scan_begin = oc.scan_begin;
-      r.scan_end = oc.scan_end;
-      return r;
+      return true;
     }
 
     // Column-latch / no-CC modes: the caller serializes writers (column
-    // write latch or single-threaded execution), so crack directly.
-    const CrackOutcome oc = CrackPieceLocked(piece, v, directive, ctx);
-    BoundResult r;
-    r.exact = oc.exact;
-    r.pos = oc.pos;
-    r.scan_begin = oc.scan_begin;
-    r.scan_end = oc.scan_end;
-    return r;
+    // write latch or single-threaded execution), so crack directly. A
+    // two-bound step still reports its success to the contention score.
+    CrackPieceLocked(piece, v, n, directive, ctx, out);
+    if (n == 2) policy_.OnSuccess();
+    return true;
   }
-}
-
-bool CrackingIndex::TryCrackInThree(const ValueRange& range, QueryContext* ctx,
-                                    BoundResult* lo, BoundResult* hi) {
-  const bool latched_mode = opts_.mode != ConcurrencyMode::kNone;
-  LatchAcquireContext lat = ctx->LatchCtx(&latch_stats_);
-
-  // Both bounds need a crack of the same piece exactly when both lie
-  // strictly inside its value interval; the lookup of range.lo finds it.
-  // Sorted pieces take the per-bound path: its fast path answers both
-  // bounds by binary search without latching or publishing.
-  auto holds_both = [&range](const Piece& p) {
-    return p.lo_value < range.lo && range.hi < p.hi_value && !p.sorted;
-  };
-  std::shared_ptr<Piece> piece;
-  size_t piece_size = 0;
-  {
-    MaybeSharedLock sl(&structure_mu_, latched_mode);
-    const std::shared_ptr<Piece>& p = pieces_->FindByValue(range.lo);
-    if (!holds_both(*p)) return false;
-    piece = p;
-    piece_size = piece->size();
-  }
-  const RefinementDirective directive = policy_.OnCrack(piece_size);
-  if (directive.try_only || directive.sort_piece) {
-    return false;  // lazy/active handling goes through per-bound resolution
-  }
-
-  if (PieceLatchedMode()) {
-    piece->latch.WriteLock(range.lo, lat);
-  }
-
-  PieceBounds snap;
-  bool valid;
-  {
-    MaybeSharedLock sl(&structure_mu_, latched_mode);
-    // The sorted test in holds_both covers the race where the piece was
-    // sorted while we waited for its write latch: cracks must not target
-    // sorted pieces (a coarse piece would be split below the floor); the
-    // per-bound sorted fast path answers instead.
-    valid = pieces_->FindByValue(range.lo).get() == piece.get() &&
-            holds_both(*piece);
-    if (valid) snap = piece->bounds();
-  }
-  if (!valid) {
-    if (PieceLatchedMode()) piece->latch.WriteUnlock();
-    return false;
-  }
-
-  Position p1 = 0;
-  Position p2 = 0;
-  bool exact = true;
-  Position lo_pos = snap.begin;
-  Position hi_pos = snap.end;
-  std::map<Value, Position> cracks;
-  std::vector<std::pair<Position, Position>> coarse_sorted;
-  {
-    ScopedTimer t(&ctx->stats.crack_ns);
-    // Crack-policy pivots narrow toward the range from outside; a pivot
-    // landing strictly inside (range.lo, range.hi) cannot narrow further
-    // without separating the bounds, so it ends the recursion. When the
-    // step finishes with the three-way bound crack below, such a pivot must
-    // not be cracked at all — the three-way pass would move elements back
-    // across it, contradicting the published position. Only kMDD1R (which
-    // skips the bound crack and answers by scan) keeps an inside pivot.
-    const bool bound_crack = decision_.CracksBound(snap.end - snap.begin);
-    Value pv = 0;
-    for (size_t step = 0;
-         decision_.NextPivot(*array_, lo_pos, hi_pos, range.lo, step, &pv);
-         ++step) {
-      if (pv <= snap.lo_value || pv >= snap.hi_value) break;
-      if (pv == range.lo || pv == range.hi) break;
-      const bool inside = pv > range.lo && pv < range.hi;
-      if (inside && bound_crack) break;
-      const Position pp = CrackRange(lo_pos, hi_pos, pv);
-      if (!cracks.emplace(pv, pp).second) break;
-      ++ctx->stats.cracks;
-      if (pv < range.lo) {
-        lo_pos = pp;
-      } else if (pv > range.hi) {
-        hi_pos = pp;
-      } else {
-        break;  // kMDD1R's single pivot landed inside the target range
-      }
-    }
-    if (bound_crack || cracks.empty()) {
-      std::tie(p1, p2) = CrackRangeThree(lo_pos, hi_pos, range.lo, range.hi);
-      cracks.emplace(range.lo, p1);
-      cracks.emplace(range.hi, p2);
-      ctx->stats.cracks += 2;
-    } else {
-      // kMDD1R: the random pivot is the step's only crack; both bounds
-      // answer by a filtered scan of [lo_pos, hi_pos), a region delimited
-      // by published cracks (or the piece's immutable boundaries) whose
-      // value set is therefore fixed forever.
-      exact = false;
-    }
-    SortCoarseSubRanges(snap.begin, snap.end, cracks, &coarse_sorted);
-  }
-  {
-    MaybeUniqueLock xl(&structure_mu_, latched_mode);
-    for (const auto& [cv, cp] : cracks) PublishCrackLocked(cv, cp);
-    for (const auto& [sb, se] : coarse_sorted) {
-      auto sp = pieces_->FindByBegin(sb);
-      if (sp != nullptr && sp->end == se) sp->sorted = true;
-    }
-  }
-  if (PieceLatchedMode()) piece->latch.WriteUnlock();
-  policy_.OnSuccess();
-
-  if (exact) {
-    lo->exact = true;
-    lo->pos = p1;
-    hi->exact = true;
-    hi->pos = p2;
-  } else {
-    lo->exact = false;
-    lo->scan_begin = lo_pos;
-    lo->scan_end = hi_pos;
-    hi->exact = false;
-    hi->scan_begin = lo_pos;
-    hi->scan_end = hi_pos;
-  }
-  return true;
 }
 
 void CrackingIndex::ResolveBounds(const ValueRange& range, QueryContext* ctx,
-                                  bool refine_allowed, BoundResult* lo,
-                                  BoundResult* hi) {
-  if (!refine_allowed) {
-    *lo = ResolveBound(range.lo, ctx, Attempt::kBlocking, false);
-    *hi = ResolveBound(range.hi, ctx, Attempt::kBlocking, false);
+                                  bool refine_allowed, BoundResult* out) {
+  const Value both[2] = {range.lo, range.hi};
+  // Both bounds strictly inside one unsorted piece: one two-bound step
+  // under a blocking latch.
+  if (refine_allowed &&
+      ResolveBound(both, 2, ctx, Attempt::kBlocking, true, out)) {
     return;
   }
-  if (opts_.use_crack_in_three && TryCrackInThree(range, ctx, lo, hi)) {
-    return;
-  }
-  if (PieceLatchedMode() && opts_.swap_bound_on_conflict) {
+  if (refine_allowed && PieceLatchedMode()) {
     // Section 5.3 optimization: if the first bound's piece is busy, proceed
     // with the second bound first, then come back.
-    BoundResult first =
-        ResolveBound(range.lo, ctx, Attempt::kTryThenFail, true);
-    if (first.busy) {
-      *hi = ResolveBound(range.hi, ctx, Attempt::kBlocking, true);
-      *lo = ResolveBound(range.lo, ctx, Attempt::kBlocking, true);
-    } else {
-      *lo = first;
-      *hi = ResolveBound(range.hi, ctx, Attempt::kBlocking, true);
+    ResolveBound(&both[0], 1, ctx, Attempt::kTryThenFail, true, &out[0]);
+    ResolveBound(&both[1], 1, ctx, Attempt::kBlocking, true, &out[1]);
+    if (out[0].busy) {
+      ResolveBound(&both[0], 1, ctx, Attempt::kBlocking, true, &out[0]);
     }
     return;
   }
-  *lo = ResolveBound(range.lo, ctx, Attempt::kBlocking, true);
-  *hi = ResolveBound(range.hi, ctx, Attempt::kBlocking, true);
+  ResolveBound(&both[0], 1, ctx, Attempt::kBlocking, refine_allowed, &out[0]);
+  ResolveBound(&both[1], 1, ctx, Attempt::kBlocking, refine_allowed, &out[1]);
 }
 
 template <typename Aggregator>
@@ -709,16 +605,17 @@ Status CrackingIndex::ExecuteRange(const ValueRange& range, QueryContext* ctx,
   if (range.Empty()) return Status::OK();
   LatchAcquireContext lat = ctx->LatchCtx(&latch_stats_);
 
-  BoundResult lo;
-  BoundResult hi;
+  BoundResult bounds[2];
+  const BoundResult& lo = bounds[0];
+  const BoundResult& hi = bounds[1];
   if (attempt == Attempt::kNoWait) {
     // Only a built, piece-latched index whose tiling already resolves both
     // bounds answers without waiting: this read never builds the index,
     // takes the column latch, or cracks or scans a piece for a bound. Both
     // bounds exact leave one positional region below.
     if (!PieceLatchedMode() || !initialized()) return NoWaitBusy();
-    lo = ResolveBound(range.lo, ctx, attempt, false);
-    if (!lo.busy) hi = ResolveBound(range.hi, ctx, attempt, false);
+    ResolveBound(&range.lo, 1, ctx, attempt, false, &bounds[0]);
+    if (!lo.busy) ResolveBound(&range.hi, 1, ctx, attempt, false, &bounds[1]);
     if (lo.busy || hi.busy) return NoWaitBusy();
     if (Aggregator::kNeedsRead && hi.pos > lo.pos + kTryExecuteBudget) {
       return NoWaitBusy();
@@ -742,15 +639,13 @@ Status CrackingIndex::ExecuteRange(const ValueRange& range, QueryContext* ctx,
           column_latch_.WriteLock(range.lo, lat);
         }
       }
+      ResolveBounds(range, ctx, do_refine, bounds);
       if (do_refine) {
-        ResolveBounds(range, ctx, true, &lo, &hi);
         column_latch_.WriteUnlock();
         policy_.OnSuccess();
-      } else {
-        ResolveBounds(range, ctx, false, &lo, &hi);
       }
     } else {
-      ResolveBounds(range, ctx, refine_allowed, &lo, &hi);
+      ResolveBounds(range, ctx, refine_allowed, bounds);
     }
   }
 
@@ -778,35 +673,23 @@ Status CrackingIndex::ExecuteRange(const ValueRange& range, QueryContext* ctx,
     if (!hi.exact) push(hi.scan_begin, hi.scan_end, true);
   }
 
+  // Data-touching reads take piece read latches, or the column read latch
+  // around all regions.
   bool any_filtered = false;
   for (int i = 0; i < num_regions; ++i) any_filtered |= regions[i].filtered;
-
-  if (opts_.mode == ConcurrencyMode::kColumnLatch) {
-    const bool need_latch = Aggregator::kNeedsRead || any_filtered;
-    if (need_latch) column_latch_.ReadLock(lat);
-    for (int i = 0; i < num_regions; ++i) {
-      ScopedTimer t(&ctx->stats.read_ns);
-      if (regions[i].filtered) {
-        agg->Filtered(*array_, regions[i].begin, regions[i].end, range);
-      } else {
-        agg->Positional(*array_, regions[i].begin, regions[i].end);
-      }
-      ++ctx->stats.pieces_touched;
-    }
-    if (need_latch) column_latch_.ReadUnlock();
-    return Status::OK();
-  }
-
-  for (int i = 0; i < num_regions; ++i) {
-    // Data-touching reads take piece read latches.
+  const bool column_read = opts_.mode == ConcurrencyMode::kColumnLatch &&
+                           (Aggregator::kNeedsRead || any_filtered);
+  if (column_read) column_latch_.ReadLock(lat);
+  bool answered = true;
+  for (int i = 0; i < num_regions && answered; ++i) {
     const bool needs_guard = PieceLatchedMode() &&
                              (Aggregator::kNeedsRead || regions[i].filtered);
-    if (!ProcessRegion(regions[i].begin, regions[i].end, regions[i].filtered,
-                       range, needs_guard, attempt, ctx, agg)) {
-      return NoWaitBusy();
-    }
+    answered = ProcessRegion(regions[i].begin, regions[i].end,
+                             regions[i].filtered, range, needs_guard, attempt,
+                             ctx, agg);
   }
-  return Status::OK();
+  if (column_read) column_latch_.ReadUnlock();
+  return answered ? Status::OK() : NoWaitBusy();
 }
 
 Status CrackingIndex::ExecuteImpl(const Query& query, QueryContext* ctx,

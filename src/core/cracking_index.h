@@ -39,8 +39,10 @@ enum class ConcurrencyMode {
 std::string ToString(ConcurrencyMode mode);
 
 /// \brief Tunables of the cracking index; defaults reproduce the paper's
-/// best configuration (piece latches, middle-out scheduling, crack-in-three;
-/// the cracker array always uses the pair-of-arrays layout).
+/// best configuration (piece latches, middle-out scheduling). Crack-in-three
+/// and bound swapping (Section 5.3 "Optimizations") are always on, and the
+/// coarse floor and the parallel-crack threshold are the constants
+/// `CrackingIndex::kMinPieceSize` and `CrackingIndex::kParallelCrackMinPiece`.
 struct CrackingOptions {
   ConcurrencyMode mode = ConcurrencyMode::kPieceLatch;
   SchedulingPolicy scheduling = SchedulingPolicy::kMiddleOut;
@@ -48,15 +50,6 @@ struct CrackingOptions {
   /// Kernel implementation tier for cracks and scans (kernel_tiers.h);
   /// kAuto resolves to the best tier the CPU supports.
   KernelTier kernel_tier = KernelTier::kAuto;
-
-  /// Crack both bounds of a range in a single pass when they fall into the
-  /// same piece.
-  bool use_crack_in_three = true;
-
-  /// Section 5.3 "Optimizations": when the piece of the first bound is
-  /// busy, proceed with the second bound first ("even if there is a conflict
-  /// for one of them the query actually proceeds with the second bound").
-  bool swap_bound_on_conflict = true;
 
   /// Section 7 "Dynamic Algorithms": while holding a piece's write latch,
   /// additionally crack on the bounds of queries queued behind it
@@ -69,23 +62,10 @@ struct CrackingOptions {
   /// Pieces at or below this size are fully sorted by the active strategy.
   size_t sort_piece_threshold = 128;
 
-  /// Coarse-granular cracking: pieces at or below this size are sorted in
-  /// place instead of split — whatever the strategy — so the piece map (and
-  /// its latch population) stops growing once pieces reach the floor. The
-  /// sort publishes no crack; the piece simply answers future bounds by
-  /// binary search. 0 disables the floor.
-  size_t min_piece_size = 128;
-
-  /// Intra-query parallel cracking: a crack over a piece of at least this
-  /// many elements is split into contiguous chunks — one per `pool` worker
-  /// plus one on the cracking thread — cracked concurrently and repaired
-  /// with a swap-based refined merge (parallel_crack.h). Only
-  /// first-touch-scale cracks qualify by default; the threshold keeps
-  /// steady-state cracks on the cheap sequential kernel.
-  size_t parallel_crack_min_piece = 1u << 17;
-  /// Shared pool for parallel cracks; not owned. When null, a process-wide
-  /// lazily created pool is used if the machine has more than one hardware
-  /// thread, else cracks stay sequential.
+  /// Shared pool for intra-query parallel cracks (pieces of at least
+  /// `CrackingIndex::kParallelCrackMinPiece` positions); not owned. When
+  /// null, a process-wide lazily created pool is used if the machine has
+  /// more than one hardware thread, else cracks stay sequential.
   ThreadPool* pool = nullptr;
 
   /// Pivot-selection policy for reorganizations (crack_policy.h): plain
@@ -97,8 +77,8 @@ struct CrackingOptions {
   CrackPolicy crack_policy = CrackPolicy::kExact;
   /// Recursion floor of the policy: sub-ranges at or below this size get no
   /// extra pivots, and kMDD1R reverts to exact bound cracking there (so the
-  /// index still converges to precise cracks, which the coarse floor below
-  /// then sorts).
+  /// index still converges to precise cracks, which the coarse floor,
+  /// `CrackingIndex::kMinPieceSize`, then sorts).
   size_t policy_min_piece = 1u << 16;
   /// Seed of the per-index deterministic pivot RNG consulted by kDDR and
   /// kMDD1R. Pivot choices are derived per call from (seed, extent, bound),
@@ -151,6 +131,21 @@ class CrackingIndex : public AdaptiveIndex {
   /// \brief An index over `column`, which must outlive it. Nothing is
   /// built until the first query (or RestoreAdaptedState).
   explicit CrackingIndex(const Column* column, CrackingOptions opts = {});
+
+  /// \brief Coarse-granular floor: a piece at or below this many positions
+  /// is sorted in place instead of split, whatever the strategy, so the
+  /// piece map (and its latch population) stops growing once pieces reach
+  /// it. The sort publishes no crack; the piece answers later bounds by
+  /// binary search.
+  static constexpr size_t kMinPieceSize = 128;
+
+  /// \brief Intra-query parallel cracking: a crack over a piece of at
+  /// least this many positions is split into contiguous chunks — one per
+  /// crack-pool worker plus one on the cracking thread — cracked
+  /// concurrently and repaired with a swap-based refined merge
+  /// (parallel_crack.h). Only first-touch-scale cracks qualify, so
+  /// steady-state cracks stay on the cheap sequential kernel.
+  static constexpr size_t kParallelCrackMinPiece = size_t{1} << 17;
 
   /// \brief The display name from the options.
   std::string Name() const override { return opts_.name; }
@@ -262,54 +257,50 @@ class CrackingIndex : public AdaptiveIndex {
   /// exclusively.
   void PublishCrackLocked(Value v, Position pos);
 
-  /// Resolves `v` to a position, cracking as a side effect; the full
-  /// protocol of Section 5.3 including revalidation after wake-up
-  /// (Figure 10). `refine_allowed=false` forces the scan fallback. Under
-  /// kNoWait it only reads the tiling: exact, or busy when the structure
-  /// latch is held or `v` needs a crack.
-  BoundResult ResolveBound(Value v, QueryContext* ctx, Attempt attempt,
-                           bool refine_allowed);
+  /// Resolves the `n` ascending bound values `v[0..n)` into `out[0..n)`,
+  /// cracking as a side effect: the full protocol of Section 5.3 including
+  /// revalidation after wake-up (Figure 10), and the only place a piece is
+  /// write-latched for refinement. `n` is 1, or 2 for a two-bound step
+  /// (crack-in-three), which holds while one unsorted piece holds both
+  /// bounds strictly inside its value interval and the strategy neither
+  /// tries the latch nor sorts the piece; otherwise it returns false having
+  /// latched and changed nothing, and the caller resolves the bounds one by
+  /// one. `refine_allowed=false` forces the scan fallback. Under kNoWait it
+  /// only reads the tiling: exact, or busy when the structure latch is held
+  /// or the bound needs a crack.
+  bool ResolveBound(const Value* v, size_t n, QueryContext* ctx,
+                    Attempt attempt, bool refine_allowed, BoundResult* out);
 
-  /// Resolves both bounds, applying crack-in-three and bound swapping.
+  /// Resolves both bounds of `range` into `out[0]` and `out[1]`: one
+  /// two-bound step under a blocking latch when they share an unsorted
+  /// piece, else one step per bound, trying the first bound's latch and
+  /// proceeding with the second bound first when it is busy (bound
+  /// swapping, Section 5.3 "Optimizations").
   void ResolveBounds(const ValueRange& range, QueryContext* ctx,
-                     bool refine_allowed, BoundResult* lo, BoundResult* hi);
+                     bool refine_allowed, BoundResult* out);
 
-  /// Attempts a combined crack-in-three when both bounds fall into one
-  /// piece; returns false when the precondition evaporated (caller falls
-  /// back to per-bound resolution). Under kMDD1R on a large piece the step
-  /// publishes one random crack instead of the bound cracks and returns
-  /// inexact results (both bounds scan the sub-range holding the range).
-  bool TryCrackInThree(const ValueRange& range, QueryContext* ctx,
-                       BoundResult* lo, BoundResult* hi);
-
-  /// Result of one reorganization step over a piece: an exact position for
-  /// the bound, or — when the crack policy answers by scan (kMDD1R) — the
-  /// crack-delimited sub-range still holding the bound, whose value set is
-  /// fixed forever (the contract BoundResult requires of inexact answers).
-  struct CrackOutcome {
-    bool exact = true;
-    Position pos = 0;
-    Position scan_begin = 0;
-    Position scan_end = 0;
-  };
-
-  /// Reorganizes `piece` (already write-latched by the caller unless mode
-  /// is kNone/kColumnLatch) for bound `v` over its current extent and
-  /// publishes: the crack-policy pivots first (each routed through
-  /// CrackRange like a bound pivot), then the bound crack when the policy
-  /// calls for one.
-  CrackOutcome CrackPieceLocked(const std::shared_ptr<Piece>& piece, Value v,
-                                const RefinementDirective& directive,
-                                QueryContext* ctx);
+  /// The refinement step over `piece` (write-latched by the caller unless
+  /// mode is kNone/kColumnLatch) for the `n` bounds `v[0..n)` strictly
+  /// inside it, over its current extent: the crack-policy pivots first
+  /// (each routed through CrackRange like a bound pivot), then one bound
+  /// crack (CrackRange) or, for two bounds, one three-way crack
+  /// (CrackRangeThree) when the policy calls for it, the group cracks, the
+  /// coarse sort, and one publication. Writes one result per bound: exact,
+  /// or — when the policy answers by scan (kMDD1R) — the crack-delimited
+  /// sub-range still holding the bounds, whose value set is fixed forever
+  /// (the contract BoundResult requires of inexact answers).
+  void CrackPieceLocked(const std::shared_ptr<Piece>& piece, const Value* v,
+                        size_t n, const RefinementDirective& directive,
+                        QueryContext* ctx, BoundResult* out);
 
   /// The pool for an intra-query parallel crack of [begin, end): the
   /// configured one, or a lazily created process-wide pool on multi-core
-  /// machines; null (a sequential crack) below parallel_crack_min_piece or
-  /// on single-core machines.
+  /// machines; null (a sequential crack) below kParallelCrackMinPiece or on
+  /// single-core machines.
   ThreadPool* CrackPool(Position begin, Position end) const;
 
   /// Two-way crack of [begin, end): chunked-parallel on the crack pool when
-  /// the range reaches parallel_crack_min_piece, else the sequential kernel.
+  /// the range reaches kParallelCrackMinPiece, else the sequential kernel.
   /// Identical split position either way.
   Position CrackRange(Position begin, Position end, Value pivot);
 
@@ -319,7 +310,7 @@ class CrackingIndex : public AdaptiveIndex {
 
   /// Coarse-granular floor, applied after the cracks of one refinement step
   /// and before their publication: sorts every crack-delimited sub-range of
-  /// [begin, end) whose size is at or below min_piece_size and appends its
+  /// [begin, end) whose size is at or below kMinPieceSize and appends its
   /// bounds to `out` so the publication step can mark the matching piece
   /// sorted. `cracks` holds the step's crack positions in ascending order.
   void SortCoarseSubRanges(Position begin, Position end,

@@ -56,16 +56,9 @@ std::string IndexConfigKey(const IndexConfig& config) {
       key += ":mode=" + std::to_string(static_cast<int>(c.mode));
       key += ",sched=" + std::to_string(static_cast<int>(c.scheduling));
       key += ",tier=" + std::to_string(static_cast<int>(c.kernel_tier));
-      key += ",c3=" + std::to_string(c.use_crack_in_three);
-      key += ",swap=" + std::to_string(c.swap_bound_on_conflict);
       key += ",gc=" + std::to_string(c.group_crack);
       key += ",strat=" + std::to_string(static_cast<int>(c.strategy));
       key += ",sortthr=" + std::to_string(c.sort_piece_threshold);
-      key += ",floor=" + std::to_string(c.min_piece_size);
-      // The crack pool pointer stays out (execution resource), but the
-      // parallel-crack threshold shapes crack granularity and the resulting
-      // intra-piece physical order, so it participates.
-      key += ",pcrack=" + std::to_string(c.parallel_crack_min_piece);
       // The crack policy decides which pivots physically reorganize the
       // array, so it (and its recursion floor) is index identity. The seed
       // participates only for the randomized policies that consult it —

@@ -34,11 +34,11 @@ std::string ToString(RefinementStrategy s);
 struct RefinementDirective {
   bool try_only = false;    ///< use TryWriteLock; skip refinement when busy
   bool sort_piece = false;  ///< sort the piece instead of cracking it
-  /// The sort was forced by the coarse-granular floor (min_piece_size), not
-  /// by the refinement strategy: the piece is at or below the minimum piece
-  /// size, so instead of splitting it further — growing the piece map — it
-  /// is sorted in place and never reorganized again. Set only together with
-  /// sort_piece.
+  /// The sort was forced by the coarse-granular floor
+  /// (CrackingIndex::kMinPieceSize), not by the refinement strategy: the
+  /// piece is at or below the minimum piece size, so instead of splitting
+  /// it further — growing the piece map — it is sorted in place and never
+  /// reorganized again. Set only together with sort_piece.
   bool coarse = false;
 };
 
@@ -54,7 +54,8 @@ struct RefinementDirective {
 class RefinementPolicy {
  public:
   /// \brief A policy for `strategy`. `min_piece_size` is the
-  /// coarse-granular cracking floor: a piece at or below it is sorted
+  /// coarse-granular cracking floor (the cracking index passes
+  /// CrackingIndex::kMinPieceSize): a piece at or below it is sorted
   /// instead of split regardless of strategy, capping piece-map growth (0
   /// disables the floor).
   RefinementPolicy(RefinementStrategy strategy, size_t sort_piece_threshold,

@@ -10,9 +10,9 @@ namespace adaptidx {
 namespace {
 
 /// Ranges at or below this size are sorted with a tandem insertion sort
-/// instead of a zip-sort-unzip round trip. Matches the magnitude of
-/// CrackingOptions::sort_piece_threshold (128), the piece size below which
-/// the active strategy sorts instead of cracking.
+/// instead of a zip-sort-unzip round trip. Matches the coarse floor
+/// CrackingIndex::kMinPieceSize (128), the piece size at or below which the
+/// cracking index sorts instead of cracking.
 constexpr size_t kInsertionSortCutoff = 128;
 
 void InsertionSortSplit(Value* v, RowId* r, Position begin, Position end) {

@@ -112,9 +112,10 @@ class CrackerArray {
   std::pair<Position, Position> CrackThree(Position begin, Position end,
                                            Value lo, Value hi);
 
-  /// \brief Fully sorts [begin, end) by value (used by the active strategy
-  /// and hybrid final partitions). Small ranges — the active strategy's
-  /// sort_piece_threshold regime — use an in-place tandem insertion sort;
+  /// \brief Fully sorts [begin, end) by value (used by the cracking
+  /// index's coarse floor and active strategy, and by hybrid final
+  /// partitions). Small ranges — the coarse floor's regime,
+  /// CrackingIndex::kMinPieceSize — use an in-place tandem insertion sort;
   /// larger ranges sort zipped entries.
   void SortRange(Position begin, Position end);
 

@@ -88,7 +88,7 @@ class LatchStats {
   }
 
   /// \brief Accounts one coarse-granular floor hit: a piece at or below
-  /// CrackingOptions::min_piece_size was sorted in place instead of split,
+  /// CrackingIndex::kMinPieceSize was sorted in place instead of split,
   /// capping piece-map growth.
   void RecordCoarseSortHit() {
     coarse_sort_hits_.fetch_add(1, std::memory_order_relaxed);

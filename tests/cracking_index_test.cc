@@ -18,7 +18,6 @@ constexpr size_t kRows = 4000;
 
 struct CorrectnessParam {
   ConcurrencyMode mode;
-  bool crack_in_three;
   const char* name;
 };
 
@@ -33,7 +32,6 @@ class CrackingCorrectnessTest
   CrackingOptions Options() const {
     CrackingOptions opts;
     opts.mode = GetParam().mode;
-    opts.use_crack_in_three = GetParam().crack_in_three;
     return opts;
   }
 
@@ -102,18 +100,58 @@ TEST_P(CrackingCorrectnessTest, RowIdsMatchSemantics) {
   EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
 }
 
+// The refinement step in both shapes: bounds sharing a piece crack in one
+// step (one three-way pass), bounds in two pieces in one step each.
+TEST_P(CrackingCorrectnessTest, OneStepPerSharedPieceOneStepPerBoundElse) {
+  CrackingIndex index(&column_, Options());
+  const LatchStats& latches = index.latch_stats();
+  const bool piece_latched = GetParam().mode == ConcurrencyMode::kPieceLatch;
+
+  QueryContext first;
+  uint64_t count = 0;
+  ASSERT_TRUE(index.RangeCount(ValueRange{1000, 2000}, &first, &count).ok());
+  EXPECT_EQ(count, 1000u);
+  EXPECT_EQ(first.stats.cracks, 2u);
+  EXPECT_EQ(index.NumPieces(), 3u);
+  if (piece_latched) {
+    EXPECT_EQ(latches.write_acquires(), 1u);  // one step
+  }
+  EXPECT_TRUE(index.ValidateStructure());
+
+  // 500 lies in [0, 1000) and 1500 in [1000, 2000): one step per bound.
+  QueryContext second;
+  ASSERT_TRUE(index.RangeCount(ValueRange{500, 1500}, &second, &count).ok());
+  EXPECT_EQ(count, oracle_->Count(500, 1500));
+  EXPECT_EQ(second.stats.cracks, 2u);
+  EXPECT_EQ(index.NumPieces(), 5u);
+  if (piece_latched) {
+    EXPECT_EQ(latches.write_acquires(), 3u);
+  }
+  EXPECT_TRUE(index.ValidateStructure());
+}
+
+TEST_P(CrackingCorrectnessTest, Mdd1rTwoBoundStepAnswersByScan) {
+  CrackingOptions opts = Options();
+  opts.crack_policy = CrackPolicy::kMDD1R;
+  opts.policy_min_piece = 512;
+  CrackingIndex index(&column_, opts);
+  QueryContext ctx;
+  int64_t sum = 0;
+  ASSERT_TRUE(index.RangeSum(ValueRange{1000, 2000}, &ctx, &sum).ok());
+  EXPECT_EQ(sum, oracle_->Sum(1000, 2000));
+  // The 4000-row piece is above the policy floor: one random pivot crack
+  // and no bound crack, so the bounds were answered by a filtered scan.
+  EXPECT_EQ(ctx.stats.cracks, 1u);
+  EXPECT_EQ(index.NumPieces(), 2u);
+  EXPECT_TRUE(index.ValidateStructure());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Modes, CrackingCorrectnessTest,
-    ::testing::Values(
-        CorrectnessParam{ConcurrencyMode::kNone, true, "none_split_c3"},
-        CorrectnessParam{ConcurrencyMode::kNone, false, "none_split_c2"},
-        CorrectnessParam{ConcurrencyMode::kColumnLatch, true,
-                         "column_split_c3"},
-        CorrectnessParam{ConcurrencyMode::kColumnLatch, false,
-                         "column_split_c2"},
-        CorrectnessParam{ConcurrencyMode::kPieceLatch, true, "piece_split_c3"},
-        CorrectnessParam{ConcurrencyMode::kPieceLatch, false,
-                         "piece_split_c2"}),
+    ::testing::Values(CorrectnessParam{ConcurrencyMode::kNone, "none"},
+                      CorrectnessParam{ConcurrencyMode::kColumnLatch,
+                                       "column"},
+                      CorrectnessParam{ConcurrencyMode::kPieceLatch, "piece"}),
     [](const auto& info) { return info.param.name; });
 
 // ------------------------------------------------- Lifecycle and stats
@@ -348,22 +386,6 @@ TEST(CrackingStrategyTest, GroupCrackSingleThreadedIsStandard) {
   ASSERT_TRUE(index.RangeCount(ValueRange{100, 900}, &ctx, &count).ok());
   EXPECT_EQ(count, 800u);
   EXPECT_TRUE(index.ValidateStructure());
-}
-
-TEST(CrackingStrategyTest, SwapBoundDisabledStillCorrect) {
-  Column col = Column::UniqueRandom("A", 2000, 19);
-  RangeOracle oracle(col);
-  CrackingOptions opts;
-  opts.swap_bound_on_conflict = false;
-  CrackingIndex index(&col, opts);
-  Rng rng(20);
-  for (int i = 0; i < 50; ++i) {
-    Value lo = rng.UniformRange(0, 1900);
-    QueryContext ctx;
-    uint64_t count;
-    ASSERT_TRUE(index.RangeCount(ValueRange{lo, lo + 70}, &ctx, &count).ok());
-    ASSERT_EQ(count, oracle.Count(lo, lo + 70));
-  }
 }
 
 // ----------------------------------------- Lock-manager conflict probe

@@ -190,46 +190,34 @@ TEST(CoarseFloorTest, CapsPieceMapGrowthAndStaysCorrect) {
   Column column = Column::UniqueRandom("A", kRows, 77);
   RangeOracle oracle(column);
 
-  CrackingOptions coarse;
-  coarse.mode = ConcurrencyMode::kNone;
-  coarse.min_piece_size = 256;
-  CrackingOptions unbounded = coarse;
-  unbounded.min_piece_size = 0;
-  unbounded.sort_piece_threshold = 0;
-
-  CrackingIndex floor_index(&column, coarse);
-  CrackingIndex free_index(&column, unbounded);
+  CrackingOptions opts;
+  opts.mode = ConcurrencyMode::kNone;
+  CrackingIndex index(&column, opts);
 
   Rng rng(123);
   for (int i = 0; i < 4000; ++i) {
     Value lo = rng.UniformRange(0, kRows);
     Value hi = std::min<Value>(static_cast<Value>(kRows), lo + 50);
-    for (CrackingIndex* index : {&floor_index, &free_index}) {
-      QueryContext ctx;
-      QueryResult result;
-      ASSERT_TRUE(
-          index->Execute(Query::Sum("", "", lo, hi), &ctx, &result).ok());
-      ASSERT_EQ(result.sum, oracle.Sum(lo, hi)) << "query " << i;
-    }
+    QueryContext ctx;
+    QueryResult result;
+    ASSERT_TRUE(index.Execute(Query::Sum("", "", lo, hi), &ctx, &result).ok());
+    ASSERT_EQ(result.sum, oracle.Sum(lo, hi)) << "query " << i;
   }
 
-  // The floor must have fired, capped the piece count well below the
-  // unbounded index's, and left a structurally valid index (sorted pieces
-  // actually sorted, tiling intact).
-  EXPECT_GT(floor_index.latch_stats().coarse_sort_hits(), 0u);
-  EXPECT_LT(floor_index.NumPieces(), free_index.NumPieces());
-  EXPECT_TRUE(floor_index.ValidateStructure());
-  EXPECT_TRUE(free_index.ValidateStructure());
+  // The floor must have fired and left a structurally valid index (sorted
+  // pieces actually sorted, tiling intact).
+  EXPECT_GT(index.latch_stats().coarse_sort_hits(), 0u);
+  EXPECT_TRUE(index.ValidateStructure());
 
   // Quiescence: with 4000 50-wide queries over 30000 rows every piece has
-  // been driven at or below the floor, so the piece map has stopped
-  // growing; the unbounded index keeps accumulating pieces.
-  const size_t settled = floor_index.NumPieces();
+  // been driven to or below the floor, so the piece map has stopped
+  // growing.
+  const size_t settled = index.NumPieces();
   for (int i = 0; i < 500; ++i) {
     Value lo = rng.UniformRange(0, kRows);
     QueryContext ctx;
     QueryResult result;
-    ASSERT_TRUE(floor_index
+    ASSERT_TRUE(index
                     .Execute(Query::Sum("", "", lo,
                                         std::min<Value>(
                                             static_cast<Value>(kRows),
@@ -237,7 +225,7 @@ TEST(CoarseFloorTest, CapsPieceMapGrowthAndStaysCorrect) {
                              &ctx, &result)
                     .ok());
   }
-  EXPECT_EQ(floor_index.NumPieces(), settled);
+  EXPECT_EQ(index.NumPieces(), settled);
 }
 
 // --------------------------------------------- readers racing splits
@@ -253,7 +241,6 @@ TEST(PieceMapRaceTest, ConcurrentReadersAgreeWithOracleWhileSplitting) {
 
   CrackingOptions opts;
   opts.mode = ConcurrencyMode::kPieceLatch;
-  opts.min_piece_size = 64;
   CrackingIndex index(&column, opts);
 
   std::atomic<bool> ok{true};
@@ -282,7 +269,8 @@ TEST(PieceMapRaceTest, ConcurrentReadersAgreeWithOracleWhileSplitting) {
 // ------------------------------------------------- LatchStats plumbing
 
 TEST(ParallelCrackStatsTest, CountersSurfaceThroughSession) {
-  constexpr size_t kRows = 100000;
+  // Twice the parallel-crack threshold, so the first crack runs chunked.
+  constexpr size_t kRows = 2 * CrackingIndex::kParallelCrackMinPiece;
   Column column = Column::UniqueRandom("A", kRows, 55);
   RangeOracle oracle(column);
   ThreadPool pool(3);
@@ -290,8 +278,6 @@ TEST(ParallelCrackStatsTest, CountersSurfaceThroughSession) {
   CrackingOptions opts;
   opts.mode = ConcurrencyMode::kPieceLatch;
   opts.pool = &pool;
-  opts.parallel_crack_min_piece = 1024;  // first-touch cracks qualify
-  opts.min_piece_size = 64;
   CrackingIndex index(&column, opts);
 
   auto session = Session::OnIndex(&index, nullptr);
@@ -306,12 +292,12 @@ TEST(ParallelCrackStatsTest, CountersSurfaceThroughSession) {
 
   const LatchStats* stats = session->IndexLatchStats("", "");
   ASSERT_NE(stats, nullptr);
-  // The first query cracked the whole 100k-row piece through the chunked
-  // path; each parallel crack dispatched at least two chunk tasks.
+  // The first query cracked the whole column through the chunked path;
+  // each parallel crack dispatched at least two chunk tasks.
   EXPECT_GT(stats->parallel_cracks(), 0u);
   EXPECT_GE(stats->parallel_crack_chunks(), 2 * stats->parallel_cracks());
   EXPECT_GE(stats->parallel_crack_merge_ns(), 0);
-  // 600 narrow queries over 100k rows drive pieces down to the floor.
+  // Each 100-wide query leaves a middle piece below the floor, sorted.
   EXPECT_GT(stats->coarse_sort_hits(), 0u);
   EXPECT_TRUE(index.ValidateStructure());
 }
