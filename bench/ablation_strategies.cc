@@ -43,10 +43,8 @@ void Run() {
   variants[1].opts.strategy = RefinementStrategy::kLazy;
   variants[2].name = "active";
   variants[2].opts.strategy = RefinementStrategy::kActive;
-  variants[2].opts.sort_piece_threshold = 4096;
   variants[3].name = "dynamic";
   variants[3].opts.strategy = RefinementStrategy::kDynamic;
-  variants[3].opts.sort_piece_threshold = 4096;
   variants[4].name = "group-crack";
   variants[4].opts.group_crack = true;
   variants[5].name = "stochastic";

@@ -9,7 +9,8 @@
 /// Part (c) goes beyond the paper: a partition-count sweep
 /// (P in {1, 2, 4, 8}) of range-partitioned cracking under multi-client
 /// load, emitting BENCH_partition.json (override the path with
-/// AI_BENCH_PARTITION_JSON). On a multi-core machine P=4 should beat the
+/// AI_BENCH_PARTITION_JSON) over a sequence 16 times longer than parts (a)
+/// and (b) draw. On a multi-core machine P=4 should beat the
 /// monolithic P=1 cracker: disjoint-range clients stop conflicting and
 /// boundary-straddling queries use several cores. Each P also reports the
 /// first-query latency (the chunked parallel first-touch crack) next to a
@@ -104,19 +105,25 @@ void Run() {
                                                                 : "NO");
 
   // ---- (c) partition-count sweep --------------------------------------
+  // Partitioning pays only once a sequence is long enough to amortize the
+  // per-shard set-up (at 1M rows P=4 lost to P=1 at 512 queries and won
+  // at 8192), so this part draws a 16x longer sequence than (a) and (b).
   const size_t hardware_threads =
       std::max<unsigned>(1, std::thread::hardware_concurrency());
   const size_t part_clients = std::min<size_t>(8, max_clients);
   const size_t partition_counts[] = {1, 2, 4, 8};
-  std::printf("\n(c) Partitioned cracking, %zu clients, %zu hw threads\n",
-              part_clients, hardware_threads);
+  wopts.num_queries = 16 * num_queries;
+  const auto part_queries = gen.Generate(wopts);
+  std::printf("\n(c) Partitioned cracking, %zu queries, %zu clients, %zu hw "
+              "threads\n",
+              part_queries.size(), part_clients, hardware_threads);
   std::printf("%-12s %12s %12s %16s\n", "partitions", "total_secs", "qps",
               "first_query_secs");
   std::vector<double> part_secs;
   std::vector<double> part_qps;
   std::vector<double> first_query_secs;
-  const std::vector<RangeQuery> first_query(queries.begin(),
-                                            queries.begin() + 1);
+  const std::vector<RangeQuery> first_query(part_queries.begin(),
+                                            part_queries.begin() + 1);
   for (size_t p : partition_counts) {
     IndexConfig config;
     config.method = IndexMethod::kCrack;
@@ -126,7 +133,7 @@ void Run() {
     // crack-vs-sort crossover is about.
     const RunResult first = RunWorkload(column, config, first_query, 1);
     first_query_secs.push_back(first.total_seconds);
-    RunResult r = RunWorkload(column, config, queries, part_clients);
+    RunResult r = RunWorkload(column, config, part_queries, part_clients);
     part_secs.push_back(r.total_seconds);
     part_qps.push_back(r.throughput_qps);
     std::printf("%-12zu %12.3f %12.1f %16.3f\n", p, r.total_seconds,
@@ -177,7 +184,7 @@ void Run() {
                "  \"clients\": %zu,\n  \"hardware_threads\": %zu,\n"
                "  \"method\": \"crack\",\n"
                "  \"results\": [\n",
-               rows, num_queries, part_clients, hardware_threads);
+               rows, part_queries.size(), part_clients, hardware_threads);
   for (size_t i = 0; i < part_qps.size(); ++i) {
     std::fprintf(f,
                  "    {\"partitions\": %zu, \"total_secs\": %.6f, "

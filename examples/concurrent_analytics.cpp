@@ -145,7 +145,6 @@ int main(int argc, char** argv) {
   IndexConfig coarse;
   coarse.method = IndexMethod::kCrack;
   coarse.cracking.mode = ConcurrencyMode::kColumnLatch;
-  coarse.cracking.name = "crack-column";
   auto coarse_sessions = OpenSessions(&db, clients, coarse);
   PrintPhase("  wave 1 (cold)", RunWave(coarse_sessions, workload));
   PrintPhase("  wave 2 (warmed)", RunWave(coarse_sessions, refresh));

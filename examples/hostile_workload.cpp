@@ -37,7 +37,6 @@ std::vector<PhaseStats> RunPolicy(const Column& col, CrackPolicy policy,
                                   size_t phases) {
   CrackingOptions opts;
   opts.crack_policy = policy;
-  opts.policy_min_piece = 2048;
   CrackingIndex index(&col, opts);
   std::vector<double> latency_ms;
   latency_ms.reserve(queries.size());

@@ -34,15 +34,12 @@ struct MinMaxAgg {
 }  // namespace
 
 BTreeMergeIndex::BTreeMergeIndex(const Column* column, BTreeMergeOptions opts)
-    : column_(column),
-      opts_(std::move(opts)),
-      tree_(opts_.node_capacity) {}
+    : column_(column), opts_(std::move(opts)) {}
 
 void BTreeMergeIndex::EnsureInitialized(QueryContext* ctx) {
   if (initialized_.load(std::memory_order_acquire)) return;
-  const bool cc = opts_.concurrency_control;
   LatchAcquireContext lat = ctx->LatchCtx(&latch_stats_);
-  if (cc) latch_.WriteLock(0, lat);
+  latch_.WriteLock(0, lat);
   if (!initialized_.load(std::memory_order_relaxed)) {
     ScopedTimer init_timer(&ctx->stats.init_ns);
     const size_t n = column_->size();
@@ -76,7 +73,7 @@ void BTreeMergeIndex::EnsureInitialized(QueryContext* ctx) {
     domain_hi_ = hi + 1;
     initialized_.store(true, std::memory_order_release);
   }
-  if (cc) latch_.WriteUnlock();
+  latch_.WriteUnlock();
 }
 
 void BTreeMergeIndex::MergeGapLocked(Value lo, Value hi, QueryContext* ctx) {
@@ -108,12 +105,11 @@ Status BTreeMergeIndex::ExecuteRange(const ValueRange& range,
   const Value hi = std::min(range.hi, domain_hi_);
   if (lo >= hi) return Status::OK();
 
-  const bool cc = opts_.concurrency_control;
   LatchAcquireContext lat = ctx->LatchCtx(&latch_stats_);
 
   std::vector<ValueRange> covered_parts;
   std::vector<ValueRange> gaps;
-  if (cc) latch_.ReadLock(lat);
+  latch_.ReadLock(lat);
   {
     ScopedTimer t(&ctx->stats.read_ns);
     covered_.Decompose(lo, hi, &covered_parts, &gaps);
@@ -123,12 +119,12 @@ Status BTreeMergeIndex::ExecuteRange(const ValueRange& range,
     }
     ctx->stats.pieces_touched += covered_parts.size();
   }
-  if (cc) latch_.ReadUnlock();
+  latch_.ReadUnlock();
 
   bool merging_stopped = false;
   for (const ValueRange& gap : gaps) {
     if (!merging_stopped) {
-      if (cc) latch_.WriteLock(gap.lo, lat);
+      latch_.WriteLock(gap.lo, lat);
       std::vector<ValueRange> sub_covered;
       std::vector<ValueRange> sub_gaps;
       covered_.Decompose(gap.lo, gap.hi, &sub_covered, &sub_gaps);
@@ -140,16 +136,16 @@ Status BTreeMergeIndex::ExecuteRange(const ValueRange& range,
                         [agg](const BTreeKey& k) { agg->Record(k); });
       }
       ctx->stats.pieces_touched += sub_gaps.size() + 1;
-      const bool contended = cc && latch_.HasWaiters();
-      if (cc) latch_.WriteUnlock();
-      if (opts_.early_termination && contended) {
+      const bool contended = latch_.HasWaiters();
+      latch_.WriteUnlock();
+      if (contended) {
         merging_stopped = true;
         ctx->stats.refinement_skipped = true;
       }
     } else {
       // Read-only: answer from run partitions (plus anything merged by
       // concurrent queries in the meantime).
-      if (cc) latch_.ReadLock(lat);
+      latch_.ReadLock(lat);
       std::vector<ValueRange> sub_covered;
       std::vector<ValueRange> sub_gaps;
       covered_.Decompose(gap.lo, gap.hi, &sub_covered, &sub_gaps);
@@ -167,7 +163,7 @@ Status BTreeMergeIndex::ExecuteRange(const ValueRange& range,
         }
       }
       ctx->stats.pieces_touched += sub_covered.size() + sub_gaps.size();
-      if (cc) latch_.ReadUnlock();
+      latch_.ReadUnlock();
     }
   }
   return Status::OK();

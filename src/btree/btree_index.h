@@ -17,13 +17,6 @@ namespace adaptidx {
 struct BTreeMergeOptions {
   /// Records per initial sorted run (one run = one partition).
   size_t run_size = 1u << 18;
-  /// B-tree node capacity (keys per node).
-  size_t node_capacity = 64;
-  /// Commit the running merge and answer the rest read-only when another
-  /// query starts waiting (Section 3.3 / 4.3 early termination).
-  bool early_termination = true;
-  bool concurrency_control = true;
-  std::string name = "btree-merge";
 };
 
 /// \brief Adaptive merging realized on a partitioned B-tree (Section 4):
@@ -35,12 +28,15 @@ struct BTreeMergeOptions {
 /// Each gap merge is a system transaction that commits instantly
 /// (Section 4.3: "concurrency control conflicts can be avoided or resolved
 /// by instantly committing an active merge step and its result"); an
-/// IntervalSet tracks which value ranges already live in partition 0.
+/// IntervalSet tracks which value ranges already live in partition 0. When
+/// another query waits on the latch, the running merge commits and the rest
+/// of the range is answered read-only (early termination, Sections 3.3 and
+/// 4.3). Tree nodes hold `PartitionedBTree`'s default 64 keys.
 class BTreeMergeIndex : public AdaptiveIndex {
  public:
   explicit BTreeMergeIndex(const Column* column, BTreeMergeOptions opts = {});
 
-  std::string Name() const override { return opts_.name; }
+  std::string Name() const override { return "btree-merge"; }
 
   /// \brief Live partitions in the B-tree.
   size_t NumPieces() const override;

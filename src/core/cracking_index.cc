@@ -164,9 +164,8 @@ Status NoWaitBusy() { return Status::Busy("no-wait read"); }
 CrackingIndex::CrackingIndex(const Column* column, CrackingOptions opts)
     : column_(column),
       opts_(std::move(opts)),
-      policy_(opts_.strategy, opts_.sort_piece_threshold, kMinPieceSize),
-      decision_(opts_.crack_policy, opts_.policy_min_piece,
-                opts_.policy_seed) {}
+      policy_(opts_.strategy, kSortPieceThreshold, kMinPieceSize),
+      decision_(opts_.crack_policy, kPolicyMinPiece, opts_.policy_seed) {}
 
 ThreadPool* CrackingIndex::CrackPool(Position begin, Position end) const {
   if (end - begin < kParallelCrackMinPiece) return nullptr;
@@ -248,6 +247,18 @@ void CrackingIndex::PublishCrackLocked(Value v, Position pos) {
   // A crack the tiling already records changes nothing.
   if (array_->size() == 0) return;
   pieces_->Split(pieces_->FindByPosition(pos), pos, v);
+}
+
+void CrackingIndex::WriteLockScored(WaitQueueLatch* latch, Value bound,
+                                    QueryContext* ctx) {
+  const uint64_t conflicts = ctx->stats.conflicts;
+  latch->WriteLock(bound, ctx->LatchCtx(&latch_stats_));
+  // The latch counts a blocked acquisition into ctx->stats.conflicts.
+  if (ctx->stats.conflicts != conflicts) {
+    policy_.OnConflict();
+  } else {
+    policy_.OnSuccess();
+  }
 }
 
 bool CrackingIndex::UserLockConflict(QueryContext* ctx) const {
@@ -494,8 +505,9 @@ bool CrackingIndex::ResolveBound(const Value* v, size_t n, QueryContext* ctx,
           refine_allowed = false;
           continue;
         }
+        policy_.OnSuccess();
       } else {
-        piece->latch.WriteLock(v[0], lat);
+        WriteLockScored(&piece->latch, v[0], ctx);
       }
 
       // Revalidate after acquisition (Figure 10): while we waited, earlier
@@ -513,15 +525,12 @@ bool CrackingIndex::ResolveBound(const Value* v, size_t n, QueryContext* ctx,
       }
       CrackPieceLocked(piece, v, n, directive, ctx, out);
       piece->latch.WriteUnlock();
-      policy_.OnSuccess();
       return true;
     }
 
     // Column-latch / no-CC modes: the caller serializes writers (column
-    // write latch or single-threaded execution), so crack directly. A
-    // two-bound step still reports its success to the contention score.
+    // write latch or single-threaded execution), so crack directly.
     CrackPieceLocked(piece, v, n, directive, ctx, out);
-    if (n == 2) policy_.OnSuccess();
     return true;
   }
 }
@@ -628,22 +637,19 @@ Status CrackingIndex::ExecuteRange(const ValueRange& range, QueryContext* ctx,
       bool do_refine = refine_allowed;
       if (do_refine) {
         const RefinementDirective d = policy_.OnCrack(array_->size());
-        if (d.try_only) {
-          if (!column_latch_.TryWriteLock(lat)) {
-            policy_.OnConflict();
-            ++ctx->stats.conflicts;
-            ctx->stats.refinement_skipped = true;
-            do_refine = false;
-          }
+        if (!d.try_only) {
+          WriteLockScored(&column_latch_, range.lo, ctx);
+        } else if (column_latch_.TryWriteLock(lat)) {
+          policy_.OnSuccess();
         } else {
-          column_latch_.WriteLock(range.lo, lat);
+          policy_.OnConflict();
+          ++ctx->stats.conflicts;
+          ctx->stats.refinement_skipped = true;
+          do_refine = false;
         }
       }
       ResolveBounds(range, ctx, do_refine, bounds);
-      if (do_refine) {
-        column_latch_.WriteUnlock();
-        policy_.OnSuccess();
-      }
+      if (do_refine) column_latch_.WriteUnlock();
     } else {
       ResolveBounds(range, ctx, refine_allowed, bounds);
     }

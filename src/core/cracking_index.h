@@ -41,8 +41,10 @@ std::string ToString(ConcurrencyMode mode);
 /// \brief Tunables of the cracking index; defaults reproduce the paper's
 /// best configuration (piece latches, middle-out scheduling). Crack-in-three
 /// and bound swapping (Section 5.3 "Optimizations") are always on, and the
-/// coarse floor and the parallel-crack threshold are the constants
-/// `CrackingIndex::kMinPieceSize` and `CrackingIndex::kParallelCrackMinPiece`.
+/// coarse floor, the active strategy's sort threshold, the crack policy's
+/// recursion floor and the parallel-crack threshold are the constants
+/// `CrackingIndex::kMinPieceSize`, `kSortPieceThreshold`, `kPolicyMinPiece`
+/// and `kParallelCrackMinPiece`.
 struct CrackingOptions {
   ConcurrencyMode mode = ConcurrencyMode::kPieceLatch;
   SchedulingPolicy scheduling = SchedulingPolicy::kMiddleOut;
@@ -59,8 +61,6 @@ struct CrackingOptions {
 
   /// Refinement strategy (Section 7): standard / lazy / active / dynamic.
   RefinementStrategy strategy = RefinementStrategy::kStandard;
-  /// Pieces at or below this size are fully sorted by the active strategy.
-  size_t sort_piece_threshold = 128;
 
   /// Shared pool for intra-query parallel cracks (pieces of at least
   /// `CrackingIndex::kParallelCrackMinPiece` positions); not owned. When
@@ -75,11 +75,6 @@ struct CrackingOptions {
   /// and a materialized (filtered-scan) answer — keeping convergence robust
   /// against adversarial query sequences.
   CrackPolicy crack_policy = CrackPolicy::kExact;
-  /// Recursion floor of the policy: sub-ranges at or below this size get no
-  /// extra pivots, and kMDD1R reverts to exact bound cracking there (so the
-  /// index still converges to precise cracks, which the coarse floor,
-  /// `CrackingIndex::kMinPieceSize`, then sorts).
-  size_t policy_min_piece = 1u << 16;
   /// Seed of the per-index deterministic pivot RNG consulted by kDDR and
   /// kMDD1R. Pivot choices are derived per call from (seed, extent, bound),
   /// so runs are reproducible from this seed alone, independent of thread
@@ -92,9 +87,6 @@ struct CrackingOptions {
   /// refinement.
   LockManager* lock_manager = nullptr;
   std::string lock_resource;
-
-  /// Display name used in benchmark output.
-  std::string name = "crack";
 };
 
 /// \brief Database cracking with concurrency control — the paper's primary
@@ -139,6 +131,16 @@ class CrackingIndex : public AdaptiveIndex {
   /// binary search.
   static constexpr size_t kMinPieceSize = 128;
 
+  /// \brief Pieces at or below this many positions are sorted instead of
+  /// cracked by kActive, and by kDynamic at low contention.
+  static constexpr size_t kSortPieceThreshold = 4096;
+
+  /// \brief Recursion floor of the crack policy (crack_policy.h): sub-ranges
+  /// at or below this many positions get no extra pivots, and kMDD1R
+  /// reverts to exact bound cracking there (so the index still converges to
+  /// precise cracks, which the coarse floor then sorts).
+  static constexpr size_t kPolicyMinPiece = size_t{1} << 16;
+
   /// \brief Intra-query parallel cracking: a crack over a piece of at
   /// least this many positions is split into contiguous chunks — one per
   /// crack-pool worker plus one on the cracking thread — cracked
@@ -147,8 +149,8 @@ class CrackingIndex : public AdaptiveIndex {
   /// steady-state cracks stay on the cheap sequential kernel.
   static constexpr size_t kParallelCrackMinPiece = size_t{1} << 17;
 
-  /// \brief The display name from the options.
-  std::string Name() const override { return opts_.name; }
+  /// \brief The method's display name, "crack".
+  std::string Name() const override { return "crack"; }
 
   /// \brief Number of pieces in the piece map; 0 before the first query.
   size_t NumPieces() const override;
@@ -164,6 +166,11 @@ class CrackingIndex : public AdaptiveIndex {
 
   /// \brief The options the index was built with.
   const CrackingOptions& options() const { return opts_; }
+
+  /// \brief The contention score kDynamic consults, in [0, 1]: the decayed
+  /// share of recent refinement write-latch acquisitions that found the
+  /// latch held (a failed try or a blocked wait).
+  double ContentionScore() const { return policy_.ContentionScore(); }
 
   /// \brief Piece sizes in position order (diagnostics/benchmarks).
   std::vector<size_t> PieceSizes() const;
@@ -316,6 +323,11 @@ class CrackingIndex : public AdaptiveIndex {
   void SortCoarseSubRanges(Position begin, Position end,
                            const std::map<Value, Position>& cracks,
                            std::vector<std::pair<Position, Position>>* out);
+
+  /// Blocking write acquisition of `latch` for a refinement, reported once
+  /// to the contention score: a blocked wait is a conflict, an immediate
+  /// grant a success.
+  void WriteLockScored(WaitQueueLatch* latch, Value bound, QueryContext* ctx);
 
   /// True when a user transaction holds a lock conflicting with structural
   /// refinement (Section 3.3's verification step).

@@ -33,18 +33,7 @@ std::string IndexConfigKey(const IndexConfig& config) {
   // one monolithic index), so a partitioned and an unpartitioned config on
   // the same column must denote distinct catalog entries. The pool pointer
   // stays out: it is an execution resource, not index identity.
-  if (config.partitions > 1) {
-    key += "@P" + std::to_string(config.partitions);
-    // The shard and hardware floors decide whether @P actually materializes
-    // for a given column on a given machine, so they are part of the
-    // physical identity too.
-    key += "m" + std::to_string(config.min_rows_per_shard);
-    key += "h" + std::to_string(config.partition_needs_cores);
-  }
-  // The consolidation bounds shape the delta-log state the differential
-  // layer's writer maintains.
-  key += "+snap(" + std::to_string(config.snapshot_consolidate_min) + "," +
-         std::to_string(config.snapshot_consolidate_max) + ")";
+  if (config.partitions > 1) key += "@P" + std::to_string(config.partitions);
   // Only the option block the method consults participates — two configs
   // that differ in an unconsulted block denote the same physical index.
   switch (config.method) {
@@ -58,15 +47,12 @@ std::string IndexConfigKey(const IndexConfig& config) {
       key += ",tier=" + std::to_string(static_cast<int>(c.kernel_tier));
       key += ",gc=" + std::to_string(c.group_crack);
       key += ",strat=" + std::to_string(static_cast<int>(c.strategy));
-      key += ",sortthr=" + std::to_string(c.sort_piece_threshold);
       // The crack policy decides which pivots physically reorganize the
-      // array, so it (and its recursion floor) is index identity. The seed
-      // participates only for the randomized policies that consult it —
-      // kExact/kDDC configs differing only in an unused seed stay one
-      // physical index.
+      // array, so it is index identity. The seed participates only for the
+      // randomized policies that consult it — kExact/kDDC configs differing
+      // only in an unused seed stay one physical index.
       if (c.crack_policy != CrackPolicy::kExact) {
-        key += ",policy=" + ToString(c.crack_policy) + "/" +
-               std::to_string(c.policy_min_piece);
+        key += ",policy=" + ToString(c.crack_policy);
         if (c.crack_policy == CrackPolicy::kDDR ||
             c.crack_policy == CrackPolicy::kMDD1R) {
           key += "/s" + std::to_string(c.policy_seed);
@@ -86,24 +72,15 @@ std::string IndexConfigKey(const IndexConfig& config) {
       const MergeOptions& m = config.merge;
       key += ":run=" + std::to_string(m.run_size);
       key += ",et=" + std::to_string(m.early_termination);
-      key += ",cc=" + std::to_string(m.concurrency_control);
       key += ",mvcc=" + std::to_string(m.mvcc_commit);
       break;
     }
-    case IndexMethod::kHybrid: {
-      const HybridOptions& h = config.hybrid;
-      key += ":part=" + std::to_string(h.partition_size);
-      key += ",cc=" + std::to_string(h.concurrency_control);
+    case IndexMethod::kHybrid:
+      key += ":part=" + std::to_string(config.hybrid.partition_size);
       break;
-    }
-    case IndexMethod::kBTreeMerge: {
-      const BTreeMergeOptions& b = config.btree;
-      key += ":run=" + std::to_string(b.run_size);
-      key += ",node=" + std::to_string(b.node_capacity);
-      key += ",et=" + std::to_string(b.early_termination);
-      key += ",cc=" + std::to_string(b.concurrency_control);
+    case IndexMethod::kBTreeMerge:
+      key += ":run=" + std::to_string(config.btree.run_size);
       break;
-    }
   }
   return key;
 }
@@ -115,11 +92,8 @@ std::unique_ptr<AdaptiveIndex> MakeIndex(const Column* column,
   // amortize scatter/route/merge overhead — or a single-core host where the
   // fan-out can never win — gets the method directly (the config key keeps
   // the @P notation so the catalog still distinguishes what was requested).
-  if (config.partitions > 1 &&
-      (!config.partition_needs_cores ||
-       std::thread::hardware_concurrency() > 1) &&
-      (config.min_rows_per_shard == 0 ||
-       column->size() >= config.partitions * config.min_rows_per_shard)) {
+  if (config.partitions > 1 && std::thread::hardware_concurrency() > 1 &&
+      column->size() >= config.partitions * kMinRowsPerShard) {
     return std::make_unique<PartitionedIndex>(column, config);
   }
   switch (config.method) {

@@ -44,22 +44,9 @@ struct IndexConfig {
   /// column into `partitions` value ranges, runs one independent inner
   /// index of `method` per shard (each with its own latch hierarchy), fans
   /// query fragments out on a thread pool, and merges the partial results.
+  /// `MakeIndex` honors it only on a multi-hardware-thread machine and when
+  /// every shard would hold at least `kMinRowsPerShard` rows.
   size_t partitions = 1;
-
-  /// Fan-out floor: when `partitions > 1` but the column holds fewer than
-  /// `partitions * min_rows_per_shard` rows, the partition wrapper is
-  /// skipped and the method is instantiated directly — shards that small
-  /// pay scatter, routing and merge overhead without ever amortizing it.
-  /// 0 disables the floor (always honor `partitions`).
-  size_t min_rows_per_shard = 4096;
-
-  /// Hardware floor: partitioned fan-out is a parallelism play, so on a
-  /// machine with a single hardware thread the shards all share one core
-  /// and the scatter, routing and merge are pure overhead. When true (the
-  /// default), `partitions > 1` is honored only on multi-hardware-thread
-  /// machines; structural tests that need the partitioned shape regardless
-  /// of the host set this false.
-  bool partition_needs_cores = true;
 
   /// Fan-out pool for partitioned execution (not owned; must outlive every
   /// index built from this config). Null lets the partitioned index lazily
@@ -68,33 +55,23 @@ struct IndexConfig {
   /// config denotes.
   ThreadPool* pool = nullptr;
 
-  /// Differential-layer option, consulted by `UpdatableIndex` only. Its
-  /// write path appends each commit as one O(1) entry to the delta log of
-  /// its side store (`core/snapshot.h`), and every read pins a snapshot
-  /// and scans the log entries in its range. This floor bounds
-  /// consolidation: a full log is folded into a new flat version, and the
-  /// next log holds max(floor, pending/8) entries capped by
-  /// `snapshot_consolidate_max`, so tiny side stores don't consolidate on
-  /// every other commit — O(1) amortized publication while bounding the
-  /// log readers scan. Participates in `IndexConfigKey`.
-  size_t snapshot_consolidate_min = 64;
-
-  /// Delta-log consolidation ceiling: the log never grows past this many
-  /// entries regardless of pending size, bounding per-read scan work.
-  /// Participates in `IndexConfigKey`.
-  size_t snapshot_consolidate_max = 4096;
-
   CrackingOptions cracking;
   MergeOptions merge;
   HybridOptions hybrid;
   BTreeMergeOptions btree;
 };
 
+/// \brief Fan-out floor of `IndexConfig::partitions`: a column with fewer
+/// than `partitions * kMinRowsPerShard` rows gets the method directly —
+/// shards that small pay scatter, routing and merge overhead without ever
+/// amortizing it.
+inline constexpr size_t kMinRowsPerShard = 4096;
+
 /// \brief Canonical catalog-key fingerprint of a configuration: the method
 /// plus every option that changes the physical index it denotes. Two
 /// configs that produce different indexes (e.g. differing only in
-/// `ConcurrencyMode`) yield distinct keys; display-only fields (`name`) do
-/// not participate.
+/// `ConcurrencyMode`) yield distinct keys; execution resources (the pools)
+/// and the option blocks `method` does not consult do not participate.
 std::string IndexConfigKey(const IndexConfig& config);
 
 /// \brief Instantiates the access method for a base column.

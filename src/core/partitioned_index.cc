@@ -11,30 +11,6 @@
 
 namespace adaptidx {
 
-namespace {
-
-/// Display base name of the method a config selects (the inner indexes'
-/// own Name() is unavailable before first touch).
-std::string MethodDisplayName(const IndexConfig& config) {
-  switch (config.method) {
-    case IndexMethod::kScan:
-      return "scan";
-    case IndexMethod::kSort:
-      return "sort";
-    case IndexMethod::kCrack:
-      return config.cracking.name;
-    case IndexMethod::kAdaptiveMerge:
-      return config.merge.name;
-    case IndexMethod::kHybrid:
-      return config.hybrid.name;
-    case IndexMethod::kBTreeMerge:
-      return config.btree.name;
-  }
-  return "unknown";
-}
-
-}  // namespace
-
 /// One query's fan-out ledger. Shared (via shared_ptr) between the
 /// submitting thread and the helper tasks it enqueues: helpers that wake
 /// after all fragments are claimed touch only this struct, never the query
@@ -62,7 +38,7 @@ PartitionedIndex::PartitionedIndex(const Column* column,
     : column_(column),
       inner_config_(config),
       num_partitions_(std::max<size_t>(1, config.partitions)),
-      name_(MethodDisplayName(config) + "-p" +
+      name_(ToString(config.method) + "-p" +
             std::to_string(std::max<size_t>(1, config.partitions))),
       external_pool_(config.pool) {
   inner_config_.partitions = 1;  // the shards are the partitioning

@@ -254,8 +254,8 @@ class SnapshotManager {
  public:
   /// \brief Starts at epoch 0 with empty side stores; `next_row_id` is the
   /// row id the index assigns first (the base column's size). `log_min` /
-  /// `log_max` bound the delta log's capacity (`IndexConfig`'s
-  /// consolidation bounds).
+  /// `log_max` bound the delta log's capacity (`UpdatableIndex` passes its
+  /// `kConsolidateMin`/`kConsolidateMax`).
   SnapshotManager(RowId next_row_id, size_t log_min, size_t log_max);
 
   /// \brief What the current state holds for one (value, rowID).

@@ -53,11 +53,13 @@ struct RefinementDirective {
 /// rest of the policy is immutable.
 class RefinementPolicy {
  public:
-  /// \brief A policy for `strategy`. `min_piece_size` is the
-  /// coarse-granular cracking floor (the cracking index passes
-  /// CrackingIndex::kMinPieceSize): a piece at or below it is sorted
-  /// instead of split regardless of strategy, capping piece-map growth (0
-  /// disables the floor).
+  /// \brief A policy for `strategy`. Pieces at or below
+  /// `sort_piece_threshold` are sorted under kActive (and kDynamic at low
+  /// contention). `min_piece_size` is the coarse-granular cracking floor:
+  /// a piece at or below it is sorted instead of split regardless of
+  /// strategy, capping piece-map growth (0 disables the floor). The
+  /// cracking index passes `CrackingIndex::kSortPieceThreshold` and
+  /// `kMinPieceSize`.
   RefinementPolicy(RefinementStrategy strategy, size_t sort_piece_threshold,
                    size_t min_piece_size = 0);
 
@@ -73,11 +75,6 @@ class RefinementPolicy {
 
   /// \brief The configured strategy.
   RefinementStrategy strategy() const { return strategy_; }
-  /// \brief Pieces at or below this size are sorted under kActive (and
-  /// kDynamic at low contention).
-  size_t sort_piece_threshold() const { return sort_piece_threshold_; }
-  /// \brief The coarse-granular floor (0 when disabled).
-  size_t min_piece_size() const { return min_piece_size_; }
 
   /// \brief Current contention score in [0, 1]; ~fraction of recent
   /// refinements that hit contention.

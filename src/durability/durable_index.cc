@@ -50,9 +50,7 @@ Status DurableIndex::Open(const Column& seed, const IndexConfig& config,
   Status s = RecoverIndex(opts.data_dir, seed, config, lock_manager,
                           lock_resource, &di->index_, &di->recovery_stats_);
   if (!s.ok()) return s;
-  WalOptions wal_opts;
-  wal_opts.fsync_policy = opts.fsync_policy;
-  s = WriteAheadLog::Open(opts.data_dir, wal_opts,
+  s = WriteAheadLog::Open(opts.data_dir, opts.fsync_policy,
                           di->recovery_stats_.next_lsn, &di->wal_);
   if (!s.ok()) return s;
   di->last_checkpoint_epoch_ = di->recovery_stats_.checkpoint_epoch;

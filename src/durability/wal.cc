@@ -62,14 +62,14 @@ Status WriteFully(int fd, const void* data, size_t size) {
 
 }  // namespace
 
-Status WriteAheadLog::Open(const std::string& dir, const WalOptions& opts,
+Status WriteAheadLog::Open(const std::string& dir, FsyncPolicy fsync_policy,
                            uint64_t next_lsn,
                            std::unique_ptr<WriteAheadLog>* out) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return Status::InvalidArgument("cannot create wal dir: " + dir);
   std::unique_ptr<WriteAheadLog> wal(
-      new WriteAheadLog(dir, opts, next_lsn));
+      new WriteAheadLog(dir, fsync_policy, next_lsn));
   {
     std::lock_guard<std::mutex> io(wal->io_mu_);
     Status s = wal->OpenSegmentLocked(next_lsn);
@@ -84,9 +84,9 @@ Status WriteAheadLog::Open(const std::string& dir, const WalOptions& opts,
   return Status::OK();
 }
 
-WriteAheadLog::WriteAheadLog(std::string dir, WalOptions opts,
+WriteAheadLog::WriteAheadLog(std::string dir, FsyncPolicy fsync_policy,
                              uint64_t next_lsn)
-    : dir_(std::move(dir)), opts_(opts), next_lsn_(next_lsn) {
+    : dir_(std::move(dir)), fsync_policy_(fsync_policy), next_lsn_(next_lsn) {
   durable_lsn_ = next_lsn - 1;
   claimed_lsn_ = next_lsn - 1;
 }
@@ -149,7 +149,7 @@ uint64_t WriteAheadLog::LogCommit(OpType op, Value value, RowId row_id) {
 }
 
 Status WriteAheadLog::WaitDurable(uint64_t lsn) {
-  if (opts_.fsync_policy == FsyncPolicy::kNone) {
+  if (fsync_policy_ == FsyncPolicy::kNone) {
     // The contract degrades to "handed to the OS": the flusher will write
     // it out without fsync; an ack only promises survival of a process
     // crash, not a power failure.
@@ -181,7 +181,7 @@ void WriteAheadLog::FlusherLoop() {
     uint64_t syncs = 0;
     {
       std::lock_guard<std::mutex> io(io_mu_);
-      if (opts_.fsync_policy == FsyncPolicy::kAlways) {
+      if (fsync_policy_ == FsyncPolicy::kAlways) {
         // Force-at-commit: each record of the drained batch pays its own
         // write+fsync, so kAlways measures what per-commit forcing costs
         // rather than borrowing the batching win it is compared against.
@@ -223,7 +223,7 @@ Status WriteAheadLog::WriteAndSyncLocked(const std::string& buf,
     if (!s.ok()) return s;
     *bytes += buf.size();
   }
-  if (opts_.fsync_policy != FsyncPolicy::kNone || force_sync) {
+  if (fsync_policy_ != FsyncPolicy::kNone || force_sync) {
     Status s = SyncFd(fd_);
     if (!s.ok()) return s;
     ++*syncs;

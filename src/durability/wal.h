@@ -50,11 +50,6 @@ enum class FsyncPolicy : uint8_t {
   kNone = 2,
 };
 
-/// \brief Tunables of a `WriteAheadLog`.
-struct WalOptions {
-  FsyncPolicy fsync_policy = FsyncPolicy::kGroup;
-};
-
 /// \brief Counters of one `WriteAheadLog` instance (all monotone since
 /// open). Read via `stats()`; published to the server's STATS frame.
 struct WalStats {
@@ -103,9 +98,10 @@ struct WalRecord {
 class WriteAheadLog : public CommitSink {
  public:
   /// \brief Opens (creating if absent) the log in `dir`, starting a new
-  /// segment `wal-<next_lsn>.log`. `next_lsn` is one past the last LSN
-  /// recovery replayed (1 on a fresh directory). Spawns the flusher.
-  static Status Open(const std::string& dir, const WalOptions& opts,
+  /// segment `wal-<next_lsn>.log` that syncs per `fsync_policy`. `next_lsn`
+  /// is one past the last LSN recovery replayed (1 on a fresh directory).
+  /// Spawns the flusher.
+  static Status Open(const std::string& dir, FsyncPolicy fsync_policy,
                      uint64_t next_lsn, std::unique_ptr<WriteAheadLog>* out);
 
   /// \brief Stops the flusher after a final drain+sync (best effort).
@@ -142,7 +138,7 @@ class WriteAheadLog : public CommitSink {
   WalStats stats() const;        ///< \brief Counter snapshot.
 
  private:
-  WriteAheadLog(std::string dir, WalOptions opts, uint64_t next_lsn);
+  WriteAheadLog(std::string dir, FsyncPolicy fsync_policy, uint64_t next_lsn);
 
   /// Opens a fresh segment `wal-<first_lsn>.log` and writes its header.
   /// io_mu_ held.
@@ -163,7 +159,7 @@ class WriteAheadLog : public CommitSink {
                             uint64_t* bytes, uint64_t* syncs);
 
   const std::string dir_;
-  const WalOptions opts_;
+  const FsyncPolicy fsync_policy_;
 
   mutable std::mutex mu_;
   std::condition_variable flusher_cv_;  ///< pending work / shutdown

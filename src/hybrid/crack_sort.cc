@@ -47,9 +47,8 @@ HybridCrackSortIndex::HybridCrackSortIndex(const Column* column,
 
 void HybridCrackSortIndex::EnsureInitialized(QueryContext* ctx) {
   if (initialized_.load(std::memory_order_acquire)) return;
-  const bool cc = opts_.concurrency_control;
   LatchAcquireContext lat = ctx->LatchCtx(&latch_stats_);
-  if (cc) latch_.WriteLock(0, lat);
+  latch_.WriteLock(0, lat);
   if (!initialized_.load(std::memory_order_relaxed)) {
     // Cheap first touch: data is copied into unsorted initial partitions
     // without any sorting (the defining difference from adaptive merging).
@@ -78,7 +77,7 @@ void HybridCrackSortIndex::EnsureInitialized(QueryContext* ctx) {
     domain_hi_ = hi + 1;
     initialized_.store(true, std::memory_order_release);
   }
-  if (cc) latch_.WriteUnlock();
+  latch_.WriteUnlock();
 }
 
 size_t HybridCrackSortIndex::ResolveInPartition(InitialPartition* part,
@@ -158,22 +157,21 @@ Status HybridCrackSortIndex::ExecuteRange(const ValueRange& range,
   const Value hi = std::min(range.hi, domain_hi_);
   if (lo >= hi) return Status::OK();
 
-  const bool cc = opts_.concurrency_control;
   LatchAcquireContext lat = ctx->LatchCtx(&latch_stats_);
 
   std::vector<SegmentStore::CoveredPart> covered;
   std::vector<ValueRange> gaps;
-  if (cc) latch_.ReadLock(lat);
+  latch_.ReadLock(lat);
   {
     ScopedTimer t(&ctx->stats.read_ns);
     final_.Decompose(lo, hi, &covered, &gaps);
     for (const auto& part : covered) agg->Covered(part);
     ctx->stats.pieces_touched += covered.size();
   }
-  if (cc) latch_.ReadUnlock();
+  latch_.ReadUnlock();
 
   for (const ValueRange& gap : gaps) {
-    if (cc) latch_.WriteLock(gap.lo, lat);
+    latch_.WriteLock(gap.lo, lat);
     std::vector<SegmentStore::CoveredPart> sub_covered;
     std::vector<ValueRange> sub_gaps;
     final_.Decompose(gap.lo, gap.hi, &sub_covered, &sub_gaps);
@@ -192,7 +190,7 @@ Status HybridCrackSortIndex::ExecuteRange(const ValueRange& range,
       }
     }
     ctx->stats.pieces_touched += sub_covered.size() + sub_gaps.size();
-    if (cc) latch_.WriteUnlock();
+    latch_.WriteUnlock();
   }
   return Status::OK();
 }

@@ -17,9 +17,6 @@ namespace adaptidx {
 struct HybridOptions {
   /// Records per unsorted initial partition.
   size_t partition_size = 1u << 20;
-  /// Latch the index (off = single-threaded measurement mode).
-  bool concurrency_control = true;
-  std::string name = "hybrid";
 };
 
 /// \brief Hybrid "crack-sort" adaptive indexing (Section 2, Figure 4; [23]):
@@ -40,7 +37,7 @@ class HybridCrackSortIndex : public AdaptiveIndex {
  public:
   explicit HybridCrackSortIndex(const Column* column, HybridOptions opts = {});
 
-  std::string Name() const override { return opts_.name; }
+  std::string Name() const override { return "hybrid"; }
 
   /// \brief Initial partitions + final segments.
   size_t NumPieces() const override;

@@ -59,9 +59,8 @@ AdaptiveMergeIndex::AdaptiveMergeIndex(const Column* column, MergeOptions opts)
 
 void AdaptiveMergeIndex::EnsureInitialized(QueryContext* ctx) {
   if (initialized_.load(std::memory_order_acquire)) return;
-  const bool cc = opts_.concurrency_control;
   LatchAcquireContext lat = ctx->LatchCtx(&latch_stats_);
-  if (cc) latch_.WriteLock(0, lat);
+  latch_.WriteLock(0, lat);
   if (!initialized_.load(std::memory_order_relaxed)) {
     ScopedTimer init_timer(&ctx->stats.init_ns);
     const size_t n = column_->size();
@@ -92,7 +91,7 @@ void AdaptiveMergeIndex::EnsureInitialized(QueryContext* ctx) {
     domain_hi_ = hi + 1;
     initialized_.store(true, std::memory_order_release);
   }
-  if (cc) latch_.WriteUnlock();
+  latch_.WriteUnlock();
 }
 
 void AdaptiveMergeIndex::RunRange(const Run& run, Value lo, Value hi,
@@ -155,19 +154,18 @@ void AdaptiveMergeIndex::MergeGapLocked(Value lo, Value hi,
 template <typename Agg>
 void AdaptiveMergeIndex::MergeGapMvcc(const ValueRange& gap,
                                       QueryContext* ctx, Agg* agg) {
-  const bool cc = opts_.concurrency_control;
   LatchAcquireContext lat = ctx->LatchCtx(&latch_stats_);
 
   // Expensive phase under shared access: runs are immutable, so the gather
   // is correct no matter what concurrent merges commit meanwhile.
-  if (cc) latch_.ReadLock(lat);
+  latch_.ReadLock(lat);
   std::vector<CrackerEntry> gathered = GatherGap(gap.lo, gap.hi, ctx);
-  if (cc) latch_.ReadUnlock();
+  latch_.ReadUnlock();
 
   // Short exclusive commit with revalidation: concurrent queries may have
   // covered parts of the gap while we gathered; their versions win and the
   // corresponding slice of our private result is discarded.
-  if (cc) latch_.WriteLock(gap.lo, lat);
+  latch_.WriteLock(gap.lo, lat);
   std::vector<SegmentStore::CoveredPart> sub_covered;
   std::vector<ValueRange> sub_gaps;
   final_.Decompose(gap.lo, gap.hi, &sub_covered, &sub_gaps);
@@ -191,7 +189,7 @@ void AdaptiveMergeIndex::MergeGapMvcc(const ValueRange& gap,
     for (const auto& part : covered_now) agg->Covered(part);
     ctx->stats.pieces_touched += covered_now.size();
   }
-  if (cc) latch_.WriteUnlock();
+  latch_.WriteUnlock();
 }
 
 template <typename Agg>
@@ -203,20 +201,19 @@ Status AdaptiveMergeIndex::ExecuteRange(const ValueRange& range,
   const Value hi = std::min(range.hi, domain_hi_);
   if (lo >= hi) return Status::OK();
 
-  const bool cc = opts_.concurrency_control;
   LatchAcquireContext lat = ctx->LatchCtx(&latch_stats_);
 
   // Pass 1: consume already-covered parts, remember the gaps.
   std::vector<SegmentStore::CoveredPart> covered;
   std::vector<ValueRange> gaps;
-  if (cc) latch_.ReadLock(lat);
+  latch_.ReadLock(lat);
   {
     ScopedTimer t(&ctx->stats.read_ns);
     final_.Decompose(lo, hi, &covered, &gaps);
     for (const auto& part : covered) agg->Covered(part);
     ctx->stats.pieces_touched += covered.size();
   }
-  if (cc) latch_.ReadUnlock();
+  latch_.ReadUnlock();
 
   // Pass 2: handle each gap as its own instantly-committed system
   // transaction (Section 4.3: "conflicts can be avoided or resolved by
@@ -229,7 +226,7 @@ Status AdaptiveMergeIndex::ExecuteRange(const ValueRange& range,
     }
     const bool merge_now = !merging_stopped;
     if (merge_now) {
-      if (cc) latch_.WriteLock(gap.lo, lat);
+      latch_.WriteLock(gap.lo, lat);
       // Recheck under the latch: a concurrent query may have merged parts
       // of this gap while we were not holding it.
       std::vector<SegmentStore::CoveredPart> sub_covered;
@@ -251,8 +248,8 @@ Status AdaptiveMergeIndex::ExecuteRange(const ValueRange& range,
         }
       }
       ctx->stats.pieces_touched += sub_covered.size() + sub_gaps.size();
-      const bool contended = cc && latch_.HasWaiters();
-      if (cc) latch_.WriteUnlock();
+      const bool contended = latch_.HasWaiters();
+      latch_.WriteUnlock();
       if (opts_.early_termination && contended) {
         // Adaptive early termination: commit what we merged, answer the
         // remaining gaps read-only, let future queries finish the work.
@@ -261,7 +258,7 @@ Status AdaptiveMergeIndex::ExecuteRange(const ValueRange& range,
       }
     } else {
       // Read-only fallback: answer from the runs without merging.
-      if (cc) latch_.ReadLock(lat);
+      latch_.ReadLock(lat);
       std::vector<SegmentStore::CoveredPart> sub_covered;
       std::vector<ValueRange> sub_gaps;
       final_.Decompose(gap.lo, gap.hi, &sub_covered, &sub_gaps);
@@ -278,7 +275,7 @@ Status AdaptiveMergeIndex::ExecuteRange(const ValueRange& range,
         }
       }
       ctx->stats.pieces_touched += sub_covered.size() + sub_gaps.size();
-      if (cc) latch_.ReadUnlock();
+      latch_.ReadUnlock();
     }
   }
   return Status::OK();

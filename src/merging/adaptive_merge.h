@@ -26,10 +26,6 @@ struct MergeOptions {
   /// current query are answered read-only from the runs.
   bool early_termination = true;
 
-  /// Latch the index at all (off reproduces the Figure 13 experiment shape
-  /// for merging).
-  bool concurrency_control = true;
-
   /// Limited multi-version concurrency control (Section 4.3): "merge steps
   /// take records from many existing B-tree pages and write new pages ...
   /// shared access to the old pages and exclusive access to the new pages
@@ -38,8 +34,6 @@ struct MergeOptions {
   /// only the final publication takes the write latch — revalidating
   /// coverage and discarding whatever a concurrent merge committed first.
   bool mvcc_commit = false;
-
-  std::string name = "merge";
 };
 
 /// \brief Adaptive merging (Section 2, Figure 3; transactional treatment in
@@ -66,7 +60,7 @@ class AdaptiveMergeIndex : public AdaptiveIndex {
  public:
   explicit AdaptiveMergeIndex(const Column* column, MergeOptions opts = {});
 
-  std::string Name() const override { return opts_.name; }
+  std::string Name() const override { return "merge"; }
 
   /// \brief Runs + final segments.
   size_t NumPieces() const override;

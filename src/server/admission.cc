@@ -25,7 +25,6 @@ AdmissionController::AdmissionController(AdmissionOptions opts)
   opts_.global_inflight = std::max<size_t>(1, opts_.global_inflight);
   opts_.per_connection_inflight =
       std::max<size_t>(1, opts_.per_connection_inflight);
-  opts_.rss_sample_period = std::max<size_t>(1, opts_.rss_sample_period);
   // Eager first sample: the STATS gauge reads sensibly before the first
   // re-sample window elapses.
   rss_bytes_.store(ReadRssBytes(), std::memory_order_relaxed);
@@ -53,7 +52,7 @@ void AdmissionController::UpdateGaugeLocked() {
       (opts_.max_rss_bytes != 0 && rss >= opts_.max_rss_bytes)) {
     s = OverloadState::kCritical;
   } else if (static_cast<double>(global_) >=
-             opts_.elevated_fraction * static_cast<double>(cap)) {
+             kElevatedFraction * static_cast<double>(cap)) {
     s = OverloadState::kElevated;
   }
   state_.store(static_cast<uint8_t>(s), std::memory_order_relaxed);
@@ -64,7 +63,7 @@ bool AdmissionController::TryAdmit(uint64_t conn_id, size_t n) {
   std::lock_guard<std::mutex> lk(mu_);
   // Resource monitor: re-sample RSS every few decisions, not per request.
   if (opts_.max_rss_bytes != 0 &&
-      ++admits_since_rss_sample_ >= opts_.rss_sample_period) {
+      ++admits_since_rss_sample_ >= kRssSamplePeriod) {
     admits_since_rss_sample_ = 0;
     rss_bytes_.store(ReadRssBytes(), std::memory_order_relaxed);
   }

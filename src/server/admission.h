@@ -37,12 +37,6 @@ struct AdmissionOptions {
   /// sampled RSS is at or above the ceiling the gauge reads kCritical and
   /// everything is shed.
   size_t max_rss_bytes = 0;
-  /// In-flight fraction of `global_inflight` at which the gauge leaves
-  /// kNormal for kElevated.
-  double elevated_fraction = 0.75;
-  /// RSS is re-sampled from /proc at most once per this many admission
-  /// decisions (a procfs read per request would dominate point queries).
-  size_t rss_sample_period = 64;
 };
 
 /// \brief Bounded-queue admission control with per-connection fairness and
@@ -62,6 +56,15 @@ class AdmissionController {
  public:
   /// \brief Clamps the caps to at least 1 and starts in kNormal.
   explicit AdmissionController(AdmissionOptions opts);
+
+  /// \brief In-flight fraction of `global_inflight` at which the gauge
+  /// leaves kNormal for kElevated.
+  static constexpr double kElevatedFraction = 0.75;
+
+  /// \brief With a memory ceiling set, RSS is re-sampled from /proc once
+  /// per this many admission decisions (a procfs read per request would
+  /// dominate point queries).
+  static constexpr size_t kRssSamplePeriod = 64;
 
   /// \brief Attempts to admit `n` requests for connection `conn_id`
   /// (all-or-nothing, so a BATCH is one admission unit). On refusal the

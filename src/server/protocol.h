@@ -35,7 +35,8 @@ namespace server {
 constexpr size_t kFrameOverhead = 1 + 8;  ///< type byte + request id
 /// \brief Bytes of the leading length word.
 constexpr size_t kFrameLengthBytes = 4;
-/// \brief Default per-frame size cap (1 MiB) enforced before any reserve.
+/// \brief Per-frame size cap (1 MiB) that the server and the client enforce
+/// before any reserve.
 constexpr size_t kDefaultMaxFrameBytes = size_t{1} << 20;
 
 /// \brief Frame type tags. Requests have the high bit clear, responses

@@ -19,6 +19,11 @@ namespace {
 /// callback; level-triggered poll re-arms it on the next pass.
 constexpr size_t kMaxReadPerEvent = 256 * 1024;
 
+/// Round-robin fairness quantum: at most this many buffered frames are
+/// dispatched per connection per loop pass before the connection yields
+/// to its peers.
+constexpr size_t kFairnessQuantum = 8;
+
 }  // namespace
 
 /// Per-connection state machine; every field is confined to the I/O loop
@@ -37,7 +42,6 @@ struct Server::Connection {
 
 Server::Server(Column base, ServerOptions opts)
     : opts_(std::move(opts)), admission_(opts_.admission) {
-  opts_.fairness_quantum = std::max<size_t>(1, opts_.fairness_quantum);
   if (opts_.durability.data_dir.empty()) {
     owned_index_.reset(new UpdatableIndex(std::move(base), opts_.index_config,
                                           &lock_manager_, "served/A"));
@@ -168,12 +172,12 @@ void Server::ProcessFrames(const std::shared_ptr<Connection>& conn) {
     conn->in_offset = 0;
   }
   size_t handled = 0;
-  while (handled < opts_.fairness_quantum && !conn->closing) {
+  while (handled < kFairnessQuantum && !conn->closing) {
     Frame frame;
     size_t consumed = 0;
     Status s = TryDecodeFrame(
         reinterpret_cast<const uint8_t*>(conn->in.data()) + conn->in_offset,
-        conn->in.size() - conn->in_offset, opts_.max_frame_bytes, &frame,
+        conn->in.size() - conn->in_offset, kDefaultMaxFrameBytes, &frame,
         &consumed);
     if (!s.ok()) {
       ProtocolError(conn, s);

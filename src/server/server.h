@@ -31,9 +31,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// Listen port; 0 binds an ephemeral port readable via `Server::port()`.
   uint16_t port = 0;
-  /// Per-frame size cap, enforced by the decoder before any payload
-  /// buffer is reserved.
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Engine execution pool size; 0 sizes it to the hardware with one
   /// context reserved for the I/O loop thread
   /// (`ThreadPool::DefaultConcurrency(1)`).
@@ -45,10 +42,6 @@ struct ServerOptions {
   /// CHECKPOINT never time out: a write may still commit. 0 disables
   /// deadlines.
   int64_t request_deadline_ms = 30000;
-  /// Round-robin fairness quantum: at most this many buffered frames are
-  /// dispatched per connection per loop pass before the connection yields
-  /// to its peers. Minimum 1.
-  size_t fairness_quantum = 8;
   /// Admission control (bounded in-flight queues, overload gauge, RSS
   /// monitor).
   AdmissionOptions admission;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 namespace adaptidx {
 namespace server {
 namespace {
@@ -43,17 +46,17 @@ TEST(AdmissionTest, GlobalAndPerConnectionCapsAreAllOrNothing) {
 TEST(AdmissionTest, OverloadGaugeWalksThreeStates) {
   AdmissionOptions opts;
   opts.global_inflight = 8;
-  opts.elevated_fraction = 0.5;
   AdmissionController ac(opts);
   EXPECT_EQ(ac.state(), OverloadState::kNormal);
   ASSERT_TRUE(ac.TryAdmit(1, 3));
-  EXPECT_EQ(ac.state(), OverloadState::kNormal);
   ASSERT_TRUE(ac.TryAdmit(2, 2));
-  EXPECT_EQ(ac.state(), OverloadState::kElevated);  // 5/8 >= 0.5
-  ASSERT_TRUE(ac.TryAdmit(3, 3));
+  EXPECT_EQ(ac.state(), OverloadState::kNormal);  // 5/8 < 0.75
+  ASSERT_TRUE(ac.TryAdmit(2, 1));
+  EXPECT_EQ(ac.state(), OverloadState::kElevated);  // 6/8 >= 0.75
+  ASSERT_TRUE(ac.TryAdmit(3, 2));
   EXPECT_EQ(ac.state(), OverloadState::kCritical);  // at the cap
-  ac.Release(3, 3);
-  ac.Release(2, 2);
+  ac.Release(3, 2);
+  ac.Release(2, 3);
   ac.Release(1, 3);
   EXPECT_EQ(ac.state(), OverloadState::kNormal);
 }
@@ -62,12 +65,28 @@ TEST(AdmissionTest, RssMonitorShedsWhenOverBudget) {
   AdmissionOptions opts;
   opts.global_inflight = 100;
   opts.max_rss_bytes = 1;  // any real process is over this immediately
-  opts.rss_sample_period = 1;
   AdmissionController ac(opts);
   EXPECT_GT(ac.sampled_rss_bytes(), 1u);  // eager first sample
   EXPECT_FALSE(ac.TryAdmit(1));
   EXPECT_EQ(ac.state(), OverloadState::kCritical);
   EXPECT_EQ(ac.shed_total(), 1u);
+}
+
+TEST(AdmissionTest, RssIsResampledOncePerPeriod) {
+  AdmissionOptions opts;
+  opts.max_rss_bytes = 1;
+  AdmissionController ac(opts);
+  const size_t first = ac.sampled_rss_bytes();
+  // Grow the resident set by 32 MiB; only a re-sample can see it.
+  std::vector<char> ballast(size_t{32} << 20);
+  std::memset(ballast.data(), 1, ballast.size());
+  for (size_t i = 1; i < AdmissionController::kRssSamplePeriod; ++i) {
+    ac.TryAdmit(1);
+    ASSERT_EQ(ac.sampled_rss_bytes(), first) << "re-sampled at decision " << i;
+  }
+  ac.TryAdmit(1);
+  EXPECT_GE(ac.sampled_rss_bytes(), first + (size_t{16} << 20));
+  EXPECT_EQ(ballast[ballast.size() / 2], 1);
 }
 
 TEST(AdmissionTest, ReadRssReportsALiveProcess) {

@@ -208,7 +208,6 @@ class BTreeMergeTest : public ::testing::Test {
   BTreeMergeOptions SmallRuns() const {
     BTreeMergeOptions opts;
     opts.run_size = 512;
-    opts.node_capacity = 32;
     return opts;
   }
 

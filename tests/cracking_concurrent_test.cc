@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -21,20 +22,28 @@ constexpr size_t kRows = 20000;
 constexpr int kThreads = 6;
 constexpr int kQueriesPerThread = 150;
 
-/// Runs `kThreads` clients of mixed count/sum/rowid/minmax queries against
-/// `index`, checking every result against the oracle. Returns false on any
-/// mismatch.
+/// Runs `kThreads` clients of mixed count/sum/rowid/minmax queries over a
+/// column of `rows` dense values against `index`, checking every result
+/// against the oracle; adds every query bound to `bounds` when given.
+/// Returns false on any mismatch.
 bool RunConcurrentQueries(CrackingIndex* index, const RangeOracle& oracle,
-                          uint64_t seed) {
+                          uint64_t seed, size_t rows = kRows,
+                          std::set<Value>* bounds = nullptr) {
   std::atomic<bool> ok{true};
+  std::vector<std::vector<Value>> asked(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(seed + static_cast<uint64_t>(t) * 7919);
       for (int i = 0; i < kQueriesPerThread && ok.load(); ++i) {
-        Value lo = rng.UniformRange(0, kRows);
-        Value hi = rng.UniformRange(0, kRows);
+        Value lo = rng.UniformRange(0, rows);
+        Value hi = rng.UniformRange(0, rows);
         if (lo > hi) std::swap(lo, hi);
+        // RowID materialization is the most allocation-heavy kind; shrink
+        // the range so the differential stays fast.
+        if (i % 4 == 2) hi = std::min<Value>(hi, lo + 2000);
+        asked[t].push_back(lo);
+        asked[t].push_back(hi);
         QueryContext ctx;
         ctx.client_id = static_cast<uint32_t>(t);
         switch (i % 4) {
@@ -55,12 +64,9 @@ bool RunConcurrentQueries(CrackingIndex* index, const RangeOracle& oracle,
             break;
           }
           case 2: {
-            // RowID materialization is the most allocation-heavy kind;
-            // shrink the range so the differential stays fast.
-            const Value rhi = std::min<Value>(hi, lo + 2000);
             std::vector<RowId> ids;
-            if (!index->RangeRowIds(ValueRange{lo, rhi}, &ctx, &ids).ok() ||
-                !oracle.CheckRowIds(lo, rhi, ids)) {
+            if (!index->RangeRowIds(ValueRange{lo, hi}, &ctx, &ids).ok() ||
+                !oracle.CheckRowIds(lo, hi, ids)) {
               ok.store(false);
             }
             break;
@@ -86,6 +92,9 @@ bool RunConcurrentQueries(CrackingIndex* index, const RangeOracle& oracle,
     });
   }
   for (auto& t : threads) t.join();
+  if (bounds != nullptr) {
+    for (const auto& a : asked) bounds->insert(a.begin(), a.end());
+  }
   return ok.load();
 }
 
@@ -102,8 +111,18 @@ class CrackingConcurrentTest
     : public ::testing::TestWithParam<ConcurrentParam> {
  protected:
   void SetUp() override {
-    column_ = Column::UniqueRandom("A", kRows, 1234);
+    column_ = Column::UniqueRandom("A", Rows(), 1234);
     oracle_ = std::make_unique<RangeOracle>(column_);
+  }
+
+  bool Stochastic() const {
+    return GetParam().crack_policy != CrackPolicy::kExact;
+  }
+
+  /// A stochastic policy recurses only above its floor, so its column
+  /// holds two floors' worth of rows.
+  size_t Rows() const {
+    return Stochastic() ? 2 * CrackingIndex::kPolicyMinPiece : kRows;
   }
 
   CrackingOptions Options() const {
@@ -113,8 +132,6 @@ class CrackingConcurrentTest
     opts.strategy = GetParam().strategy;
     opts.group_crack = GetParam().group_crack;
     opts.crack_policy = GetParam().crack_policy;
-    opts.policy_min_piece = 2048;
-    opts.sort_piece_threshold = 256;
     return opts;
   }
 
@@ -124,15 +141,17 @@ class CrackingConcurrentTest
 
 TEST_P(CrackingConcurrentTest, AllResultsMatchOracle) {
   CrackingIndex index(&column_, Options());
-  EXPECT_TRUE(RunConcurrentQueries(&index, *oracle_, 555));
+  std::set<Value> bounds;
+  EXPECT_TRUE(RunConcurrentQueries(&index, *oracle_, 555, Rows(), &bounds));
   EXPECT_TRUE(index.ValidateStructure());
+  EXPECT_EQ(HasPivotCrack(index, bounds), Stochastic());
 }
 
 TEST_P(CrackingConcurrentTest, SecondWaveAfterRefinementStillCorrect) {
   CrackingIndex index(&column_, Options());
-  ASSERT_TRUE(RunConcurrentQueries(&index, *oracle_, 111));
+  ASSERT_TRUE(RunConcurrentQueries(&index, *oracle_, 111, Rows()));
   // The index is now heavily refined; run a second concurrent wave.
-  EXPECT_TRUE(RunConcurrentQueries(&index, *oracle_, 222));
+  EXPECT_TRUE(RunConcurrentQueries(&index, *oracle_, 222, Rows()));
   EXPECT_TRUE(index.ValidateStructure());
 }
 
@@ -576,6 +595,33 @@ TEST(CrackingRaceTest, DriverResultsMatchOracleAllClients) {
   for (const auto& rec : result.records) {
     ASSERT_EQ(rec.result.count, oracle.Count(rec.query.lo, rec.query.hi));
   }
+}
+
+TEST(CrackingRaceTest, DynamicScoreHearsBlockedColumnLatchWaits) {
+  // Under kColumnLatch every refinement takes the column write latch with
+  // a blocking call; a refinement that had to wait for it is contention
+  // that kDynamic's score must hear.
+  constexpr size_t kTestRows = 1000000;
+  Column col = Column::UniqueRandom("A", kTestRows, 107);
+  CrackingOptions opts;
+  opts.mode = ConcurrencyMode::kColumnLatch;
+  opts.strategy = RefinementStrategy::kDynamic;
+  CrackingIndex index(&col, opts);
+  WorkloadGenerator gen(0, kTestRows);
+  WorkloadOptions wopts;
+  wopts.num_queries = 256;
+  wopts.selectivity = 0.01;
+  wopts.type = QueryType::kSum;
+  wopts.seed = 7;
+  DriverOptions dopts;
+  dopts.num_clients = 4;
+  dopts.batch_size = 1;
+  RunResult result = Driver::Run(&index, gen.Generate(wopts), dopts);
+  ASSERT_TRUE(result.status.ok());
+  if (index.latch_stats().write_conflicts() == 0) {
+    GTEST_SKIP() << "no refinement waited for the column write latch";
+  }
+  EXPECT_GT(index.ContentionScore(), 0.0);
 }
 
 TEST(CrackingRaceTest, LazyUnderContentionSkipsButStaysCorrect) {

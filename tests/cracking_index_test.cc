@@ -131,18 +131,22 @@ TEST_P(CrackingCorrectnessTest, OneStepPerSharedPieceOneStepPerBoundElse) {
 }
 
 TEST_P(CrackingCorrectnessTest, Mdd1rTwoBoundStepAnswersByScan) {
+  Column col =
+      Column::UniqueRandom("A", 2 * CrackingIndex::kPolicyMinPiece, 42);
+  RangeOracle oracle(col);
   CrackingOptions opts = Options();
   opts.crack_policy = CrackPolicy::kMDD1R;
-  opts.policy_min_piece = 512;
-  CrackingIndex index(&column_, opts);
+  CrackingIndex index(&col, opts);
   QueryContext ctx;
   int64_t sum = 0;
   ASSERT_TRUE(index.RangeSum(ValueRange{1000, 2000}, &ctx, &sum).ok());
-  EXPECT_EQ(sum, oracle_->Sum(1000, 2000));
-  // The 4000-row piece is above the policy floor: one random pivot crack
-  // and no bound crack, so the bounds were answered by a filtered scan.
+  EXPECT_EQ(sum, oracle.Sum(1000, 2000));
+  // The column's one piece is above the policy floor: one random pivot
+  // crack and no bound crack, so the bounds were answered by a filtered
+  // scan.
   EXPECT_EQ(ctx.stats.cracks, 1u);
   EXPECT_EQ(index.NumPieces(), 2u);
+  EXPECT_TRUE(HasPivotCrack(index, {1000, 2000}));
   EXPECT_TRUE(index.ValidateStructure());
 }
 
@@ -300,15 +304,17 @@ TEST(CrackingIndexTest, AlreadySortedColumn) {
 // ------------------------------------------------- Strategy variations
 
 TEST(CrackingStrategyTest, ActiveStrategySortsSmallPieces) {
-  Column col = Column::UniqueRandom("A", 4000, 12);
+  // Ten sort thresholds of rows: the first cracks split the column, and
+  // the pieces they leave at or below the threshold are sorted.
+  constexpr size_t kTestRows = 10 * CrackingIndex::kSortPieceThreshold;
+  Column col = Column::UniqueRandom("A", kTestRows, 12);
   RangeOracle oracle(col);
   CrackingOptions opts;
   opts.strategy = RefinementStrategy::kActive;
-  opts.sort_piece_threshold = 512;
   CrackingIndex index(&col, opts);
   Rng rng(13);
   for (int i = 0; i < 100; ++i) {
-    Value lo = rng.UniformRange(0, 3900);
+    Value lo = rng.UniformRange(0, kTestRows - 100);
     QueryContext ctx;
     uint64_t count;
     ASSERT_TRUE(index.RangeCount(ValueRange{lo, lo + 50}, &ctx, &count).ok());
@@ -333,15 +339,15 @@ TEST(CrackingStrategyTest, LazySingleThreadedStillRefines) {
 }
 
 TEST(CrackingStrategyTest, DynamicStrategyCorrect) {
-  Column col = Column::UniqueRandom("A", 2000, 15);
+  constexpr size_t kTestRows = 10 * CrackingIndex::kSortPieceThreshold;
+  Column col = Column::UniqueRandom("A", kTestRows, 15);
   RangeOracle oracle(col);
   CrackingOptions opts;
   opts.strategy = RefinementStrategy::kDynamic;
-  opts.sort_piece_threshold = 256;
   CrackingIndex index(&col, opts);
   Rng rng(16);
   for (int i = 0; i < 100; ++i) {
-    Value lo = rng.UniformRange(0, 1900);
+    Value lo = rng.UniformRange(0, kTestRows - 100);
     QueryContext ctx;
     uint64_t count;
     ASSERT_TRUE(index.RangeCount(ValueRange{lo, lo + 80}, &ctx, &count).ok());
@@ -351,13 +357,15 @@ TEST(CrackingStrategyTest, DynamicStrategyCorrect) {
 }
 
 TEST(CrackingStrategyTest, StochasticAddsExtraCracks) {
-  Column col = Column::UniqueRandom("A", 100000, 17);
+  // Two policy floors of rows: the first pieces are large enough for DDR
+  // to recurse.
+  Column col =
+      Column::UniqueRandom("A", 2 * CrackingIndex::kPolicyMinPiece, 17);
   RangeOracle oracle(col);
   CrackingOptions plain;
   plain.crack_policy = CrackPolicy::kExact;
   CrackingOptions stoch;
   stoch.crack_policy = CrackPolicy::kDDR;
-  stoch.policy_min_piece = 1024;
   CrackingIndex a(&col, plain);
   CrackingIndex b(&col, stoch);
   // Sequential (adversarial) workload.
@@ -539,13 +547,14 @@ TEST(CrackingTryExecuteTest, ColumnLatchModeIsAlwaysBusy) {
 
 // ----------------------------------------------------------- Naming
 
-TEST(CrackingIndexTest, NameReflectsOptions) {
+TEST(CrackingIndexTest, NameIsTheMethodAndOptionsAreKept) {
   Column col("A", {1});
   CrackingOptions opts;
-  opts.name = "crack-piece-mo";
+  opts.scheduling = SchedulingPolicy::kFifo;
   CrackingIndex index(&col, opts);
-  EXPECT_EQ(index.Name(), "crack-piece-mo");
+  EXPECT_EQ(index.Name(), "crack");
   EXPECT_EQ(index.options().mode, ConcurrencyMode::kPieceLatch);
+  EXPECT_EQ(index.options().scheduling, SchedulingPolicy::kFifo);
 }
 
 TEST(CrackingIndexTest, ConcurrencyModeToString) {

@@ -54,18 +54,11 @@ class DurabilityTest : public ::testing::Test {
 
 using OpType = CommitSink::OpType;
 
-Status OpenWal(const std::string& dir, FsyncPolicy policy, uint64_t next_lsn,
-               std::unique_ptr<WriteAheadLog>* out) {
-  WalOptions opts;
-  opts.fsync_policy = policy;
-  return WriteAheadLog::Open(dir, opts, next_lsn, out);
-}
-
 // ------------------------------------------------------------------ WAL core
 
 TEST_F(DurabilityTest, WalAppendScanRoundTrip) {
   std::unique_ptr<WriteAheadLog> wal;
-  ASSERT_TRUE(OpenWal(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
+  ASSERT_TRUE(WriteAheadLog::Open(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
   for (int i = 0; i < 100; ++i) {
     const uint64_t lsn = wal->LogCommit(
         i % 3 == 2 ? OpType::kDelete : OpType::kInsert, 1000 + i,
@@ -103,7 +96,7 @@ TEST_F(DurabilityTest, WalAllPoliciesDurableAtAck) {
                             std::to_string(static_cast<int>(policy));
     fs::create_directories(sub);
     std::unique_ptr<WriteAheadLog> wal;
-    ASSERT_TRUE(OpenWal(sub, policy, 1, &wal).ok());
+    ASSERT_TRUE(WriteAheadLog::Open(sub, policy, 1, &wal).ok());
     for (int i = 0; i < 20; ++i) {
       const uint64_t lsn = wal->LogCommit(OpType::kInsert, i, i);
       ASSERT_TRUE(wal->WaitDurable(lsn).ok());
@@ -126,7 +119,7 @@ TEST_F(DurabilityTest, WalAlwaysFsyncsPerRecordGroupAmortizes) {
                             std::to_string(static_cast<int>(policy));
     fs::create_directories(sub);
     std::unique_ptr<WriteAheadLog> wal;
-    ASSERT_TRUE(OpenWal(sub, policy, 1, &wal).ok());
+    ASSERT_TRUE(WriteAheadLog::Open(sub, policy, 1, &wal).ok());
     for (int i = 0; i < 50; ++i) {
       ASSERT_TRUE(wal->WaitDurable(wal->LogCommit(OpType::kInsert, i, i)).ok());
     }
@@ -142,7 +135,7 @@ TEST_F(DurabilityTest, WalAlwaysFsyncsPerRecordGroupAmortizes) {
 
 TEST_F(DurabilityTest, WalRotateSealsAndStartsFreshSegment) {
   std::unique_ptr<WriteAheadLog> wal;
-  ASSERT_TRUE(OpenWal(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
+  ASSERT_TRUE(WriteAheadLog::Open(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
   for (int i = 0; i < 10; ++i) wal->LogCommit(OpType::kInsert, i, i);
   ASSERT_TRUE(wal->Rotate().ok());
   for (int i = 10; i < 15; ++i) wal->LogCommit(OpType::kInsert, i, i);
@@ -164,7 +157,7 @@ TEST_F(DurabilityTest, WalRotateSealsAndStartsFreshSegment) {
 
 TEST_F(DurabilityTest, WalRemoveSegmentsBelowKeepsCoveringTail) {
   std::unique_ptr<WriteAheadLog> wal;
-  ASSERT_TRUE(OpenWal(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
+  ASSERT_TRUE(WriteAheadLog::Open(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
   for (int i = 0; i < 10; ++i) wal->LogCommit(OpType::kInsert, i, i);
   ASSERT_TRUE(wal->Rotate().ok());  // seals [1,10]
   for (int i = 10; i < 20; ++i) wal->LogCommit(OpType::kInsert, i, i);
@@ -187,7 +180,7 @@ TEST_F(DurabilityTest, WalConcurrentCommittersContiguousAndDurable) {
   // (each under its own "commit point") with WaitDurable. The log must
   // come out gap-free and strictly LSN-ordered.
   std::unique_ptr<WriteAheadLog> wal;
-  ASSERT_TRUE(OpenWal(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
+  ASSERT_TRUE(WriteAheadLog::Open(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;
   std::atomic<int> failures{0};
@@ -265,7 +258,7 @@ TEST_F(DurabilityTest, WalConcurrentWithRotationStaysOrdered) {
   // Rotations racing the flusher must never reorder records across the
   // segment boundary (the in-flight-batch barrier inside Rotate).
   std::unique_ptr<WriteAheadLog> wal;
-  ASSERT_TRUE(OpenWal(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
+  ASSERT_TRUE(WriteAheadLog::Open(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
   constexpr int kThreads = 4;
   constexpr int kPerThread = 150;
   std::atomic<bool> stop{false};
@@ -289,7 +282,7 @@ TEST_F(DurabilityTest, WalConcurrentRotatorsDoNotDeadlock) {
   // deadlock on), and the log must stay gap-free and LSN-ordered across
   // every segment boundary either rotator cut.
   std::unique_ptr<WriteAheadLog> wal;
-  ASSERT_TRUE(OpenWal(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
+  ASSERT_TRUE(WriteAheadLog::Open(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
   constexpr int kCommitters = 2;
   constexpr int kPerThread = 150;
   constexpr int kRotationsPerRotator = 40;
@@ -313,7 +306,7 @@ TEST_F(DurabilityTest, WalConcurrentRotatorsDoNotDeadlock) {
 
 TEST_F(DurabilityTest, WalTornTailAcceptsLongestValidPrefix) {
   std::unique_ptr<WriteAheadLog> wal;
-  ASSERT_TRUE(OpenWal(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
+  ASSERT_TRUE(WriteAheadLog::Open(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(wal->WaitDurable(wal->LogCommit(OpType::kInsert, i, i)).ok());
   }
@@ -342,7 +335,7 @@ TEST_F(DurabilityTest, WalTornTailAcceptsLongestValidPrefix) {
 
 TEST_F(DurabilityTest, WalBitFlipSweepNeverYieldsPhantomRecord) {
   std::unique_ptr<WriteAheadLog> wal;
-  ASSERT_TRUE(OpenWal(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
+  ASSERT_TRUE(WriteAheadLog::Open(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(
         wal->WaitDurable(wal->LogCommit(OpType::kInsert, 7000 + i, i)).ok());

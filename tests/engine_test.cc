@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "core/index_factory.h"
 #include "engine/database.h"
 #include "engine/driver.h"
 #include "engine/operators.h"
+#include "lock/lock_manager.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 #include "workload/workload.h"
 
 namespace adaptidx {
@@ -396,6 +399,7 @@ TEST(IndexFactoryTest, AllMethodsConstructible) {
     config.method = m;
     auto index = MakeIndex(&col, config);
     ASSERT_NE(index, nullptr) << ToString(m);
+    EXPECT_EQ(index->Name(), ToString(m));
     QueryContext ctx;
     uint64_t count = 0;
     ASSERT_TRUE(index->RangeCount(ValueRange{50, 150}, &ctx, &count).ok())
@@ -411,6 +415,116 @@ TEST(IndexFactoryTest, MethodNames) {
   EXPECT_EQ(ToString(IndexMethod::kAdaptiveMerge), "merge");
   EXPECT_EQ(ToString(IndexMethod::kHybrid), "hybrid");
   EXPECT_EQ(ToString(IndexMethod::kBTreeMerge), "btree-merge");
+}
+
+TEST(IndexFactoryTest, ConfigKeyTracksExactlyTheConsultedFields) {
+  // One flip per row from `base`: a field the method consults must change
+  // the key, an execution resource or an unconsulted field must not.
+  LockManager locks_a;
+  LockManager locks_b;
+  ThreadPool pool(1);
+  auto with = [](IndexMethod method,
+                 std::function<void(IndexConfig*)> set = nullptr) {
+    IndexConfig config;
+    config.method = method;
+    if (set) set(&config);
+    return config;
+  };
+  const IndexConfig crack = with(IndexMethod::kCrack);
+  const IndexConfig ddr = with(IndexMethod::kCrack, [](IndexConfig* c) {
+    c->cracking.crack_policy = CrackPolicy::kDDR;
+  });
+  const IndexConfig locked = with(IndexMethod::kCrack, [&](IndexConfig* c) {
+    c->cracking.lock_manager = &locks_a;
+    c->cracking.lock_resource = "R/A";
+  });
+  const IndexConfig merge = with(IndexMethod::kAdaptiveMerge);
+  struct Row {
+    const char* field;
+    IndexConfig base;
+    std::function<void(IndexConfig*)> flip;
+    bool changes_key;
+  };
+  const Row rows[] = {
+      {"method", crack,
+       [](IndexConfig* c) { c->method = IndexMethod::kHybrid; }, true},
+      {"partitions", crack, [](IndexConfig* c) { c->partitions = 4; }, true},
+      {"cracking.mode", crack,
+       [](IndexConfig* c) { c->cracking.mode = ConcurrencyMode::kNone; },
+       true},
+      {"cracking.scheduling", crack,
+       [](IndexConfig* c) { c->cracking.scheduling = SchedulingPolicy::kFifo; },
+       true},
+      {"cracking.kernel_tier", crack,
+       [](IndexConfig* c) { c->cracking.kernel_tier = KernelTier::kReference; },
+       true},
+      {"cracking.group_crack", crack,
+       [](IndexConfig* c) { c->cracking.group_crack = true; }, true},
+      {"cracking.strategy", crack,
+       [](IndexConfig* c) {
+         c->cracking.strategy = RefinementStrategy::kDynamic;
+       },
+       true},
+      {"cracking.crack_policy", crack,
+       [](IndexConfig* c) { c->cracking.crack_policy = CrackPolicy::kDDC; },
+       true},
+      {"cracking.crack_policy (kDDR to kMDD1R)", ddr,
+       [](IndexConfig* c) { c->cracking.crack_policy = CrackPolicy::kMDD1R; },
+       true},
+      {"cracking.policy_seed under kDDR", ddr,
+       [](IndexConfig* c) { ++c->cracking.policy_seed; }, true},
+      {"cracking.lock_manager", crack,
+       [&](IndexConfig* c) { c->cracking.lock_manager = &locks_a; }, true},
+      {"cracking.lock_manager (another manager)", locked,
+       [&](IndexConfig* c) { c->cracking.lock_manager = &locks_b; }, true},
+      {"cracking.lock_resource", locked,
+       [](IndexConfig* c) { c->cracking.lock_resource = "R/B"; }, true},
+      {"merge.run_size", merge,
+       [](IndexConfig* c) { c->merge.run_size = 1024; }, true},
+      {"merge.early_termination", merge,
+       [](IndexConfig* c) { c->merge.early_termination = false; }, true},
+      {"merge.mvcc_commit", merge,
+       [](IndexConfig* c) { c->merge.mvcc_commit = true; }, true},
+      {"hybrid.partition_size", with(IndexMethod::kHybrid),
+       [](IndexConfig* c) { c->hybrid.partition_size = 1024; }, true},
+      {"btree.run_size", with(IndexMethod::kBTreeMerge),
+       [](IndexConfig* c) { c->btree.run_size = 1024; }, true},
+      // Execution resources.
+      {"pool", crack, [&](IndexConfig* c) { c->pool = &pool; }, false},
+      {"pool (partitioned)",
+       with(IndexMethod::kCrack, [](IndexConfig* c) { c->partitions = 4; }),
+       [&](IndexConfig* c) { c->pool = &pool; }, false},
+      {"cracking.pool", crack,
+       [&](IndexConfig* c) { c->cracking.pool = &pool; }, false},
+      // Fields the method does not consult.
+      {"cracking.policy_seed under kExact", crack,
+       [](IndexConfig* c) { ++c->cracking.policy_seed; }, false},
+      {"cracking.policy_seed under kDDC",
+       with(IndexMethod::kCrack,
+            [](IndexConfig* c) {
+              c->cracking.crack_policy = CrackPolicy::kDDC;
+            }),
+       [](IndexConfig* c) { ++c->cracking.policy_seed; }, false},
+      {"cracking.lock_resource without a manager", crack,
+       [](IndexConfig* c) { c->cracking.lock_resource = "R/B"; }, false},
+      {"merge block under kCrack", crack,
+       [](IndexConfig* c) { c->merge.mvcc_commit = true; }, false},
+      {"cracking block under kScan", with(IndexMethod::kScan),
+       [](IndexConfig* c) { c->cracking.group_crack = true; }, false},
+      {"cracking block under kAdaptiveMerge", merge,
+       [](IndexConfig* c) { c->cracking.mode = ConcurrencyMode::kNone; },
+       false},
+      {"btree block under kHybrid", with(IndexMethod::kHybrid),
+       [](IndexConfig* c) { c->btree.run_size = 1024; }, false},
+  };
+  for (const Row& row : rows) {
+    IndexConfig flipped = row.base;
+    row.flip(&flipped);
+    EXPECT_EQ(IndexConfigKey(row.base) != IndexConfigKey(flipped),
+              row.changes_key)
+        << row.field << ": " << IndexConfigKey(row.base) << " vs "
+        << IndexConfigKey(flipped);
+  }
 }
 
 // ------------------------------------------------------------- Database
@@ -544,12 +658,11 @@ TEST(DatabaseTest, ConfigsDifferingOnlyInOptionsGetDistinctEntries) {
   ASSERT_NE(b, nullptr);
   EXPECT_NE(a.get(), b.get());
   EXPECT_EQ(db.catalog()->num_indexes(), 2u);
-  EXPECT_NE(IndexConfigKey(piece), IndexConfigKey(column_latch));
 
-  // Display-only fields do not distinguish entries.
-  IndexConfig renamed = piece;
-  renamed.cracking.name = "crack-renamed";
-  EXPECT_EQ(db.GetOrCreateIndex("R", "A", renamed).get(), a.get());
+  // An execution resource does not distinguish entries.
+  IndexConfig pooled = piece;
+  pooled.cracking.pool = db.pool();
+  EXPECT_EQ(db.GetOrCreateIndex("R", "A", pooled).get(), a.get());
   EXPECT_EQ(db.catalog()->num_indexes(), 2u);
 
   // Dropping one entry leaves its sibling alone.
@@ -558,35 +671,13 @@ TEST(DatabaseTest, ConfigsDifferingOnlyInOptionsGetDistinctEntries) {
   EXPECT_EQ(db.GetOrCreateIndex("R", "A", piece).get(), a.get());
 
   // Partitioning is physical-structure identity: a partitioned and an
-  // unpartitioned config on the same column are distinct entries, and so
-  // are different partition counts.
+  // unpartitioned config on the same column are distinct entries.
   IndexConfig partitioned = piece;
   partitioned.partitions = 4;
   auto part_idx = db.GetOrCreateIndex("R", "A", partitioned);
   ASSERT_NE(part_idx, nullptr);
   EXPECT_NE(part_idx.get(), a.get());
-  EXPECT_NE(IndexConfigKey(piece), IndexConfigKey(partitioned));
-  IndexConfig partitioned8 = partitioned;
-  partitioned8.partitions = 8;
-  EXPECT_NE(IndexConfigKey(partitioned), IndexConfigKey(partitioned8));
-  // The fan-out pool is an execution resource, not index identity.
-  IndexConfig pooled = partitioned;
-  pooled.pool = db.pool();
-  EXPECT_EQ(IndexConfigKey(partitioned), IndexConfigKey(pooled));
   EXPECT_TRUE(db.DropIndex("R", "A", partitioned));
-
-  // Other option blocks distinguish their methods too.
-  IndexConfig merge_a;
-  merge_a.method = IndexMethod::kAdaptiveMerge;
-  IndexConfig merge_b = merge_a;
-  merge_b.merge.mvcc_commit = true;
-  EXPECT_NE(IndexConfigKey(merge_a), IndexConfigKey(merge_b));
-  // ...but options of an unconsulted block do not.
-  IndexConfig scan_a;
-  scan_a.method = IndexMethod::kScan;
-  IndexConfig scan_b = scan_a;
-  scan_b.cracking.group_crack = true;
-  EXPECT_EQ(IndexConfigKey(scan_a), IndexConfigKey(scan_b));
 }
 
 TEST(DatabaseTest, LockManagerIntegration) {

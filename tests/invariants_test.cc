@@ -190,7 +190,8 @@ TEST(InvariantsTest, FullRefinementReachesQuiescence) {
   Column col = Column::UniqueRandom("A", 2000, 103);
   CrackingOptions opts;
   opts.strategy = RefinementStrategy::kActive;
-  opts.sort_piece_threshold = 4000;  // first touch sorts everything
+  // 2000 rows are below the sort threshold: the first touch sorts them all.
+  static_assert(CrackingIndex::kSortPieceThreshold >= 2000);
   CrackingIndex index(&col, opts);
   QueryContext warm;
   uint64_t count;

@@ -305,36 +305,20 @@ TEST(ParallelCrackStatsTest, CountersSurfaceThroughSession) {
 // ------------------------------------------------- partition fan-out
 
 TEST(FanOutFloorTest, SmallColumnSkipsPartitioning) {
-  Column small = Column::UniqueRandom("A", 1000, 2);
   IndexConfig config;
   config.method = IndexMethod::kCrack;
   config.partitions = 4;
-  config.partition_needs_cores = false;  // isolate the row floor
 
-  // 1000 rows < 4 * 4096: the wrapper is skipped, the method built direct.
-  auto direct = MakeIndex(&small, config);
-  EXPECT_EQ(direct->Name(), "crack");
+  // One row short of 4 shards' floor: the wrapper is skipped, the method
+  // built direct.
+  Column small = Column::UniqueRandom("A", 4 * kMinRowsPerShard - 1, 2);
+  EXPECT_EQ(MakeIndex(&small, config)->Name(), "crack");
 
-  // Disabling the floor restores the requested fan-out.
-  config.min_rows_per_shard = 0;
-  auto partitioned = MakeIndex(&small, config);
-  EXPECT_EQ(partitioned->Name(), "crack-p4");
-
-  // The hardware floor: on a single-hardware-thread host fan-out is pure
-  // overhead and the wrapper is skipped even with the row floor disabled.
-  IndexConfig hw_gated = config;
-  hw_gated.partition_needs_cores = true;
-  auto gated = MakeIndex(&small, hw_gated);
-  EXPECT_EQ(gated->Name(), std::thread::hardware_concurrency() > 1
-                               ? "crack-p4"
-                               : "crack");
-
-  // Both floors participate in physical identity: configs that materialize
-  // differently must not collide on one catalog entry.
-  IndexConfig floored = config;
-  floored.min_rows_per_shard = 4096;
-  EXPECT_NE(IndexConfigKey(config), IndexConfigKey(floored));
-  EXPECT_NE(IndexConfigKey(config), IndexConfigKey(hw_gated));
+  // At the floor the fan-out is honored, except on a single-hardware-thread
+  // host, where it is pure overhead and the wrapper is skipped too.
+  Column at_floor = Column::UniqueRandom("A", 4 * kMinRowsPerShard, 2);
+  EXPECT_EQ(MakeIndex(&at_floor, config)->Name(),
+            std::thread::hardware_concurrency() > 1 ? "crack-p4" : "crack");
 }
 
 TEST(ParallelScatterTest, MatchesSerialClassificationAndOracle) {
@@ -350,7 +334,6 @@ TEST(ParallelScatterTest, MatchesSerialClassificationAndOracle) {
   IndexConfig config;
   config.method = IndexMethod::kCrack;
   config.partitions = 4;
-  config.min_rows_per_shard = 0;
   config.pool = &pool;
   PartitionedIndex index(&column, config);
 

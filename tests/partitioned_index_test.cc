@@ -33,11 +33,6 @@ IndexConfig MethodConfig(IndexMethod method) {
   config.merge.run_size = 1u << 10;
   config.hybrid.partition_size = 1u << 10;
   config.btree.run_size = 1u << 9;
-  // This suite tests the partitioned wrapper itself, so the row and
-  // hardware fan-out floors must not bypass it at test scale or on
-  // single-core hosts.
-  config.min_rows_per_shard = 0;
-  config.partition_needs_cores = false;
   return config;
 }
 
@@ -78,7 +73,7 @@ void RunDifferential(IndexMethod method, const Column& column,
                      const std::vector<ValueRange>& ranges) {
   IndexConfig config = MethodConfig(method);
   config.partitions = 4;
-  auto partitioned = MakeIndex(&column, config);
+  auto partitioned = std::make_unique<PartitionedIndex>(&column, config);
   ASSERT_NE(partitioned, nullptr);
   const QueryKind kinds[] = {QueryKind::kCount, QueryKind::kSum,
                              QueryKind::kRowIds, QueryKind::kMinMax};
@@ -236,7 +231,7 @@ TEST(PartitionedIndexTest, RowIdsAreGlobalAndFetchable) {
   for (size_t i = 0; i < n; ++i) b.Append(static_cast<Value>(i % 101));
   IndexConfig config = MethodConfig(IndexMethod::kCrack);
   config.partitions = 4;
-  auto index = MakeIndex(&a, config);
+  auto index = std::make_unique<PartitionedIndex>(&a, config);
   for (const RangeQuery rq : {RangeQuery{100, 4000, QueryType::kSum},
                               RangeQuery{3900, 4100, QueryType::kSum}}) {
     QueryContext ctx;
@@ -256,7 +251,7 @@ TEST(PartitionedIndexTest, SharedPoolFanOutDoesNotDeadlock) {
   IndexConfig config = MethodConfig(IndexMethod::kCrack);
   config.partitions = 4;
   config.pool = &pool;
-  auto index = MakeIndex(&column, config);
+  auto index = std::make_unique<PartitionedIndex>(&column, config);
 
   auto session = Session::OnIndex(index.get(), &pool);
   std::vector<Query> batch;
@@ -293,8 +288,7 @@ TEST(PartitionedIndexTest, LateFanOutHelpersOutliveTheIndex) {
     IndexConfig config = MethodConfig(IndexMethod::kCrack);
     config.partitions = 4;
     config.pool = &pool;
-    auto index = MakeIndex(&column, config);
-    ASSERT_NE(dynamic_cast<PartitionedIndex*>(index.get()), nullptr);
+    auto index = std::make_unique<PartitionedIndex>(&column, config);
     QueryContext ctx;
     uint64_t count = 0;
     ASSERT_TRUE(index->RangeCount(ValueRange{0, 4000}, &ctx, &count).ok());
@@ -318,7 +312,7 @@ TEST(PartitionedConcurrencyTest, DisjointRangeClients) {
   IndexConfig config = MethodConfig(IndexMethod::kCrack);
   config.partitions = kClients;
   config.pool = &pool;
-  auto index = MakeIndex(&column, config);
+  auto index = std::make_unique<PartitionedIndex>(&column, config);
   RangeOracle oracle(column);
 
   std::atomic<int> failures{0};
@@ -342,8 +336,7 @@ TEST(PartitionedConcurrencyTest, DisjointRangeClients) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
-  auto* part = static_cast<PartitionedIndex*>(index.get());
-  EXPECT_TRUE(part->initialized());
+  EXPECT_TRUE(index->initialized());
 }
 
 /// Concurrent sessions over overlapping (boundary-straddling) ranges: the
@@ -357,7 +350,7 @@ TEST(PartitionedConcurrencyTest, OverlappingRangeClients) {
   IndexConfig config = MethodConfig(IndexMethod::kCrack);
   config.partitions = 4;
   config.pool = &pool;
-  auto index = MakeIndex(&column, config);
+  auto index = std::make_unique<PartitionedIndex>(&column, config);
   RangeOracle oracle(column);
 
   std::atomic<int> failures{0};

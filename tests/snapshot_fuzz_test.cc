@@ -9,8 +9,8 @@
 // live-set oracle is kept in lockstep with the commit stream under one
 // mutex; every pin copies the oracle AT CAPTURE TIME, and every query the
 // pin (or scope) answers later is compared against that frozen copy for
-// count, sum, rowID set, and min/max. Consolidation thresholds are set low
-// so logs fold repeatedly behind held pins.
+// count, sum, rowID set, and min/max. The stream is long enough that logs
+// fold repeatedly behind held pins.
 //
 // Reproduction: the seed is printed on every run; replay a failure with
 //   AI_FUZZ_SEED=<seed> ./snapshot_fuzz_test
@@ -84,6 +84,12 @@ RangeAnswer OracleAnswer(const std::vector<std::pair<Value, RowId>>& live,
 
 constexpr Value kDomain = 4000;
 constexpr size_t kBaseRows = 1500;
+/// Commits per writer (500 or 300) and checkpoints per checkpointer (8)
+/// are multiplied by this: a delta log holds at least
+/// `UpdatableIndex::kConsolidateMin` entries, so only a stream this long
+/// folds its logs repeatedly behind held pins (39-186 consolidations a
+/// run over seeds 1-20).
+constexpr int kStreamScale = 16;
 
 /// Shared state: the index plus a logical oracle advanced in lockstep with
 /// every commit (and every checkpoint fold) under `mu`. Readers copy the
@@ -114,10 +120,6 @@ struct Harness {
   static IndexConfig Config() {
     IndexConfig config;
     config.method = IndexMethod::kCrack;
-    // Low thresholds: logs consolidate every handful of commits, so pins
-    // routinely survive multiple consolidations behind them.
-    config.snapshot_consolidate_min = 4;
-    config.snapshot_consolidate_max = 64;
     return config;
   }
 
@@ -363,16 +365,16 @@ TEST(SnapshotFuzzTest, RandomizedCommitSnapshotDifferential) {
   std::vector<std::thread> threads;
   // Thread 0 is always a writer, thread 1 always a pinning reader; extra
   // threads cycle writer / scoped reader / pin reader / checkpointer.
-  threads.emplace_back(WriterLoop, &h, seed * 31 + 1, 500);
+  threads.emplace_back(WriterLoop, &h, seed * 31 + 1, 500 * kStreamScale);
   threads.emplace_back(PinReaderLoop, &h, seed * 31 + 2, 60, 4);
   for (int t = 2; t < n_threads; ++t) {
     const uint64_t tseed = seed * 31 + static_cast<uint64_t>(t) + 1;
     switch (t % 4) {
       case 0:
-        threads.emplace_back(WriterLoop, &h, tseed, 300);
+        threads.emplace_back(WriterLoop, &h, tseed, 300 * kStreamScale);
         break;
       case 1:
-        threads.emplace_back(CheckpointerLoop, &h, 8);
+        threads.emplace_back(CheckpointerLoop, &h, 8 * kStreamScale);
         break;
       case 2:
         threads.emplace_back(ScopedReaderLoop, &h, tseed, 25, 6);
@@ -398,7 +400,7 @@ TEST(SnapshotFuzzTest, RandomizedCommitSnapshotDifferential) {
   EXPECT_EQ(sum, want_sum);
   EXPECT_EQ(h.index.snapshots().active_snapshots(), 0u);
   // The stream was long enough to exercise the fold machinery.
-  EXPECT_GE(h.index.snapshots().deltas_published(), 500u);
+  EXPECT_GE(h.index.snapshots().deltas_published(), 500u * kStreamScale);
   EXPECT_GT(h.index.snapshots().consolidations(), 0u);
 }
 

@@ -399,10 +399,7 @@ TEST(SnapshotTest, EpochReclamationRetiresUnpinnedVersions) {
   // reclamation floor at its epoch while commits and consolidations run
   // behind it, and releasing it leaves nothing pinned.
   Column col = Column::UniqueRandom("A", 500, 8);
-  IndexConfig config = SnapConfig();
-  config.snapshot_consolidate_min = 4;
-  config.snapshot_consolidate_max = 4;
-  UpdatableIndex index(col, config);
+  UpdatableIndex index(col, SnapConfig());
   QueryContext uctx;
   uctx.txn_id = 1;
 
@@ -410,9 +407,12 @@ TEST(SnapshotTest, EpochReclamationRetiresUnpinnedVersions) {
   EXPECT_EQ(index.snapshots().active_snapshots(), 0u);
   EXPECT_EQ(index.snapshots().oldest_active_epoch(), index.commit_epoch());
 
-  // A pinned snapshot holds the reclamation floor at its epoch...
+  // A pinned snapshot holds the reclamation floor at its epoch, across a
+  // full log's worth of commits behind it...
   Snapshot pin = index.CaptureSnapshot();
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(index.Insert(100 + i, &uctx).ok());
+  for (size_t i = 0; i < UpdatableIndex::kConsolidateMin; ++i) {
+    ASSERT_TRUE(index.Insert(static_cast<Value>(100 + i), &uctx).ok());
+  }
   EXPECT_GT(index.snapshots().consolidations(), 0u);
   EXPECT_EQ(index.snapshots().active_snapshots(), 1u);
   EXPECT_EQ(index.snapshots().oldest_active_epoch(), pin.epoch());
@@ -463,29 +463,38 @@ TEST(SnapshotTest, DefaultConfigPublishesOneDeltaPerCommit) {
 
 TEST(SnapshotTest, DeltaChainPublishesO1NodesAndConsolidates) {
   // Delta-log publication: each commit appends one O(1) entry; a full flat
-  // version is materialized only when the log reaches its capacity. A pin
-  // taken before the stream keeps answering at its epoch across every
-  // consolidation behind it.
+  // version is materialized only when the log reaches its capacity, which
+  // is the floor while pending is small and the cap once pending/8 passes
+  // it. A pin taken before the stream keeps answering at its epoch across
+  // every consolidation behind it.
+  constexpr size_t kMin = UpdatableIndex::kConsolidateMin;
+  constexpr size_t kMax = UpdatableIndex::kConsolidateMax;
   Column col = Column::UniqueRandom("A", 500, 9);
-  IndexConfig config = SnapConfig();
-  config.snapshot_consolidate_min = 8;
-  config.snapshot_consolidate_max = 32;
-  UpdatableIndex index(col, config);
+  UpdatableIndex index(col, SnapConfig());
   QueryContext uctx;
   uctx.txn_id = 1;
+  const SnapshotManager& mgr = index.snapshots();
 
   Snapshot pin = index.CaptureSnapshot();
 
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(index.Insert(10000 + i, &uctx).ok());
+  // Small pending: the floor bounds the log.
+  size_t commits = 0;
+  for (; commits < 4 * kMin; ++commits) {
+    ASSERT_TRUE(index.Insert(static_cast<Value>(100000 + commits), &uctx).ok());
   }
+  EXPECT_EQ(mgr.deltas_published(), 4 * kMin);
+  EXPECT_EQ(mgr.consolidations(), 4u);  // the floor forces periodic folds
+  EXPECT_EQ(mgr.log_capacity(), kMin);
+  EXPECT_EQ(index.latch_stats().delta_chain_max(), kMin);
 
-  const SnapshotManager& mgr = index.snapshots();
-  EXPECT_EQ(mgr.deltas_published(), 200u);
-  EXPECT_GE(mgr.consolidations(), 200u / 32u);   // cap forces periodic folds
-  EXPECT_LE(mgr.log_length(), 32u);              // never above the cap
-  EXPECT_EQ(index.latch_stats().delta_publishes(), 200u);
-  EXPECT_LE(index.latch_stats().delta_chain_max(), 32u);
+  // Past 8 * kMax pending the cap bounds it.
+  for (; commits < 10 * kMax; ++commits) {
+    ASSERT_TRUE(index.Insert(static_cast<Value>(100000 + commits), &uctx).ok());
+  }
+  EXPECT_EQ(mgr.log_capacity(), kMax);
+  EXPECT_LE(mgr.log_length(), kMax);  // never above the cap
+  EXPECT_EQ(index.latch_stats().delta_publishes(), commits);
+  EXPECT_EQ(index.latch_stats().delta_chain_max(), kMax);
   EXPECT_GT(index.latch_stats().consolidated_deltas(), 0u);
 
   // The pinned epoch still answers pre-stream state.
@@ -504,7 +513,12 @@ TEST(SnapshotTest, DeltaChainPublishesO1NodesAndConsolidates) {
   ASSERT_TRUE(
       index.ExecuteSnapshot(Query::Count("", "", 0, 20000), fresh, &ctx, &r)
           .ok());
-  EXPECT_EQ(r.count, 702u);
+  EXPECT_EQ(r.count, 502u);
+  ASSERT_TRUE(index
+                  .ExecuteSnapshot(Query::Count("", "", 0, 1000000), fresh,
+                                   &ctx, &r)
+                  .ok());
+  EXPECT_EQ(r.count, 502u + commits);
   ASSERT_TRUE(
       index.ExecuteSnapshot(Query::Sum("", "", 10500, 10502), fresh, &ctx, &r)
           .ok());
@@ -516,9 +530,7 @@ TEST(SnapshotTest, DeltaChainFoldsDeletesAndCancellations) {
   // anti-matter against base rows, and cancellation of still-pending
   // inserts — against the logical multiset oracle after every commit.
   Column col = Column::UniformRandom("A", 400, 0, 1000, 10);
-  IndexConfig config = SnapConfig();
-  config.snapshot_consolidate_min = 1u << 20;  // never consolidate: pure log
-  UpdatableIndex index(col, config);
+  UpdatableIndex index(col, SnapConfig());
   LogicalOracle oracle;
   for (Value v : col.values()) oracle.values.insert(v);
   std::vector<std::pair<Value, RowId>> pending;
@@ -530,6 +542,18 @@ TEST(SnapshotTest, DeltaChainFoldsDeletesAndCancellations) {
   Rng rng(25);
   QueryContext uctx;
   QueryContext snap_ctx;
+  // Pre-load pending inserts until the log has room for all 300 commits
+  // below (a log holds pending/8 entries after a consolidation, and the
+  // commit that fills it consolidates), so they run as one pure log.
+  const SnapshotManager& mgr = index.snapshots();
+  while (mgr.log_capacity() - mgr.log_length() <= 300) {
+    const Value v = rng.UniformRange(0, 1000);
+    RowId id;
+    ASSERT_TRUE(index.Insert(v, &uctx, &id).ok());
+    oracle.values.insert(v);
+    pending.emplace_back(v, id);
+  }
+  const uint64_t consolidations = mgr.consolidations();
   for (int i = 0; i < 300; ++i) {
     uctx.txn_id = static_cast<uint64_t>(i) + 1;
     const int op = static_cast<int>(rng.Uniform(3));
@@ -564,8 +588,8 @@ TEST(SnapshotTest, DeltaChainFoldsDeletesAndCancellations) {
       EXPECT_EQ(sum, oracle.Sum(lo, hi)) << "at commit " << i;
     }
   }
-  EXPECT_EQ(index.snapshots().consolidations(), 0u);
-  EXPECT_EQ(index.snapshots().log_length(), 300u);
+  EXPECT_EQ(mgr.consolidations(), consolidations);
+  EXPECT_GE(mgr.log_length(), 300u);
 }
 
 // --------------------------------------------------- concurrent consistency
@@ -869,15 +893,6 @@ TEST(SnapshotTest, DefaultSessionReadPinsSnapshotWithoutSideLatch) {
   EXPECT_EQ(count, oracle.Count(100, 900));
   EXPECT_EQ(index.latch_stats().snapshot_reads(), 1u);
   EXPECT_EQ(index.latch_stats().read_acquires(), 0u);
-}
-
-TEST(SnapshotTest, ConfigKeySeparatesSnapshotReads) {
-  // Consolidation tuning shapes the delta-log state the writer keeps.
-  IndexConfig snap;
-  snap.method = IndexMethod::kCrack;
-  IndexConfig tuned = snap;
-  tuned.snapshot_consolidate_min = 16;
-  EXPECT_NE(IndexConfigKey(snap), IndexConfigKey(tuned));
 }
 
 TEST(SnapshotTest, SnapshotReadsWorkOverEveryBaseMethod) {

@@ -21,7 +21,12 @@ namespace {
 /// whatever pivots a policy injects — and however MDD1R's materialized
 /// scans answer instead of exact cracks — query answers must be
 /// indistinguishable from plain cracking, on degenerate data shapes too,
-/// while the structural invariants keep holding.
+/// while the structural invariants keep holding. A policy recurses only on
+/// pieces above its floor (`CrackingIndex::kPolicyMinPiece`), so the
+/// columns hold at least two floors' worth of rows.
+
+/// Rows of a column on which every policy fires.
+constexpr size_t kPolicyRows = 2 * CrackingIndex::kPolicyMinPiece;
 
 struct StochasticParam {
   const char* name;
@@ -34,21 +39,26 @@ class StochasticDifferentialTest
   CrackingOptions Options() const {
     CrackingOptions opts;
     opts.crack_policy = GetParam().policy;
-    opts.policy_min_piece = 512;  // fire at test scale
     opts.policy_seed = 99;
     return opts;
   }
 
   /// Runs all four query kinds over `col` and checks every answer against
-  /// the oracle; returns the index for further inspection.
-  void RunDifferential(const Column& col, Value domain_hi) {
+  /// the oracle; with `expect_pivots`, the policy must also have cracked
+  /// on a value no query asked for. Ranges span up to an eighth of the
+  /// domain: a pivot between a step's two bounds ends its recursion.
+  void RunDifferential(const Column& col, Value domain_hi,
+                       bool expect_pivots) {
     RangeOracle oracle(col);
     CrackingIndex index(&col, Options());
+    std::set<Value> bounds;
     Rng rng(41);
     for (int i = 0; i < 120; ++i) {
-      Value lo = static_cast<Value>(rng.UniformRange(0, domain_hi));
-      Value hi = static_cast<Value>(rng.UniformRange(0, domain_hi));
-      if (lo > hi) std::swap(lo, hi);
+      const Value lo = static_cast<Value>(rng.UniformRange(0, domain_hi));
+      const Value hi =
+          lo + static_cast<Value>(rng.UniformRange(0, domain_hi / 8 + 1));
+      bounds.insert(lo);
+      bounds.insert(hi);
       const ValueRange range{lo, hi};
       QueryContext ctx;
       switch (i % 4) {
@@ -88,31 +98,38 @@ class StochasticDifferentialTest
       }
     }
     EXPECT_TRUE(index.ValidateStructure());
+    if (expect_pivots) {
+      EXPECT_TRUE(HasPivotCrack(index, bounds));
+    }
   }
 };
 
 TEST_P(StochasticDifferentialTest, MatchesOracleOnUniqueRandom) {
-  RunDifferential(Column::UniqueRandom("A", 20000, 31), 20000);
+  RunDifferential(Column::UniqueRandom("A", kPolicyRows, 31),
+                  kPolicyRows, /*expect_pivots=*/true);
 }
 
 TEST_P(StochasticDifferentialTest, MatchesOracleOnDuplicateHeavy) {
-  // ~400 copies of each value: pivots collide with earlier cracks and the
+  // ~2600 copies of each value: pivots collide with earlier cracks and the
   // no-progress guard of the pivot recursion must kick in.
-  RunDifferential(Column::UniformRandom("A", 20000, 0, 50, 32), 60);
+  RunDifferential(Column::UniformRandom("A", kPolicyRows, 0, 50, 32), 60,
+                  /*expect_pivots=*/false);
 }
 
 TEST_P(StochasticDifferentialTest, MatchesOracleOnPresortedData) {
-  std::vector<Value> values(20000);
+  std::vector<Value> values(kPolicyRows);
   for (size_t i = 0; i < values.size(); ++i) {
     values[i] = static_cast<Value>(i);
   }
-  RunDifferential(Column("A", std::move(values)), 20000);
+  RunDifferential(Column("A", std::move(values)), kPolicyRows,
+                  /*expect_pivots=*/true);
 }
 
 TEST_P(StochasticDifferentialTest, MatchesOracleOnAllEqualValues) {
   // No pivot distinct from the single value exists; every policy must fall
   // back to exact bound cracking and still make progress.
-  RunDifferential(Column("A", std::vector<Value>(5000, 7)), 20);
+  RunDifferential(Column("A", std::vector<Value>(kPolicyRows, 7)), 20,
+                  /*expect_pivots=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -132,16 +149,17 @@ INSTANTIATE_TEST_SUITE_P(
 /// every bound recursively, so that piece stays small. The assertion is on
 /// piece sizes (PieceSizes() reports them in position order, so prefix
 /// sums recover extents; the column is dense unique integers, so value ==
-/// sorted position), not timing, making it immune to runner noise.
+/// sorted position), not timing, making it immune to runner noise. The
+/// recursion stops at the policy floor, so the column holds 16 floors and
+/// the stochastic frontier piece stays below n/8 = 2 floors.
 TEST(StochasticConvergenceTest, SequentialSweepKeepsFrontierPieceSmall) {
-  const size_t n = 200000;
+  const size_t n = 16 * CrackingIndex::kPolicyMinPiece;
   const size_t frontier = 64 * 500;  // first value beyond the sweep
   Column col = Column::UniqueRandom("A", n, 77);
 
   auto frontier_piece_after_sweep = [&](CrackPolicy policy) {
     CrackingOptions opts;
     opts.crack_policy = policy;
-    opts.policy_min_piece = 512;
     opts.policy_seed = 5;
     CrackingIndex index(&col, opts);
     for (int i = 0; i < 64; ++i) {
@@ -178,26 +196,31 @@ TEST(StochasticConvergenceTest, SequentialSweepKeepsFrontierPieceSmall) {
 /// recursion floor reverts to exact cracks, so the index still converges:
 /// repeated queries on the same ranges must stop reorganizing eventually.
 TEST(StochasticConvergenceTest, Mdd1rReachesQuiescenceOnRepeatedRanges) {
-  Column col = Column::UniqueRandom("A", 30000, 78);
+  Column col = Column::UniqueRandom("A", kPolicyRows, 78);
   CrackingOptions opts;
   opts.crack_policy = CrackPolicy::kMDD1R;
-  opts.policy_min_piece = 1024;
   CrackingIndex index(&col, opts);
   RangeOracle oracle(col);
+  const Value starts[] = {4000, 36000, 68000, 100000};
+  std::set<Value> bounds;
   for (int round = 0; round < 30; ++round) {
-    for (Value lo : {1000, 9000, 17000, 25000}) {
+    for (Value lo : starts) {
       QueryContext ctx;
       uint64_t count = 0;
       ASSERT_TRUE(
           index.RangeCount(ValueRange{lo, lo + 500}, &ctx, &count).ok());
       ASSERT_EQ(count, oracle.Count(lo, lo + 500));
+      bounds.insert(lo);
+      bounds.insert(lo + 500);
     }
   }
-  // The same four ranges forever: cracking activity must have died out.
+  // The same four ranges forever: cracking activity must have died out,
+  // after random cracks beside the bound cracks.
   QueryContext ctx;
   uint64_t count = 0;
-  ASSERT_TRUE(index.RangeCount(ValueRange{9000, 9500}, &ctx, &count).ok());
+  ASSERT_TRUE(index.RangeCount(ValueRange{36000, 36500}, &ctx, &count).ok());
   EXPECT_EQ(ctx.stats.cracks, 0u);
+  EXPECT_TRUE(HasPivotCrack(index, bounds));
   EXPECT_TRUE(index.ValidateStructure());
 }
 
@@ -206,18 +229,18 @@ TEST(StochasticConvergenceTest, Mdd1rReachesQuiescenceOnRepeatedRanges) {
 /// Run under TSAN in CI.
 TEST(StochasticConcurrentTest, ReadersUnderStochasticCracking) {
   for (CrackPolicy policy : {CrackPolicy::kDDR, CrackPolicy::kMDD1R}) {
-    const size_t n = 60000;
+    const size_t n = kPolicyRows;
     Column col = Column::UniqueRandom("A", n, 79);
     RangeOracle oracle(col);
     CrackingOptions opts;
     opts.mode = ConcurrencyMode::kPieceLatch;
     opts.crack_policy = policy;
-    opts.policy_min_piece = 1024;
     CrackingIndex index(&col, opts);
 
     constexpr int kThreads = 4;
     constexpr int kQueriesPerThread = 150;
     std::atomic<int> failures{0};
+    std::vector<std::vector<Value>> asked(kThreads);
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
@@ -227,6 +250,8 @@ TEST(StochasticConcurrentTest, ReadersUnderStochasticCracking) {
           Value lo = static_cast<Value>(rng.UniformRange(0, n));
           Value hi = static_cast<Value>(rng.UniformRange(0, n));
           if (lo > hi) std::swap(lo, hi);
+          asked[t].push_back(lo);
+          asked[t].push_back(hi);
           QueryContext ctx;
           uint64_t count = 0;
           if (!index.RangeCount(ValueRange{lo, hi}, &ctx, &count).ok() ||
@@ -239,8 +264,47 @@ TEST(StochasticConcurrentTest, ReadersUnderStochasticCracking) {
     for (auto& th : threads) th.join();
     EXPECT_EQ(failures.load(), 0) << ToString(policy);
     EXPECT_TRUE(index.ValidateStructure()) << ToString(policy);
+    std::set<Value> bounds;
+    for (const auto& a : asked) bounds.insert(a.begin(), a.end());
+    EXPECT_TRUE(HasPivotCrack(index, bounds)) << ToString(policy);
   }
 }
+
+/// Live multiset of values in [0, domain) with O(log n) insert, erase and
+/// range count/sum: two Fenwick trees indexed by value.
+class LiveSetOracle {
+ public:
+  LiveSetOracle(const Column& column, size_t domain)
+      : counts_(domain + 1, 0), sums_(domain + 1, 0) {
+    for (Value v : column.values()) Add(v, 1);
+  }
+  void Add(Value v, int64_t copies) {
+    for (size_t i = static_cast<size_t>(v) + 1; i < counts_.size();
+         i += i & (~i + 1)) {
+      counts_[i] += copies;
+      sums_[i] += copies * v;
+    }
+  }
+  uint64_t Count(Value lo, Value hi) const {
+    return static_cast<uint64_t>(Prefix(counts_, hi) - Prefix(counts_, lo));
+  }
+  int64_t Sum(Value lo, Value hi) const {
+    return Prefix(sums_, hi) - Prefix(sums_, lo);
+  }
+
+ private:
+  /// Total over the values below `v`.
+  int64_t Prefix(const std::vector<int64_t>& tree, Value v) const {
+    int64_t total = 0;
+    size_t i = static_cast<size_t>(
+        std::clamp<Value>(v, 0, static_cast<Value>(tree.size() - 1)));
+    for (; i > 0; i -= i & (~i + 1)) total += tree[i];
+    return total;
+  }
+
+  std::vector<int64_t> counts_;
+  std::vector<int64_t> sums_;
+};
 
 /// ROADMAP fig18 gap: hostile `GenerateMixed` read/write streams through
 /// the differential-update layer. Every read answered mid-stream — while a
@@ -249,7 +313,7 @@ TEST(StochasticConcurrentTest, ReadersUnderStochasticCracking) {
 /// under every crack policy (the bench's mixed phase measures the same
 /// shape; this pins its correctness).
 TEST(StochasticMixedStreamTest, HostileMixedStreamsMatchLiveSetOracle) {
-  constexpr size_t kRows = 20000;
+  constexpr size_t kRows = kPolicyRows;
   Column column = Column::UniqueRandom("A", kRows, 2012);
   WorkloadGenerator gen(0, static_cast<Value>(kRows));
 
@@ -272,13 +336,12 @@ TEST(StochasticMixedStreamTest, HostileMixedStreamsMatchLiveSetOracle) {
       IndexConfig config;
       config.method = IndexMethod::kCrack;
       config.cracking.crack_policy = policy;
-      config.cracking.policy_min_piece = 512;  // fire at test scale
       config.cracking.policy_seed = 99;
       UpdatableIndex index(column, config);
 
-      std::multiset<Value> oracle(column.values().begin(),
-                                  column.values().end());
+      LiveSetOracle oracle(column, kRows);
       std::unordered_multimap<Value, RowId> inserted;  // value -> rowid
+      std::set<Value> bounds;
       QueryContext ctx;
       uint64_t txn = 0;
       size_t reads = 0;
@@ -286,21 +349,16 @@ TEST(StochasticMixedStreamTest, HostileMixedStreamsMatchLiveSetOracle) {
         switch (op.kind) {
           case MixedOp::Kind::kQuery: {
             const ValueRange range{op.query.lo, op.query.hi};
+            bounds.insert(range.lo);
+            bounds.insert(range.hi);
             uint64_t count = 0;
             int64_t sum = 0;
             ASSERT_TRUE(index.RangeCount(range, &ctx, &count).ok());
             ASSERT_TRUE(index.RangeSum(range, &ctx, &sum).ok());
-            uint64_t want_count = 0;
-            int64_t want_sum = 0;
-            for (auto it = oracle.lower_bound(op.query.lo);
-                 it != oracle.end() && *it < op.query.hi; ++it) {
-              ++want_count;
-              want_sum += *it;
-            }
-            ASSERT_EQ(count, want_count)
+            ASSERT_EQ(count, oracle.Count(range.lo, range.hi))
                 << ToString(dist) << "/" << ToString(policy) << " read "
                 << reads;
-            ASSERT_EQ(sum, want_sum)
+            ASSERT_EQ(sum, oracle.Sum(range.lo, range.hi))
                 << ToString(dist) << "/" << ToString(policy) << " read "
                 << reads;
             ++reads;
@@ -310,7 +368,7 @@ TEST(StochasticMixedStreamTest, HostileMixedStreamsMatchLiveSetOracle) {
             ctx.txn_id = ++txn;
             RowId id;
             ASSERT_TRUE(index.Insert(op.value, &ctx, &id).ok());
-            oracle.insert(op.value);
+            oracle.Add(op.value, 1);
             inserted.emplace(op.value, id);
             break;
           }
@@ -319,7 +377,7 @@ TEST(StochasticMixedStreamTest, HostileMixedStreamsMatchLiveSetOracle) {
             auto it = inserted.find(op.value);
             ASSERT_NE(it, inserted.end());  // deletes name prior inserts
             ASSERT_TRUE(index.Delete(it->first, it->second, &ctx).ok());
-            oracle.erase(oracle.find(op.value));
+            oracle.Add(op.value, -1);
             inserted.erase(it);
             break;
           }
@@ -330,45 +388,10 @@ TEST(StochasticMixedStreamTest, HostileMixedStreamsMatchLiveSetOracle) {
       ASSERT_NE(cracking, nullptr);
       EXPECT_TRUE(cracking->ValidateStructure())
           << ToString(dist) << "/" << ToString(policy);
+      EXPECT_EQ(HasPivotCrack(*cracking, bounds), policy != CrackPolicy::kExact)
+          << ToString(dist) << "/" << ToString(policy);
     }
   }
-}
-
-/// The factory key must separate configurations exactly as far as the
-/// policy consults them: policy and floor always, the seed only for the
-/// randomized policies (kDDC is deterministic, kExact ignores all three).
-TEST(StochasticConfigKeyTest, KeySeparatesPoliciesAndSeeds) {
-  IndexConfig plain;
-  plain.method = IndexMethod::kCrack;
-
-  IndexConfig ddr = plain;
-  ddr.cracking.crack_policy = CrackPolicy::kDDR;
-  EXPECT_NE(IndexConfigKey(plain), IndexConfigKey(ddr));
-
-  IndexConfig mdd1r = plain;
-  mdd1r.cracking.crack_policy = CrackPolicy::kMDD1R;
-  EXPECT_NE(IndexConfigKey(ddr), IndexConfigKey(mdd1r));
-
-  IndexConfig ddr_seeded = ddr;
-  ddr_seeded.cracking.policy_seed = ddr.cracking.policy_seed + 1;
-  EXPECT_NE(IndexConfigKey(ddr), IndexConfigKey(ddr_seeded));
-
-  IndexConfig ddr_floor = ddr;
-  ddr_floor.cracking.policy_min_piece = 4096;
-  EXPECT_NE(IndexConfigKey(ddr), IndexConfigKey(ddr_floor));
-
-  // kDDC never consults the seed, kExact consults none of the knobs: the
-  // key must not multiply identical indexes.
-  IndexConfig ddc_a = plain;
-  ddc_a.cracking.crack_policy = CrackPolicy::kDDC;
-  IndexConfig ddc_b = ddc_a;
-  ddc_b.cracking.policy_seed = 123456;
-  EXPECT_EQ(IndexConfigKey(ddc_a), IndexConfigKey(ddc_b));
-
-  IndexConfig plain_seeded = plain;
-  plain_seeded.cracking.policy_seed = 123456;
-  plain_seeded.cracking.policy_min_piece = 4096;
-  EXPECT_EQ(IndexConfigKey(plain), IndexConfigKey(plain_seeded));
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <vector>
 
+#include "core/cracking_index.h"
 #include "storage/column.h"
 #include "storage/types.h"
 
@@ -77,6 +79,19 @@ class RangeOracle {
   std::vector<Value> values_;
   std::vector<int64_t> prefix_;
 };
+
+/// \brief True when some crack of `index` lies on none of `bounds` (the
+/// query bounds it was asked): a pivot its crack policy added. Under
+/// kExact every crack is a query bound. Requires a quiesced index.
+inline bool HasPivotCrack(const CrackingIndex& index,
+                          const std::set<Value>& bounds) {
+  CrackingIndex::AdaptedState state;
+  if (!index.ExportAdaptedState(&state).ok()) return false;
+  for (size_t i = 1; i < state.pieces.size(); ++i) {
+    if (bounds.count(state.pieces[i].lo_value) == 0) return true;
+  }
+  return false;
+}
 
 }  // namespace adaptidx
 
