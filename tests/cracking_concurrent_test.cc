@@ -39,9 +39,10 @@ bool RunConcurrentQueries(CrackingIndex* index, const RangeOracle& oracle,
         Value lo = rng.UniformRange(0, rows);
         Value hi = rng.UniformRange(0, rows);
         if (lo > hi) std::swap(lo, hi);
-        // RowID materialization is the most allocation-heavy kind; shrink
-        // the range so the differential stays fast.
-        if (i % 4 == 2) hi = std::min<Value>(hi, lo + 2000);
+        // Ranges at most kRows wide on a larger column too; RowID
+        // materialization, the most allocation-heavy kind, gets narrower
+        // ones so the differential stays fast.
+        hi = std::min<Value>(hi, lo + (i % 4 == 2 ? 2000 : kRows));
         asked[t].push_back(lo);
         asked[t].push_back(hi);
         QueryContext ctx;
