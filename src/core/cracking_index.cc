@@ -165,7 +165,7 @@ CrackingIndex::CrackingIndex(const Column* column, CrackingOptions opts)
     : column_(column),
       opts_(std::move(opts)),
       policy_(opts_.strategy, kSortPieceThreshold, kMinPieceSize),
-      decision_(opts_.crack_policy, kPolicyMinPiece, opts_.policy_seed) {}
+      decision_(opts_.crack_policy, opts_.policy_seed) {}
 
 ThreadPool* CrackingIndex::CrackPool(Position begin, Position end) const {
   if (end - begin < kParallelCrackMinPiece) return nullptr;

@@ -41,10 +41,10 @@ std::string ToString(ConcurrencyMode mode);
 /// \brief Tunables of the cracking index; defaults reproduce the paper's
 /// best configuration (piece latches, middle-out scheduling). Crack-in-three
 /// and bound swapping (Section 5.3 "Optimizations") are always on, and the
-/// coarse floor, the active strategy's sort threshold, the crack policy's
-/// recursion floor and the parallel-crack threshold are the constants
-/// `CrackingIndex::kMinPieceSize`, `kSortPieceThreshold`, `kPolicyMinPiece`
-/// and `kParallelCrackMinPiece`.
+/// coarse floor, the active strategy's sort threshold and the
+/// parallel-crack threshold are the constants `CrackingIndex::kMinPieceSize`,
+/// `kSortPieceThreshold` and `kParallelCrackMinPiece`; the crack policy's
+/// recursion floor is `CrackDecision::kMinPiece`.
 struct CrackingOptions {
   ConcurrencyMode mode = ConcurrencyMode::kPieceLatch;
   SchedulingPolicy scheduling = SchedulingPolicy::kMiddleOut;
@@ -134,12 +134,6 @@ class CrackingIndex : public AdaptiveIndex {
   /// \brief Pieces at or below this many positions are sorted instead of
   /// cracked by kActive, and by kDynamic at low contention.
   static constexpr size_t kSortPieceThreshold = 4096;
-
-  /// \brief Recursion floor of the crack policy (crack_policy.h): sub-ranges
-  /// at or below this many positions get no extra pivots, and kMDD1R
-  /// reverts to exact bound cracking there (so the index still converges to
-  /// precise cracks, which the coarse floor then sorts).
-  static constexpr size_t kPolicyMinPiece = size_t{1} << 16;
 
   /// \brief Intra-query parallel cracking: a crack over a piece of at
   /// least this many positions is split into contiguous chunks — one per

@@ -87,10 +87,7 @@ SideStoreVersion Snapshot::Materialize() const {
 
 // ------------------------------------------------------- SnapshotManager
 
-SnapshotManager::SnapshotManager(RowId next_row_id, size_t log_min,
-                                 size_t log_max)
-    : log_min_(std::max<size_t>(log_min, 1)),
-      log_max_(std::max(log_max, log_min_)) {
+SnapshotManager::SnapshotManager(RowId next_row_id) {
   SideStoreVersion pristine;
   pristine.next_row_id = next_row_id;
   InstallLocked(MakeStore(std::move(pristine)));
@@ -99,7 +96,8 @@ SnapshotManager::SnapshotManager(RowId next_row_id, size_t log_min,
 std::shared_ptr<SideStore> SnapshotManager::MakeStore(
     SideStoreVersion version) const {
   const size_t pending = version.inserts.size() + version.anti_matter.size();
-  const size_t capacity = std::min(log_max_, std::max(log_min_, pending / 8));
+  const size_t capacity =
+      std::min(kConsolidateMax, std::max(kConsolidateMin, pending / 8));
   return std::make_shared<SideStore>(std::move(version), capacity);
 }
 

@@ -252,11 +252,19 @@ class Snapshot {
 /// `CompleteRebase` must be paired.
 class SnapshotManager {
  public:
+  /// \brief Delta-log capacity floor: after each consolidation the next
+  /// log holds max(kConsolidateMin, pending / 8) entries, so a tiny side
+  /// store does not consolidate on every other commit and publication stays
+  /// O(1) amortized.
+  static constexpr size_t kConsolidateMin = 64;
+
+  /// \brief Delta-log capacity ceiling: a log never grows past this many
+  /// entries, whatever the pending size, which bounds per-read scan work.
+  static constexpr size_t kConsolidateMax = 4096;
+
   /// \brief Starts at epoch 0 with empty side stores; `next_row_id` is the
-  /// row id the index assigns first (the base column's size). `log_min` /
-  /// `log_max` bound the delta log's capacity (`UpdatableIndex` passes its
-  /// `kConsolidateMin`/`kConsolidateMax`).
-  SnapshotManager(RowId next_row_id, size_t log_min, size_t log_max);
+  /// row id the index assigns first (the base column's size).
+  explicit SnapshotManager(RowId next_row_id);
 
   /// \brief What the current state holds for one (value, rowID).
   enum class RowState { kAbsent, kPendingInsert, kDeleted };
@@ -343,8 +351,6 @@ class SnapshotManager {
   /// registry empties.
   void Release(uint64_t epoch);
 
-  const size_t log_min_;
-  const size_t log_max_;
   mutable std::mutex mu_;       ///< guards everything below
   std::condition_variable cv_;  ///< drain progress + rebase completion
   Rebase rebase_ = Rebase::kNone;

@@ -42,16 +42,14 @@ RefinementDirective RefinementPolicy::OnCrack(size_t piece_size) const {
       d.try_only = true;
       break;
     case RefinementStrategy::kActive:
-      d.sort_piece =
-          sort_piece_threshold_ > 0 && piece_size <= sort_piece_threshold_;
+      d.sort_piece = piece_size <= sort_piece_threshold_;
       break;
     case RefinementStrategy::kDynamic: {
       const double score = ContentionScore();
       if (score >= kHighContention) {
         d.try_only = true;
       } else if (score <= kLowContention) {
-        d.sort_piece =
-            sort_piece_threshold_ > 0 && piece_size <= sort_piece_threshold_;
+        d.sort_piece = piece_size <= sort_piece_threshold_;
       }
       break;
     }

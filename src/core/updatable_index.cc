@@ -231,7 +231,7 @@ UpdatableIndex::UpdatableIndex(Column base, IndexConfig config,
       lock_resource_(std::move(lock_resource)),
       base_(std::make_unique<Column>(std::move(base))),
       next_row_id_(static_cast<RowId>(base_->size())),
-      snapshots_(next_row_id_, kConsolidateMin, kConsolidateMax) {
+      snapshots_(next_row_id_) {
   RebuildIndexLocked();
 }
 

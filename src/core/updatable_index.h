@@ -48,7 +48,8 @@ namespace adaptidx {
 /// transactions"): every committed update advances a monotonically
 /// increasing `commit_epoch()` and appends one entry to the delta log. A
 /// full log is consolidated into a new flat version (its capacity follows
-/// `kConsolidateMin`/`kConsolidateMax`), so a reader scans at most one log.
+/// `SnapshotManager::kConsolidateMin`/`kConsolidateMax`), so a reader scans
+/// at most one log.
 /// A query carrying a `QueryContext::snapshot_scope` reuses the
 /// scope's pinned epoch across every query of the scope (transactional
 /// repeatable reads); any other query pins the current epoch for its own
@@ -74,16 +75,6 @@ class UpdatableIndex : public AdaptiveIndex {
   UpdatableIndex(Column base, IndexConfig config,
                  LockManager* lock_manager = nullptr,
                  std::string lock_resource = "");
-
-  /// \brief Delta-log capacity floor: after each consolidation the next
-  /// log holds max(kConsolidateMin, pending / 8) entries, so a tiny side
-  /// store does not consolidate on every other commit and publication stays
-  /// O(1) amortized.
-  static constexpr size_t kConsolidateMin = 64;
-
-  /// \brief Delta-log capacity ceiling: a log never grows past this many
-  /// entries, whatever the pending size, which bounds per-read scan work.
-  static constexpr size_t kConsolidateMax = 4096;
 
   /// \brief Drains outstanding snapshots — blocks until every `Snapshot`
   /// of this index is released — so a live pin can never dangle into a

@@ -49,7 +49,7 @@ bool CrackDecision::NextPivot(const CrackerArray& array, Position begin,
                               Position end, Value bound, size_t step,
                               Value* pivot) const {
   if (policy_ == CrackPolicy::kExact) return false;
-  if (end - begin <= min_piece_) return false;
+  if (end - begin <= kMinPiece) return false;
   if (policy_ == CrackPolicy::kMDD1R && step > 0) return false;
   if (policy_ == CrackPolicy::kDDC) {
     *pivot = CenterEstimate(array, begin, end);

@@ -54,14 +54,18 @@ std::string ToString(CrackPolicy policy);
 /// `seed` alone, independent of how concurrent queries interleave.
 class CrackDecision {
  public:
-  /// \brief A decision layer for `policy`; sub-ranges at or below
-  /// `min_piece` elements receive no extra pivots (and kMDD1R reverts to
-  /// exact bound cracking there). `seed` is the per-index RNG seed.
-  CrackDecision(CrackPolicy policy, size_t min_piece, uint64_t seed)
-      : policy_(policy), min_piece_(min_piece), seed_(seed) {}
+  /// \brief Recursion floor: sub-ranges at or below this many positions
+  /// get no extra pivots, and kMDD1R reverts to exact bound cracking there
+  /// (so the index still converges to precise cracks, which the coarse
+  /// floor then sorts).
+  static constexpr size_t kMinPiece = size_t{1} << 16;
+
+  /// \brief A decision layer for `policy`; `seed` is the per-index RNG
+  /// seed.
+  CrackDecision(CrackPolicy policy, uint64_t seed)
+      : policy_(policy), seed_(seed) {}
 
   CrackPolicy policy() const { return policy_; }  ///< \brief Configured policy.
-  size_t min_piece() const { return min_piece_; }  ///< \brief Recursion floor.
   uint64_t seed() const { return seed_; }  ///< \brief Per-index RNG seed.
 
   /// \brief True when the reorganization step over a piece of `piece_size`
@@ -71,7 +75,7 @@ class CrackDecision {
   /// actually published (e.g. all-equal data), or the piece would never
   /// shrink.
   bool CracksBound(size_t piece_size) const {
-    return policy_ != CrackPolicy::kMDD1R || piece_size <= min_piece_;
+    return policy_ != CrackPolicy::kMDD1R || piece_size <= kMinPiece;
   }
 
   /// \brief Proposes the next data-driven pivot for the current sub-range
@@ -87,7 +91,6 @@ class CrackDecision {
 
  private:
   CrackPolicy policy_;
-  size_t min_piece_;
   uint64_t seed_;
 };
 

@@ -39,10 +39,9 @@ bool RunConcurrentQueries(CrackingIndex* index, const RangeOracle& oracle,
         Value lo = rng.UniformRange(0, rows);
         Value hi = rng.UniformRange(0, rows);
         if (lo > hi) std::swap(lo, hi);
-        // Ranges at most kRows wide on a larger column too; RowID
-        // materialization, the most allocation-heavy kind, gets narrower
-        // ones so the differential stays fast.
-        hi = std::min<Value>(hi, lo + (i % 4 == 2 ? 2000 : kRows));
+        // RowID materialization is the most allocation-heavy kind; shrink
+        // its range so the differential stays fast.
+        if (i % 4 == 2) hi = std::min<Value>(hi, lo + 2000);
         asked[t].push_back(lo);
         asked[t].push_back(hi);
         QueryContext ctx;
@@ -120,10 +119,11 @@ class CrackingConcurrentTest
     return GetParam().crack_policy != CrackPolicy::kExact;
   }
 
-  /// A stochastic policy recurses only above its floor, so its column
-  /// holds two floors' worth of rows.
+  /// A stochastic policy recurses only above its floor, and a pivot that
+  /// falls between a step's two bounds ends the recursion; four floors'
+  /// worth of rows keep pieces above the floor after the first cracks.
   size_t Rows() const {
-    return Stochastic() ? 2 * CrackingIndex::kPolicyMinPiece : kRows;
+    return Stochastic() ? 4 * CrackDecision::kMinPiece : kRows;
   }
 
   CrackingOptions Options() const {

@@ -132,7 +132,7 @@ TEST_P(CrackingCorrectnessTest, OneStepPerSharedPieceOneStepPerBoundElse) {
 
 TEST_P(CrackingCorrectnessTest, Mdd1rTwoBoundStepAnswersByScan) {
   Column col =
-      Column::UniqueRandom("A", 2 * CrackingIndex::kPolicyMinPiece, 42);
+      Column::UniqueRandom("A", 2 * CrackDecision::kMinPiece, 42);
   RangeOracle oracle(col);
   CrackingOptions opts = Options();
   opts.crack_policy = CrackPolicy::kMDD1R;
@@ -360,7 +360,7 @@ TEST(CrackingStrategyTest, StochasticAddsExtraCracks) {
   // Two policy floors of rows: the first pieces are large enough for DDR
   // to recurse.
   Column col =
-      Column::UniqueRandom("A", 2 * CrackingIndex::kPolicyMinPiece, 17);
+      Column::UniqueRandom("A", 2 * CrackDecision::kMinPiece, 17);
   RangeOracle oracle(col);
   CrackingOptions plain;
   plain.crack_policy = CrackPolicy::kExact;

@@ -438,6 +438,8 @@ TEST(IndexFactoryTest, ConfigKeyTracksExactlyTheConsultedFields) {
     c->cracking.lock_manager = &locks_a;
     c->cracking.lock_resource = "R/A";
   });
+  const IndexConfig partitioned =
+      with(IndexMethod::kCrack, [](IndexConfig* c) { c->partitions = 4; });
   const IndexConfig merge = with(IndexMethod::kAdaptiveMerge);
   struct Row {
     const char* field;
@@ -449,8 +451,15 @@ TEST(IndexFactoryTest, ConfigKeyTracksExactlyTheConsultedFields) {
       {"method", crack,
        [](IndexConfig* c) { c->method = IndexMethod::kHybrid; }, true},
       {"partitions", crack, [](IndexConfig* c) { c->partitions = 4; }, true},
+      {"partitions (4 to 8)", partitioned,
+       [](IndexConfig* c) { c->partitions = 8; }, true},
       {"cracking.mode", crack,
        [](IndexConfig* c) { c->cracking.mode = ConcurrencyMode::kNone; },
+       true},
+      {"cracking.mode (kColumnLatch)", crack,
+       [](IndexConfig* c) {
+         c->cracking.mode = ConcurrencyMode::kColumnLatch;
+       },
        true},
       {"cracking.scheduling", crack,
        [](IndexConfig* c) { c->cracking.scheduling = SchedulingPolicy::kFifo; },
@@ -467,6 +476,9 @@ TEST(IndexFactoryTest, ConfigKeyTracksExactlyTheConsultedFields) {
        true},
       {"cracking.crack_policy", crack,
        [](IndexConfig* c) { c->cracking.crack_policy = CrackPolicy::kDDC; },
+       true},
+      {"cracking.crack_policy (kDDR to kExact)", ddr,
+       [](IndexConfig* c) { c->cracking.crack_policy = CrackPolicy::kExact; },
        true},
       {"cracking.crack_policy (kDDR to kMDD1R)", ddr,
        [](IndexConfig* c) { c->cracking.crack_policy = CrackPolicy::kMDD1R; },
@@ -491,8 +503,7 @@ TEST(IndexFactoryTest, ConfigKeyTracksExactlyTheConsultedFields) {
        [](IndexConfig* c) { c->btree.run_size = 1024; }, true},
       // Execution resources.
       {"pool", crack, [&](IndexConfig* c) { c->pool = &pool; }, false},
-      {"pool (partitioned)",
-       with(IndexMethod::kCrack, [](IndexConfig* c) { c->partitions = 4; }),
+      {"pool (partitioned)", partitioned,
        [&](IndexConfig* c) { c->pool = &pool; }, false},
       {"cracking.pool", crack,
        [&](IndexConfig* c) { c->cracking.pool = &pool; }, false},

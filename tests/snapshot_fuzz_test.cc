@@ -86,7 +86,7 @@ constexpr Value kDomain = 4000;
 constexpr size_t kBaseRows = 1500;
 /// Commits per writer (500 or 300) and checkpoints per checkpointer (8)
 /// are multiplied by this: a delta log holds at least
-/// `UpdatableIndex::kConsolidateMin` entries, so only a stream this long
+/// `SnapshotManager::kConsolidateMin` entries, so only a stream this long
 /// folds its logs repeatedly behind held pins (39-186 consolidations a
 /// run over seeds 1-20).
 constexpr int kStreamScale = 16;

@@ -410,7 +410,7 @@ TEST(SnapshotTest, EpochReclamationRetiresUnpinnedVersions) {
   // A pinned snapshot holds the reclamation floor at its epoch, across a
   // full log's worth of commits behind it...
   Snapshot pin = index.CaptureSnapshot();
-  for (size_t i = 0; i < UpdatableIndex::kConsolidateMin; ++i) {
+  for (size_t i = 0; i < SnapshotManager::kConsolidateMin; ++i) {
     ASSERT_TRUE(index.Insert(static_cast<Value>(100 + i), &uctx).ok());
   }
   EXPECT_GT(index.snapshots().consolidations(), 0u);
@@ -467,8 +467,8 @@ TEST(SnapshotTest, DeltaChainPublishesO1NodesAndConsolidates) {
   // is the floor while pending is small and the cap once pending/8 passes
   // it. A pin taken before the stream keeps answering at its epoch across
   // every consolidation behind it.
-  constexpr size_t kMin = UpdatableIndex::kConsolidateMin;
-  constexpr size_t kMax = UpdatableIndex::kConsolidateMax;
+  constexpr size_t kMin = SnapshotManager::kConsolidateMin;
+  constexpr size_t kMax = SnapshotManager::kConsolidateMax;
   Column col = Column::UniqueRandom("A", 500, 9);
   UpdatableIndex index(col, SnapConfig());
   QueryContext uctx;

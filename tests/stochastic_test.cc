@@ -22,11 +22,18 @@ namespace {
 /// scans answer instead of exact cracks — query answers must be
 /// indistinguishable from plain cracking, on degenerate data shapes too,
 /// while the structural invariants keep holding. A policy recurses only on
-/// pieces above its floor (`CrackingIndex::kPolicyMinPiece`), so the
+/// pieces above its floor (`CrackDecision::kMinPiece`), so the
 /// columns hold at least two floors' worth of rows.
 
-/// Rows of a column on which every policy fires.
-constexpr size_t kPolicyRows = 2 * CrackingIndex::kPolicyMinPiece;
+/// Rows of a column with pieces above every policy's floor.
+constexpr size_t kPolicyRows = 2 * CrackDecision::kMinPiece;
+
+/// Rows of the differential's columns. A pivot that falls between the two
+/// bounds of a step ends that step's recursion, so on two floors a run of
+/// wide random ranges can end without any pivot under kDDC or kDDR; four
+/// floors keep pieces above the floor after the first cracks, and the
+/// one-bound steps on them recurse.
+constexpr size_t kDifferentialRows = 4 * CrackDecision::kMinPiece;
 
 struct StochasticParam {
   const char* name;
@@ -45,8 +52,7 @@ class StochasticDifferentialTest
 
   /// Runs all four query kinds over `col` and checks every answer against
   /// the oracle; with `expect_pivots`, the policy must also have cracked
-  /// on a value no query asked for. Ranges span up to an eighth of the
-  /// domain: a pivot between a step's two bounds ends its recursion.
+  /// on a value no query asked for.
   void RunDifferential(const Column& col, Value domain_hi,
                        bool expect_pivots) {
     RangeOracle oracle(col);
@@ -54,9 +60,9 @@ class StochasticDifferentialTest
     std::set<Value> bounds;
     Rng rng(41);
     for (int i = 0; i < 120; ++i) {
-      const Value lo = static_cast<Value>(rng.UniformRange(0, domain_hi));
-      const Value hi =
-          lo + static_cast<Value>(rng.UniformRange(0, domain_hi / 8 + 1));
+      Value lo = static_cast<Value>(rng.UniformRange(0, domain_hi));
+      Value hi = static_cast<Value>(rng.UniformRange(0, domain_hi));
+      if (lo > hi) std::swap(lo, hi);
       bounds.insert(lo);
       bounds.insert(hi);
       const ValueRange range{lo, hi};
@@ -105,8 +111,8 @@ class StochasticDifferentialTest
 };
 
 TEST_P(StochasticDifferentialTest, MatchesOracleOnUniqueRandom) {
-  RunDifferential(Column::UniqueRandom("A", kPolicyRows, 31),
-                  kPolicyRows, /*expect_pivots=*/true);
+  RunDifferential(Column::UniqueRandom("A", kDifferentialRows, 31),
+                  kDifferentialRows, /*expect_pivots=*/true);
 }
 
 TEST_P(StochasticDifferentialTest, MatchesOracleOnDuplicateHeavy) {
@@ -117,11 +123,11 @@ TEST_P(StochasticDifferentialTest, MatchesOracleOnDuplicateHeavy) {
 }
 
 TEST_P(StochasticDifferentialTest, MatchesOracleOnPresortedData) {
-  std::vector<Value> values(kPolicyRows);
+  std::vector<Value> values(kDifferentialRows);
   for (size_t i = 0; i < values.size(); ++i) {
     values[i] = static_cast<Value>(i);
   }
-  RunDifferential(Column("A", std::move(values)), kPolicyRows,
+  RunDifferential(Column("A", std::move(values)), kDifferentialRows,
                   /*expect_pivots=*/true);
 }
 
@@ -153,7 +159,7 @@ INSTANTIATE_TEST_SUITE_P(
 /// recursion stops at the policy floor, so the column holds 16 floors and
 /// the stochastic frontier piece stays below n/8 = 2 floors.
 TEST(StochasticConvergenceTest, SequentialSweepKeepsFrontierPieceSmall) {
-  const size_t n = 16 * CrackingIndex::kPolicyMinPiece;
+  const size_t n = 16 * CrackDecision::kMinPiece;
   const size_t frontier = 64 * 500;  // first value beyond the sweep
   Column col = Column::UniqueRandom("A", n, 77);
 

@@ -55,13 +55,10 @@ class RangeOracle {
   bool CheckRowIds(Value lo, Value hi,
                    const std::vector<RowId>& row_ids) const {
     if (row_ids.size() != Count(lo, hi)) return false;
-    std::vector<RowId> dedup(row_ids);
-    std::sort(dedup.begin(), dedup.end());
-    if (std::adjacent_find(dedup.begin(), dedup.end()) != dedup.end()) {
-      return false;
-    }
+    std::vector<bool> seen(values_.size(), false);
     for (RowId r : row_ids) {
-      if (r >= values_.size()) return false;
+      if (r >= values_.size() || seen[r]) return false;
+      seen[r] = true;
       const Value v = values_[r];
       if (v < lo || v >= hi) return false;
     }
