@@ -1,7 +1,6 @@
 #include "core/partitioned_index.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <thread>
 #include <utility>
 
@@ -10,28 +9,6 @@
 #include "util/thread_pool.h"
 
 namespace adaptidx {
-
-/// One query's fan-out ledger. Shared (via shared_ptr) between the
-/// submitting thread and the helper tasks it enqueues: helpers that wake
-/// after all fragments are claimed touch only this struct, never the query
-/// or the index, so the submitter may return as soon as `done` reaches the
-/// fragment count.
-struct PartitionedIndex::FanState {
-  Query query;
-  /// The index's shards; dereferenced only for a claimed fragment.
-  const std::vector<std::unique_ptr<Shard>>* shards = nullptr;
-  struct Fragment {
-    size_t shard = 0;
-    QueryContext ctx;
-    QueryResult result;
-    Status status;
-  };
-  std::vector<Fragment> frags;
-  std::atomic<size_t> next{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t done = 0;
-};
 
 PartitionedIndex::PartitionedIndex(const Column* column,
                                    const IndexConfig& config)
@@ -186,24 +163,6 @@ void PartitionedIndex::RouteRange(const ValueRange& range, size_t* begin,
          1;
 }
 
-void PartitionedIndex::RunFragments(const std::shared_ptr<FanState>& state) {
-  const size_t total = state->frags.size();
-  for (;;) {
-    const size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= total) return;
-    FanState::Fragment& f = state->frags[i];
-    const Shard& shard = *(*state->shards)[f.shard];
-    f.status = shard.index->Execute(state->query, &f.ctx, &f.result);
-    if (f.status.ok() && state->query.kind == QueryKind::kRowIds) {
-      // Inner indexes answer in shard-local row ids; translate to base
-      // row ids here, inside the parallel fragment, not on the merge path.
-      for (RowId& id : f.result.row_ids) id = shard.to_global[id];
-    }
-    std::lock_guard<std::mutex> lk(state->mu);
-    if (++state->done == total) state->cv.notify_all();
-  }
-}
-
 Status PartitionedIndex::ExecuteImpl(const Query& query, QueryContext* ctx,
                                      QueryResult* result) {
   if (query.kind == QueryKind::kSumOther) {
@@ -229,44 +188,39 @@ Status PartitionedIndex::ExecuteImpl(const Query& query, QueryContext* ctx,
     return s;
   }
 
-  auto state = std::make_shared<FanState>();
-  state->query = query;
-  state->shards = &shards_;
-  state->frags.resize(s_end - s_begin);
-  for (size_t s = s_begin; s < s_end; ++s) {
-    FanState::Fragment& f = state->frags[s - s_begin];
-    f.shard = s;
-    f.ctx = ctx->SpawnFragment();
-  }
+  struct Fragment {
+    QueryContext ctx;
+    QueryResult result;
+    Status status;
+  };
+  std::vector<Fragment> frags(s_end - s_begin);
+  for (Fragment& f : frags) f.ctx = ctx->SpawnFragment();
 
-  // Enqueue one helper per fragment beyond the one this thread takes;
-  // helpers and submitter claim fragments from the shared counter, so the
+  // Pool helpers and this thread claim fragments from one counter, so the
   // query proceeds at full speed when the pool is idle and degrades to
   // inline execution (never deadlock) when the pool is saturated with
-  // other queries doing the same.
+  // other queries doing the same. Blocking on fragments still running
+  // elsewhere is wait like any other: charge it, as every latch and init
+  // path does.
   ThreadPool* pool = external_pool_ != nullptr ? external_pool_
                                                : owned_pool_.get();
-  if (pool != nullptr) {
-    const size_t helpers = state->frags.size() - 1;
-    for (size_t h = 0; h < helpers; ++h) {
-      pool->Submit([state] { RunFragments(state); });
-    }
-  }
-  RunFragments(state);
-  {
-    std::unique_lock<std::mutex> lk(state->mu);
-    if (state->done != state->frags.size()) {
-      // Blocking on fragments still running elsewhere is wait like any
-      // other: charge it, as every latch and init path does.
-      const int64_t wait_start = NowNanos();
-      state->cv.wait(lk,
-                     [&] { return state->done == state->frags.size(); });
-      ctx->stats.wait_ns += NowNanos() - wait_start;
-    }
-  }
+  ParallelRun(
+      pool, frags.size(),
+      [&](size_t i) {
+        Fragment& f = frags[i];
+        const Shard& shard = *shards_[s_begin + i];
+        f.status = shard.index->Execute(query, &f.ctx, &f.result);
+        if (f.status.ok() && query.kind == QueryKind::kRowIds) {
+          // Inner indexes answer in shard-local row ids; translate to base
+          // row ids here, inside the parallel fragment, not on the merge
+          // path.
+          for (RowId& id : f.result.row_ids) id = shard.to_global[id];
+        }
+      },
+      &ctx->stats.wait_ns);
 
   Status status;
-  for (const FanState::Fragment& f : state->frags) {
+  for (const Fragment& f : frags) {
     ctx->stats.Accumulate(f.ctx.stats);
     if (status.ok() && !f.status.ok()) status = f.status;
     if (f.status.ok()) result->Merge(f.result);

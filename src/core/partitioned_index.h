@@ -37,10 +37,11 @@ class ThreadPool;
 /// ids back to base-column row ids, so materialized rowIDs come out in
 /// global terms.
 ///
-/// Fan-out never deadlocks on a shared pool: fragments are *claimed*, not
-/// awaited — the submitting thread executes fragments itself alongside the
-/// pool workers until none are left, so progress is guaranteed even when
-/// every pool worker is itself a query waiting on fragments.
+/// Fan-out (`ParallelRun`) never deadlocks on a shared pool: fragments are
+/// *claimed*, not awaited — the submitting thread executes fragments itself
+/// alongside the pool workers until none are left, so progress is
+/// guaranteed even when every pool worker is itself a query waiting on
+/// fragments.
 ///
 /// Lock-manager scope: inner cracking shards keep the configured
 /// `lock_manager`/`lock_resource` untouched — user transactions lock the
@@ -95,20 +96,9 @@ class PartitionedIndex : public AdaptiveIndex {
     std::unique_ptr<AdaptiveIndex> index;
   };
 
-  /// One query's fan-out ledger: fragments are claimed via `next` by pool
-  /// workers and the submitting thread alike; `done` under `mu` gates the
-  /// submitter's wait.
-  struct FanState;
-
   /// Builds boundaries, scatters rows, and constructs the inner indexes on
   /// first touch; charges init time (and blocked waiters' time) to `ctx`.
   void EnsureInitialized(QueryContext* ctx);
-
-  /// Executes claimed fragments until none remain. Static, so a helper
-  /// task that wakes after its query returned — when the index may be
-  /// destroyed already — never calls into the index: it reaches the shards
-  /// only through a claimed fragment, while the submitter still waits.
-  static void RunFragments(const std::shared_ptr<FanState>& state);
 
   /// Shards whose value interval intersects [range.lo, range.hi), as the
   /// index interval [*begin, *end).

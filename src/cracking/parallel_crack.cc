@@ -34,7 +34,7 @@ size_t RunForOffset(const std::vector<size_t>& pre, size_t k) {
 }  // namespace
 
 void ParallelRun(ThreadPool* pool, size_t tasks,
-                 const std::function<void(size_t)>& fn) {
+                 const std::function<void(size_t)>& fn, int64_t* wait_ns) {
   if (tasks == 0) return;
   if (pool == nullptr || tasks == 1) {
     for (size_t i = 0; i < tasks; ++i) fn(i);
@@ -71,7 +71,10 @@ void ParallelRun(ThreadPool* pool, size_t tasks,
   // The handshake publishes every worker's writes to the caller: task
   // results are read only after `done` reached `tasks` under the mutex.
   std::unique_lock<std::mutex> lk(s->mu);
+  if (s->done == s->tasks) return;
+  const int64_t wait_start = wait_ns != nullptr ? NowNanos() : 0;
   s->cv.wait(lk, [&] { return s->done == s->tasks; });
+  if (wait_ns != nullptr) *wait_ns += NowNanos() - wait_start;
 }
 
 Position ParallelCrackTwo(CrackerArray* array, Position begin, Position end,

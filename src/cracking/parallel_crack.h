@@ -52,9 +52,13 @@ struct ParallelCrackStats {
 /// caller participates and tasks are claimed from a shared counter, so the
 /// call makes progress (and never deadlocks) even when every pool worker is
 /// itself blocked inside another ParallelRun. Returns only after every task
-/// finished; a null pool or a single task degrades to a serial loop.
+/// finished; a null pool or a single task degrades to a serial loop. Late
+/// helpers never call `fn`, so it may reference the caller's stack. When
+/// `wait_ns` is set, the time the caller blocked on tasks still running
+/// elsewhere, once none was left to claim, is added to it.
 void ParallelRun(ThreadPool* pool, size_t tasks,
-                 const std::function<void(size_t)>& fn);
+                 const std::function<void(size_t)>& fn,
+                 int64_t* wait_ns = nullptr);
 
 /// \brief Two-way crack of [begin, end) around `pivot` using up to
 /// `num_chunks` parallel chunks (clamped so chunks stay at least a cache-

@@ -69,22 +69,4 @@ bool Database::DropIndex(const std::string& table, const std::string& column,
   return catalog_.DropIndexEntry(IndexKey(table, column, config));
 }
 
-Status Database::OpenDurableIndex(const std::string& name, const Column& seed,
-                                  const IndexConfig& config,
-                                  const DurabilityOptions& opts,
-                                  DurableIndex** out) {
-  std::lock_guard<std::mutex> lk(durable_mu_);
-  auto it = durable_.find(name);
-  if (it != durable_.end()) {
-    *out = it->second.get();
-    return Status::OK();
-  }
-  std::unique_ptr<DurableIndex> di;
-  Status s = DurableIndex::Open(seed, config, opts, &lock_manager_, name, &di);
-  if (!s.ok()) return s;
-  *out = di.get();
-  durable_.emplace(name, std::move(di));
-  return Status::OK();
-}
-
 }  // namespace adaptidx

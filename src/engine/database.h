@@ -2,14 +2,12 @@
 #define ADAPTIDX_ENGINE_DATABASE_H_
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/index_factory.h"
-#include "durability/durable_index.h"
 #include "engine/operators.h"
 #include "engine/session.h"
 #include "lock/lock_manager.h"
@@ -67,15 +65,6 @@ class Database {
   bool DropIndex(const std::string& table, const std::string& column,
                  const IndexConfig& config);
 
-  /// \brief Opens (recovering if the directory holds state) a durable,
-  /// WAL-backed updatable index named `name`, seeded from `seed` on a
-  /// virgin data directory. The database owns it; repeated calls with the
-  /// same name return the already-open instance. The durable index uses
-  /// this database's lock manager with `name` as the lock resource.
-  Status OpenDurableIndex(const std::string& name, const Column& seed,
-                          const IndexConfig& config,
-                          const DurabilityOptions& opts, DurableIndex** out);
-
   Catalog* catalog() { return &catalog_; }
   LockManager* lock_manager() { return &lock_manager_; }
 
@@ -88,8 +77,6 @@ class Database {
   LockManager lock_manager_;
   std::once_flag pool_once_;
   std::unique_ptr<ThreadPool> pool_;
-  std::mutex durable_mu_;
-  std::map<std::string, std::unique_ptr<DurableIndex>> durable_;
 };
 
 }  // namespace adaptidx

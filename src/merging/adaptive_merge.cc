@@ -81,10 +81,7 @@ void AdaptiveMergeIndex::EnsureInitialized(QueryContext* ctx) {
         hi = std::max(hi, v);
         run.entries.push_back(CrackerEntry{static_cast<RowId>(i), v});
       }
-      std::sort(run.entries.begin(), run.entries.end(),
-                [](const CrackerEntry& a, const CrackerEntry& b) {
-                  return a.value < b.value;
-                });
+      LayOutRun(&run);
       runs_.push_back(std::move(run));
     }
     domain_lo_ = lo;
@@ -92,6 +89,13 @@ void AdaptiveMergeIndex::EnsureInitialized(QueryContext* ctx) {
     initialized_.store(true, std::memory_order_release);
   }
   latch_.WriteUnlock();
+}
+
+void AdaptiveMergeIndex::LayOutRun(Run* run) {
+  std::sort(run->entries.begin(), run->entries.end(),
+            [](const CrackerEntry& a, const CrackerEntry& b) {
+              return a.value < b.value;
+            });
 }
 
 void AdaptiveMergeIndex::RunRange(const Run& run, Value lo, Value hi,
@@ -145,10 +149,10 @@ std::vector<CrackerEntry> AdaptiveMergeIndex::GatherGap(
   return merged;
 }
 
-void AdaptiveMergeIndex::MergeGapLocked(Value lo, Value hi,
-                                        QueryContext* ctx) {
-  final_.Insert(lo, hi, GatherGap(lo, hi, ctx));
+std::vector<CrackerEntry> AdaptiveMergeIndex::TakeGapLocked(
+    Value lo, Value hi, QueryContext* ctx) {
   ++ctx->stats.cracks;
+  return GatherGap(lo, hi, ctx);
 }
 
 template <typename Agg>
@@ -236,7 +240,9 @@ Status AdaptiveMergeIndex::ExecuteRange(const ValueRange& range,
         ScopedTimer t(&ctx->stats.read_ns);
         for (const auto& part : sub_covered) agg->Covered(part);
       }
-      for (const ValueRange& g : sub_gaps) MergeGapLocked(g.lo, g.hi, ctx);
+      for (const ValueRange& g : sub_gaps) {
+        final_.Insert(g.lo, g.hi, TakeGapLocked(g.lo, g.hi, ctx));
+      }
       // The whole gap is covered now; aggregate the freshly merged parts.
       if (!sub_gaps.empty()) {
         std::vector<SegmentStore::CoveredPart> fresh;
@@ -307,7 +313,7 @@ Status AdaptiveMergeIndex::ExecuteImpl(const Query& query, QueryContext* ctx,
       return s;
     }
     case QueryKind::kSumOther:
-      return Status::NotSupported("merge holds no second column");
+      return Status::NotSupported(Name() + " holds no second column");
   }
   return Status::InvalidArgument("unknown query kind");
 }
@@ -339,12 +345,16 @@ bool AdaptiveMergeIndex::FullyMerged() const {
 
 bool AdaptiveMergeIndex::ValidateStructure() const {
   if (!initialized_.load(std::memory_order_acquire)) return true;
+  return RunsValid() && final_.Validate();
+}
+
+bool AdaptiveMergeIndex::RunsValid() const {
   for (const Run& run : runs_) {
     for (size_t i = 1; i < run.entries.size(); ++i) {
       if (run.entries[i].value < run.entries[i - 1].value) return false;
     }
   }
-  return final_.Validate();
+  return true;
 }
 
 }  // namespace adaptidx

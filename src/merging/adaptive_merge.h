@@ -55,7 +55,12 @@ struct MergeOptions {
 /// creation) take it in write mode, pure reads in read mode. Each gap merge
 /// is a separately committed system transaction: the latch is released
 /// between gaps, and with `early_termination` the query stops merging as
-/// soon as contention appears.
+/// soon as contention appears (docs/CONCURRENCY.md, "Merge steps").
+///
+/// The query loop serves every variant whose runs feed a SegmentStore: a
+/// subclass changes how a run is laid out at first touch (`LayOutRun`) and
+/// how one gap leaves the runs (`TakeGapLocked`). Hybrid crack-sort
+/// (src/hybrid) cracks its runs instead of sorting them.
 class AdaptiveMergeIndex : public AdaptiveIndex {
  public:
   explicit AdaptiveMergeIndex(const Column* column, MergeOptions opts = {});
@@ -75,29 +80,44 @@ class AdaptiveMergeIndex : public AdaptiveIndex {
   /// final partition (index fully optimized, state 5 of Figure 5).
   bool FullyMerged() const;
 
-  /// \brief Structural invariants (sorted runs, valid segment store);
+  /// \brief Structural invariants (valid runs, valid segment store);
   /// requires a quiesced index.
   bool ValidateStructure() const;
 
  protected:
+  struct Run {
+    std::vector<CrackerEntry> entries;  ///< as `LayOutRun` left them
+  };
+
   Status ExecuteImpl(const Query& query, QueryContext* ctx,
                      QueryResult* result) override;
 
- private:
-  struct Run {
-    std::vector<CrackerEntry> entries;  ///< sorted by value
-  };
+  /// Lays out one run the first query copied out of the column, under the
+  /// write latch: adaptive merging sorts it. Early termination's read-only
+  /// fallback and the MVCC gather binary-search the runs, so a subclass
+  /// that leaves them unsorted turns both off.
+  virtual void LayOutRun(Run* run);
 
-  /// Sorted-run creation by the first query.
+  /// Takes the records of the gap [lo, hi) out of the runs, sorted by
+  /// value, for a new final segment, and counts the step's refinement
+  /// actions in `ctx->stats.cracks`. Caller holds the write latch.
+  virtual std::vector<CrackerEntry> TakeGapLocked(Value lo, Value hi,
+                                                  QueryContext* ctx);
+
+  /// Run invariants (adaptive merging: each run sorted); requires a quiesced
+  /// index.
+  virtual bool RunsValid() const;
+
+  mutable WaitQueueLatch latch_{SchedulingPolicy::kFifo};
+  std::vector<Run> runs_;
+
+ private:
+  /// Run creation by the first query.
   void EnsureInitialized(QueryContext* ctx);
 
   /// Entries of `run` with value in [lo, hi), via binary search.
   static void RunRange(const Run& run, Value lo, Value hi, size_t* begin,
                        size_t* end);
-
-  /// Merges the gap [lo, hi) out of all runs into a new final segment.
-  /// Caller holds the index latch in write mode.
-  void MergeGapLocked(Value lo, Value hi, QueryContext* ctx);
 
   /// K-way-merges the records of [lo, hi) out of the (immutable) runs
   /// without touching the final partition; used by both merge paths.
@@ -118,8 +138,6 @@ class AdaptiveMergeIndex : public AdaptiveIndex {
   const MergeOptions opts_;
 
   std::atomic<bool> initialized_{false};
-  mutable WaitQueueLatch latch_{SchedulingPolicy::kFifo};
-  std::vector<Run> runs_;
   SegmentStore final_;
   Value domain_lo_ = 0;
   Value domain_hi_ = 0;
