@@ -61,17 +61,25 @@ void Run() {
     }
   }
 
-  std::printf("\nResponse time per query (ms), log-spaced samples\n");
+  std::printf("\nResponse time per query (ms), log-spaced samples and the "
+              "last query\n");
   std::printf("%-8s", "query#");
   for (const char* n : names) std::printf(" %12s", n);
   std::printf("\n");
-  size_t step = 1;
-  for (size_t i = 0; i < num_queries; i += step) {
+  auto print_row = [&](size_t i) {
     std::printf("%-8zu", i + 1);
     for (int m = 0; m < 4; ++m) std::printf(" %12.3f", per_query[m][i]);
     std::printf("\n");
+  };
+  size_t last_printed = 0;
+  size_t step = 1;
+  for (size_t i = 0; i < num_queries; i += step) {
+    print_row(i);
+    last_printed = i;
     if (i + 1 >= 8) step = (i + 1) / 2;
   }
+  // The most converged query, which the log-spaced samples can skip.
+  if (last_printed + 1 < num_queries) print_row(num_queries - 1);
 
   std::printf("\nConvergence state after %zu queries:\n", num_queries);
   std::printf("  crack:       %zu pieces\n", indexes[0]->NumPieces());

@@ -22,8 +22,8 @@ namespace adaptidx {
 /// Durability is purchased *outside* the critical section: after releasing
 /// its locks, the index calls `WaitDurable(lsn)` and only then
 /// acknowledges the update to the caller. That split is what makes group
-/// commit possible — many committers park in `WaitDurable` while one
-/// flusher retires them all with a single fsync.
+/// commit possible — many committers park in `WaitDurable` while one of
+/// them drains the log and retires them all with a single fsync.
 ///
 /// Thread-safety: both methods are called concurrently from many threads;
 /// implementations synchronize internally. `LogCommit` additionally runs

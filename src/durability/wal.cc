@@ -70,52 +70,33 @@ Status WriteAheadLog::Open(const std::string& dir, FsyncPolicy fsync_policy,
   if (ec) return Status::InvalidArgument("cannot create wal dir: " + dir);
   std::unique_ptr<WriteAheadLog> wal(
       new WriteAheadLog(dir, fsync_policy, next_lsn));
-  {
-    std::lock_guard<std::mutex> io(wal->io_mu_);
-    Status s = wal->OpenSegmentLocked(next_lsn);
-    if (!s.ok()) return s;
-  }
+  Status s = wal->OpenSegment(next_lsn);
+  if (!s.ok()) return s;
   // Make the new segment's directory entry durable before any commit is
   // acknowledged out of it.
-  Status s = SyncPath(dir);
+  s = SyncPath(dir);
   if (!s.ok()) return s;
-  wal->flusher_ = std::thread(&WriteAheadLog::FlusherLoop, wal.get());
   *out = std::move(wal);
   return Status::OK();
 }
 
 WriteAheadLog::WriteAheadLog(std::string dir, FsyncPolicy fsync_policy,
                              uint64_t next_lsn)
-    : dir_(std::move(dir)), fsync_policy_(fsync_policy), next_lsn_(next_lsn) {
-  durable_lsn_ = next_lsn - 1;
-  claimed_lsn_ = next_lsn - 1;
-}
-
-bool WriteAheadLog::AwaitInFlightBatchLocked(
-    std::unique_lock<std::mutex>& lk) {
-  durable_cv_.wait(
-      lk, [&] { return durable_lsn_ >= claimed_lsn_ || !io_error_.ok(); });
-  return io_error_.ok();
-}
+    : dir_(std::move(dir)),
+      fsync_policy_(fsync_policy),
+      next_lsn_(next_lsn),
+      durable_lsn_(next_lsn - 1) {}
 
 WriteAheadLog::~WriteAheadLog() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-    flusher_cv_.notify_all();
-  }
-  if (flusher_.joinable()) flusher_.join();
-  std::lock_guard<std::mutex> io(io_mu_);
-  if (fd_ >= 0) {
-    // Final best-effort sync: an unacknowledged tail may or may not land,
-    // which recovery tolerates either way.
-    SyncFd(fd_);
-    ::close(fd_);
-    fd_ = -1;
-  }
+  if (fd_ < 0) return;  // Open failed before the segment existed
+  // An unacknowledged tail may or may not land, which recovery tolerates
+  // either way.
+  std::unique_lock<std::mutex> lk(mu_);
+  (void)DrainLocked(lk, /*force_sync=*/true, /*seal=*/false);
+  if (fd_ >= 0) ::close(fd_);  // a failed seal leaves none open
 }
 
-Status WriteAheadLog::OpenSegmentLocked(uint64_t first_lsn) {
+Status WriteAheadLog::OpenSegment(uint64_t first_lsn) {
   const std::string path = dir_ + "/" + SegmentName(first_lsn);
   int fd;
   do {
@@ -144,177 +125,101 @@ uint64_t WriteAheadLog::LogCommit(OpType op, Value value, RowId row_id) {
   AppendRecord(lsn, op, value, row_id, &pending_);
   ++pending_records_;
   ++stats_.records_appended;
-  flusher_cv_.notify_one();
   return lsn;
 }
 
 Status WriteAheadLog::WaitDurable(uint64_t lsn) {
-  if (fsync_policy_ == FsyncPolicy::kNone) {
-    // The contract degrades to "handed to the OS": the flusher will write
-    // it out without fsync; an ack only promises survival of a process
-    // crash, not a power failure.
-    return Status::OK();
-  }
   std::unique_lock<std::mutex> lk(mu_);
-  durable_cv_.wait(lk, [&] { return durable_lsn_ >= lsn || !io_error_.ok(); });
-  return io_error_;
-}
-
-void WriteAheadLog::FlusherLoop() {
+  auto done = [&] { return durable_lsn_ >= lsn || !io_error_.ok(); };
   for (;;) {
-    std::string batch;
-    uint64_t batch_records = 0;
-    uint64_t batch_last_lsn = 0;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      flusher_cv_.wait(lk, [&] { return pending_records_ > 0 || stop_; });
-      if (pending_records_ == 0 && stop_) return;
-      batch = std::move(pending_);
-      pending_.clear();
-      batch_records = pending_records_;
-      pending_records_ = 0;
-      batch_last_lsn = next_lsn_ - 1;
-      claimed_lsn_ = batch_last_lsn;
-    }
-    Status s;
-    uint64_t bytes = 0;
-    uint64_t syncs = 0;
-    {
-      std::lock_guard<std::mutex> io(io_mu_);
-      if (fsync_policy_ == FsyncPolicy::kAlways) {
-        // Force-at-commit: each record of the drained batch pays its own
-        // write+fsync, so kAlways measures what per-commit forcing costs
-        // rather than borrowing the batching win it is compared against.
-        size_t off = 0;
-        while (s.ok() && off < batch.size()) {
-          uint32_t len = 0;
-          std::memcpy(&len, batch.data() + off, sizeof(len));
-          const size_t rec = 4 + 4 + len;
-          s = WriteAndSyncLocked(batch.substr(off, rec), false, &bytes,
-                                 &syncs);
-          off += rec;
-        }
-      } else {
-        s = WriteAndSyncLocked(batch, false, &bytes, &syncs);
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!s.ok() && io_error_.ok()) io_error_ = s;
-      if (s.ok()) durable_lsn_ = batch_last_lsn;
-      ++stats_.flush_batches;
-      stats_.max_batch = std::max(stats_.max_batch, batch_records);
-      stats_.bytes_written += bytes;
-      stats_.fsync_count += syncs;
-      durable_cv_.notify_all();
-    }
+    // A drain in flight may cover lsn; otherwise lsn is still pending and
+    // this caller leads the next drain.
+    durable_cv_.wait(lk, [&] { return !draining_ || done(); });
+    if (done()) return io_error_;
+    (void)DrainLocked(lk, /*force_sync=*/false, /*seal=*/false);
   }
 }
 
-Status WriteAheadLog::WriteAndSyncLocked(const std::string& buf,
-                                         bool force_sync, uint64_t* bytes,
-                                         uint64_t* syncs) {
-  // io_mu_ held, mu_ NOT touched: Rotate acquires io_mu_ while holding
-  // mu_, so taking mu_ here would close an ABBA cycle with the flusher.
-  // Counters are returned for the caller to account under mu_.
-  if (fd_ < 0) return Status::InvalidArgument("wal segment not open");
-  if (!buf.empty()) {
-    Status s = WriteFully(fd_, buf.data(), buf.size());
-    if (!s.ok()) return s;
-    *bytes += buf.size();
+Status WriteAheadLog::DrainLocked(std::unique_lock<std::mutex>& lk,
+                                  bool force_sync, bool seal) {
+  durable_cv_.wait(lk, [&] { return !draining_; });
+  if (!io_error_.ok()) return io_error_;
+  draining_ = true;
+  const std::string batch = std::exchange(pending_, std::string());
+  const uint64_t batch_records = std::exchange(pending_records_, 0);
+  const uint64_t batch_last_lsn = next_lsn_ - 1;
+  lk.unlock();
+
+  // The token makes this thread the segment's only writer, and the
+  // segment is open while no error is sticky. kAlways writes and fsyncs
+  // each (fixed-size) record on its own, so it measures what per-commit
+  // forcing costs rather than borrowing the batching it is compared
+  // against; every other policy writes the batch at once. The loop runs
+  // at least once, so a forced sync of an empty batch still syncs.
+  const size_t chunk =
+      fsync_policy_ == FsyncPolicy::kAlways ? kRecordBytes : batch.size();
+  const bool sync = force_sync || fsync_policy_ != FsyncPolicy::kNone;
+  uint64_t bytes = 0;
+  uint64_t syncs = 0;
+  Status s;
+  size_t off = 0;
+  do {
+    const size_t n = std::min(chunk, batch.size() - off);
+    s = WriteFully(fd_, batch.data() + off, n);
+    if (!s.ok()) break;
+    bytes += n;
+    off += n;
+    if (sync) {
+      s = SyncFd(fd_);
+      if (!s.ok()) break;
+      ++syncs;
+    }
+  } while (off < batch.size());
+  if (s.ok() && seal) {
+    if (::close(fd_) != 0) s = Status::Corruption("wal close failed");
+    fd_ = -1;
+    if (s.ok()) s = OpenSegment(batch_last_lsn + 1);
+    if (s.ok()) s = SyncPath(dir_);
   }
-  if (fsync_policy_ != FsyncPolicy::kNone || force_sync) {
-    Status s = SyncFd(fd_);
-    if (!s.ok()) return s;
-    ++*syncs;
+
+  lk.lock();
+  draining_ = false;
+  if (s.ok()) {
+    durable_lsn_ = batch_last_lsn;
+    if (seal) ++stats_.rotations;
+  } else if (io_error_.ok()) {
+    io_error_ = s;
   }
-  return Status::OK();
+  if (batch_records > 0) {
+    ++stats_.flush_batches;
+    stats_.max_batch = std::max(stats_.max_batch, batch_records);
+  }
+  stats_.bytes_written += bytes;
+  stats_.fsync_count += syncs;
+  durable_cv_.notify_all();
+  return s;
 }
 
 Status WriteAheadLog::Sync() {
-  // Drain whatever is pending through our own write (not the flusher) so
-  // the caller has a hard happens-before: everything logged before Sync()
-  // is on disk when it returns.
-  std::string batch;
-  uint64_t batch_last_lsn = 0;
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (!AwaitInFlightBatchLocked(lk)) return io_error_;
-    batch = std::move(pending_);
-    pending_.clear();
-    pending_records_ = 0;
-    batch_last_lsn = next_lsn_ - 1;
-    claimed_lsn_ = batch_last_lsn;
-  }
-  Status s;
-  uint64_t bytes = 0;
-  uint64_t syncs = 0;
-  {
-    std::lock_guard<std::mutex> io(io_mu_);
-    s = WriteAndSyncLocked(batch, /*force_sync=*/true, &bytes, &syncs);
-  }
-  std::lock_guard<std::mutex> lk(mu_);
-  if (!s.ok()) {
-    if (io_error_.ok()) io_error_ = s;
-  } else if (durable_lsn_ < batch_last_lsn) {
-    durable_lsn_ = batch_last_lsn;
-  }
-  stats_.bytes_written += bytes;
-  stats_.fsync_count += syncs;
-  durable_cv_.notify_all();
-  return s;
+  std::unique_lock<std::mutex> lk(mu_);
+  return DrainLocked(lk, /*force_sync=*/true, /*seal=*/false);
 }
 
 Status WriteAheadLog::Rotate() {
-  // Seal with io_mu_ taken while mu_ is still held (the one nested
-  // acquisition, always mu_ then io_mu_): no batch claimed after our drain
-  // can reach the file before the old segment is sealed. io_mu_ is released
-  // again before mu_ is retaken, so no thread ever waits for mu_ while
-  // holding io_mu_ and concurrent Rotate callers cannot deadlock.
-  std::string batch;
-  uint64_t next;
   std::unique_lock<std::mutex> lk(mu_);
-  // A batch the flusher claimed but has not written yet would otherwise be
-  // written AFTER our drain — out of LSN order, or into the next segment.
-  if (!AwaitInFlightBatchLocked(lk)) return io_error_;
-  batch = std::move(pending_);
-  pending_.clear();
-  pending_records_ = 0;
-  next = next_lsn_;
-  claimed_lsn_ = next - 1;
-  uint64_t bytes = 0;
-  uint64_t syncs = 0;
-  Status s;
-  {
-    std::lock_guard<std::mutex> io(io_mu_);
-    lk.unlock();
-    s = WriteAndSyncLocked(batch, /*force_sync=*/true, &bytes, &syncs);
-    if (s.ok()) {
-      if (::close(fd_) != 0) s = Status::Corruption("wal close failed");
-      fd_ = -1;
-    }
-    if (s.ok()) s = OpenSegmentLocked(next);
-    if (s.ok()) s = SyncPath(dir_);
-  }
-  // A flusher batch written between the two critical sections is harmless:
-  // it lands in the fresh segment and durable_lsn_ only ever rises.
-  lk.lock();
-  if (!s.ok()) {
-    if (io_error_.ok()) io_error_ = s;
-  } else {
-    if (durable_lsn_ < next - 1) durable_lsn_ = next - 1;
-    ++stats_.rotations;
-  }
-  stats_.bytes_written += bytes;
-  stats_.fsync_count += syncs;
-  durable_cv_.notify_all();
-  return s;
+  return DrainLocked(lk, /*force_sync=*/true, /*seal=*/true);
 }
 
 Status WriteAheadLog::RemoveSegmentsBelow(uint64_t lsn) {
+  // Under the drain token, so no seal can change which segment is current
+  // while the directory is read.
+  std::unique_lock<std::mutex> lk(mu_);
+  durable_cv_.wait(lk, [&] { return !draining_; });
+  draining_ = true;
+  lk.unlock();
+  Status s;
   auto segments = ListWalSegments(dir_);
-  std::lock_guard<std::mutex> io(io_mu_);
-  for (size_t i = 0; i < segments.size(); ++i) {
+  for (size_t i = 0; i < segments.size() && s.ok(); ++i) {
     if (segments[i].first == segment_first_lsn_) continue;  // current
     // A sealed segment's records span [first_lsn, next segment's
     // first_lsn); it is disposable only when that whole span is <= lsn.
@@ -325,11 +230,15 @@ Status WriteAheadLog::RemoveSegmentsBelow(uint64_t lsn) {
     std::error_code ec;
     std::filesystem::remove(segments[i].second, ec);
     if (ec) {
-      return Status::Corruption("cannot remove wal segment: " +
-                                segments[i].second);
+      s = Status::Corruption("cannot remove wal segment: " +
+                             segments[i].second);
     }
   }
-  return SyncPath(dir_);
+  if (s.ok()) s = SyncPath(dir_);
+  lk.lock();
+  draining_ = false;
+  durable_cv_.notify_all();
+  return s;
 }
 
 uint64_t WriteAheadLog::last_lsn() const {

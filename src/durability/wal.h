@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/commit_sink.h"
@@ -40,13 +39,13 @@ enum class FsyncPolicy : uint8_t {
   /// One write+fsync per record: the classic force-log-at-commit
   /// discipline. Durable at ack; the baseline group commit beats.
   kAlways = 0,
-  /// Group commit: the flusher drains all pending records with one write
+  /// Group commit: one drain writes all pending records with one write
   /// and one fsync, and wakes every waiter the batch covered. Durable at
   /// ack; cost amortized across concurrent committers.
   kGroup = 1,
-  /// Write without fsync: durability is left to the OS page cache (data
-  /// survives a process kill, not a power cut). WaitDurable returns
-  /// immediately; benchmarks use it as the no-durability upper bound.
+  /// Written before the ack, no fsync: durability is left to the OS page
+  /// cache (data survives a process kill, not a power cut); benchmarks
+  /// use it as the no-durability upper bound.
   kNone = 2,
 };
 
@@ -56,7 +55,7 @@ struct WalStats {
   uint64_t records_appended = 0;  ///< LogCommit calls
   uint64_t bytes_written = 0;     ///< record bytes handed to write(2)
   uint64_t fsync_count = 0;       ///< fdatasync calls issued
-  uint64_t flush_batches = 0;     ///< flusher wake-ups that wrote anything
+  uint64_t flush_batches = 0;     ///< drains that wrote records
   uint64_t max_batch = 0;         ///< largest record count in one batch
   uint64_t rotations = 0;         ///< segments sealed by Rotate()
 };
@@ -74,23 +73,21 @@ struct WalRecord {
 ///
 /// Write path: `LogCommit` runs under the index's writer latch — it
 /// serializes the record into an in-memory pending buffer, assigns the
-/// next LSN, and returns without any I/O. A dedicated flusher thread
-/// drains the pending buffer: one write(2) per batch, then fsync per the
-/// policy, then `durable_lsn` advances and every `WaitDurable` parked at
-/// or below it wakes. Under `kAlways` the flusher writes and fsyncs each
-/// record of the batch individually, so the policy honestly models
-/// force-at-commit rather than silently group-committing.
+/// next LSN, and returns without any I/O. Group commit is leader-drained:
+/// a `WaitDurable` caller whose LSN is not yet durable, finding no drain
+/// in flight, takes the drain token and drains the buffer itself — one
+/// write(2) for everything pending, one fsync per the policy, then
+/// `durable_lsn` advances and every waiter the batch covered wakes.
+/// Under `kAlways` the drain writes and fsyncs each record on its own, so
+/// the policy honestly models force-at-commit rather than silently
+/// group-committing.
 ///
-/// Locking: `mu_` guards the pending buffer, LSN counters, and waiter
-/// condition; `io_mu_` guards the segment file. The flusher swaps the
-/// pending buffer out under `mu_`, drops it, performs I/O under `io_mu_`
-/// only, then retakes `mu_` to publish durability — so committers are
-/// never blocked behind disk writes, which is the entire point of group
-/// commit. `Rotate` takes `io_mu_` while holding `mu_` (so no batch
-/// claimed after its drain can overtake the seal), then releases `io_mu_`
-/// before it retakes `mu_`. No thread ever acquires `mu_` while holding
-/// `io_mu_`, so the only lock-order edge is `mu_` → `io_mu_` and the
-/// graph stays acyclic.
+/// Locking: one mutex, `mu_`, guards the pending buffer, LSN counters,
+/// stats and the drain token. The segment file belongs to whoever holds
+/// the token, which does its file work with `mu_` released — so
+/// `LogCommit` never waits behind disk I/O, and bytes reach the segment in
+/// LSN order because only one thread at a time writes it. `Sync`,
+/// `Rotate`, `RemoveSegmentsBelow` and the destructor take the same token.
 ///
 /// Thread-safety: fully synchronized; any number of committers may call
 /// `LogCommit`/`WaitDurable` concurrently with any number of `Rotate` and
@@ -100,11 +97,11 @@ class WriteAheadLog : public CommitSink {
   /// \brief Opens (creating if absent) the log in `dir`, starting a new
   /// segment `wal-<next_lsn>.log` that syncs per `fsync_policy`. `next_lsn`
   /// is one past the last LSN recovery replayed (1 on a fresh directory).
-  /// Spawns the flusher.
   static Status Open(const std::string& dir, FsyncPolicy fsync_policy,
                      uint64_t next_lsn, std::unique_ptr<WriteAheadLog>* out);
 
-  /// \brief Stops the flusher after a final drain+sync (best effort).
+  /// \brief Drains and syncs whatever is still buffered (best effort) and
+  /// closes the segment.
   ~WriteAheadLog() override;
 
   // ---- CommitSink --------------------------------------------------------
@@ -113,8 +110,9 @@ class WriteAheadLog : public CommitSink {
   /// the index's writer latch.
   uint64_t LogCommit(OpType op, Value value, RowId row_id) override;
 
-  /// \brief Blocks until `lsn` is durable per the fsync policy (returns
-  /// immediately under kNone). Propagates a flusher write/sync failure.
+  /// \brief Blocks until `lsn` is durable per the fsync policy (under
+  /// kNone: handed to write(2)), draining the log itself when no other
+  /// caller is. Propagates a write/sync failure.
   Status WaitDurable(uint64_t lsn) override;
 
   // ---- maintenance -------------------------------------------------------
@@ -141,46 +139,35 @@ class WriteAheadLog : public CommitSink {
   WriteAheadLog(std::string dir, FsyncPolicy fsync_policy, uint64_t next_lsn);
 
   /// Opens a fresh segment `wal-<first_lsn>.log` and writes its header.
-  /// io_mu_ held.
-  Status OpenSegmentLocked(uint64_t first_lsn);
+  /// Drain token held (or the log not yet shared).
+  Status OpenSegment(uint64_t first_lsn);
 
-  /// Flusher thread body: wait for pending records, drain, publish.
-  void FlusherLoop();
-
-  /// Waits until no claimed batch is still in flight (durable_lsn_ caught
-  /// up to claimed_lsn_); false on a sticky I/O error. mu_ held via `lk`.
-  bool AwaitInFlightBatchLocked(std::unique_lock<std::mutex>& lk);
-
-  /// Writes `buf` to the segment and syncs per policy (or `force_sync`),
-  /// accumulating byte/fsync counts into the out-params (accounted under
-  /// mu_ by the caller — this method must not take mu_, see the .cc).
-  /// io_mu_ held.
-  Status WriteAndSyncLocked(const std::string& buf, bool force_sync,
-                            uint64_t* bytes, uint64_t* syncs);
+  /// The one drain: waits for the token, claims everything pending, writes
+  /// it with mu_ released, syncs per policy (always when `force_sync`),
+  /// seals the segment and opens the next when `seal`, then publishes
+  /// `durable_lsn_` and wakes every waiter. mu_ held via `lk`.
+  Status DrainLocked(std::unique_lock<std::mutex>& lk, bool force_sync,
+                     bool seal);
 
   const std::string dir_;
   const FsyncPolicy fsync_policy_;
 
   mutable std::mutex mu_;
-  std::condition_variable flusher_cv_;  ///< pending work / shutdown
-  std::condition_variable durable_cv_;  ///< durable_lsn advanced
-  /// Serialized records not yet handed to the flusher, paired with the
-  /// record count (for max_batch accounting).
+  /// durable_lsn_ advanced or the drain token came free.
+  std::condition_variable durable_cv_;
+  /// Serialized records no drain has claimed yet, and their count (for
+  /// max_batch accounting).
   std::string pending_;
   uint64_t pending_records_ = 0;
   uint64_t next_lsn_;
-  uint64_t durable_lsn_ = 0;
-  uint64_t claimed_lsn_ = 0;  ///< highest LSN claimed by a drain (flusher,
-                              ///< Sync, or Rotate) — write may be in flight
-  Status io_error_;           ///< sticky first write/sync failure
-  bool stop_ = false;
+  uint64_t durable_lsn_;
+  Status io_error_;        ///< sticky first write/sync failure
+  bool draining_ = false;  ///< the drain token: a thread owns the segment
   WalStats stats_;
 
-  std::mutex io_mu_;
+  // Touched only by the drain token's holder, with mu_ released.
   int fd_ = -1;
   uint64_t segment_first_lsn_ = 0;
-
-  std::thread flusher_;
 };
 
 /// \brief Scan result of one segment file.

@@ -44,7 +44,7 @@ size_t ResolveInPartition(std::vector<CrackerEntry>* part, Toc* toc, Value v,
 }
 
 /// Cracks `part` on [lo, hi), moves the qualifying entries into `out`,
-/// removes them from the partition, and rebuilds its local ToC.
+/// removes them from the partition, and shifts its local ToC.
 void ExtractFromPartition(std::vector<CrackerEntry>* part, Toc* toc, Value lo,
                           Value hi, std::vector<CrackerEntry>* out,
                           QueryContext* ctx) {
@@ -55,22 +55,17 @@ void ExtractFromPartition(std::vector<CrackerEntry>* part, Toc* toc, Value lo,
               part->begin() + static_cast<long>(pos_hi));
   part->erase(part->begin() + static_cast<long>(pos_lo),
               part->begin() + static_cast<long>(pos_hi));
-  // Rebuild the local ToC with shifted positions: cracks past the removed
-  // region move left; cracks inside it collapse onto the cut.
+  // Shift the ToC's positions in place: cracks past the removed region
+  // move left; cracks inside it collapse onto the cut. The shift keeps
+  // positions ascending with keys, so no entry changes its order.
   const size_t removed = pos_hi - pos_lo;
-  Toc rebuilt;
-  for (const auto& [cv, cp] : *toc) {
-    size_t np;
-    if (cp <= pos_lo) {
-      np = cp;
-    } else if (cp >= pos_hi) {
-      np = cp - removed;
-    } else {
-      np = pos_lo;
+  for (auto& [cv, cp] : *toc) {
+    if (cp >= pos_hi) {
+      cp -= removed;
+    } else if (cp > pos_lo) {
+      cp = pos_lo;
     }
-    rebuilt.emplace(cv, np);
   }
-  *toc = std::move(rebuilt);
 }
 
 }  // namespace

@@ -26,8 +26,8 @@ struct HybridOptions {
 /// "Once a given range of data has moved out of initial partitions and into
 /// final partitions, the initial partitions will never be accessed again for
 /// data in that range" — extraction physically removes the qualifying region
-/// from each initial partition and rebuilds its local table of contents with
-/// shifted positions.
+/// from each initial partition and shifts the positions of its local table
+/// of contents in place.
 ///
 /// Concurrency: adaptive merging's protocol with early termination and MVCC
 /// commit off. Both read sorted runs, and a gather cracks the partitions,
@@ -58,8 +58,7 @@ class HybridCrackSortIndex : public AdaptiveMergeIndex {
  private:
   /// Each partition's local table of contents, guarded like the runs: the
   /// cracks applied to it so far, value -> position (std::map stands in for
-  /// the per-partition AVL tree; positions shift on extraction, which
-  /// requires rebuilding).
+  /// the per-partition AVL tree; extraction shifts the positions in place).
   std::vector<std::map<Value, size_t>> tocs_;
 };
 

@@ -255,8 +255,8 @@ void ExpectGapFreeLog(const std::string& dir, uint64_t records) {
 }
 
 TEST_F(DurabilityTest, WalConcurrentWithRotationStaysOrdered) {
-  // Rotations racing the flusher must never reorder records across the
-  // segment boundary (the in-flight-batch barrier inside Rotate).
+  // Rotations racing the committers' drains must never reorder records
+  // across the segment boundary (one drain token covers writes and seals).
   std::unique_ptr<WriteAheadLog> wal;
   ASSERT_TRUE(WriteAheadLog::Open(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
   constexpr int kThreads = 4;
@@ -276,11 +276,28 @@ TEST_F(DurabilityTest, WalConcurrentWithRotationStaysOrdered) {
   ExpectGapFreeLog(dir_, kThreads * kPerThread);
 }
 
+TEST_F(DurabilityTest, WalConcurrentWithSyncStaysOrdered) {
+  // A Sync racing the committers' own drains must never let a later batch
+  // reach the segment before an earlier one.
+  std::unique_ptr<WriteAheadLog> wal;
+  ASSERT_TRUE(WriteAheadLog::Open(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 400;
+  std::atomic<bool> stop{false};
+  std::thread syncer([&] {
+    while (!stop.load()) ASSERT_TRUE(wal->Sync().ok());
+  });
+  RunCommitters(wal.get(), kThreads, kPerThread);
+  stop.store(true);
+  syncer.join();
+  wal.reset();
+  ExpectGapFreeLog(dir_, kThreads * kPerThread);
+}
+
 TEST_F(DurabilityTest, WalConcurrentRotatorsDoNotDeadlock) {
-  // Two rotators racing each other beside committers: Rotate must never
-  // wait for mu_ while holding io_mu_ (the ABBA shape two callers would
-  // deadlock on), and the log must stay gap-free and LSN-ordered across
-  // every segment boundary either rotator cut.
+  // Two rotators racing each other beside committers: neither may
+  // deadlock the other, and the log must stay gap-free and LSN-ordered
+  // across every segment boundary either rotator cut.
   std::unique_ptr<WriteAheadLog> wal;
   ASSERT_TRUE(WriteAheadLog::Open(dir_, FsyncPolicy::kGroup, 1, &wal).ok());
   constexpr int kCommitters = 2;
